@@ -35,10 +35,24 @@ const std::vector<FileWorkload>& DaytimeFileSource::take(std::size_t count) {
   return files_;
 }
 
+std::vector<FileWorkload> DaytimeFileSource::prefix(std::size_t count) {
+  const auto& files = take(count);
+  return {files.begin(),
+          files.begin() + static_cast<std::ptrdiff_t>(
+                              std::min(count, files.size()))};
+}
+
 std::vector<FileWorkload> daytime_files(std::size_t count, int start_day,
                                         std::uint64_t seed) {
   DaytimeFileSource source(start_day, seed);
   return source.take(count);
+}
+
+std::vector<DaytimeFileSource> iteration_sources(int iterations) {
+  std::vector<DaytimeFileSource> sources;
+  for (int iteration = 0; iteration < iterations; ++iteration)
+    sources.emplace_back(1 + iteration);
+  return sources;
 }
 
 FarmResult run_preprocess_farm(int nodes, int workers_per_node,

@@ -37,6 +37,10 @@ class DaytimeFileSource {
   /// stays valid until the next call. Never shrinks.
   const std::vector<FileWorkload>& take(std::size_t count);
 
+  /// The first `count` files alone, equal to daytime_files(count, start_day,
+  /// seed): the scan grows only past the longest prefix taken so far.
+  std::vector<FileWorkload> prefix(std::size_t count);
+
  private:
   modis::GranuleGenerator generator_;
   std::uint64_t seed_;
@@ -44,6 +48,11 @@ class DaytimeFileSource {
   int slot_ = 0;
   std::vector<FileWorkload> files_;
 };
+
+/// File sources for the scaling benches' iterations: entry i starts at day
+/// 1 + i. Each (point, iteration) list is a prefix of its iteration's
+/// source, so each source scans its days once however many points it feeds.
+std::vector<DaytimeFileSource> iteration_sources(int iterations);
 
 struct FarmResult {
   double makespan = 0.0;     // seconds (virtual) to process all files

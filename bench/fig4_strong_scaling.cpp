@@ -19,6 +19,8 @@ int main() {
       "Fig. 4 — Strong scaling: completion time vs workers and vs nodes",
       "Kurihana et al., SC24, Fig. 4(a)/(b)");
 
+  auto days = benchx::iteration_sources(5);
+
   // ---- (a) workers on one node, 128 files --------------------------------
   std::printf("(a) 128 MOD02 files, workers 1 -> 128 (128 uses 2 nodes)\n\n");
   util::Table ta({"# workers", "mean time (s)", "std", "speedup vs 1w"});
@@ -27,7 +29,7 @@ int main() {
   for (int workers : {1, 2, 4, 8, 16, 32, 64, 128}) {
     std::vector<double> times;
     for (int iteration = 0; iteration < 5; ++iteration) {
-      const auto files = benchx::daytime_files(128, 1 + iteration);
+      const auto files = days[iteration].prefix(128);
       const int nodes = workers > 64 ? 2 : 1;
       const int per_node = workers > 64 ? workers / 2 : workers;
       times.push_back(
@@ -54,7 +56,7 @@ int main() {
   for (int nodes = 1; nodes <= 10; ++nodes) {
     std::vector<double> times;
     for (int iteration = 0; iteration < 5; ++iteration) {
-      const auto files = benchx::daytime_files(80, 1 + iteration);
+      const auto files = days[iteration].prefix(80);
       times.push_back(benchx::run_preprocess_farm(nodes, 8, files).makespan);
     }
     const auto m = benchx::mean_std(times);

@@ -18,6 +18,8 @@ int main() {
       "Fig. 5 — Weak scaling (2 files per worker): time vs workers and nodes",
       "Kurihana et al., SC24, Fig. 5(a)/(b)");
 
+  auto days = benchx::iteration_sources(5);
+
   std::printf("(a) 2 files/worker, workers 1 -> 128 on one node\n\n");
   util::Table ta({"# workers", "# files", "mean time (s)", "std"});
   util::Series sa{"completion time", {}, {}, '*'};
@@ -25,7 +27,7 @@ int main() {
     std::vector<double> times;
     const std::size_t file_count = static_cast<std::size_t>(2 * workers);
     for (int iteration = 0; iteration < 5; ++iteration) {
-      const auto files = benchx::daytime_files(file_count, 1 + iteration);
+      const auto files = days[iteration].prefix(file_count);
       const int nodes = workers > 64 ? 2 : 1;
       const int per_node = workers > 64 ? workers / 2 : workers;
       times.push_back(
@@ -49,7 +51,7 @@ int main() {
     std::vector<double> times;
     const std::size_t file_count = static_cast<std::size_t>(16 * nodes);
     for (int iteration = 0; iteration < 5; ++iteration) {
-      const auto files = benchx::daytime_files(file_count, 1 + iteration);
+      const auto files = days[iteration].prefix(file_count);
       times.push_back(benchx::run_preprocess_farm(nodes, 8, files).makespan);
     }
     const auto m = benchx::mean_std(times);

@@ -1,7 +1,7 @@
 // Google-benchmark micro benchmarks for the substrates that sit on the
 // workflow's critical path: event engine throughput, processor-sharing
-// resource churn, container (de)serialization, tiler, RICC encode, and Ward
-// clustering.
+// resource churn, container (de)serialization, granule statistics and pixel
+// synthesis, tiler, RICC encode, and Ward clustering.
 #include <benchmark/benchmark.h>
 
 #include "compute/cluster.hpp"
@@ -127,6 +127,24 @@ void BM_GranuleStats(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GranuleStats);
+
+// Pixel synthesis of one daytime granule's MOD02, MOD03 and MOD06 at the
+// materialized benchmark's reduced geometry.
+void BM_GranuleMaterialize(benchmark::State& state) {
+  modis::GranuleGenerator gen(2022);
+  modis::GranuleSpec spec;
+  spec.geometry = modis::GranuleGeometry{512, 340, 6};
+  while (!modis::is_daytime(spec.satellite, spec.slot, spec.day_of_year))
+    ++spec.slot;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen.mod02(spec));
+    benchmark::DoNotOptimize(gen.mod03(spec));
+    benchmark::DoNotOptimize(gen.mod06(spec));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(spec.geometry.pixels()) *
+                          state.iterations());
+}
+BENCHMARK(BM_GranuleMaterialize)->Unit(benchmark::kMillisecond);
 
 void BM_Tiler(benchmark::State& state) {
   modis::GranuleGenerator gen(2022);

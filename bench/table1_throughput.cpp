@@ -12,10 +12,12 @@ using namespace mfw;
 
 namespace {
 
-double strong_workers(int workers) {
+using Days = std::vector<benchx::DaytimeFileSource>;
+
+double strong_workers(Days& days, int workers) {
   std::vector<double> rates;
   for (int iteration = 0; iteration < 5; ++iteration) {
-    const auto files = benchx::daytime_files(128, 1 + iteration);
+    const auto files = days[iteration].prefix(128);
     const int nodes = workers > 64 ? 2 : 1;
     const int per_node = workers > 64 ? workers / 2 : workers;
     rates.push_back(
@@ -24,20 +26,20 @@ double strong_workers(int workers) {
   return benchx::mean_std(rates).mean;
 }
 
-double strong_nodes(int nodes) {
+double strong_nodes(Days& days, int nodes) {
   std::vector<double> rates;
   for (int iteration = 0; iteration < 5; ++iteration) {
-    const auto files = benchx::daytime_files(80, 1 + iteration);
+    const auto files = days[iteration].prefix(80);
     rates.push_back(benchx::run_preprocess_farm(nodes, 8, files).throughput);
   }
   return benchx::mean_std(rates).mean;
 }
 
-double weak_workers(int workers) {
+double weak_workers(Days& days, int workers) {
   std::vector<double> rates;
   for (int iteration = 0; iteration < 5; ++iteration) {
     const auto files =
-        benchx::daytime_files(static_cast<std::size_t>(2 * workers), 1 + iteration);
+        days[iteration].prefix(static_cast<std::size_t>(2 * workers));
     const int nodes = workers > 64 ? 2 : 1;
     const int per_node = workers > 64 ? workers / 2 : workers;
     rates.push_back(
@@ -46,11 +48,11 @@ double weak_workers(int workers) {
   return benchx::mean_std(rates).mean;
 }
 
-double weak_nodes(int nodes) {
+double weak_nodes(Days& days, int nodes) {
   std::vector<double> rates;
   for (int iteration = 0; iteration < 5; ++iteration) {
     const auto files =
-        benchx::daytime_files(static_cast<std::size_t>(16 * nodes), 1 + iteration);
+        days[iteration].prefix(static_cast<std::size_t>(16 * nodes));
     rates.push_back(benchx::run_preprocess_farm(nodes, 8, files).throughput);
   }
   return benchx::mean_std(rates).mean;
@@ -63,6 +65,7 @@ int main() {
       "Table I — Throughput of MODIS 128x128 tiles under four scaling "
       "experiments",
       "Kurihana et al., SC24, Table I");
+  auto days = benchx::iteration_sources(5);
 
   const int worker_points[] = {1, 2, 4, 8, 16, 32, 64, 128};
   const double paper_strong_w[] = {10.52, 18.10, 25.01, 36.59,
@@ -81,13 +84,14 @@ int main() {
     std::vector<std::string> row;
     if (i < 8) {
       row.push_back(std::to_string(worker_points[i]));
-      row.push_back(util::Table::num(strong_workers(worker_points[i]), 2));
+      row.push_back(
+          util::Table::num(strong_workers(days, worker_points[i]), 2));
       row.push_back(util::Table::num(paper_strong_w[i], 2));
     } else {
       row.insert(row.end(), {"-", "-", "-"});
     }
     row.push_back(std::to_string(i + 1));
-    row.push_back(util::Table::num(strong_nodes(i + 1), 2));
+    row.push_back(util::Table::num(strong_nodes(days, i + 1), 2));
     row.push_back(util::Table::num(paper_strong_n[i], 2));
     strong.add_row(std::move(row));
   }
@@ -100,13 +104,13 @@ int main() {
     std::vector<std::string> row;
     if (i < 8) {
       row.push_back(std::to_string(worker_points[i]));
-      row.push_back(util::Table::num(weak_workers(worker_points[i]), 2));
+      row.push_back(util::Table::num(weak_workers(days, worker_points[i]), 2));
       row.push_back(util::Table::num(paper_weak_w[i], 2));
     } else {
       row.insert(row.end(), {"-", "-", "-"});
     }
     row.push_back(std::to_string(i + 1));
-    row.push_back(util::Table::num(weak_nodes(i + 1), 2));
+    row.push_back(util::Table::num(weak_nodes(days, i + 1), 2));
     row.push_back(util::Table::num(paper_weak_n[i], 2));
     weak.add_row(std::move(row));
   }

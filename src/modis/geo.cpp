@@ -54,26 +54,37 @@ double solar_zenith_deg(const LatLon& where, double utc_day_fraction,
   return std::acos(std::fmin(1.0, std::fmax(-1.0, cos_zenith))) * kDeg;
 }
 
-LatLon swath_pixel(Satellite satellite, int slot, double row_frac,
-                   double col_frac) {
-  const LatLon centre = ground_track(satellite, slot, row_frac);
+SwathRow swath_row(Satellite satellite, int slot, double row_frac) {
+  SwathRow row;
+  row.centre = ground_track(satellite, slot, row_frac);
   // Cross-track offset perpendicular to the ground track. We approximate the
   // track direction from two nearby centre points.
   const LatLon ahead = ground_track(satellite, slot, row_frac + 1e-3);
-  double dlat = ahead.lat - centre.lat;
-  double dlon = wrap_lon(ahead.lon - centre.lon);
+  double dlat = ahead.lat - row.centre.lat;
+  double dlon = wrap_lon(ahead.lon - row.centre.lon);
   const double norm = std::sqrt(dlat * dlat + dlon * dlon);
   if (norm > 1e-12) {
     dlat /= norm;
     dlon /= norm;
   }
+  row.dlat = dlat;
+  row.dlon = dlon;
+  row.cos_lat = std::fmax(0.2, std::cos(row.centre.lat * kRad));
+  return row;
+}
+
+LatLon swath_pixel(const SwathRow& row, double col_frac) {
   // Perpendicular direction (dlon, -dlat), scaled by the cross-track angle.
   const double offset = (col_frac - 0.5) * 2.0 * kHalfSwathDeg;
-  const double cos_lat = std::fmax(0.2, std::cos(centre.lat * kRad));
-  double lat = centre.lat + dlon * offset;
-  double lon = centre.lon - dlat * offset / cos_lat;
+  double lat = row.centre.lat + row.dlon * offset;
+  double lon = row.centre.lon - row.dlat * offset / row.cos_lat;
   lat = std::fmin(90.0, std::fmax(-90.0, lat));
   return {lat, wrap_lon(lon)};
+}
+
+LatLon swath_pixel(Satellite satellite, int slot, double row_frac,
+                   double col_frac) {
+  return swath_pixel(swath_row(satellite, slot, row_frac), col_frac);
 }
 
 bool is_daytime(Satellite satellite, int slot, int day_of_year) {

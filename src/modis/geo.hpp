@@ -37,8 +37,26 @@ LatLon ground_track(Satellite satellite, int slot, double u);
 double solar_zenith_deg(const LatLon& where, double utc_day_fraction,
                         int day_of_year);
 
+/// The part of swath_pixel shared by every pixel of one swath row: the
+/// ground-track centre, the unit track direction and the clamped cosine of
+/// the centre latitude. Sampling loops compute it once per row.
+struct SwathRow {
+  LatLon centre;
+  double dlat = 0.0;
+  double dlon = 0.0;
+  double cos_lat = 1.0;
+};
+
+/// Row part of swath_pixel for along-track fraction `row_frac`.
+SwathRow swath_row(Satellite satellite, int slot, double row_frac);
+
+/// Column part of swath_pixel: the pixel at `col_frac` in [0,1) across the
+/// ~2330 km swath (cross-track) of `row`.
+LatLon swath_pixel(const SwathRow& row, double col_frac);
+
 /// Swath pixel -> lat/lon. `row_frac` in [0,1) along track within the
-/// granule, `col_frac` in [0,1) across the ~2330 km swath (cross-track).
+/// granule, `col_frac` in [0,1) across the swath; equal to
+/// swath_pixel(swath_row(satellite, slot, row_frac), col_frac).
 LatLon swath_pixel(Satellite satellite, int slot, double row_frac,
                    double col_frac);
 

@@ -1,7 +1,9 @@
 #include "modis/products.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -72,21 +74,23 @@ EarthModel::EarthModel(std::uint64_t seed)
       texture_(util::mix64(seed, 3)),
       pressure_(util::mix64(seed, 4)) {}
 
-bool EarthModel::is_land(const LatLon& p) const {
+bool EarthModel::is_land(const LatLon& p, Memo& memo) const {
   // Sample in a lat/lon frame scaled so continents span ~40-80 degrees.
-  const double v = continents_.fbm(p.lon / 42.0, p.lat / 30.0, 5);
+  const double v = continents_.fbm(p.lon / 42.0, p.lat / 30.0, 5, memo.land);
   // Push land away from the poles a little (Southern Ocean / Arctic ocean).
   const double polar = 0.10 * std::cos(p.lat * std::numbers::pi / 90.0);
   return v + polar > kLandThreshold;
 }
 
-double EarthModel::cloud_intensity(const LatLon& p, int day_of_year) const {
+double EarthModel::cloud_intensity(const LatLon& p, int day_of_year,
+                                   Memo& memo) const {
   // Synoptic-scale systems drift with the day of year; mesoscale texture
   // gives the within-tile variance AICCA tiles show.
   const double drift = static_cast<double>(day_of_year) * 0.37;
-  const double synoptic =
-      weather_.fbm(p.lon / 18.0 + drift, p.lat / 14.0 - 0.3 * drift, 4);
-  const double meso = texture_.fbm(p.lon / 2.2, p.lat / 2.2, 3);
+  const double synoptic = weather_.fbm(p.lon / 18.0 + drift,
+                                       p.lat / 14.0 - 0.3 * drift, 4,
+                                       memo.synoptic);
+  const double meso = texture_.fbm(p.lon / 2.2, p.lat / 2.2, 3, memo.meso);
   // ITCZ band and mid-latitude storm tracks raise cloudiness.
   const double lat_rad = p.lat * std::numbers::pi / 180.0;
   const double climo = 0.18 * std::exp(-std::pow(p.lat / 12.0, 2)) +
@@ -96,17 +100,20 @@ double EarthModel::cloud_intensity(const LatLon& p, int day_of_year) const {
   return std::fmin(1.0, std::fmax(0.0, v));
 }
 
-double EarthModel::cloud_top_pressure(const LatLon& p, int day_of_year) const {
+double EarthModel::cloud_top_pressure(const LatLon& p, int day_of_year,
+                                      Memo& memo) const {
   const double drift = static_cast<double>(day_of_year) * 0.21;
-  const double v = pressure_.fbm(p.lon / 9.0 + drift, p.lat / 9.0, 3);
+  const double v =
+      pressure_.fbm(p.lon / 9.0 + drift, p.lat / 9.0, 3, memo.pressure);
   // 250 hPa (deep convection) .. 900 hPa (marine stratocumulus).
   return 575.0 + 325.0 * v;
 }
 
-double EarthModel::surface_temperature(const LatLon& p) const {
+double EarthModel::surface_temperature(const LatLon& p, Memo& memo) const {
   const double lat_rad = p.lat * std::numbers::pi / 180.0;
   const double base = 300.0 - 35.0 * std::pow(std::sin(lat_rad), 2);
-  return base + 3.0 * continents_.fbm(p.lon / 15.0, p.lat / 15.0, 2);
+  return base +
+         3.0 * continents_.fbm(p.lon / 15.0, p.lat / 15.0, 2, memo.surface);
 }
 
 GranuleGenerator::GranuleGenerator(std::uint64_t world_seed)
@@ -121,17 +128,19 @@ Mod03Granule GranuleGenerator::mod03(const GranuleSpec& spec) const {
   out.longitude.resize(g.pixels());
   out.land_mask.resize(g.pixels());
   out.solar_zenith.resize(g.pixels());
+  EarthModel::Memo memo;
   for (int r = 0; r < g.rows; ++r) {
     const double row_frac = (r + 0.5) / g.rows;
+    const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
     for (int c = 0; c < g.cols; ++c) {
       const double col_frac = (c + 0.5) / g.cols;
-      const LatLon p = swath_pixel(spec.satellite, spec.slot, row_frac, col_frac);
+      const LatLon p = swath_pixel(row, col_frac);
       const std::size_t i =
           static_cast<std::size_t>(r) * static_cast<std::size_t>(g.cols) +
           static_cast<std::size_t>(c);
       out.latitude[i] = static_cast<float>(p.lat);
       out.longitude[i] = static_cast<float>(p.lon);
-      out.land_mask[i] = earth_.is_land(p) ? 1 : 0;
+      out.land_mask[i] = earth_.is_land(p, memo) ? 1 : 0;
       out.solar_zenith[i] = static_cast<float>(
           solar_zenith_deg(p, day_fraction(spec, row_frac), spec.day_of_year));
     }
@@ -148,22 +157,26 @@ Mod06Granule GranuleGenerator::mod06(const GranuleSpec& spec) const {
   out.cloud_optical_thickness.resize(g.pixels());
   out.cloud_top_pressure.resize(g.pixels());
   out.cloud_water_path.resize(g.pixels());
+  EarthModel::Memo memo;
   for (int r = 0; r < g.rows; ++r) {
     const double row_frac = (r + 0.5) / g.rows;
+    const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
     for (int c = 0; c < g.cols; ++c) {
       const double col_frac = (c + 0.5) / g.cols;
-      const LatLon p = swath_pixel(spec.satellite, spec.slot, row_frac, col_frac);
+      const LatLon p = swath_pixel(row, col_frac);
       const std::size_t i =
           static_cast<std::size_t>(r) * static_cast<std::size_t>(g.cols) +
           static_cast<std::size_t>(c);
-      const double intensity = earth_.cloud_intensity(p, spec.day_of_year);
+      const double intensity =
+          earth_.cloud_intensity(p, spec.day_of_year, memo);
       const bool cloudy = intensity > 0.45;
       out.cloud_mask[i] = cloudy ? 1 : 0;
       const double excess = std::fmax(0.0, intensity - 0.45);
       out.cloud_optical_thickness[i] =
           cloudy ? static_cast<float>(2.0 + 55.0 * excess) : 0.0f;
       out.cloud_top_pressure[i] =
-          cloudy ? static_cast<float>(earth_.cloud_top_pressure(p, spec.day_of_year))
+          cloudy ? static_cast<float>(
+                       earth_.cloud_top_pressure(p, spec.day_of_year, memo))
                  : kFillValue;
       out.cloud_water_path[i] =
           cloudy ? static_cast<float>(20.0 + 900.0 * excess * excess) : 0.0f;
@@ -183,30 +196,31 @@ Mod02Granule GranuleGenerator::mod02(const GranuleSpec& spec) const {
   util::Rng rng(util::mix64(
       seed_, util::mix64(static_cast<std::uint64_t>(spec.slot) + 1000,
                          static_cast<std::uint64_t>(spec.day_of_year))));
+  EarthModel::Memo memo;
   for (int r = 0; r < g.rows; ++r) {
     const double row_frac = (r + 0.5) / g.rows;
+    const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
     for (int c = 0; c < g.cols; ++c) {
       const double col_frac = (c + 0.5) / g.cols;
-      const LatLon p = swath_pixel(spec.satellite, spec.slot, row_frac, col_frac);
+      const LatLon p = swath_pixel(row, col_frac);
       const std::size_t pix =
           static_cast<std::size_t>(r) * static_cast<std::size_t>(g.cols) +
           static_cast<std::size_t>(c);
-      const double intensity = earth_.cloud_intensity(p, spec.day_of_year);
+      const double intensity =
+          earth_.cloud_intensity(p, spec.day_of_year, memo);
       const bool cloudy = intensity > 0.45;
-      const bool land = earth_.is_land(p);
+      const bool land = earth_.is_land(p, memo);
       const double tau = cloudy ? 2.0 + 55.0 * std::fmax(0.0, intensity - 0.45) : 0.0;
       // Cloud reflectance grows with optical thickness (saturating).
       const double cloud_ref = 1.0 - std::exp(-tau / 12.0);
       const double surface_ref = land ? 0.18 : 0.05;
       const double reflectance =
           cloud_ref * 0.85 + (1.0 - cloud_ref) * surface_ref;
-      const double t_surface = earth_.surface_temperature(p);
-      const double t_cloud =
-          cloudy ? 230.0 + 60.0 * (earth_.cloud_top_pressure(p, spec.day_of_year) -
-                                   250.0) /
-                               650.0
-                 : t_surface;
-      const double t_scene = cloudy ? t_cloud : t_surface;
+      double t_scene = earth_.surface_temperature(p, memo);
+      if (cloudy) {
+        const double ctp = earth_.cloud_top_pressure(p, spec.day_of_year, memo);
+        t_scene = 230.0 + 60.0 * (ctp - 250.0) / 650.0;
+      }
       for (int b = 0; b < g.bands; ++b) {
         const std::size_t i = static_cast<std::size_t>(b) * g.pixels() + pix;
         float value;
@@ -318,36 +332,51 @@ GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
                                     const GranuleSpec& spec, int tile_size,
                                     int samples_per_axis) {
   check_spec(spec);
+  if (tile_size <= 0) throw std::invalid_argument("tile_size must be positive");
+  if (samples_per_axis <= 0 || samples_per_axis > kMaxSamplesPerAxis)
+    throw std::invalid_argument("samples_per_axis must be in [1, " +
+                                std::to_string(kMaxSamplesPerAxis) + "]");
   GranuleStats stats;
   stats.daytime = is_daytime(spec.satellite, spec.slot, spec.day_of_year);
   if (!stats.daytime) return stats;  // night granules yield no AICCA tiles
 
   const auto& g = spec.geometry;
+  const int n = samples_per_axis;
   const int tile_rows = g.rows / tile_size;
   const int tile_cols = g.cols / tile_size;
   const auto& earth = generator.earth();
+  EarthModel::Memo memo;
+  std::array<SwathRow, kMaxSamplesPerAxis> rows;
+  std::array<LatLon, kMaxSamplesPerAxis * kMaxSamplesPerAxis> points;
   double cloud_sum = 0.0;
   for (int tr = 0; tr < tile_rows; ++tr) {
+    for (int sr = 0; sr < n; ++sr) {
+      const double row_frac =
+          (tr * tile_size + (sr + 0.5) * tile_size / n) / g.rows;
+      rows[sr] = swath_row(spec.satellite, spec.slot, row_frac);
+    }
     for (int tc = 0; tc < tile_cols; ++tc) {
+      // Land first: one land sample rules the tile out, and its cloud field
+      // is never needed. Samples go column by column, down one column and up
+      // the next: along-track neighbours are the closest, so the memo's
+      // cells carry over. The counts below do not depend on the order.
       bool any_land = false;
-      int cloudy = 0;
-      const int n = samples_per_axis;
-      for (int sr = 0; sr < n && !any_land; ++sr) {
-        for (int sc = 0; sc < n; ++sc) {
-          const double row_frac =
-              (tr * tile_size + (sr + 0.5) * tile_size / n) / g.rows;
-          const double col_frac =
-              (tc * tile_size + (sc + 0.5) * tile_size / n) / g.cols;
-          const LatLon p =
-              swath_pixel(spec.satellite, spec.slot, row_frac, col_frac);
-          if (earth.is_land(p)) {
-            any_land = true;
-            break;
-          }
-          if (earth.cloud_intensity(p, spec.day_of_year) > 0.45) ++cloudy;
+      std::size_t sampled = 0;
+      for (int sc = 0; sc < n && !any_land; ++sc) {
+        const double col_frac =
+            (tc * tile_size + (sc + 0.5) * tile_size / n) / g.cols;
+        for (int k = 0; k < n && !any_land; ++k) {
+          const int sr = sc % 2 == 0 ? k : n - 1 - k;
+          const LatLon p = swath_pixel(rows[sr], col_frac);
+          points[sampled++] = p;
+          any_land = earth.is_land(p, memo);
         }
       }
       if (any_land) continue;
+      int cloudy = 0;
+      for (std::size_t i = 0; i < sampled; ++i)
+        if (earth.cloud_intensity(points[i], spec.day_of_year, memo) > 0.45)
+          ++cloudy;
       ++stats.candidate_tiles;
       const double cloud_frac =
           static_cast<double>(cloudy) / static_cast<double>(n * n);

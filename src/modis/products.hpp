@@ -54,22 +54,36 @@ struct GranuleSpec {
 /// Shared procedural geography: continents, sea-surface temperature, and the
 /// daily weather (cloud) field. One instance per world seed; all products of
 /// all granules sample it, which is what keeps them mutually consistent.
+///
+/// Every query takes a caller-owned Memo (one NoiseField::Memo per field and
+/// sampling frame). A sampling loop keeps one Memo on its stack for the whole
+/// loop; results do not depend on the memo's history, and the model itself
+/// stays const and safe to share across threads.
 class EarthModel {
  public:
+  struct Memo {
+    NoiseField::Memo land;
+    NoiseField::Memo surface;
+    NoiseField::Memo synoptic;
+    NoiseField::Memo meso;
+    NoiseField::Memo pressure;
+  };
+
   explicit EarthModel(std::uint64_t seed);
 
   /// True over continents/islands (~30% of the globe).
-  bool is_land(const LatLon& p) const;
+  bool is_land(const LatLon& p, Memo& memo) const;
 
   /// Cloud presence probability in [0, 1] for a day's weather.
-  double cloud_intensity(const LatLon& p, int day_of_year) const;
+  double cloud_intensity(const LatLon& p, int day_of_year, Memo& memo) const;
 
   /// Cloud-top pressure proxy in hPa (lower = higher cloud); only meaningful
   /// where cloud_intensity is high.
-  double cloud_top_pressure(const LatLon& p, int day_of_year) const;
+  double cloud_top_pressure(const LatLon& p, int day_of_year,
+                            Memo& memo) const;
 
   /// Sea-surface temperature proxy in Kelvin.
-  double surface_temperature(const LatLon& p) const;
+  double surface_temperature(const LatLon& p, Memo& memo) const;
 
  private:
   NoiseField continents_;
@@ -145,6 +159,13 @@ struct GranuleStats {
   double mean_cloud_fraction = 0.0;  // over candidates
 };
 
+/// Largest samples_per_axis estimate_granule_stats accepts; the swath rows
+/// of one tile row and the sample points of one tile live on its stack.
+inline constexpr int kMaxSamplesPerAxis = 32;
+
+/// Samples each tile on a samples_per_axis^2 grid. Throws
+/// std::invalid_argument for a bad spec, tile_size <= 0, or samples_per_axis
+/// outside [1, kMaxSamplesPerAxis].
 GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
                                     const GranuleSpec& spec,
                                     int tile_size = 128,

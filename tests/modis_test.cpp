@@ -3,7 +3,15 @@
 // statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "modis/catalog.hpp"
 #include "modis/noise.hpp"
@@ -12,6 +20,26 @@
 
 namespace mfw::modis {
 namespace {
+
+// FNV-1a over bytes, with integers fed little-endian so the pins below do
+// not depend on the host's byte order.
+class Fnv1a {
+ public:
+  void bytes(std::span<const std::byte> data) {
+    for (const std::byte b : data) byte(static_cast<std::uint8_t>(b));
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(std::uint8_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 TEST(Noise, DeterministicPerSeed) {
   NoiseField a(42), b(42), c(43);
@@ -30,6 +58,89 @@ TEST(Noise, BoundedAndSmooth) {
       const double v2 = field.fbm(x + 1e-4, y, 4);
       ASSERT_LT(std::abs(v - v2), 0.02);
     }
+  }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Noise, MemoMatchesFreshEvaluation) {
+  // A walk that steps forward and backward inside cells, jumps across
+  // cells, wanders through negative coordinates and lands exactly on lattice
+  // lines (multiples of 1/16 are lattice points at the first five octaves).
+  std::vector<std::pair<double, double>> walk = {
+      {0.0, 0.0},       {-0.0, -0.0}, {0.5, 0.5},     {-0.5, 0.5},
+      {-1.0, -1.0},     {1.0, -1.0},  {-1e-300, 2.0}, {3.0, 3.0},
+      {-0.9375, 0.0625}, {2.999, 3.0},
+  };
+  util::Rng rng(3);
+  double x = 0.3;
+  double y = 0.7;
+  for (int i = 0; i < 4000; ++i) {
+    switch (i % 4) {
+      case 0:  // small step in any direction
+        x += rng.uniform(-0.05, 0.05);
+        y += rng.uniform(-0.05, 0.05);
+        break;
+      case 1:  // step backward
+        x -= rng.uniform(0.0, 0.02);
+        y -= rng.uniform(0.0, 0.02);
+        break;
+      case 2:  // jump several cells
+        x += rng.uniform(-3.0, 3.0);
+        y += rng.uniform(-3.0, 3.0);
+        break;
+      default:  // snap onto lattice lines
+        x = std::round(x * 16.0) / 16.0;
+        y = std::round(y * 16.0) / 16.0;
+    }
+    walk.emplace_back(x, y);
+  }
+  ASSERT_TRUE(std::any_of(walk.begin() + 10, walk.end(),
+                          [](const auto& p) { return p.first < -1.0; }));
+  ASSERT_TRUE(std::any_of(walk.begin() + 10, walk.end(),
+                          [](const auto& p) { return p.second < -1.0; }));
+
+  const NoiseField field(11);
+  // 5 octaves as is_land uses; 11 runs past the memo's octave capacity.
+  for (const int octaves : {1, 5, 11}) {
+    NoiseField::Memo memo;
+    for (const auto& [px, py] : walk) {
+      ASSERT_EQ(bits(field.fbm(px, py, octaves, memo)),
+                bits(field.fbm(px, py, octaves)))
+          << "octaves " << octaves << " at (" << px << ", " << py << ")";
+    }
+  }
+  NoiseField::Memo memo;
+  for (const auto& [px, py] : walk)
+    ASSERT_EQ(bits(field.fbm(px, py, 1, memo)), bits(field.at(px, py)));
+}
+
+TEST(Noise, MemoNeverSharedAcrossSeeds) {
+  // Two fields alternate on one memo over the same cells: each must see its
+  // own lattice, never the corners the other field left behind.
+  const NoiseField a(1);
+  const NoiseField b(2);
+  NoiseField::Memo memo;
+  for (double x = 0.1; x < 3.0; x += 0.2) {
+    const double va = a.fbm(x, 0.5, 5, memo);
+    const double vb = b.fbm(x, 0.5, 5, memo);
+    ASSERT_EQ(bits(va), bits(a.fbm(x, 0.5, 5)));
+    ASSERT_EQ(bits(vb), bits(b.fbm(x, 0.5, 5)));
+    ASSERT_NE(va, vb);
+  }
+}
+
+TEST(Noise, FreshMemoHasNoSentinelCell) {
+  // A new memo's slots read as cell (0, 0) of seed 0. The first sample there
+  // must still hash its corners instead of reading the empty slots: it has
+  // to match a memo that was filled elsewhere first and so must refill.
+  for (const std::uint64_t seed : {0ULL, 1ULL, 42ULL}) {
+    const NoiseField field(seed);
+    NoiseField::Memo fresh;
+    NoiseField::Memo warmed;
+    field.fbm(5.5, -3.5, 3, warmed);
+    EXPECT_EQ(bits(field.fbm(0.25, 0.75, 3, fresh)),
+              bits(field.fbm(0.25, 0.75, 3, warmed)));
   }
 }
 
@@ -151,16 +262,37 @@ TEST(Products, HdflRoundTripAllProducts) {
 
 TEST(Products, LandFractionPlausible) {
   EarthModel earth(2022);
+  EarthModel::Memo memo;
   int land = 0;
   const int n = 6000;
   util::Rng rng(1);
   for (int i = 0; i < n; ++i) {
     const LatLon p{rng.uniform(-80, 80), rng.uniform(-180, 180)};
-    if (earth.is_land(p)) ++land;
+    if (earth.is_land(p, memo)) ++land;
   }
   const double frac = static_cast<double>(land) / n;
   EXPECT_GT(frac, 0.12);
   EXPECT_LT(frac, 0.55);
+}
+
+TEST(Products, EarthQueriesIgnoreMemoHistory) {
+  // One memo threaded through scattered queries answers exactly as a fresh
+  // memo per query.
+  const EarthModel earth(2022);
+  EarthModel::Memo shared;
+  util::Rng rng(9);
+  for (int i = 0; i < 2000; ++i) {
+    const LatLon p{rng.uniform(-90, 90), rng.uniform(-180, 180)};
+    const int day = 1 + i % 365;
+    EarthModel::Memo a, b, c, d;
+    ASSERT_EQ(earth.is_land(p, shared), earth.is_land(p, a));
+    ASSERT_EQ(bits(earth.cloud_intensity(p, day, shared)),
+              bits(earth.cloud_intensity(p, day, b)));
+    ASSERT_EQ(bits(earth.cloud_top_pressure(p, day, shared)),
+              bits(earth.cloud_top_pressure(p, day, c)));
+    ASSERT_EQ(bits(earth.surface_temperature(p, shared)),
+              bits(earth.surface_temperature(p, d)));
+  }
 }
 
 TEST(Catalog, FilenameRoundTrip) {
@@ -242,6 +374,60 @@ TEST(Stats, NightGranulesYieldNoTiles) {
   EXPECT_EQ(stats.selected_tiles, 0);
 }
 
+TEST(Stats, RejectsBadSampling) {
+  // Checked before the night shortcut, so every slot rejects them.
+  GranuleGenerator gen(2022);
+  for (const int slot : {0, 150}) {
+    GranuleSpec spec;
+    spec.geometry = kFullGeometry;
+    spec.slot = slot;
+    EXPECT_THROW(estimate_granule_stats(gen, spec, 0, 6),
+                 std::invalid_argument);
+    EXPECT_THROW(estimate_granule_stats(gen, spec, -128, 6),
+                 std::invalid_argument);
+    EXPECT_THROW(estimate_granule_stats(gen, spec, 128, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(estimate_granule_stats(gen, spec, 128, -2),
+                 std::invalid_argument);
+    EXPECT_THROW(estimate_granule_stats(gen, spec, 128, kMaxSamplesPerAxis + 1),
+                 std::invalid_argument);
+    const auto stats =
+        estimate_granule_stats(gen, spec, 1024, kMaxSamplesPerAxis);
+    EXPECT_FALSE(std::isnan(stats.mean_cloud_fraction));
+    EXPECT_LE(stats.candidate_tiles, 1);  // one 1024-px tile fits
+  }
+}
+
+TEST(Stats, SharedGeneratorAcrossThreads) {
+  // Sampling memos live on each call's stack, so threads sharing one const
+  // generator get exactly the serial answers.
+  const GranuleGenerator gen(2022);
+  auto stats_of = [&gen](int slot) {
+    GranuleSpec spec;
+    spec.geometry = kFullGeometry;
+    spec.slot = slot;
+    return estimate_granule_stats(gen, spec);
+  };
+  constexpr int kThreads = 4;
+  std::vector<GranuleStats> parallel(kSlotsPerDay);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int slot = t; slot < kSlotsPerDay; slot += kThreads)
+        parallel[static_cast<std::size_t>(slot)] = stats_of(slot);
+    });
+  for (auto& thread : threads) thread.join();
+  for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+    const auto serial = stats_of(slot);
+    const auto& got = parallel[static_cast<std::size_t>(slot)];
+    ASSERT_EQ(got.daytime, serial.daytime) << slot;
+    ASSERT_EQ(got.candidate_tiles, serial.candidate_tiles) << slot;
+    ASSERT_EQ(got.selected_tiles, serial.selected_tiles) << slot;
+    ASSERT_EQ(bits(got.mean_cloud_fraction), bits(serial.mean_cloud_fraction))
+        << slot;
+  }
+}
+
 TEST(Stats, SelectedSubsetOfCandidates) {
   GranuleGenerator gen(2022);
   for (int slot = 0; slot < 288; slot += 17) {
@@ -275,6 +461,91 @@ TEST(Stats, DayYieldIsRealistic) {
   const double mean = static_cast<double>(total) / day_granules;
   EXPECT_GT(mean, 30.0);
   EXPECT_LT(mean, 150.0);
+}
+
+// Golden pins: fingerprints of the generator's outputs, recorded from the
+// straightforward per-sample evaluation (a fresh swath_pixel and fresh
+// lattice hashes for every sample). Any change to the sampling kernels must
+// leave every bit of these outputs unchanged.
+
+TEST(Golden, GranuleStatsBitIdentical) {
+  // Terra and Aqua, every slot of three days at full geometry, with the
+  // default tiling and two others (odd samples per axis, tile sizes that do
+  // not divide the granule).
+  struct Tiling {
+    int tile_size;
+    int samples_per_axis;
+    std::uint64_t pin;
+  };
+  const Tiling tilings[] = {
+      {128, 6, 0x8db8f8ce5a18a822ULL},
+      {96, 5, 0xe73b0a0332fec9fdULL},
+      {200, 9, 0xc47243d3d3fc3d95ULL},
+  };
+  const GranuleGenerator gen(2022);
+  for (const auto& tiling : tilings) {
+    Fnv1a hash;
+    for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+      for (const int day : {1, 91, 182}) {
+        for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+          GranuleSpec spec;
+          spec.satellite = sat;
+          spec.day_of_year = day;
+          spec.slot = slot;
+          spec.geometry = kFullGeometry;
+          const auto stats = estimate_granule_stats(
+              gen, spec, tiling.tile_size, tiling.samples_per_axis);
+          hash.u64(stats.daytime ? 1 : 0);
+          hash.u64(static_cast<std::uint64_t>(stats.candidate_tiles));
+          hash.u64(static_cast<std::uint64_t>(stats.selected_tiles));
+          hash.u64(bits(stats.mean_cloud_fraction));
+        }
+      }
+    }
+    EXPECT_EQ(hash.value(), tiling.pin)
+        << "tile_size " << tiling.tile_size << ", samples_per_axis "
+        << tiling.samples_per_axis << ": 0x" << std::hex << hash.value();
+  }
+}
+
+TEST(Golden, ProductBytesBitIdentical) {
+  // Serialized MOD02/MOD03/MOD06 at small and odd geometries, day and night,
+  // both satellites.
+  struct Case {
+    GranuleGeometry geometry;
+    std::uint64_t pin;
+  };
+  const Case cases[] = {
+      {GranuleGeometry{61, 47, 7}, 0x24666792ead6dc56ULL},
+      {GranuleGeometry{1, 1, 1}, 0x0d433e13699df4a8ULL},
+      {GranuleGeometry{17, 233, 3}, 0x33770c5987a9df43ULL},
+      {kSmallGeometry, 0xacc22e447f75201fULL},
+  };
+  const GranuleGenerator gen(5);
+  int day_granules = 0;
+  for (const auto& c : cases) {
+    Fnv1a hash;
+    for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+      for (const int slot : {40, 150}) {
+        GranuleSpec spec;
+        spec.satellite = sat;
+        spec.day_of_year = 200;
+        spec.slot = slot;
+        spec.geometry = c.geometry;
+        const auto mod02 = gen.mod02(spec);
+        if (mod02.daytime) ++day_granules;
+        hash.bytes(mod02.to_hdfl().serialize());
+        hash.bytes(gen.mod03(spec).to_hdfl().serialize());
+        hash.bytes(gen.mod06(spec).to_hdfl().serialize());
+      }
+    }
+    EXPECT_EQ(hash.value(), c.pin)
+        << c.geometry.rows << "x" << c.geometry.cols << "x"
+        << c.geometry.bands << ": 0x" << std::hex << hash.value();
+  }
+  // The slots cover both day and night granules.
+  EXPECT_GT(day_granules, 0);
+  EXPECT_LT(day_granules, 4 * static_cast<int>(std::size(cases)));
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ echo "OK: substrate speedups clear the floors"
 
 # -- 3. micro benchmarks run clean -------------------------------------------
 "${build_dir}/bench/micro_substrates" \
-  --benchmark_filter='BM_(EngineScheduleRun|SharedResourceChurn|FlowLinkChurn)' \
+  --benchmark_filter='BM_(EngineScheduleRun|SharedResourceChurn|FlowLinkChurn|GranuleStats|GranuleMaterialize)' \
   --benchmark_min_time=0.05
 
 echo "perf smoke: all gates passed"
