@@ -4,15 +4,15 @@
 
 namespace mfw::flow {
 
-namespace {
-
-util::YamlNode scalar_num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9f", value);
-  return util::YamlNode::scalar(buf);
+const char* topic_name(Topic topic) {
+  switch (topic) {
+    case Topic::kDownloadFile: return "download.file";
+    case Topic::kDownloadFailed: return "download.failed";
+    case Topic::kGranuleReady: return "granule.ready";
+    case Topic::kStage: return "workflow";
+  }
+  return "unknown";
 }
-
-}  // namespace
 
 std::string GranuleKey::to_string() const {
   char buf[64];
@@ -24,64 +24,6 @@ std::string GranuleKey::to_string() const {
 
 GranuleKey GranuleKey::of(const modis::GranuleId& id) {
   return GranuleKey{id.satellite, id.year, id.day_of_year, id.slot};
-}
-
-util::YamlNode FileEvent::to_yaml() const {
-  auto node = util::YamlNode::map();
-  node.set("file", util::YamlNode::scalar(id.filename()));
-  node.set("path", util::YamlNode::scalar(path));
-  node.set("bytes", util::YamlNode::scalar(std::to_string(bytes)));
-  node.set("time", scalar_num(finished_at));
-  node.set("attempts", util::YamlNode::scalar(std::to_string(attempts)));
-  return node;
-}
-
-std::optional<FileEvent> FileEvent::from_yaml(const util::YamlNode& node) {
-  if (!node.is_map() || !node.has("file")) return std::nullopt;
-  const auto id = modis::parse_granule_filename(node["file"].as_string());
-  if (!id) return std::nullopt;
-  FileEvent event;
-  event.id = *id;
-  event.path = node.has("path") ? node["path"].as_string() : "";
-  event.bytes =
-      static_cast<std::uint64_t>(node.has("bytes") ? node["bytes"].as_int() : 0);
-  event.finished_at = node.has("time") ? node["time"].as_double() : 0.0;
-  event.attempts =
-      static_cast<int>(node.has("attempts") ? node["attempts"].as_int() : 1);
-  return event;
-}
-
-util::YamlNode ReadyGranule::to_yaml() const {
-  auto node = util::YamlNode::map();
-  node.set("granule", util::YamlNode::scalar(key.to_string()));
-  node.set("satellite", util::YamlNode::scalar(modis::satellite_name(key.satellite)));
-  node.set("year", util::YamlNode::scalar(std::to_string(key.year)));
-  node.set("day", util::YamlNode::scalar(std::to_string(key.day_of_year)));
-  node.set("slot", util::YamlNode::scalar(std::to_string(key.slot)));
-  node.set("mod02", util::YamlNode::scalar(mod02_path));
-  node.set("mod03", util::YamlNode::scalar(mod03_path));
-  node.set("mod06", util::YamlNode::scalar(mod06_path));
-  node.set("first_file_at", scalar_num(first_file_at));
-  node.set("ready_at", scalar_num(ready_at));
-  return node;
-}
-
-std::optional<ReadyGranule> ReadyGranule::from_yaml(const util::YamlNode& node) {
-  if (!node.is_map() || !node.has("slot") || !node.has("day")) return std::nullopt;
-  ReadyGranule ready;
-  ready.key.satellite = node.has("satellite") &&
-                                node["satellite"].as_string() == "Aqua"
-                            ? modis::Satellite::kAqua
-                            : modis::Satellite::kTerra;
-  ready.key.year = static_cast<int>(node["year"].as_int_or(2022));
-  ready.key.day_of_year = static_cast<int>(node["day"].as_int());
-  ready.key.slot = static_cast<int>(node["slot"].as_int());
-  ready.mod02_path = node.has("mod02") ? node["mod02"].as_string() : "";
-  ready.mod03_path = node.has("mod03") ? node["mod03"].as_string() : "";
-  ready.mod06_path = node.has("mod06") ? node["mod06"].as_string() : "";
-  ready.first_file_at = node["first_file_at"].as_double_or(0.0);
-  ready.ready_at = node["ready_at"].as_double_or(0.0);
-  return ready;
 }
 
 }  // namespace mfw::flow

@@ -2,31 +2,41 @@
 //
 // The streaming scheduler replaces implicit whole-stage sequencing with an
 // explicit event contract: stage boundaries communicate through these typed
-// records, serialized to YamlNode payloads, so any bus subscriber (tests,
-// telemetry, provenance tooling) can observe the dataflow without linking
-// against the publishing stage. See DESIGN.md "Dataflow architecture".
+// records, which the bus delivers as they are, so any subscriber (tests,
+// telemetry, provenance tooling) observes the dataflow by including this
+// header, without linking against the publishing stage. See DESIGN.md
+// "Dataflow architecture".
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <variant>
 
 #include "modis/catalog.hpp"
-#include "util/yamlite.hpp"
 
 namespace mfw::flow {
 
-namespace topics {
-/// One archive file landed on the facility filesystem (DownloadService).
-inline constexpr const char* kDownloadFile = "download.file";
-/// One archive file was abandoned after exhausting its retry budget.
-inline constexpr const char* kDownloadFailed = "download.failed";
-/// A MOD02/MOD03/MOD06 triplet is whole and safe to preprocess
-/// (GranuleTracker).
-inline constexpr const char* kGranuleReady = "granule.ready";
-/// Stage lifecycle events (EomlWorkflow).
-inline constexpr const char* kWorkflow = "workflow";
-}  // namespace topics
+/// The bus's fixed topic set; each topic carries one payload type.
+enum class Topic {
+  /// FileEvent: one archive file landed on the facility filesystem
+  /// (DownloadService).
+  kDownloadFile,
+  /// FileEvent: one archive file was abandoned after exhausting its retry
+  /// budget (path empty).
+  kDownloadFailed,
+  /// ReadyGranule: a MOD02/MOD03/MOD06 triplet is whole and safe to
+  /// preprocess (GranuleTracker).
+  kGranuleReady,
+  /// StageEvent: stage lifecycle (EomlWorkflow).
+  kStage,
+};
+inline constexpr std::size_t kTopicCount =
+    static_cast<std::size_t>(Topic::kStage) + 1;
+
+/// Stable topic name used in metric labels: "download.file",
+/// "download.failed", "granule.ready" and "workflow".
+const char* topic_name(Topic topic);
 
 /// Product-independent identity of one 5-minute granule triplet.
 struct GranuleKey {
@@ -42,20 +52,20 @@ struct GranuleKey {
   static GranuleKey of(const modis::GranuleId& id);
 };
 
-/// Payload of topics::kDownloadFile / kDownloadFailed.
+/// One downloaded (or abandoned) archive file: the payload of
+/// Topic::kDownloadFile / kDownloadFailed and one entry of
+/// transfer::DownloadReport::files.
 struct FileEvent {
   modis::GranuleId id;
   std::string path;  // empty for failures
   std::uint64_t bytes = 0;
-  double finished_at = 0.0;
-  int attempts = 1;
-
-  util::YamlNode to_yaml() const;
-  /// nullopt for payloads that do not carry a parseable granule filename.
-  static std::optional<FileEvent> from_yaml(const util::YamlNode& node);
+  double started_at = 0.0;   // first attempt began
+  double finished_at = 0.0;  // stored, or abandoned
+  double mean_bps = 0.0;     // effective throughput incl. overheads; 0 if failed
+  int attempts = 1;          // 1 = clean first try
 };
 
-/// Payload of topics::kGranuleReady.
+/// Payload of Topic::kGranuleReady.
 struct ReadyGranule {
   GranuleKey key;
   std::string mod02_path;
@@ -63,9 +73,17 @@ struct ReadyGranule {
   std::string mod06_path;
   double first_file_at = 0.0;  // first triplet member landed
   double ready_at = 0.0;       // triplet became whole
-
-  util::YamlNode to_yaml() const;
-  static std::optional<ReadyGranule> from_yaml(const util::YamlNode& node);
 };
+
+/// Payload of Topic::kStage.
+struct StageEvent {
+  std::string stage;  // "download", "preprocess", "inference", "shipment"
+  std::string event;  // "started" or "completed"
+  double time = 0.0;
+};
+
+/// What the bus carries. Subscribers read their topic's payload with
+/// std::get, which throws std::bad_variant_access on a mismatch.
+using Event = std::variant<FileEvent, ReadyGranule, StageEvent>;
 
 }  // namespace mfw::flow

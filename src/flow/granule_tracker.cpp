@@ -1,8 +1,5 @@
 #include "flow/granule_tracker.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -11,34 +8,28 @@ namespace mfw::flow {
 
 namespace {
 constexpr const char* kComponent = "granules";
+/// A granule is whole once every modis::ProductKind (MOD02, MOD03, MOD06)
+/// has landed.
+constexpr std::size_t kTripletSize =
+    static_cast<std::size_t>(modis::ProductKind::kMod06) + 1;
 }
 
-GranuleTracker::GranuleTracker(EventBus& bus, GranuleTrackerConfig config)
-    : bus_(bus), config_(std::move(config)) {
-  if (config_.required.empty())
-    throw std::invalid_argument("GranuleTracker needs >= 1 required product");
-  if (config_.file_topic.empty() || config_.ready_topic.empty())
-    throw std::invalid_argument("GranuleTracker needs non-empty topics");
-  file_sub_ = bus_.subscribe(config_.file_topic, [this](const util::YamlNode& node) {
-    if (const auto event = FileEvent::from_yaml(node)) observe_file(*event);
+GranuleTracker::GranuleTracker(EventBus& bus) : bus_(bus) {
+  file_sub_ = bus_.subscribe(Topic::kDownloadFile, [this](const Event& event) {
+    observe_file(std::get<FileEvent>(event));
   });
 }
 
 GranuleTracker::~GranuleTracker() { bus_.unsubscribe(file_sub_); }
 
 Subscription GranuleTracker::on_ready(ReadyHandler handler) {
-  return bus_.subscribe(
-      config_.ready_topic,
-      [handler = std::move(handler)](const util::YamlNode& node) {
-        if (const auto ready = ReadyGranule::from_yaml(node)) handler(*ready);
-      });
+  return bus_.subscribe(Topic::kGranuleReady,
+                        [handler = std::move(handler)](const Event& event) {
+                          handler(std::get<ReadyGranule>(event));
+                        });
 }
 
 void GranuleTracker::observe_file(const FileEvent& event) {
-  if (std::find(config_.required.begin(), config_.required.end(),
-                event.id.product) == config_.required.end()) {
-    return;
-  }
   ++files_;
   const auto key = GranuleKey::of(event.id);
   if (completed_.count(key)) return;  // late duplicate of a whole triplet
@@ -46,17 +37,13 @@ void GranuleTracker::observe_file(const FileEvent& event) {
   Partial& partial = it->second;
   if (inserted) partial.first_at = event.finished_at;
   partial.paths[event.id.product] = event.path;
-  if (partial.paths.size() < config_.required.size()) return;
+  if (partial.paths.size() < kTripletSize) return;
 
   ReadyGranule ready;
   ready.key = key;
-  const auto path_of = [&partial](modis::ProductKind kind) {
-    const auto pit = partial.paths.find(kind);
-    return pit == partial.paths.end() ? std::string{} : pit->second;
-  };
-  ready.mod02_path = path_of(modis::ProductKind::kMod02);
-  ready.mod03_path = path_of(modis::ProductKind::kMod03);
-  ready.mod06_path = path_of(modis::ProductKind::kMod06);
+  ready.mod02_path = std::move(partial.paths[modis::ProductKind::kMod02]);
+  ready.mod03_path = std::move(partial.paths[modis::ProductKind::kMod03]);
+  ready.mod06_path = std::move(partial.paths[modis::ProductKind::kMod06]);
   ready.first_file_at = partial.first_at;
   ready.ready_at = event.finished_at;
   partial_.erase(it);
@@ -74,7 +61,7 @@ void GranuleTracker::observe_file(const FileEvent& event) {
     metrics.observe("mfw.flow.granule_assembly_seconds", assembly, {},
                     obs::HistogramSpec{0.0, 120.0, 24});
   }
-  bus_.publish(config_.ready_topic, ready.to_yaml());
+  bus_.publish(Topic::kGranuleReady, std::move(ready));
 }
 
 std::vector<GranuleKey> GranuleTracker::pending_keys() const {

@@ -3,15 +3,11 @@
 // The paper delays preprocessing behind a whole-stage barrier because a
 // granule must not be tiled while any of its MOD02/MOD03/MOD06 files is
 // still being written (the HDF partial-read hazard). The tracker is the
-// per-granule analogue of that barrier: it consumes topics::kDownloadFile
+// per-granule analogue of that barrier: it consumes Topic::kDownloadFile
 // events, groups them by (satellite, year, day, slot), and publishes
-// topics::kGranuleReady the moment a triplet is whole — so a streaming
-// scheduler can start preprocessing each granule individually while later
-// downloads are still in flight.
-//
-// The tracker is a *typed* wrapper over the EventBus: payloads stay YamlNode
-// on the wire (observable by any subscriber), while publishers and consumers
-// work with FileEvent / ReadyGranule structs.
+// Topic::kGranuleReady the moment all three products have landed — so a
+// streaming scheduler can start preprocessing each granule individually
+// while later downloads are still in flight.
 #pragma once
 
 #include <cstddef>
@@ -27,18 +23,9 @@
 
 namespace mfw::flow {
 
-struct GranuleTrackerConfig {
-  std::string file_topic = topics::kDownloadFile;
-  std::string ready_topic = topics::kGranuleReady;
-  /// A granule is ready once every required product has landed.
-  std::vector<modis::ProductKind> required = {modis::ProductKind::kMod02,
-                                              modis::ProductKind::kMod03,
-                                              modis::ProductKind::kMod06};
-};
-
 class GranuleTracker {
  public:
-  explicit GranuleTracker(EventBus& bus, GranuleTrackerConfig config = {});
+  explicit GranuleTracker(EventBus& bus);
   ~GranuleTracker();
 
   GranuleTracker(const GranuleTracker&) = delete;
@@ -46,12 +33,13 @@ class GranuleTracker {
 
   using ReadyHandler = std::function<void(const ReadyGranule&)>;
 
-  /// Typed subscription to the ready topic. The returned subscription
+  /// Typed subscription to Topic::kGranuleReady. The returned subscription
   /// belongs to the caller; cancel it with EventBus::unsubscribe.
   Subscription on_ready(ReadyHandler handler);
 
   /// Typed ingestion for publishers not wired to the bus; equivalent to a
-  /// file-topic event. Duplicate files (retried overwrites) are idempotent.
+  /// Topic::kDownloadFile event. Duplicate files (retried overwrites) are
+  /// idempotent.
   void observe_file(const FileEvent& event);
 
   /// Granules with at least one file landed but not yet whole.
@@ -67,7 +55,6 @@ class GranuleTracker {
   };
 
   EventBus& bus_;
-  GranuleTrackerConfig config_;
   Subscription file_sub_;
   std::map<GranuleKey, Partial> partial_;
   std::set<GranuleKey> completed_;

@@ -243,12 +243,12 @@ void EomlWorkflow::attach_health(obs::HealthMonitor& monitor,
   // Read-only polls at the workflow's natural beats. The bus delivers these
   // as zero-delay dispatch events, and the handlers only observe, so the
   // rest of the event order — and every outcome — is unchanged.
-  const auto poll = [this, &monitor](const util::YamlNode&) {
+  const auto poll = [this, &monitor](const flow::Event&) {
     monitor.poll(engine_.now());
   };
-  bus_.subscribe("workflow", poll);
-  bus_.subscribe(flow::topics::kDownloadFile, poll);
-  bus_.subscribe(flow::topics::kGranuleReady, poll);
+  bus_.subscribe(flow::Topic::kStage, poll);
+  bus_.subscribe(flow::Topic::kDownloadFile, poll);
+  bus_.subscribe(flow::Topic::kGranuleReady, poll);
   if (snapshot_interval > 0.0) {
     health_snapshot_interval_ = snapshot_interval;
     health_snapshot_ = std::move(on_snapshot);
@@ -282,13 +282,8 @@ void EomlWorkflow::publish_stage_event(
       stage_spans_[stage] = {};
     }
   }
-  auto payload = util::YamlNode::map();
-  payload.set("stage", util::YamlNode::scalar(stage));
-  payload.set("event", util::YamlNode::scalar(event));
-  payload.set("time", util::YamlNode::scalar(std::to_string(engine_.now())));
-  for (const auto& [key, value] : fields)
-    payload.set(key, util::YamlNode::scalar(value));
-  bus_.publish("workflow", std::move(payload));
+  bus_.publish(flow::Topic::kStage,
+               flow::StageEvent{stage, event, engine_.now()});
 }
 
 void EomlWorkflow::start_download() {

@@ -147,9 +147,10 @@ class EomlWorkflow {
                      std::function<void(double)> on_snapshot = {});
 
   // -- accessors for tests, examples, and benches ---------------------------
-  /// Live telemetry: the workflow publishes lifecycle events on topic
-  /// "workflow" (fields: stage, event=started|completed, plus stage-specific
-  /// counters). Subscribe before run().
+  /// The run's dataflow bus: flow::StageEvent lifecycle records
+  /// (event=started|completed) on flow::Topic::kStage, plus the download
+  /// and granule-readiness topics (flow/events.hpp). Stage counters go to
+  /// the obs stage spans, not the bus. Subscribe before run().
   flow::EventBus& events() { return bus_; }
   sim::SimEngine& engine() { return engine_; }
   const EomlConfig& config() const { return config_; }

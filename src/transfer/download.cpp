@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "flow/events.hpp"
 #include "obs/metrics.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
@@ -171,7 +170,8 @@ void DownloadService::attempt_download(int worker,
     if (attempt >= config_.max_attempts) {
       MFW_WARN(kComponent, "giving up on ", entry.id.filename(), " after ",
                attempt, " attempts");
-      engine_.schedule_after(wasted, [this, worker, entry, attempt] {
+      engine_.schedule_after(wasted, [this, worker, entry, attempt,
+                                      first_started_at] {
         report_.failed.push_back(entry.id);
         end_file_span(worker, "failed", attempt);
         if (auto& metrics = obs::MetricsRegistry::instance();
@@ -186,9 +186,10 @@ void DownloadService::attempt_download(int worker,
           flow::FileEvent event;
           event.id = entry.id;
           event.bytes = entry.size_bytes;
+          event.started_at = first_started_at;
           event.finished_at = engine_.now();
           event.attempts = attempt;
-          bus_->publish(flow::topics::kDownloadFailed, event.to_yaml());
+          bus_->publish(flow::Topic::kDownloadFailed, std::move(event));
         }
         worker_loop(worker);
       });
@@ -232,19 +233,17 @@ void DownloadService::store_file(const modis::CatalogEntry& entry,
                                       " bytes=" +
                                       std::to_string(entry.size_bytes) + "\n");
   }
-  DownloadedFile done;
-  done.id = entry.id;
-  done.path = path;
-  done.bytes = entry.size_bytes;
-  done.started_at = first_started_at;
-  done.finished_at = engine_.now();
-  done.mean_bps = static_cast<double>(entry.size_bytes) /
-                  std::max(done.finished_at - done.started_at, 1e-9);
-  done.attempts = attempt;
+  flow::FileEvent& stored = report_.files.emplace_back();
+  stored.id = entry.id;
+  stored.path = path;
+  stored.bytes = entry.size_bytes;
+  stored.started_at = first_started_at;
+  stored.finished_at = engine_.now();
+  stored.mean_bps = static_cast<double>(entry.size_bytes) /
+                    std::max(stored.finished_at - stored.started_at, 1e-9);
+  stored.attempts = attempt;
   report_.total_bytes += entry.size_bytes;
-  report_.files.push_back(std::move(done));
 
-  const DownloadedFile& stored = report_.files.back();
   if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled()) {
     const obs::Labels product_label = {
         {"product",
@@ -256,16 +255,7 @@ void DownloadService::store_file(const modis::CatalogEntry& entry,
                     stored.finished_at - stored.started_at, {},
                     kFileSecondsSpec);
   }
-  if (file_observer_) file_observer_(stored);
-  if (bus_) {
-    flow::FileEvent event;
-    event.id = stored.id;
-    event.path = stored.path;
-    event.bytes = stored.bytes;
-    event.finished_at = stored.finished_at;
-    event.attempts = stored.attempts;
-    bus_->publish(flow::topics::kDownloadFile, event.to_yaml());
-  }
+  if (bus_) bus_->publish(flow::Topic::kDownloadFile, stored);
 }
 
 void DownloadService::record_activity() {

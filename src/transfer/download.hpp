@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "flow/event_bus.hpp"
+#include "flow/events.hpp"
 #include "modis/catalog.hpp"
 #include "obs/trace.hpp"
 #include "sim/link.hpp"
@@ -78,22 +79,14 @@ struct DownloadConfig {
   std::uint64_t seed = 7;
 };
 
-struct DownloadedFile {
-  modis::GranuleId id;
-  std::string path;
-  std::uint64_t bytes = 0;
-  double started_at = 0.0;
-  double finished_at = 0.0;
-  double mean_bps = 0.0;  // effective per-file throughput incl. overheads
-  int attempts = 1;       // 1 = clean first try
-};
-
 struct DownloadReport {
   double started_at = 0.0;
   /// Workers launched + catalog listed (start of actual transfers).
   double transfers_started_at = 0.0;
   double finished_at = 0.0;
-  std::vector<DownloadedFile> files;
+  /// Stored files in completion order (the records published on
+  /// flow::Topic::kDownloadFile).
+  std::vector<flow::FileEvent> files;
   std::uint64_t total_bytes = 0;
   /// Total retry attempts across all files.
   std::size_t retries = 0;
@@ -117,21 +110,12 @@ class DownloadService {
                   sim::FlowLink& wan, storage::FileSystem& destination,
                   DownloadConfig config);
 
-  using FileObserver = std::function<void(const DownloadedFile&)>;
-
-  /// Attaches a bus for per-file completion events: every stored file is
-  /// published as a typed flow::FileEvent on flow::topics::kDownloadFile and
-  /// every abandoned file on flow::topics::kDownloadFailed. This is the
-  /// event contract the streaming scheduler consumes (via GranuleTracker);
-  /// the terminal report remains the stage summary. Call before start().
+  /// Attaches a bus for per-file completion events: every stored file's
+  /// record is published on flow::Topic::kDownloadFile as it lands, and
+  /// every abandoned file on flow::Topic::kDownloadFailed. This is the event
+  /// contract the streaming scheduler consumes (via GranuleTracker); the
+  /// terminal report remains the stage summary. Call before start().
   void set_event_bus(flow::EventBus* bus) { bus_ = bus; }
-
-  /// Registers a typed in-process observer invoked synchronously as each
-  /// file is stored (before the bus event is published). Call before
-  /// start().
-  void set_file_observer(FileObserver observer) {
-    file_observer_ = std::move(observer);
-  }
 
   /// Starts the stage; `on_complete` fires (virtual time) when every file is
   /// stored. May be called once.
@@ -176,7 +160,6 @@ class DownloadService {
   std::function<void(const DownloadReport&)> on_complete_;
   std::vector<std::pair<double, int>> activity_;
   flow::EventBus* bus_ = nullptr;
-  FileObserver file_observer_;
   /// Open per-file obs span per worker (all invalid while tracing is off).
   std::vector<obs::SpanId> worker_spans_;
 };

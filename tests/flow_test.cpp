@@ -471,31 +471,47 @@ TEST(EventBus, DeliversAsynchronously) {
   sim::SimEngine engine;
   EventBus bus(engine);
   std::vector<std::string> seen;
-  bus.subscribe("topic", [&](const util::YamlNode& event) {
-    seen.push_back(event["msg"].as_string());
+  bus.subscribe(Topic::kStage, [&](const Event& event) {
+    seen.push_back(std::get<StageEvent>(event).stage);
   });
-  auto event = util::YamlNode::map();
-  event.set("msg", util::YamlNode::scalar("hello"));
-  bus.publish("topic", std::move(event));
+  bus.publish(Topic::kStage, StageEvent{"download", "started", 0.0});
   EXPECT_TRUE(seen.empty());  // not delivered synchronously
   engine.run();
   ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], "hello");
+  EXPECT_EQ(seen[0], "download");
 }
 
 TEST(EventBus, UnsubscribeStopsDelivery) {
   sim::SimEngine engine;
   EventBus bus(engine);
   int count = 0;
-  const auto sub = bus.subscribe("t", [&](const util::YamlNode&) { ++count; });
-  bus.publish("t", util::YamlNode::map());
+  const auto sub = bus.subscribe(Topic::kStage, [&](const Event&) { ++count; });
+  bus.publish(Topic::kStage, StageEvent{});
   engine.run();
   bus.unsubscribe(sub);
-  bus.publish("t", util::YamlNode::map());
+  bus.publish(Topic::kStage, StageEvent{});
   engine.run();
   EXPECT_EQ(count, 1);
-  EXPECT_EQ(bus.subscriber_count("t"), 0u);
+  EXPECT_EQ(bus.subscriber_count(Topic::kStage), 0u);
   EXPECT_EQ(bus.published_count(), 2u);
+}
+
+TEST(EventBus, OnePublishSchedulesOneDispatchOnlyWhenSubscribed) {
+  // The workflow's event order depends on this: every publish to a topic
+  // with subscribers costs exactly one zero-delay engine event, however
+  // many subscribers it has, and a publish nobody hears costs none.
+  sim::SimEngine engine;
+  EventBus bus(engine);
+  int delivered = 0;
+  bus.subscribe(Topic::kGranuleReady, [&](const Event&) { ++delivered; });
+  bus.subscribe(Topic::kGranuleReady, [&](const Event&) { ++delivered; });
+  bus.publish(Topic::kGranuleReady, ReadyGranule{});
+  EXPECT_EQ(engine.pending(), 1u);
+  bus.publish(Topic::kDownloadFile, FileEvent{});
+  EXPECT_EQ(engine.pending(), 1u);
+  EXPECT_EQ(bus.published_count(), 2u);
+  EXPECT_EQ(engine.run(), 1u);
+  EXPECT_EQ(delivered, 2);
 }
 
 TEST(Monitor, DetectsNewAndModifiedFiles) {
@@ -564,15 +580,15 @@ TEST(EventBus, SelfUnsubscribeDuringDispatchIsSafe) {
   EventBus bus(engine);
   int count = 0;
   Subscription sub;
-  sub = bus.subscribe("t", [&](const util::YamlNode&) {
+  sub = bus.subscribe(Topic::kStage, [&](const Event&) {
     ++count;
     bus.unsubscribe(sub);  // from inside the handler, mid-dispatch
   });
-  bus.publish("t", util::YamlNode::map());
-  bus.publish("t", util::YamlNode::map());
+  bus.publish(Topic::kStage, StageEvent{});
+  bus.publish(Topic::kStage, StageEvent{});
   engine.run();
   EXPECT_EQ(count, 1);  // the second pending delivery is suppressed
-  EXPECT_EQ(bus.subscriber_count("t"), 0u);
+  EXPECT_EQ(bus.subscriber_count(Topic::kStage), 0u);
 }
 
 TEST(EventBus, HandlerUnsubscribingPeerSuppressesPendingDelivery) {
@@ -581,12 +597,12 @@ TEST(EventBus, HandlerUnsubscribingPeerSuppressesPendingDelivery) {
   int first = 0;
   int second = 0;
   Subscription peer;
-  bus.subscribe("t", [&](const util::YamlNode&) {
+  bus.subscribe(Topic::kStage, [&](const Event&) {
     ++first;
     bus.unsubscribe(peer);  // removes the next subscriber in this dispatch
   });
-  peer = bus.subscribe("t", [&](const util::YamlNode&) { ++second; });
-  bus.publish("t", util::YamlNode::map());
+  peer = bus.subscribe(Topic::kStage, [&](const Event&) { ++second; });
+  bus.publish(Topic::kStage, StageEvent{});
   engine.run();
   EXPECT_EQ(first, 1);
   EXPECT_EQ(second, 0);
@@ -597,16 +613,16 @@ TEST(EventBus, LateSubscriberDoesNotSeeEarlierPublish) {
   EventBus bus(engine);
   int early = 0;
   int late = 0;
-  bus.subscribe("t", [&](const util::YamlNode&) {
+  bus.subscribe(Topic::kStage, [&](const Event&) {
     ++early;
     if (early == 1)
-      bus.subscribe("t", [&](const util::YamlNode&) { ++late; });
+      bus.subscribe(Topic::kStage, [&](const Event&) { ++late; });
   });
-  bus.publish("t", util::YamlNode::map());
+  bus.publish(Topic::kStage, StageEvent{});
   engine.run();
   EXPECT_EQ(early, 1);
   EXPECT_EQ(late, 0);  // subscribed after publish: event not replayed
-  bus.publish("t", util::YamlNode::map());
+  bus.publish(Topic::kStage, StageEvent{});
   engine.run();
   EXPECT_EQ(early, 2);
   EXPECT_EQ(late, 1);
@@ -683,33 +699,13 @@ FileEvent make_file_event(modis::ProductKind product, int slot,
   return event;
 }
 
-TEST(DataflowEvents, FileEventRoundTripsThroughYaml) {
-  const auto event = make_file_event(modis::ProductKind::kMod06, 95, 12.25);
-  const auto parsed = FileEvent::from_yaml(event.to_yaml());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->id, event.id);
-  EXPECT_EQ(parsed->path, event.path);
-  EXPECT_EQ(parsed->bytes, event.bytes);
-  EXPECT_NEAR(parsed->finished_at, event.finished_at, 1e-6);
-  // Payloads without a parseable granule filename are rejected, not thrown.
-  EXPECT_FALSE(FileEvent::from_yaml(util::YamlNode::map()).has_value());
-}
-
-TEST(DataflowEvents, ReadyGranuleRoundTripsThroughYaml) {
-  ReadyGranule ready;
-  ready.key = GranuleKey{modis::Satellite::kAqua, 2022, 123, 40};
-  ready.mod02_path = "staging/a";
-  ready.mod03_path = "staging/b";
-  ready.mod06_path = "staging/c";
-  ready.first_file_at = 1.5;
-  ready.ready_at = 9.75;
-  const auto parsed = ReadyGranule::from_yaml(ready.to_yaml());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->key, ready.key);
-  EXPECT_EQ(parsed->mod02_path, "staging/a");
-  EXPECT_EQ(parsed->mod06_path, "staging/c");
-  EXPECT_NEAR(parsed->ready_at, 9.75, 1e-6);
-  EXPECT_EQ(ready.key.to_string(), "aqua.A2022123.s0040");
+TEST(DataflowEvents, TopicNamesAndGranuleKeyText) {
+  EXPECT_STREQ(topic_name(Topic::kDownloadFile), "download.file");
+  EXPECT_STREQ(topic_name(Topic::kDownloadFailed), "download.failed");
+  EXPECT_STREQ(topic_name(Topic::kGranuleReady), "granule.ready");
+  EXPECT_STREQ(topic_name(Topic::kStage), "workflow");
+  EXPECT_EQ((GranuleKey{modis::Satellite::kAqua, 2022, 123, 40}).to_string(),
+            "aqua.A2022123.s0040");
 }
 
 TEST(GranuleTracker, EmitsReadyOnceTripletIsWhole) {
@@ -727,33 +723,42 @@ TEST(GranuleTracker, EmitsReadyOnceTripletIsWhole) {
   engine.run();
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(ready[0].key.slot, 5);
-  EXPECT_DOUBLE_EQ(ready[0].first_file_at, 1.0);
-  EXPECT_DOUBLE_EQ(ready[0].ready_at, 3.0);
+  EXPECT_EQ(ready[0].first_file_at, 1.0);
+  EXPECT_EQ(ready[0].ready_at, 3.0);
   EXPECT_FALSE(ready[0].mod03_path.empty());
   EXPECT_EQ(tracker.pending(), 0u);
   EXPECT_EQ(tracker.ready_count(), 1u);
 }
 
-TEST(GranuleTracker, AssemblesFromBusEventsAndPublishesObservableYaml) {
+TEST(GranuleTracker, AssemblesFromBusEventsAndPublishesExactRecord) {
   sim::SimEngine engine;
   EventBus bus(engine);
   GranuleTracker tracker(bus);
-  std::vector<util::YamlNode> raw;
-  bus.subscribe(topics::kGranuleReady,
-                [&](const util::YamlNode& node) { raw.push_back(node); });
-  for (const auto product :
-       {modis::ProductKind::kMod02, modis::ProductKind::kMod03,
-        modis::ProductKind::kMod06})
-    bus.publish(topics::kDownloadFile,
-                make_file_event(product, 7, 4.0).to_yaml());
+  std::vector<ReadyGranule> ready;
+  bus.subscribe(Topic::kGranuleReady, [&](const Event& event) {
+    ready.push_back(std::get<ReadyGranule>(event));
+  });
+  // Times with no short decimal form: the record must arrive bit-exact.
+  const double first = 1.0 / 3.0;
+  const double last = 2.0 / 3.0;
+  bus.publish(Topic::kDownloadFile,
+              make_file_event(modis::ProductKind::kMod03, 7, first));
+  bus.publish(Topic::kDownloadFile,
+              make_file_event(modis::ProductKind::kMod06, 7, 0.5));
+  bus.publish(Topic::kDownloadFile,
+              make_file_event(modis::ProductKind::kMod02, 7, last));
   engine.run();
   EXPECT_EQ(tracker.files_seen(), 3u);
-  ASSERT_EQ(raw.size(), 1u);
-  // Any subscriber can decode the wire payload without the tracker.
-  const auto parsed = ReadyGranule::from_yaml(raw[0]);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->key.slot, 7);
-  EXPECT_DOUBLE_EQ(parsed->ready_at, 4.0);
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready[0].key.slot, 7);
+  EXPECT_EQ(ready[0].first_file_at, first);
+  EXPECT_EQ(ready[0].ready_at, last);
+  EXPECT_EQ(ready[0].mod02_path,
+            make_file_event(modis::ProductKind::kMod02, 7).path);
+  EXPECT_EQ(ready[0].mod03_path,
+            make_file_event(modis::ProductKind::kMod03, 7).path);
+  EXPECT_EQ(ready[0].mod06_path,
+            make_file_event(modis::ProductKind::kMod06, 7).path);
 }
 
 TEST(GranuleTracker, DuplicateFilesAreIdempotent) {
@@ -792,21 +797,6 @@ TEST(GranuleTracker, TracksInterleavedGranulesIndependently) {
   tracker.observe_file(make_file_event(modis::ProductKind::kMod06, 1, 1.5));
   engine.run();
   EXPECT_EQ(ready_slots, (std::vector<int>{2, 1}));
-}
-
-TEST(GranuleTracker, CustomRequiredProductsIgnoreOthers) {
-  sim::SimEngine engine;
-  EventBus bus(engine);
-  GranuleTrackerConfig config;
-  config.required = {modis::ProductKind::kMod02};
-  GranuleTracker tracker(bus, config);
-  std::size_t ready = 0;
-  tracker.on_ready([&](const ReadyGranule&) { ++ready; });
-  tracker.observe_file(make_file_event(modis::ProductKind::kMod03, 3, 1.0));
-  EXPECT_EQ(tracker.pending(), 0u);  // not a required product
-  tracker.observe_file(make_file_event(modis::ProductKind::kMod02, 3, 2.0));
-  engine.run();
-  EXPECT_EQ(ready, 1u);
 }
 
 namespace {

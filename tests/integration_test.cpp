@@ -273,9 +273,9 @@ TEST_F(EomlIntegration, MaterializedPseudoLabelPath) {
 TEST_F(EomlIntegration, EventBusPublishesStageLifecycle) {
   EomlWorkflow workflow(small_config());
   std::vector<std::string> events;  // "stage/event"
-  workflow.events().subscribe("workflow", [&](const util::YamlNode& event) {
-    events.push_back(event["stage"].as_string() + "/" +
-                     event["event"].as_string());
+  workflow.events().subscribe(flow::Topic::kStage, [&](const flow::Event& e) {
+    const auto& stage = std::get<flow::StageEvent>(e);
+    events.push_back(stage.stage + "/" + stage.event);
   });
   workflow.run();
   // Ordering: download brackets first, shipment completion last.
@@ -397,13 +397,11 @@ TEST_F(EomlIntegration, GranuleReadyObservableInBothModes) {
     EomlWorkflow workflow(config);
     std::vector<flow::ReadyGranule> ready;
     workflow.events().subscribe(
-        flow::topics::kGranuleReady, [&](const util::YamlNode& node) {
-          const auto parsed = flow::ReadyGranule::from_yaml(node);
-          ASSERT_TRUE(parsed.has_value());
-          ready.push_back(*parsed);
+        flow::Topic::kGranuleReady, [&](const flow::Event& event) {
+          ready.push_back(std::get<flow::ReadyGranule>(event));
         });
     const auto report = workflow.run();
-    // One granule.ready per whole triplet, decodable by any subscriber.
+    // One granule.ready per whole triplet, readable by any subscriber.
     EXPECT_EQ(ready.size(), report.granules) << to_string(mode);
     for (const auto& granule : ready) {
       EXPECT_GE(granule.ready_at, granule.first_file_at);
@@ -421,9 +419,9 @@ TEST_F(EomlIntegration, StreamingLifecycleStartsPreprocessBeforeDownloadEnds) {
   config.scheduling = SchedulingMode::kStreaming;
   EomlWorkflow workflow(config);
   std::vector<std::string> events;
-  workflow.events().subscribe("workflow", [&](const util::YamlNode& event) {
-    events.push_back(event["stage"].as_string() + "/" +
-                     event["event"].as_string());
+  workflow.events().subscribe(flow::Topic::kStage, [&](const flow::Event& e) {
+    const auto& stage = std::get<flow::StageEvent>(e);
+    events.push_back(stage.stage + "/" + stage.event);
   });
   workflow.run();
   const auto pos = [&](const std::string& name) {
@@ -459,6 +457,40 @@ TEST_F(EomlIntegration, StreamingDeterministicAcrossRuns) {
   const auto b = run_once();
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.total_tiles, b.total_tiles);
+}
+
+TEST_F(EomlIntegration, Fig6DispatchOrderIsPinned) {
+  // The fig6 configuration (tools/baselines/fig6*.yaml) in both scheduling
+  // modes, with and without a live HealthMonitor polling at bus beats. The
+  // exact makespan and engine event count pin the dataflow layer's event
+  // order: one zero-delay dispatch per publish to a subscribed topic. The
+  // monitor adds the 8 stage-topic dispatches and must not move the run.
+  struct Pin {
+    const char* mode;
+    bool watched;
+    double makespan;
+    std::size_t engine_events;
+  };
+  const Pin pins[] = {
+      {"barrier", false, 519.52910808263607, 751},
+      {"barrier", true, 519.52910808263607, 759},
+      {"streaming", false, 493.00870996371191, 1207},
+      {"streaming", true, 493.00870996371191, 1215},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(std::string(pin.mode) + (pin.watched ? " watched" : ""));
+    obs::HealthMonitor monitor({}, {});
+    EomlWorkflow workflow(EomlConfig::from_yaml_text(
+        std::string("workflow:\n  max_files: 40\n  scheduling: ") + pin.mode +
+        "\n"));
+    if (pin.watched) workflow.attach_health(monitor);
+    const auto report = workflow.run();
+    EXPECT_EQ(report.makespan, pin.makespan);
+    EXPECT_EQ(workflow.engine().processed(), pin.engine_events);
+    // 120 download.file + 40 granule.ready + 8 stage events.
+    EXPECT_EQ(workflow.events().published_count(), 168u);
+    EXPECT_EQ(report.total_tiles, 4129u);
+  }
 }
 
 TEST_F(EomlIntegration, StreamingSingleWorkerMinimalPath) {

@@ -96,12 +96,10 @@ TEST_F(ResilienceTest, DownloadGiveUpsPublishFailedEvents) {
   flow::EventBus bus(rig.engine);
   std::size_t stored = 0;
   std::vector<flow::FileEvent> abandoned;
-  bus.subscribe(flow::topics::kDownloadFile,
-                [&](const util::YamlNode&) { ++stored; });
-  bus.subscribe(flow::topics::kDownloadFailed, [&](const util::YamlNode& node) {
-    const auto event = flow::FileEvent::from_yaml(node);
-    ASSERT_TRUE(event.has_value());
-    abandoned.push_back(*event);
+  bus.subscribe(flow::Topic::kDownloadFile,
+                [&](const flow::Event&) { ++stored; });
+  bus.subscribe(flow::Topic::kDownloadFailed, [&](const flow::Event& event) {
+    abandoned.push_back(std::get<flow::FileEvent>(event));
   });
   auto config = flaky_config(1.0);
   config.max_attempts = 3;
@@ -115,6 +113,7 @@ TEST_F(ResilienceTest, DownloadGiveUpsPublishFailedEvents) {
   for (const auto& event : abandoned) {
     EXPECT_TRUE(event.path.empty());  // never landed
     EXPECT_EQ(event.attempts, 3);
+    EXPECT_LT(event.started_at, event.finished_at);
   }
 }
 

@@ -125,10 +125,14 @@ TEST(Download, PublishesTypedPerFileEventsOnBus) {
   DownloadFixture fx;
   flow::EventBus bus(fx.engine);
   std::vector<flow::FileEvent> events;
-  bus.subscribe(flow::topics::kDownloadFile, [&](const util::YamlNode& node) {
-    const auto event = flow::FileEvent::from_yaml(node);
-    ASSERT_TRUE(event.has_value());
-    events.push_back(*event);
+  bus.subscribe(flow::Topic::kDownloadFile, [&](const flow::Event& event) {
+    const auto& file = std::get<flow::FileEvent>(event);
+    // Events arrive in completion order, after the file is on disk.
+    if (!events.empty()) {
+      EXPECT_GE(file.finished_at, events.back().finished_at);
+    }
+    EXPECT_TRUE(fx.fs.exists(file.path)) << file.path;
+    events.push_back(file);
   });
   DownloadService service(fx.engine, fx.archive, fx.wan, fx.fs, small_config());
   service.set_event_bus(&bus);
@@ -140,26 +144,11 @@ TEST(Download, PublishesTypedPerFileEventsOnBus) {
     EXPECT_EQ(events[i].id, report.files[i].id);
     EXPECT_EQ(events[i].path, report.files[i].path);
     EXPECT_EQ(events[i].bytes, report.files[i].bytes);
-    EXPECT_NEAR(events[i].finished_at, report.files[i].finished_at, 1e-6);
+    EXPECT_EQ(events[i].started_at, report.files[i].started_at);
+    EXPECT_EQ(events[i].finished_at, report.files[i].finished_at);
+    EXPECT_EQ(events[i].mean_bps, report.files[i].mean_bps);
+    EXPECT_EQ(events[i].attempts, report.files[i].attempts);
   }
-}
-
-TEST(Download, FileObserverSeesEachStoredFile) {
-  DownloadFixture fx;
-  DownloadService service(fx.engine, fx.archive, fx.wan, fx.fs, small_config());
-  std::size_t observed = 0;
-  double last_at = -1.0;
-  service.set_file_observer([&](const DownloadedFile& file) {
-    ++observed;
-    // The observer fires synchronously at store time, in completion order.
-    EXPECT_GE(file.finished_at, last_at);
-    last_at = file.finished_at;
-    EXPECT_TRUE(fx.fs.exists(file.path));
-  });
-  DownloadReport report;
-  service.start([&](const DownloadReport& r) { report = r; });
-  fx.engine.run();
-  EXPECT_EQ(observed, report.files.size());
 }
 
 TEST(Download, RejectsBadConfig) {

@@ -2,11 +2,12 @@
 # CI health smoke gate for the live-watch layer (mfw::obs watch, DESIGN.md
 # §12). Five checks on a Release build:
 #
-#   1. Zero perturbation: a fig6-shaped barrier run through `mfwctl watch`
-#      (bus + monitor attached, spans streaming) must produce a timeline CSV
-#      with the SAME sha256 that tools/ci_spec_smoke.sh pins for
-#      `mfwctl run`. Observation must not change the simulation — any drift
-#      here means the watch layer perturbed the paper run.
+#   1. Zero perturbation: the fig6 barrier and streaming runs through
+#      `mfwctl watch` (bus + monitor attached, spans streaming) must produce
+#      timeline CSVs with the SAME sha256 that tools/ci_spec_smoke.sh checks
+#      for `mfwctl run`, both read from tools/baselines/fig6_csv.sha256.
+#      Observation must not change the simulation — any drift here means the
+#      watch layer perturbed the paper run.
 #   2. Schema: the --health-out stream carries the mfw.health/v1 schema with
 #      its rules/alerts/stages sections.
 #   3. Clean gate: a healthy run with no SLO section raises zero alerts —
@@ -24,7 +25,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-"${repo_root}/build-perf"}"
 
-expected_sha="6a0ee1a4f8f0ff2f84bb1d51a74d2f6869d3cf26fbf820d86669eea18881ac62"
+pins="${repo_root}/tools/baselines/fig6_csv.sha256"
 
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "$(nproc)" --target mfwctl
@@ -33,18 +34,18 @@ workdir="$(mktemp -d)"
 trap 'rm -rf "${workdir}"' EXIT
 mfwctl="${build_dir}/tools/mfwctl"
 
-# -- 1 + 2 + 3. watched fig6 run: bit-for-bit the seed, schema'd, quiet -----
-printf 'workflow:\n  max_files: 40\n' > "${workdir}/fig6.yaml"
-clean_out="$("${mfwctl}" watch "${workdir}/fig6.yaml" --quiet \
+# -- 1 + 2 + 3. watched fig6 runs: bit-for-bit the seed, schema'd, quiet ----
+fig6="${repo_root}/tools/baselines/fig6.yaml"
+clean_out="$("${mfwctl}" watch "${fig6}" --quiet \
     --csv "${workdir}/fig6.csv" --health-out "${workdir}/clean.json")"
-actual_sha="$(sha256sum "${workdir}/fig6.csv" | awk '{print $1}')"
-if [[ "${actual_sha}" != "${expected_sha}" ]]; then
-  echo "FAIL: watch-enabled fig6 CSV drifted from the unwatched seed run" >&2
-  echo "  expected ${expected_sha}" >&2
-  echo "  actual   ${actual_sha}" >&2
+"${mfwctl}" watch "${repo_root}/tools/baselines/fig6_streaming.yaml" --quiet \
+    --csv "${workdir}/fig6_streaming.csv" > /dev/null
+if ! (cd "${workdir}" && sha256sum --check --quiet "${pins}"); then
+  echo "FAIL: watch-enabled fig6 CSVs drifted from the unwatched pins in ${pins}" >&2
+  (cd "${workdir}" && sha256sum fig6.csv fig6_streaming.csv) >&2
   exit 1
 fi
-echo "OK: watched fig6 run is bit-for-bit the unwatched seed (${expected_sha:0:12}...)"
+echo "OK: watched fig6 barrier and streaming runs match ${pins##*/}"
 
 if ! grep -q '"schema": "mfw.health/v1"' "${workdir}/clean.json"; then
   echo "FAIL: --health-out is missing the mfw.health/v1 schema" >&2
@@ -102,7 +103,7 @@ echo "OK: injected queue pressure fires pp-queue with cause=queue-wait"
 
 # -- 5. flag validation ------------------------------------------------------
 set +e
-reject_out="$("${mfwctl}" watch "${workdir}/fig6.yaml" --bogus 2>&1)"
+reject_out="$("${mfwctl}" watch "${fig6}" --bogus 2>&1)"
 rc=$?
 set -e
 if [[ ${rc} -ne 2 ]]; then

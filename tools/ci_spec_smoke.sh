@@ -2,11 +2,13 @@
 # CI spec smoke gate, the companion to tools/ci_perf_smoke.sh for the
 # declarative-workflow layer (mfw::spec). Four checks on a Release build:
 #
-#   1. The refactored pipeline is bit-for-bit the seed pipeline: a fig6-shaped
-#      barrier run through `mfwctl run` must produce a CSV with the recorded
-#      sha256. EomlWorkflow now routes its scheduling mode through the
-#      compiled builtin spec, so any drift here means the spec compiler
-#      changed the paper run.
+#   1. The refactored pipeline is bit-for-bit the seed pipeline: the fig6
+#      barrier and streaming runs (tools/baselines/fig6*.yaml) through
+#      `mfwctl run` must produce CSVs with the sha256 pinned in
+#      tools/baselines/fig6_csv.sha256. EomlWorkflow routes its scheduling
+#      mode through the compiled builtin spec, and in streaming mode the
+#      granule.ready events drive preprocessing, so any drift here means the
+#      spec compiler or the dataflow layer changed the paper run.
 #   2. `mfwctl plan --builtin` compiles the builtin paper spec and prints the
 #      five pipeline stages in topological order.
 #   3. Per-command flag validation: plan/sweep reject unknown flags with
@@ -22,7 +24,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-"${repo_root}/build-perf"}"
 
-expected_sha="6a0ee1a4f8f0ff2f84bb1d51a74d2f6869d3cf26fbf820d86669eea18881ac62"
+pins="${repo_root}/tools/baselines/fig6_csv.sha256"
 
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "$(nproc)" --target mfwctl policy_sweep
@@ -31,17 +33,16 @@ workdir="$(mktemp -d)"
 trap 'rm -rf "${workdir}"' EXIT
 
 # -- 1. seed determinism through the compiled builtin spec -------------------
-printf 'workflow:\n  max_files: 40\n' > "${workdir}/fig6.yaml"
-"${build_dir}/tools/mfwctl" run "${workdir}/fig6.yaml" \
-    --csv "${workdir}/fig6.csv" > /dev/null
-actual_sha="$(sha256sum "${workdir}/fig6.csv" | awk '{print $1}')"
-if [[ "${actual_sha}" != "${expected_sha}" ]]; then
-  echo "FAIL: fig6 barrier CSV drifted from the seed" >&2
-  echo "  expected ${expected_sha}" >&2
-  echo "  actual   ${actual_sha}" >&2
+for config in fig6 fig6_streaming; do
+  "${build_dir}/tools/mfwctl" run "${repo_root}/tools/baselines/${config}.yaml" \
+      --csv "${workdir}/${config}.csv" > /dev/null
+done
+if ! (cd "${workdir}" && sha256sum --check --quiet "${pins}"); then
+  echo "FAIL: fig6 CSVs drifted from the pins in ${pins}" >&2
+  (cd "${workdir}" && sha256sum fig6.csv fig6_streaming.csv) >&2
   exit 1
 fi
-echo "OK: fig6 barrier run is bit-for-bit the seed (${expected_sha:0:12}...)"
+echo "OK: fig6 barrier and streaming runs match ${pins##*/}"
 
 # -- 2. builtin spec compiles and plans --------------------------------------
 plan="$("${build_dir}/tools/mfwctl" plan --builtin)"
