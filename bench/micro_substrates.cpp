@@ -95,7 +95,9 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(data.size()) *
                           state.iterations());
 }
-BENCHMARK(BM_Crc32)->Arg(1 << 16)->Arg(1 << 20);
+// 63 B stays on the table loop, 64 B is the folding kernel's first block,
+// 24,576 B is one 32x32x6 f32 tile.
+BENCHMARK(BM_Crc32)->Arg(63)->Arg(64)->Arg(24576)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_NclSerializeRoundTrip(benchmark::State& state) {
   const auto tiles = static_cast<std::size_t>(state.range(0));

@@ -1,9 +1,11 @@
 #include "modis/products.hpp"
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "util/rng.hpp"
 
@@ -54,16 +56,48 @@ GranuleSpec spec_from_attrs(const storage::HdflFile& file) {
       throw storage::FormatError(std::string("granule missing attr ") + key);
     return it->second;
   };
+  auto get_int = [&](const char* key) {
+    const std::string& text = get(key);
+    int value = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || end != text.data() + text.size())
+      throw storage::FormatError(std::string("granule attr ") + key +
+                                 " is not an int: '" + text + "'");
+    return value;
+  };
   GranuleSpec spec;
   spec.satellite =
       get("satellite") == "Aqua" ? Satellite::kAqua : Satellite::kTerra;
-  spec.year = std::stoi(get("year"));
-  spec.day_of_year = std::stoi(get("day_of_year"));
-  spec.slot = std::stoi(get("slot"));
-  spec.geometry.rows = std::stoi(get("rows"));
-  spec.geometry.cols = std::stoi(get("cols"));
-  spec.geometry.bands = std::stoi(get("bands"));
+  spec.year = get_int("year");
+  spec.day_of_year = get_int("day_of_year");
+  spec.slot = get_int("slot");
+  spec.geometry.rows = get_int("rows");
+  spec.geometry.cols = get_int("cols");
+  spec.geometry.bands = get_int("bands");
+  if (spec.geometry.rows <= 0 || spec.geometry.cols <= 0 ||
+      spec.geometry.bands <= 0)
+    throw storage::FormatError("granule geometry must be positive");
   return spec;
+}
+
+// The geometry comes from attributes, which no CRC covers, so every dataset
+// is checked against it here rather than indexed past later: `name` must
+// hold `layers` grids of rows x cols elements.
+const storage::Dataset& grid_dataset(const storage::HdflFile& file,
+                                     const GranuleGeometry& geometry,
+                                     const char* name, int layers = 1) {
+  const auto& ds = file.dataset(name);
+  std::size_t expected = 0;
+  if (__builtin_mul_overflow(geometry.rows, geometry.cols, &expected) ||
+      __builtin_mul_overflow(expected, layers, &expected) ||
+      ds.element_count() != expected)
+    throw storage::FormatError(
+        std::string("granule dataset ") + name + " holds " +
+        std::to_string(ds.element_count()) + " elements, geometry " +
+        std::to_string(layers) + "x" + std::to_string(geometry.rows) + "x" +
+        std::to_string(geometry.cols) + " needs their product");
+  return ds;
 }
 
 }  // namespace
@@ -268,10 +302,11 @@ storage::HdflFile Mod03Granule::to_hdfl() const {
 Mod03Granule Mod03Granule::from_hdfl(const storage::HdflFile& file) {
   Mod03Granule out;
   out.spec = spec_from_attrs(file);
-  const auto lat = file.dataset("Latitude").as_f32();
-  const auto lon = file.dataset("Longitude").as_f32();
-  const auto mask = file.dataset("LandSeaMask").as_u8();
-  const auto zen = file.dataset("SolarZenith").as_f32();
+  const auto& g = out.spec.geometry;
+  const auto lat = grid_dataset(file, g, "Latitude").as_f32();
+  const auto lon = grid_dataset(file, g, "Longitude").as_f32();
+  const auto mask = grid_dataset(file, g, "LandSeaMask").as_u8();
+  const auto zen = grid_dataset(file, g, "SolarZenith").as_f32();
   out.latitude.assign(lat.begin(), lat.end());
   out.longitude.assign(lon.begin(), lon.end());
   out.land_mask.assign(mask.begin(), mask.end());
@@ -294,10 +329,11 @@ storage::HdflFile Mod06Granule::to_hdfl() const {
 Mod06Granule Mod06Granule::from_hdfl(const storage::HdflFile& file) {
   Mod06Granule out;
   out.spec = spec_from_attrs(file);
-  const auto mask = file.dataset("CloudMask").as_u8();
-  const auto cot = file.dataset("CloudOpticalThickness").as_f32();
-  const auto ctp = file.dataset("CloudTopPressure").as_f32();
-  const auto cwp = file.dataset("CloudWaterPath").as_f32();
+  const auto& g = out.spec.geometry;
+  const auto mask = grid_dataset(file, g, "CloudMask").as_u8();
+  const auto cot = grid_dataset(file, g, "CloudOpticalThickness").as_f32();
+  const auto ctp = grid_dataset(file, g, "CloudTopPressure").as_f32();
+  const auto cwp = grid_dataset(file, g, "CloudWaterPath").as_f32();
   out.cloud_mask.assign(mask.begin(), mask.end());
   out.cloud_optical_thickness.assign(cot.begin(), cot.end());
   out.cloud_top_pressure.assign(ctp.begin(), ctp.end());
@@ -323,7 +359,8 @@ Mod02Granule Mod02Granule::from_hdfl(const storage::HdflFile& file) {
   out.spec = spec_from_attrs(file);
   const auto it = file.attrs().find("daytime");
   out.daytime = it != file.attrs().end() && it->second == "1";
-  const auto rad = file.dataset("Radiance").as_f32();
+  const auto& g = out.spec.geometry;
+  const auto rad = grid_dataset(file, g, "Radiance", g.bands).as_f32();
   out.radiance.assign(rad.begin(), rad.end());
   return out;
 }

@@ -92,6 +92,11 @@ class EarthModel {
   NoiseField pressure_;
 };
 
+// Each product's from_hdfl throws storage::FormatError when a spec attribute
+// is missing or not an int, the geometry is not positive, or a dataset's
+// element count disagrees with it (bands x rows x cols for Radiance, rows x
+// cols for every other dataset).
+
 /// MOD03: geolocation + land/sea mask + solar zenith, row-major [rows][cols].
 struct Mod03Granule {
   GranuleSpec spec;

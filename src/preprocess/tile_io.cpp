@@ -1,6 +1,10 @@
 #include "preprocess/tile_io.hpp"
 
+#include <algorithm>
+#include <array>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 
 namespace mfw::preprocess {
 
@@ -109,11 +113,44 @@ std::size_t pixel_tile_count(const storage::NclFile& file) {
   return static_cast<std::size_t>(file.dim("tile"));
 }
 
+namespace {
+
+// Checks the layout tile_from_ncl indexes: `tiles` over (tile, channel, y, x)
+// with x == y, and `count` elements in every per-tile variable. The dtypes
+// are checked where the variables are read.
+void check_tile_layout(const storage::NclFile& file, std::size_t count) {
+  constexpr std::array<std::string_view, 4> kDims{"tile", "channel", "y", "x"};
+  if (!std::ranges::equal(file.var("tiles").dims, kDims))
+    throw storage::FormatError(
+        "tile file: 'tiles' must span (tile, channel, y, x)");
+  const std::uint64_t ts = file.dim("y");
+  if (file.dim("x") != ts)
+    throw storage::FormatError("tile file: tiles are " + std::to_string(ts) +
+                               " rows by " + std::to_string(file.dim("x")) +
+                               " columns, not square");
+  if (file.dim("channel") > std::numeric_limits<int>::max() ||
+      ts > std::numeric_limits<int>::max())
+    throw storage::FormatError("tile file: tile geometry exceeds int range");
+  for (const char* name :
+       {"origin_row", "origin_col", "latitude", "longitude", "cloud_fraction",
+        "cloud_optical_thickness", "cloud_top_pressure", "cloud_water_path"}) {
+    const std::size_t n = file.element_count(file.var(name).dims);
+    if (n != count)
+      throw storage::FormatError("tile file: '" + std::string(name) +
+                                 "' has " + std::to_string(n) +
+                                 " elements for " + std::to_string(count) +
+                                 " tiles");
+  }
+}
+
+}  // namespace
+
 Tile tile_from_ncl(const storage::NclFile& file, std::size_t index) {
   const std::size_t n = pixel_tile_count(file);
   if (index >= n)
     throw std::out_of_range("tile_from_ncl: tile " + std::to_string(index) +
                             " of " + std::to_string(n));
+  check_tile_layout(file, n);
   const int channels = static_cast<int>(file.dim("channel"));
   const int ts = static_cast<int>(file.dim("y"));
   const auto pixels = file.var("tiles").as_f32();

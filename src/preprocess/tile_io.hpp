@@ -53,9 +53,13 @@ std::size_t pixel_tile_count(const storage::NclFile& file);
 /// Extracts tile `index` (with pixel data) from a full tile file. The ncl
 /// variable accessors are zero-copy spans, so this materializes exactly one
 /// Tile — the primitive the bounded-memory streaming reader builds on.
+/// Throws std::out_of_range past the last tile, and storage::FormatError
+/// unless `tiles` is f32 over (tile, channel, y, x) with x == y and every
+/// per-tile variable holds one element per tile.
 Tile tile_from_ncl(const storage::NclFile& file, std::size_t index);
 
-/// Extracts all tiles (with pixel data) from a full tile file.
+/// Extracts all tiles (with pixel data) from a full tile file; the layout is
+/// checked as for tile_from_ncl.
 std::vector<Tile> tiles_from_ncl(const storage::NclFile& file);
 
 /// Appends an i32 `label` variable (one per tile) and rewrites the file.

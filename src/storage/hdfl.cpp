@@ -63,14 +63,20 @@ void check_magic(BinaryReader& r) {
 }  // namespace
 
 std::size_t Dataset::element_count() const {
+  if (shape.empty()) return 0;
   std::size_t n = 1;
-  for (auto d : shape) n *= static_cast<std::size_t>(d);
-  return shape.empty() ? 0 : n;
+  for (const auto d : shape) {
+    if (__builtin_mul_overflow(n, d, &n))
+      throw FormatError("dataset '" + name + "' shape overflows size_t");
+  }
+  return n;
 }
 
 void Dataset::validate() const {
   if (name.empty()) throw FormatError("dataset has empty name");
-  if (data.size() != element_count() * dtype_size(dtype))
+  std::size_t expected = 0;
+  if (__builtin_mul_overflow(element_count(), dtype_size(dtype), &expected) ||
+      data.size() != expected)
     throw FormatError("dataset '" + name + "' size mismatch: " +
                       std::to_string(data.size()) + " bytes vs shape");
 }
@@ -92,8 +98,8 @@ Dataset make_dataset(std::string name, std::vector<std::uint64_t> shape,
   ds.name = std::move(name);
   ds.dtype = dtype;
   ds.shape = std::move(shape);
-  ds.data.resize(values.size_bytes());
-  std::memcpy(ds.data.data(), values.data(), values.size_bytes());
+  const auto bytes = std::as_bytes(values);
+  ds.data.assign(bytes.begin(), bytes.end());
   ds.validate();
   return ds;
 }

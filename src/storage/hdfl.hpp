@@ -33,6 +33,8 @@ struct Dataset {
   std::map<std::string, std::string> attrs;
   std::vector<std::byte> data;
 
+  /// Product of the shape (0 for an empty shape); throws FormatError when
+  /// it overflows size_t.
   std::size_t element_count() const;
   /// Checks data size == element_count * dtype_size; throws FormatError.
   void validate() const;

@@ -73,14 +73,21 @@ std::uint64_t NclFile::dim(std::string_view name) const {
 }
 
 std::size_t NclFile::element_count(const std::vector<std::string>& dims) const {
+  if (dims.empty()) return 0;
   std::size_t n = 1;
-  for (const auto& d : dims) n *= static_cast<std::size_t>(dim(d));
-  return dims.empty() ? 0 : n;
+  for (const auto& d : dims) {
+    if (__builtin_mul_overflow(n, dim(d), &n))
+      throw FormatError("dimensions overflow size_t at '" + d + "'");
+  }
+  return n;
 }
 
 void NclFile::add_var(NclVar var) {
   if (var.name.empty()) throw FormatError("variable has empty name");
-  const std::size_t expected = element_count(var.dims) * dtype_size(var.dtype);
+  std::size_t expected = 0;
+  if (__builtin_mul_overflow(element_count(var.dims), dtype_size(var.dtype),
+                             &expected))
+    throw FormatError("variable '" + var.name + "' overflows size_t");
   if (var.data.size() != expected)
     throw FormatError("variable '" + var.name + "' has " +
                       std::to_string(var.data.size()) + " bytes, expected " +
@@ -102,8 +109,8 @@ void NclFile::add_f32(const std::string& name, std::vector<std::string> dims,
   var.dtype = DType::kF32;
   var.dims = std::move(dims);
   var.attrs = std::move(attrs);
-  var.data.resize(values.size_bytes());
-  std::memcpy(var.data.data(), values.data(), values.size_bytes());
+  const auto bytes = std::as_bytes(values);
+  var.data.assign(bytes.begin(), bytes.end());
   add_var(std::move(var));
 }
 
@@ -115,8 +122,8 @@ void NclFile::add_i32(const std::string& name, std::vector<std::string> dims,
   var.dtype = DType::kI32;
   var.dims = std::move(dims);
   var.attrs = std::move(attrs);
-  var.data.resize(values.size_bytes());
-  std::memcpy(var.data.data(), values.data(), values.size_bytes());
+  const auto bytes = std::as_bytes(values);
+  var.data.assign(bytes.begin(), bytes.end());
   add_var(std::move(var));
 }
 

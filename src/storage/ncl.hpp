@@ -64,7 +64,8 @@ class NclFile {
   std::map<std::string, std::string>& attrs() { return attrs_; }
   const std::map<std::string, std::string>& attrs() const { return attrs_; }
 
-  /// Number of elements a variable over `dims` must carry.
+  /// Number of elements a variable over `dims` must carry; throws
+  /// FormatError for an unknown dim or a product that overflows size_t.
   std::size_t element_count(const std::vector<std::string>& dims) const;
 
   std::vector<std::byte> serialize() const;

@@ -2,8 +2,11 @@
 // reads, CRC integrity, and append-variable behaviour.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "storage/hdfl.hpp"
 #include "storage/ncl.hpp"
+#include "util/crc32.hpp"
 
 namespace mfw::storage {
 namespace {
@@ -47,18 +50,65 @@ TEST(Hdfl, PartialReadExtractsOneDataset) {
   EXPECT_FALSE(HdflFile::read_dataset(bytes, "missing").has_value());
 }
 
+// A payload long enough for the CRC's folding kernel (>= 64 bytes, folded
+// 16 at a time) plus an odd tail the table loop finishes.
+constexpr std::size_t kBulkBytes = 4096;
+constexpr std::size_t kTailBytes = 13;
+
+std::vector<std::uint8_t> pattern(std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(i * 37);
+  return v;
+}
+
+// Offsets (into the serialized file) of one payload byte inside the folded
+// bulk and one inside the tail, for a payload of kBulkBytes + kTailBytes
+// followed by its u32 CRC at the end of the file.
+std::vector<std::size_t> corruption_offsets(std::size_t file_size) {
+  const std::size_t payload = file_size - 4 - (kBulkBytes + kTailBytes);
+  return {payload + 1000, payload + kBulkBytes + kTailBytes / 2};
+}
+
 TEST(Hdfl, CorruptionDetected) {
   HdflFile file;
-  file.add(Dataset::f32("A", {8}, ramp(8)));
-  auto bytes = file.serialize();
-  bytes[bytes.size() - 10] ^= std::byte{0xff};  // flip a payload byte
-  EXPECT_THROW(HdflFile::deserialize(bytes), FormatError);
+  file.add(Dataset::u8("A", {kBulkBytes + kTailBytes},
+                       pattern(kBulkBytes + kTailBytes)));
+  const auto clean = file.serialize();
+  ASSERT_NO_THROW(HdflFile::deserialize(clean));
+  for (const std::size_t at : corruption_offsets(clean.size())) {
+    auto bytes = clean;
+    bytes[at] ^= std::byte{0x01};
+    EXPECT_THROW(HdflFile::deserialize(bytes), FormatError) << "byte " << at;
+    EXPECT_THROW(HdflFile::read_dataset(bytes, "A"), FormatError)
+        << "byte " << at;
+  }
 }
 
 TEST(Hdfl, BadMagicRejected) {
   std::vector<std::byte> junk(64, std::byte{0x5a});
   EXPECT_THROW(HdflFile::deserialize(junk), FormatError);
   EXPECT_THROW(HdflFile::read_dataset(junk, "x"), FormatError);
+}
+
+// One-dataset hdfl file with an arbitrary shape header and payload, written
+// field by field so the shape need not match the payload.
+std::vector<std::byte> raw_hdfl(DType dtype, std::vector<std::uint64_t> shape,
+                                std::size_t payload_bytes) {
+  const std::vector<std::byte> payload(payload_bytes);
+  BinaryWriter w;
+  w.raw("HDFL", 4);
+  w.u32(1);  // version
+  w.u16(0);  // global attrs
+  w.u32(1);  // datasets
+  w.str("wrap");
+  w.u8(static_cast<std::uint8_t>(dtype));
+  w.u8(static_cast<std::uint8_t>(shape.size()));
+  for (const auto d : shape) w.u64(d);
+  w.u16(0);  // dataset attrs
+  w.u64(payload.size());
+  w.bytes(payload);
+  w.u32(util::crc32(payload));
+  return w.take();
 }
 
 TEST(Hdfl, ShapeMismatchRejected) {
@@ -69,6 +119,27 @@ TEST(Hdfl, ShapeMismatchRejected) {
   ds.data.resize(8);  // needs 16 bytes
   HdflFile file;
   EXPECT_THROW(file.add(std::move(ds)), FormatError);
+
+  // 2^32 x 2^32 elements wrap a 64-bit count to 0, which an empty payload
+  // would match; 2^62 f64 elements wrap the byte count the same way.
+  Dataset wrap;
+  wrap.name = "wrap";
+  wrap.dtype = DType::kU8;
+  wrap.shape = {1ull << 32, 1ull << 32};
+  EXPECT_THROW(wrap.element_count(), FormatError);
+  EXPECT_THROW(file.add(wrap), FormatError);
+  wrap.dtype = DType::kF64;
+  wrap.shape = {1ull << 62};
+  EXPECT_EQ(wrap.element_count(), 1ull << 62);
+  EXPECT_THROW(file.add(wrap), FormatError);
+
+  const auto ok = raw_hdfl(DType::kU8, {0, 7}, 0);
+  EXPECT_EQ(HdflFile::deserialize(ok).dataset("wrap").element_count(), 0u);
+  for (const auto& bytes : {raw_hdfl(DType::kU8, {1ull << 32, 1ull << 32}, 0),
+                            raw_hdfl(DType::kF64, {1ull << 62}, 0)}) {
+    EXPECT_THROW(HdflFile::deserialize(bytes), FormatError);
+    EXPECT_THROW(HdflFile::read_dataset(bytes, "wrap"), FormatError);
+  }
 }
 
 TEST(Hdfl, TypedViewChecksDtype) {
@@ -110,6 +181,38 @@ TEST(Ncl, SizeValidationAgainstDims) {
   file.add_dim("tile", 3);
   EXPECT_THROW(file.add_f32("bad", {"tile"}, ramp(5)), FormatError);
   EXPECT_THROW(file.add_f32("bad", {"nodim"}, ramp(3)), FormatError);
+
+  // 2^32 x 2^32 elements wrap a 64-bit count to 0, which an empty payload
+  // would match; 2^62 f32 elements wrap the byte count the same way.
+  file.add_dim("big", 1ull << 32);
+  file.add_dim("huge", 1ull << 62);
+  EXPECT_THROW(file.element_count({"big", "big"}), FormatError);
+  EXPECT_THROW(file.add_f32("wrap", {"big", "big"}, {}), FormatError);
+  EXPECT_EQ(file.element_count({"huge"}), 1ull << 62);
+  EXPECT_THROW(file.add_f32("wrap", {"huge"}, {}), FormatError);
+  EXPECT_FALSE(file.has_var("wrap"));
+
+  // The same shapes written straight to bytes fail to load.
+  for (const auto& dims : {std::vector<std::string>{"big", "big"},
+                           std::vector<std::string>{"huge"}}) {
+    BinaryWriter w;
+    w.raw("NCL1", 4);
+    w.u16(2);  // dimensions
+    w.str("big");
+    w.u64(1ull << 32);
+    w.str("huge");
+    w.u64(1ull << 62);
+    w.u16(0);  // global attrs
+    w.u16(1);  // variables
+    w.str("wrap");
+    w.u8(static_cast<std::uint8_t>(DType::kF32));
+    w.u8(static_cast<std::uint8_t>(dims.size()));
+    for (const auto& d : dims) w.str(d);
+    w.u16(0);  // variable attrs
+    w.u64(0);  // payload bytes
+    w.u32(0);  // CRC of no bytes
+    EXPECT_THROW(NclFile::deserialize(w.take()), FormatError);
+  }
 }
 
 TEST(Ncl, DimRedefinitionRejected) {
@@ -134,11 +237,22 @@ TEST(Ncl, AppendVariableAfterReload) {
 
 TEST(Ncl, CorruptionDetected) {
   NclFile file;
-  file.add_dim("n", 4);
-  file.add_f32("v", {"n"}, ramp(4));
-  auto bytes = file.serialize();
-  bytes[bytes.size() - 6] ^= std::byte{0x01};
-  EXPECT_THROW(NclFile::deserialize(bytes), FormatError);
+  file.add_dim("n", kBulkBytes + kTailBytes);
+  const auto values = pattern(kBulkBytes + kTailBytes);
+  NclVar var;
+  var.name = "v";
+  var.dtype = DType::kU8;
+  var.dims = {"n"};
+  var.data.resize(values.size());
+  std::memcpy(var.data.data(), values.data(), values.size());
+  file.add_var(std::move(var));
+  const auto clean = file.serialize();
+  ASSERT_NO_THROW(NclFile::deserialize(clean));
+  for (const std::size_t at : corruption_offsets(clean.size())) {
+    auto bytes = clean;
+    bytes[at] ^= std::byte{0x01};
+    EXPECT_THROW(NclFile::deserialize(bytes), FormatError) << "byte " << at;
+  }
 }
 
 TEST(Ncl, EmptyFileRoundTrips) {

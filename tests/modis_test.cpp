@@ -260,6 +260,54 @@ TEST(Products, HdflRoundTripAllProducts) {
   EXPECT_EQ(back06.cloud_mask, m06.cloud_mask);
 }
 
+TEST(Products, FromHdflRejectsGeometryThatDisagreesWithDatasets) {
+  GranuleGenerator gen(5);
+  GranuleSpec spec;
+  spec.geometry = GranuleGeometry{64, 48, 4};
+  while (!is_daytime(spec.satellite, spec.slot, spec.day_of_year)) ++spec.slot;
+  const auto m02 = gen.mod02(spec).to_hdfl();
+  const auto m03 = gen.mod03(spec).to_hdfl();
+  const auto m06 = gen.mod06(spec).to_hdfl();
+  // No CRC covers the attributes, so each edited file still loads.
+  const auto edited = [](storage::HdflFile file, const char* key,
+                         const char* value) {
+    file.attrs()[key] = value;
+    return storage::HdflFile::deserialize(file.serialize());
+  };
+  const auto decode_all = [&](const char* key, const char* value) {
+    EXPECT_THROW(Mod02Granule::from_hdfl(edited(m02, key, value)),
+                 storage::FormatError)
+        << "MOD02 " << key << "=" << value;
+    EXPECT_THROW(Mod03Granule::from_hdfl(edited(m03, key, value)),
+                 storage::FormatError)
+        << "MOD03 " << key << "=" << value;
+    EXPECT_THROW(Mod06Granule::from_hdfl(edited(m06, key, value)),
+                 storage::FormatError)
+        << "MOD06 " << key << "=" << value;
+  };
+  decode_all("rows", "128");  // doubled: the tiler would read past the end
+  decode_all("rows", "32");
+  decode_all("cols", "49");
+  decode_all("rows", "0");
+  decode_all("cols", "-48");
+  decode_all("bands", "0");
+  decode_all("rows", "64x");
+  decode_all("cols", "");
+  decode_all("slot", "abc");
+  decode_all("year", "99999999999");  // out of int range
+  // rows x cols x bands that overflows 64 bits.
+  auto huge = edited(m02, "rows", "2147483647");
+  huge.attrs()["cols"] = "2147483647";
+  huge.attrs()["bands"] = "2147483647";
+  EXPECT_THROW(Mod02Granule::from_hdfl(huge), storage::FormatError);
+
+  // Radiance alone carries the band count.
+  EXPECT_THROW(Mod02Granule::from_hdfl(edited(m02, "bands", "8")),
+               storage::FormatError);
+  EXPECT_NO_THROW(Mod03Granule::from_hdfl(edited(m03, "bands", "8")));
+  EXPECT_NO_THROW(Mod06Granule::from_hdfl(edited(m06, "bands", "8")));
+}
+
 TEST(Products, LandFractionPlausible) {
   EarthModel earth(2022);
   EarthModel::Memo memo;

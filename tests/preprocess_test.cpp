@@ -133,6 +133,60 @@ TEST(TileIo, FullFileRoundTrip) {
   EXPECT_EQ(tiles[0].origin_row, result.tiles[0].origin_row);
 }
 
+// A tile file with `count` tiles of `channels` x y x x pixels, written
+// variable by variable so its layout need not be write_tile_file's.
+storage::NclFile tile_file(std::uint64_t count, std::uint64_t channels,
+                           std::uint64_t y, std::uint64_t x) {
+  storage::NclFile file;
+  file.add_dim("tile", count);
+  file.add_dim("channel", channels);
+  file.add_dim("y", y);
+  file.add_dim("x", x);
+  file.add_f32("tiles", {"tile", "channel", "y", "x"},
+               std::vector<float>(count * channels * y * x, 1.0f));
+  const std::vector<float> f(count, 0.5f);
+  const std::vector<std::int32_t> i(count, 3);
+  for (const char* name : {"latitude", "longitude", "cloud_fraction",
+                           "cloud_optical_thickness", "cloud_top_pressure",
+                           "cloud_water_path"})
+    file.add_f32(name, {"tile"}, f);
+  file.add_i32("origin_row", {"tile"}, i);
+  file.add_i32("origin_col", {"tile"}, i);
+  return storage::NclFile::deserialize(file.serialize());
+}
+
+TEST(TileIo, DecoderRejectsLayoutItCannotIndex) {
+  const auto good = tile_file(2, 3, 4, 4);
+  EXPECT_EQ(tile_from_ncl(good, 1).data.size(), 3u * 4 * 4);
+  EXPECT_EQ(tiles_from_ncl(good).size(), 2u);
+  EXPECT_THROW(tile_from_ncl(good, 2), std::out_of_range);
+
+  // Tiles 4 rows by 2 columns: a square-tile reader would run past the end.
+  const auto narrow = tile_file(2, 1, 4, 2);
+  EXPECT_THROW(tile_from_ncl(narrow, 1), storage::FormatError);
+  EXPECT_THROW(tiles_from_ncl(narrow), storage::FormatError);
+
+  // A per-tile variable with fewer elements than tiles.
+  auto short_var = tile_file(3, 1, 2, 2);
+  short_var.add_dim("one", 1);
+  short_var.add_f32("cloud_water_path", {"one"}, std::vector<float>{0.0f});
+  EXPECT_THROW(tile_from_ncl(short_var, 2), storage::FormatError);
+  auto short_i32 = tile_file(3, 1, 2, 2);
+  short_i32.add_dim("one", 1);
+  short_i32.add_i32("origin_col", {"one"}, std::vector<std::int32_t>{0});
+  EXPECT_THROW(tiles_from_ncl(short_i32), storage::FormatError);
+
+  // `tiles` over its dims in another order, or with another dtype.
+  auto swapped = tile_file(2, 3, 4, 4);
+  swapped.add_f32("tiles", {"channel", "tile", "y", "x"},
+                  std::vector<float>(2 * 3 * 4 * 4, 1.0f));
+  EXPECT_THROW(tile_from_ncl(swapped, 0), storage::FormatError);
+  auto ints = tile_file(2, 3, 4, 4);
+  ints.add_i32("tiles", {"tile", "channel", "y", "x"},
+               std::vector<std::int32_t>(2 * 3 * 4 * 4, 1));
+  EXPECT_THROW(tile_from_ncl(ints, 0), storage::FormatError);
+}
+
 TEST(TileIo, ManifestRoundTrip) {
   storage::MemFs fs("x");
   modis::GranuleId id{modis::ProductKind::kMod02, modis::Satellite::kTerra,

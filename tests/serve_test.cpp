@@ -300,22 +300,31 @@ TEST(Catalog, ConcurrentReadDuringIngest) {
   wide.day_hi = 366;
   wide.sample_limit = 2;
 
+  constexpr int kReaders = 3;
   std::vector<std::thread> readers;
   std::atomic<std::uint64_t> reads{0};
-  for (int t = 0; t < 3; ++t) {
+  std::atomic<int> started{0};
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       util::Rng rng(900 + t);
       std::uint64_t last = 0;
+      bool first = true;
       while (!done.load(std::memory_order_acquire)) {
         const QueryResponse wide_response = catalog.query(wide);
         EXPECT_GE(wide_response.matched, last);
         last = wide_response.matched;
         (void)catalog.query(random_request(rng, 8, 45));
         reads.fetch_add(1, std::memory_order_relaxed);
+        if (first) started.fetch_add(1, std::memory_order_release);
+        first = false;
       }
     });
   }
 
+  // The writer starts once every reader has queried, so reads overlap the
+  // ingest even when a loaded host schedules the writer first.
+  while (started.load(std::memory_order_acquire) < kReaders)
+    std::this_thread::yield();
   for (std::size_t i = 0; i < records.size(); ++i) {
     catalog.append(records[i]);
     if (i % 512 == 511) catalog.publish();

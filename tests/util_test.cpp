@@ -141,6 +141,80 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(inc.value(), crc32("123456789", 9));
 }
 
+// Independent oracle: CRC-32 one bit at a time, no table and no folding.
+// Takes and returns the raw register (start 0xffffffff, final value ~reg).
+std::uint32_t crc32_bitwise(std::uint32_t reg, const std::uint8_t* p,
+                            std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    reg ^= p[i];
+    for (int k = 0; k < 8; ++k)
+      reg = (reg >> 1) ^ (0xedb88320u & (0u - (reg & 1u)));
+  }
+  return reg;
+}
+
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n) {
+  return ~crc32_bitwise(0xffffffffu, p, n);
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndOffset) {
+  // Lengths cross the folding kernel's 64-byte entry and 16-byte steps;
+  // offsets 0-15 cover every load alignment.
+  constexpr std::size_t kMaxLen = 2048;
+  const auto buf = random_bytes(kMaxLen + 16, 7);
+  for (std::size_t off = 0; off < 16; ++off) {
+    std::uint32_t reg = 0xffffffffu;  // oracle over buf[off, off + len)
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(crc32(buf.data() + off, len), ~reg)
+          << "len " << len << " offset " << off;
+      if (len < kMaxLen) reg = crc32_bitwise(reg, buf.data() + off + len, 1);
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseOracleOnLargeBuffer) {
+  // About one materialized granule's hdfl payload, with an odd tail.
+  const auto buf = random_bytes((33u << 20) + 13, 11);
+  EXPECT_EQ(crc32(buf.data(), buf.size()),
+            crc32_bitwise(buf.data(), buf.size()));
+}
+
+TEST(Crc32, SplitUpdatesMatchOneShot) {
+  // Each half lands on either side of the table loop's 16-byte tail and the
+  // kernel's 64-byte minimum, so the state crosses every path boundary.
+  for (const std::size_t total : {std::size_t{200}, std::size_t{4096 + 37}}) {
+    const auto buf = random_bytes(total, total);
+    const std::uint32_t whole = crc32_bitwise(buf.data(), buf.size());
+    for (const std::size_t cut : {0, 1, 15, 16, 17, 63, 64, 65, 79, 80, 81,
+                                  127, 128, 129}) {
+      for (const std::size_t split : {cut, total - cut}) {
+        Crc32 inc;
+        inc.update(buf.data(), split);
+        inc.update(buf.data() + split, total - split);
+        EXPECT_EQ(inc.value(), whole)
+            << "total " << total << " split " << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32, EverySingleBitFlipChangesTheCrc) {
+  auto buf = random_bytes(4096, 3);
+  const std::uint32_t clean = crc32(buf.data(), buf.size());
+  for (std::size_t bit = 0; bit < buf.size() * 8; ++bit) {
+    buf[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    ASSERT_NE(crc32(buf.data(), buf.size()), clean) << "bit " << bit;
+    buf[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+}
+
 TEST(Strings, SplitKeepsEmptyFields) {
   const auto parts = split("a,,b,", ',');
   ASSERT_EQ(parts.size(), 4u);

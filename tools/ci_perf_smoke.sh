@@ -17,8 +17,9 @@
 #      speedup floors vs the naive oracle: >= 10x on SharedResource churn,
 #      >= 5x on FlowLink churn. A regression to O(n)-per-event behaviour
 #      fails this immediately.
-#   3. The substrate micro benchmarks run (a crash/assert gate; numbers are
-#      tracked by tools/bench_sim.sh, not thresholded here).
+#   3. The substrate micro benchmarks run, BM_Crc32's folding kernel and
+#      table loop included (a crash/assert gate with no thresholds;
+#      EXPERIMENTS.md records their numbers).
 #
 # Usage: tools/ci_perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail
@@ -73,7 +74,7 @@ echo "OK: substrate speedups clear the floors"
 
 # -- 3. micro benchmarks run clean -------------------------------------------
 "${build_dir}/bench/micro_substrates" \
-  --benchmark_filter='BM_(EngineScheduleRun|SharedResourceChurn|FlowLinkChurn|GranuleStats|GranuleMaterialize)' \
+  --benchmark_filter='BM_(EngineScheduleRun|SharedResourceChurn|FlowLinkChurn|GranuleStats|GranuleMaterialize|Crc32)' \
   --benchmark_min_time=0.05
 
 echo "perf smoke: all gates passed"
