@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "preprocess/tasks.hpp"
 #include "util/stats.hpp"
@@ -91,6 +92,13 @@ void print_header(const std::string& experiment, const std::string& paper_ref) {
   std::printf("(Simulated ACE Defiant substrate; see DESIGN.md for the\n");
   std::printf(" calibration of the node contention model and WAN parameters.)\n");
   std::printf("================================================================\n\n");
+}
+
+void require_no_args(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::fprintf(stderr, "%s: unexpected argument '%s'\nusage: %s\n", argv[0],
+               argv[1], argv[0]);
+  std::exit(2);
 }
 
 }  // namespace mfw::benchx

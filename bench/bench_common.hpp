@@ -76,4 +76,8 @@ MeanStd mean_std(const std::vector<double>& values);
 /// Prints the standard bench header (paper reference + reproduction note).
 void print_header(const std::string& experiment, const std::string& paper_ref);
 
+/// For benches that take no arguments: given any, prints the offending
+/// argument and a usage line to stderr and exits with status 2.
+void require_no_args(int argc, char** argv);
+
 }  // namespace mfw::benchx

@@ -54,7 +54,8 @@ double run_download(int workers, std::size_t files_per_product,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  benchx::require_no_args(argc, argv);
   util::Logger::instance().set_level(util::LogLevel::kWarn);
   benchx::print_header(
       "Fig. 3 — Download speed vs product size, 3 vs 6 workers",

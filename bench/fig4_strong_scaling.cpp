@@ -14,7 +14,8 @@
 
 using namespace mfw;
 
-int main() {
+int main(int argc, char** argv) {
+  benchx::require_no_args(argc, argv);
   benchx::print_header(
       "Fig. 4 — Strong scaling: completion time vs workers and vs nodes",
       "Kurihana et al., SC24, Fig. 4(a)/(b)");

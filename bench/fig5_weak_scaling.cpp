@@ -13,7 +13,8 @@
 
 using namespace mfw;
 
-int main() {
+int main(int argc, char** argv) {
+  benchx::require_no_args(argc, argv);
   benchx::print_header(
       "Fig. 5 — Weak scaling (2 files per worker): time vs workers and nodes",
       "Kurihana et al., SC24, Fig. 5(a)/(b)");

@@ -13,7 +13,8 @@
 
 using namespace mfw;
 
-int main() {
+int main(int argc, char** argv) {
+  benchx::require_no_args(argc, argv);
   util::Logger::instance().set_level(util::LogLevel::kWarn);
   benchx::print_header(
       "Fig. 7 — EO-ML workflow latency breakdown",

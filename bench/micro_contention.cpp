@@ -37,7 +37,8 @@ double throughput_with(compute::LawFactory factory, int workers) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  benchx::require_no_args(argc, argv);
   benchx::print_header(
       "Ablation — contention-law choice vs the Table I worker curve",
       "DESIGN.md calibration note (supports Table I / Fig. 4a)");

@@ -1,12 +1,13 @@
 // Google-benchmark micro benchmarks for the substrates that sit on the
 // workflow's critical path: event engine throughput, processor-sharing
-// resource churn, container (de)serialization, granule statistics and pixel
-// synthesis, tiler, RICC encode, and Ward clustering.
+// resource churn, container (de)serialization, noise fBm, granule statistics
+// and pixel synthesis, tiler, RICC encode, and Ward clustering.
 #include <benchmark/benchmark.h>
 
 #include "compute/cluster.hpp"
 #include "ml/ricc.hpp"
 #include "modis/catalog.hpp"
+#include "modis/noise.hpp"
 #include "preprocess/tiler.hpp"
 #include "sim/engine.hpp"
 #include "sim/link.hpp"
@@ -117,6 +118,24 @@ void BM_NclSerializeRoundTrip(benchmark::State& state) {
       state.iterations());
 }
 BENCHMARK(BM_NclSerializeRoundTrip)->Arg(8)->Arg(64);
+
+// A memoised 5-octave walk in is_land's frame (lon / 42, lat / 30), stepping
+// ~0.2 degrees along track as the estimator's samples do, so that most
+// octaves stay in the cell their memo holds.
+void BM_NoiseFbm(benchmark::State& state) {
+  const modis::NoiseField field(2022);
+  const int samples = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    modis::NoiseField::Memo memo;
+    double sum = 0.0;
+    for (int i = 0; i < samples; ++i)
+      sum += field.fbm(0.5 + 1e-3 * i, -1.5 + 0.2 / 30.0 * i, 5, memo);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(samples) *
+                          state.iterations());
+}
+BENCHMARK(BM_NoiseFbm)->Arg(256);
 
 void BM_GranuleStats(benchmark::State& state) {
   modis::GranuleGenerator gen(2022);

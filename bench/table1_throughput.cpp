@@ -60,7 +60,8 @@ double weak_nodes(Days& days, int nodes) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  benchx::require_no_args(argc, argv);
   benchx::print_header(
       "Table I — Throughput of MODIS 128x128 tiles under four scaling "
       "experiments",

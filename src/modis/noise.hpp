@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace mfw::modis {
 
@@ -28,15 +29,18 @@ class NoiseField {
 
    private:
     friend class NoiseField;
-    struct Cell {
-      bool filled = false;
-      std::int64_t ix = 0;
-      std::int64_t iy = 0;
-      double v00 = 0.0, v10 = 0.0, v01 = 0.0, v11 = 0.0;
-    };
-    bool bound_ = false;
+    static constexpr double kEmpty = std::numeric_limits<double>::quiet_NaN();
     std::uint64_t seed_ = 0;
-    Cell cells_[kOctaves];
+    // Octave k's cell: its floor coordinates (NaN while empty, so no sample
+    // matches) and its corner values, one array per quantity so that four
+    // octaves load as one vector.
+    alignas(32) double fx_[kOctaves] = {kEmpty, kEmpty, kEmpty, kEmpty,
+                                        kEmpty, kEmpty, kEmpty, kEmpty};
+    alignas(32) double fy_[kOctaves] = {};
+    alignas(32) double v00_[kOctaves] = {};
+    alignas(32) double v10_[kOctaves] = {};
+    alignas(32) double v01_[kOctaves] = {};
+    alignas(32) double v11_[kOctaves] = {};
   };
 
   explicit NoiseField(std::uint64_t seed) : seed_(seed) {}
@@ -44,19 +48,42 @@ class NoiseField {
   /// Smooth noise in [-1, 1] at continuous coordinates.
   double at(double x, double y) const;
 
-  /// Fractional Brownian motion: `octaves` layers, each at double frequency
-  /// and `gain` amplitude. Result approximately in [-1, 1].
-  double fbm(double x, double y, int octaves, double gain = 0.5,
-             double lacunarity = 2.0) const;
+  /// Fractional Brownian motion: `octaves` layers, octave k sampled at
+  /// (x, y) * 2^k with amplitude 2^-k, normalised by the amplitude sum.
+  /// Result approximately in [-1, 1].
+  double fbm(double x, double y, int octaves) const;
 
-  /// fbm reusing (and updating) `memo`; equal to fbm(x, y, octaves, ...).
-  double fbm(double x, double y, int octaves, Memo& memo, double gain = 0.5,
-             double lacunarity = 2.0) const;
+  /// fbm reusing (and updating) `memo`; equal to fbm(x, y, octaves).
+  double fbm(double x, double y, int octaves, Memo& memo) const;
+
+  /// fbm(x, y, octaves, memo) + offset > threshold, always the answer the
+  /// full evaluation gives. Octaves are evaluated four at a time; after each
+  /// group it returns as soon as the octaves still missing, each adding at
+  /// most its amplitude, cannot flip the comparison.
+  bool fbm_above(double x, double y, int octaves, Memo& memo, double offset,
+                 double threshold) const;
 
  private:
-  /// Noise at (x, y), taking the corner values from `cell` when (x, y) lies
-  /// in it and refilling it otherwise.
-  double at(double x, double y, Memo::Cell& cell) const;
+  /// Adds amplitude * noise for octaves [first, last) to `sum` in octave
+  /// order and returns it; fbm is add_octaves(..., 0, n, ..., 0.0) divided
+  /// by the amplitude sum. `first` is a multiple of four.
+  double add_octaves(double x, double y, int first, int last, Memo& memo,
+                     double sum) const;
+
+  /// add_octaves four octaves per instruction: x86 with AVX2 only, and
+  /// last <= Memo::kOctaves.
+  double add_octave_lanes(double x, double y, int first, int last,
+                          Memo& memo, double sum) const;
+
+  /// Noise at (x, y) through octave k's memo cell, refilling it when (x, y)
+  /// lies in another cell.
+  double at(double x, double y, Memo& memo, int k) const;
+
+  /// Makes octave k's memo cell the one with floor corner (fx, fy).
+  void fill(Memo& memo, int k, double fx, double fy) const;
+
+  /// Drops the memo's cells unless they were filled by this field.
+  void bind(Memo& memo) const;
 
   /// Hash of integer lattice point -> [-1, 1].
   double lattice(std::int64_t ix, std::int64_t iy) const;

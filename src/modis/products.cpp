@@ -100,6 +100,14 @@ const storage::Dataset& grid_dataset(const storage::HdflFile& file,
   return ds;
 }
 
+// Cloudiness added by latitude: the ITCZ band and mid-latitude storm tracks.
+double cloud_climatology(double lat) {
+  const double lat_rad = lat * std::numbers::pi / 180.0;
+  return 0.18 * std::exp(-std::pow(lat / 12.0, 2)) +
+         0.22 * std::exp(-std::pow((std::abs(lat) - 52.0) / 16.0, 2)) +
+         0.05 * std::cos(2.0 * lat_rad);
+}
+
 }  // namespace
 
 EarthModel::EarthModel(std::uint64_t seed)
@@ -109,29 +117,47 @@ EarthModel::EarthModel(std::uint64_t seed)
       pressure_(util::mix64(seed, 4)) {}
 
 bool EarthModel::is_land(const LatLon& p, Memo& memo) const {
-  // Sample in a lat/lon frame scaled so continents span ~40-80 degrees.
-  const double v = continents_.fbm(p.lon / 42.0, p.lat / 30.0, 5, memo.land);
   // Push land away from the poles a little (Southern Ocean / Arctic ocean).
   const double polar = 0.10 * std::cos(p.lat * std::numbers::pi / 90.0);
-  return v + polar > kLandThreshold;
+  // Sample in a lat/lon frame scaled so continents span ~40-80 degrees.
+  return continents_.fbm_above(p.lon / 42.0, p.lat / 30.0, 5, memo.land,
+                               polar, kLandThreshold);
 }
 
-double EarthModel::cloud_intensity(const LatLon& p, int day_of_year,
-                                   Memo& memo) const {
-  // Synoptic-scale systems drift with the day of year; mesoscale texture
-  // gives the within-tile variance AICCA tiles show.
+double EarthModel::synoptic_cloud(const LatLon& p, int day_of_year,
+                                  Memo& memo) const {
+  // Synoptic-scale systems drift with the day of year.
   const double drift = static_cast<double>(day_of_year) * 0.37;
   const double synoptic = weather_.fbm(p.lon / 18.0 + drift,
                                        p.lat / 14.0 - 0.3 * drift, 4,
                                        memo.synoptic);
-  const double meso = texture_.fbm(p.lon / 2.2, p.lat / 2.2, 3, memo.meso);
-  // ITCZ band and mid-latitude storm tracks raise cloudiness.
-  const double lat_rad = p.lat * std::numbers::pi / 180.0;
-  const double climo = 0.18 * std::exp(-std::pow(p.lat / 12.0, 2)) +
-                       0.22 * std::exp(-std::pow((std::abs(p.lat) - 52.0) / 16.0, 2)) +
-                       0.05 * std::cos(2.0 * lat_rad);
-  const double v = 0.55 + 0.75 * synoptic + 0.35 * meso + climo;
+  return 0.55 + 0.75 * synoptic;
+}
+
+double EarthModel::mesoscale_cloud(const LatLon& p, Memo& memo) const {
+  // Mesoscale texture gives the within-tile variance AICCA tiles show.
+  return 0.35 * texture_.fbm(p.lon / 2.2, p.lat / 2.2, 3, memo.meso);
+}
+
+double EarthModel::cloud_intensity(const LatLon& p, int day_of_year,
+                                   Memo& memo) const {
+  const double v = synoptic_cloud(p, day_of_year, memo) +
+                   mesoscale_cloud(p, memo) + cloud_climatology(p.lat);
   return std::fmin(1.0, std::fmax(0.0, v));
+}
+
+bool EarthModel::is_cloudy(const LatLon& p, int day_of_year,
+                           Memo& memo) const {
+  // The clamp in cloud_intensity keeps every value on its side of the
+  // threshold, so the unclamped sum is compared. The mesoscale term lies in
+  // [-0.35, 0.35]; the slack covers the roundings of both sides.
+  const double synoptic = synoptic_cloud(p, day_of_year, memo);
+  const double climo = cloud_climatology(p.lat);
+  constexpr double kMesoBound = 0.35 * (1.0 + 1e-6) + 1e-12;
+  const double estimate = synoptic + climo;
+  if (estimate - kMesoBound > kCloudThreshold) return true;
+  if (estimate + kMesoBound < kCloudThreshold) return false;
+  return synoptic + mesoscale_cloud(p, memo) + climo > kCloudThreshold;
 }
 
 double EarthModel::cloud_top_pressure(const LatLon& p, int day_of_year,
@@ -203,9 +229,9 @@ Mod06Granule GranuleGenerator::mod06(const GranuleSpec& spec) const {
           static_cast<std::size_t>(c);
       const double intensity =
           earth_.cloud_intensity(p, spec.day_of_year, memo);
-      const bool cloudy = intensity > 0.45;
+      const bool cloudy = intensity > kCloudThreshold;
       out.cloud_mask[i] = cloudy ? 1 : 0;
-      const double excess = std::fmax(0.0, intensity - 0.45);
+      const double excess = std::fmax(0.0, intensity - kCloudThreshold);
       out.cloud_optical_thickness[i] =
           cloudy ? static_cast<float>(2.0 + 55.0 * excess) : 0.0f;
       out.cloud_top_pressure[i] =
@@ -242,9 +268,11 @@ Mod02Granule GranuleGenerator::mod02(const GranuleSpec& spec) const {
           static_cast<std::size_t>(c);
       const double intensity =
           earth_.cloud_intensity(p, spec.day_of_year, memo);
-      const bool cloudy = intensity > 0.45;
+      const bool cloudy = intensity > kCloudThreshold;
       const bool land = earth_.is_land(p, memo);
-      const double tau = cloudy ? 2.0 + 55.0 * std::fmax(0.0, intensity - 0.45) : 0.0;
+      const double tau =
+          cloudy ? 2.0 + 55.0 * std::fmax(0.0, intensity - kCloudThreshold)
+                 : 0.0;
       // Cloud reflectance grows with optical thickness (saturating).
       const double cloud_ref = 1.0 - std::exp(-tau / 12.0);
       const double surface_ref = land ? 0.18 : 0.05;
@@ -412,8 +440,7 @@ GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
       if (any_land) continue;
       int cloudy = 0;
       for (std::size_t i = 0; i < sampled; ++i)
-        if (earth.cloud_intensity(points[i], spec.day_of_year, memo) > 0.45)
-          ++cloudy;
+        if (earth.is_cloudy(points[i], spec.day_of_year, memo)) ++cloudy;
       ++stats.candidate_tiles;
       const double cloud_frac =
           static_cast<double>(cloudy) / static_cast<double>(n * n);

@@ -51,6 +51,10 @@ struct GranuleSpec {
   std::uint64_t world_seed = 2022;
 };
 
+/// cloud_intensity above this is cloudy: MOD06's cloud mask, and the
+/// cloudy samples estimate_granule_stats counts.
+inline constexpr double kCloudThreshold = 0.45;
+
 /// Shared procedural geography: continents, sea-surface temperature, and the
 /// daily weather (cloud) field. One instance per world seed; all products of
 /// all granules sample it, which is what keeps them mutually consistent.
@@ -71,11 +75,17 @@ class EarthModel {
 
   explicit EarthModel(std::uint64_t seed);
 
-  /// True over continents/islands (~30% of the globe).
+  /// True over continents/islands (~30% of the globe). Usually decided from
+  /// the continents' first four octaves; the answer is always the one the
+  /// full evaluation gives.
   bool is_land(const LatLon& p, Memo& memo) const;
 
   /// Cloud presence probability in [0, 1] for a day's weather.
   double cloud_intensity(const LatLon& p, int day_of_year, Memo& memo) const;
+
+  /// cloud_intensity(p, day_of_year, memo) > kCloudThreshold, skipping the
+  /// mesoscale texture when the synoptic field alone settles it.
+  bool is_cloudy(const LatLon& p, int day_of_year, Memo& memo) const;
 
   /// Cloud-top pressure proxy in hPa (lower = higher cloud); only meaningful
   /// where cloud_intensity is high.
@@ -86,6 +96,11 @@ class EarthModel {
   double surface_temperature(const LatLon& p, Memo& memo) const;
 
  private:
+  // cloud_intensity before its clamp is synoptic_cloud + mesoscale_cloud +
+  // a latitude climatology, added in that order.
+  double synoptic_cloud(const LatLon& p, int day_of_year, Memo& memo) const;
+  double mesoscale_cloud(const LatLon& p, Memo& memo) const;
+
   NoiseField continents_;
   NoiseField weather_;
   NoiseField texture_;

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -63,10 +64,10 @@ TEST(Noise, BoundedAndSmooth) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-TEST(Noise, MemoMatchesFreshEvaluation) {
-  // A walk that steps forward and backward inside cells, jumps across
-  // cells, wanders through negative coordinates and lands exactly on lattice
-  // lines (multiples of 1/16 are lattice points at the first five octaves).
+// A walk that steps forward and backward inside cells, jumps across cells,
+// wanders through negative coordinates and lands exactly on lattice lines
+// (multiples of 1/16 are lattice points at the first five octaves).
+std::vector<std::pair<double, double>> noise_walk() {
   std::vector<std::pair<double, double>> walk = {
       {0.0, 0.0},       {-0.0, -0.0}, {0.5, 0.5},     {-0.5, 0.5},
       {-1.0, -1.0},     {1.0, -1.0},  {-1e-300, 2.0}, {3.0, 3.0},
@@ -95,24 +96,103 @@ TEST(Noise, MemoMatchesFreshEvaluation) {
     }
     walk.emplace_back(x, y);
   }
+  return walk;
+}
+
+// The noise written out plainly, as the test's oracle: every lattice corner
+// hashed fresh, octaves at doubled coordinates and halved amplitude.
+double oracle_lattice(std::uint64_t seed, std::int64_t ix, std::int64_t iy) {
+  const std::uint64_t h = util::mix64(
+      seed, util::mix64(static_cast<std::uint64_t>(ix) * 0x9e3779b97f4a7c15ULL,
+                        static_cast<std::uint64_t>(iy)));
+  return static_cast<double>(h >> 11) * 0x1.0p-52 - 1.0;
+}
+
+double oracle_smooth(double t) {
+  return t * t * t * (t * (t * 6.0 - 15.0) + 10.0);
+}
+
+double oracle_noise(std::uint64_t seed, double x, double y) {
+  const double fx = std::floor(x);
+  const double fy = std::floor(y);
+  const auto ix = static_cast<std::int64_t>(fx);
+  const auto iy = static_cast<std::int64_t>(fy);
+  const double v00 = oracle_lattice(seed, ix, iy);
+  const double v10 = oracle_lattice(seed, ix + 1, iy);
+  const double v01 = oracle_lattice(seed, ix, iy + 1);
+  const double v11 = oracle_lattice(seed, ix + 1, iy + 1);
+  const double tx = oracle_smooth(x - fx);
+  const double ty = oracle_smooth(y - fy);
+  const double a = v00 + (v10 - v00) * tx;
+  const double b = v01 + (v11 - v01) * tx;
+  return a + (b - a) * ty;
+}
+
+double oracle_fbm(std::uint64_t seed, double x, double y, int octaves) {
+  double sum = 0.0;
+  double amplitude = 1.0;
+  double norm = 0.0;
+  for (int i = 0; i < octaves; ++i) {
+    sum += amplitude * oracle_noise(seed, x, y);
+    norm += amplitude;
+    amplitude *= 0.5;
+    x *= 2.0;
+    y *= 2.0;
+  }
+  return norm > 0 ? sum / norm : 0.0;
+}
+
+TEST(Noise, MatchesFreshHashOracle) {
+  const auto walk = noise_walk();
   ASSERT_TRUE(std::any_of(walk.begin() + 10, walk.end(),
                           [](const auto& p) { return p.first < -1.0; }));
   ASSERT_TRUE(std::any_of(walk.begin() + 10, walk.end(),
                           [](const auto& p) { return p.second < -1.0; }));
 
-  const NoiseField field(11);
-  // 5 octaves as is_land uses; 11 runs past the memo's octave capacity.
-  for (const int octaves : {1, 5, 11}) {
-    NoiseField::Memo memo;
+  // Two fields alternate on the shared memo, so every call rebinds it and
+  // each octave lane refills; the own memo hits and misses lane by lane as
+  // the walk moves. 1-8 octaves cover every lane count of both groups of
+  // four; 11 runs past the memo's octave capacity.
+  const NoiseField a(11);
+  const NoiseField b(12);
+  for (const int octaves : {1, 2, 3, 4, 5, 6, 7, 8, 11}) {
+    NoiseField::Memo shared;
+    NoiseField::Memo own;
     for (const auto& [px, py] : walk) {
-      ASSERT_EQ(bits(field.fbm(px, py, octaves, memo)),
-                bits(field.fbm(px, py, octaves)))
+      const double want_a = oracle_fbm(11, px, py, octaves);
+      ASSERT_EQ(bits(a.fbm(px, py, octaves, shared)), bits(want_a))
+          << "octaves " << octaves << " at (" << px << ", " << py << ")";
+      ASSERT_EQ(bits(b.fbm(px, py, octaves, shared)),
+                bits(oracle_fbm(12, px, py, octaves)))
+          << "octaves " << octaves << " at (" << px << ", " << py << ")";
+      ASSERT_EQ(bits(a.fbm(px, py, octaves, own)), bits(want_a))
           << "octaves " << octaves << " at (" << px << ", " << py << ")";
     }
   }
-  NoiseField::Memo memo;
   for (const auto& [px, py] : walk)
-    ASSERT_EQ(bits(field.fbm(px, py, 1, memo)), bits(field.at(px, py)));
+    ASSERT_EQ(bits(a.at(px, py)), bits(oracle_noise(11, px, py)));
+}
+
+TEST(Noise, FbmAboveMatchesFullComparison) {
+  // Thresholds far from the value are settled after the first group of
+  // four octaves; the ones a rounding step away need every octave.
+  const auto walk = noise_walk();
+  const NoiseField field(5);
+  for (const int octaves : {1, 4, 5, 8, 11}) {
+    NoiseField::Memo memo;
+    for (const auto& [px, py] : walk) {
+      const double offset = 0.1 * std::sin(px);
+      const double v = oracle_fbm(5, px, py, octaves) + offset;
+      for (const double threshold :
+           {v - 0.5, v - 1e-3, std::nextafter(v, -2.0), v,
+            std::nextafter(v, 2.0), v + 1e-3, v + 0.5}) {
+        ASSERT_EQ(field.fbm_above(px, py, octaves, memo, offset, threshold),
+                  v > threshold)
+            << "octaves " << octaves << " at (" << px << ", " << py
+            << "), threshold " << threshold - v << " from the value";
+      }
+    }
+  }
 }
 
 TEST(Noise, MemoNeverSharedAcrossSeeds) {
@@ -323,6 +403,37 @@ TEST(Products, LandFractionPlausible) {
   EXPECT_LT(frac, 0.55);
 }
 
+TEST(Products, LandAndCloudTestsMatchFullEvaluation) {
+  // is_land and is_cloudy may answer before every octave is in; on a dense
+  // grid their answers must equal the full evaluation's, including at the
+  // points within 1e-4 of each threshold, which always take the full sum.
+  const std::uint64_t seed = 2022;
+  const EarthModel earth(seed);
+  const std::uint64_t continents = util::mix64(seed, 1);
+  EarthModel::Memo memo;
+  EarthModel::Memo full;
+  int near_land = 0;
+  int near_cloud = 0;
+  for (double lat = -89.75; lat < 90.0; lat += 0.5) {
+    for (double lon = -179.75; lon < 180.0; lon += 0.5) {
+      const LatLon p{lat, lon};
+      const double land = oracle_fbm(continents, lon / 42.0, lat / 30.0, 5) +
+                          0.10 * std::cos(lat * std::numbers::pi / 90.0);
+      ASSERT_EQ(earth.is_land(p, memo), land > 0.18)
+          << "(" << lat << ", " << lon << ")";
+      if (std::abs(land - 0.18) < 1e-4) ++near_land;
+      for (const int day : {1, 91, 182, 274}) {
+        const double intensity = earth.cloud_intensity(p, day, full);
+        ASSERT_EQ(earth.is_cloudy(p, day, memo), intensity > kCloudThreshold)
+            << "(" << lat << ", " << lon << ") day " << day;
+        if (std::abs(intensity - kCloudThreshold) < 1e-4) ++near_cloud;
+      }
+    }
+  }
+  EXPECT_GE(near_land, 10);
+  EXPECT_GE(near_cloud, 10);
+}
+
 TEST(Products, EarthQueriesIgnoreMemoHistory) {
   // One memo threaded through scattered queries answers exactly as a fresh
   // memo per query.
@@ -332,8 +443,9 @@ TEST(Products, EarthQueriesIgnoreMemoHistory) {
   for (int i = 0; i < 2000; ++i) {
     const LatLon p{rng.uniform(-90, 90), rng.uniform(-180, 180)};
     const int day = 1 + i % 365;
-    EarthModel::Memo a, b, c, d;
+    EarthModel::Memo a, b, c, d, e;
     ASSERT_EQ(earth.is_land(p, shared), earth.is_land(p, a));
+    ASSERT_EQ(earth.is_cloudy(p, day, shared), earth.is_cloudy(p, day, e));
     ASSERT_EQ(bits(earth.cloud_intensity(p, day, shared)),
               bits(earth.cloud_intensity(p, day, b)));
     ASSERT_EQ(bits(earth.cloud_top_pressure(p, day, shared)),

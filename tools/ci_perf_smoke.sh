@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI perf smoke gate, the companion to tools/ci_sanitize.sh (sanitizers catch
 # lifetime bugs; this catches determinism drift and complexity regressions in
-# the simulation substrate). Three checks on a Release build:
+# the simulation substrate). Four checks on a Release build:
 #
 #   1. Differential gate: `mfwctl report --json` on the fig6 barrier and
 #      streaming configs is diffed against the committed baseline reports
@@ -18,8 +18,11 @@
 #      >= 5x on FlowLink churn. A regression to O(n)-per-event behaviour
 #      fails this immediately.
 #   3. The substrate micro benchmarks run, BM_Crc32's folding kernel and
-#      table loop included (a crash/assert gate with no thresholds;
-#      EXPERIMENTS.md records their numbers).
+#      table loop and BM_NoiseFbm's octave-lane kernel included (a
+#      crash/assert gate with no thresholds; EXPERIMENTS.md records their
+#      numbers).
+#   4. A bench that takes no arguments rejects one: fig4_strong_scaling
+#      --help exits 2 instead of running the figure.
 #
 # Usage: tools/ci_perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail
@@ -29,7 +32,7 @@ build_dir="${1:-"${repo_root}/build-perf"}"
 
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "$(nproc)" --target \
-      mfwctl archive_campaign micro_substrates
+      mfwctl archive_campaign micro_substrates fig4_strong_scaling
 
 # -- 1. differential gate: mfwctl diff vs committed baselines ----------------
 mfwctl="${build_dir}/tools/mfwctl"
@@ -74,7 +77,16 @@ echo "OK: substrate speedups clear the floors"
 
 # -- 3. micro benchmarks run clean -------------------------------------------
 "${build_dir}/bench/micro_substrates" \
-  --benchmark_filter='BM_(EngineScheduleRun|SharedResourceChurn|FlowLinkChurn|GranuleStats|GranuleMaterialize|Crc32)' \
+  --benchmark_filter='BM_(EngineScheduleRun|SharedResourceChurn|FlowLinkChurn|NoiseFbm|GranuleStats|GranuleMaterialize|Crc32)' \
   --benchmark_min_time=0.05
+
+# -- 4. argument-free benches reject arguments -------------------------------
+status=0
+"${build_dir}/bench/fig4_strong_scaling" --help > /dev/null 2>&1 || status=$?
+if [[ "${status}" -ne 2 ]]; then
+  echo "FAIL: fig4_strong_scaling --help exited ${status}, expected 2" >&2
+  exit 1
+fi
+echo "OK: fig4_strong_scaling rejects arguments"
 
 echo "perf smoke: all gates passed"
