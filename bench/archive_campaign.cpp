@@ -5,8 +5,8 @@
 // is the two-decade MODIS archive. This benchmark demonstrates that the
 // simulation substrate sustains a full 365-day campaign (~105k granules,
 // ~315k files, ~21 TB through the WAN model) in one process, and quantifies
-// the O(log n) substrate rebuild (DESIGN.md §9) against the naive oracle at
-// archive-scale concurrency.
+// the O(log n) substrate rebuild (DESIGN.md §9) against the O(n)-per-event
+// oracles of tests/sim_oracle.hpp at archive-scale concurrency.
 //
 // Emits a JSON report (see tools/bench_sim.sh -> BENCH_sim.json).
 //
@@ -41,7 +41,7 @@
 #include "sim/engine.hpp"
 #include "sim/link.hpp"
 #include "sim/resource.hpp"
-#include "sim/substrate.hpp"
+#include "sim_oracle.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -135,10 +135,10 @@ ChurnResult drive(sim::SimEngine& engine, std::size_t n, double budget_s) {
   return result;
 }
 
+template <typename Resource>
 ChurnResult resource_churn(std::size_t n, double budget_s) {
   sim::SimEngine engine;
-  sim::SharedResource res(engine,
-                          std::make_unique<sim::SaturatingExpLaw>(38.5, 3.1));
+  Resource res(engine, std::make_unique<sim::SaturatingExpLaw>(38.5, 3.1));
   for (std::size_t i = 0; i < n; ++i) {
     engine.schedule_at(static_cast<double>(i) * 1e-3, [&res, i] {
       res.submit(1.0 + static_cast<double>(i % 13), [] {});
@@ -147,9 +147,10 @@ ChurnResult resource_churn(std::size_t n, double budget_s) {
   return drive(engine, n, budget_s);
 }
 
+template <typename Link>
 ChurnResult link_churn(std::size_t n, double budget_s) {
   sim::SimEngine engine;
-  sim::FlowLink link(engine, "wan", 23.5 * 1024 * 1024);
+  Link link(engine, "wan", 23.5 * 1024 * 1024);
   util::Rng rng(7);
   std::vector<std::pair<double, double>> specs;  // (bytes, cap)
   specs.reserve(n);
@@ -185,13 +186,11 @@ struct Comparison {
   double speedup = 0.0;
 };
 
-Comparison compare(ChurnFn fn, std::size_t n, double naive_budget_s) {
+Comparison compare(ChurnFn fast, ChurnFn naive, std::size_t n,
+                   double naive_budget_s) {
   Comparison cmp;
-  sim::substrate::set_use_naive(false);
-  cmp.fast = fn(n, 1e9);
-  sim::substrate::set_use_naive(true);
-  cmp.naive = fn(n, naive_budget_s);
-  sim::substrate::set_use_naive(false);
+  cmp.fast = fast(n, 1e9);
+  cmp.naive = naive(n, naive_budget_s);
   cmp.speedup = cmp.fast.events_per_s() / std::max(cmp.naive.events_per_s(), 1e-9);
   return cmp;
 }
@@ -341,8 +340,8 @@ int main(int argc, char** argv) {
     const char* name;
     ChurnFn fn;
   } kinds[] = {{"engine", engine_churn},
-               {"resource", resource_churn},
-               {"link", link_churn}};
+               {"resource", resource_churn<sim::SharedResource>},
+               {"link", link_churn<sim::FlowLink>}};
   std::printf("\n=== Substrate scaling (fast) ===\n");
   for (std::size_t k = 0; k < 3; ++k) {
     scaling_json += std::string("\"") + kinds[k].name + "\": [";
@@ -362,20 +361,20 @@ int main(int argc, char** argv) {
   const double naive_budget = quick ? 2.0 : 20.0;
   std::printf("\n=== Fast vs naive churn (n=%zu, naive window %.0f s) ===\n",
               churn_n, naive_budget);
-  const auto res_cmp = compare(resource_churn, churn_n, naive_budget);
+  const auto res_cmp = compare(resource_churn<sim::SharedResource>,
+                               resource_churn<sim::NaiveResource>, churn_n,
+                               naive_budget);
   std::printf("resource  speedup %.1fx  (fast %.3f s%s, naive %.3f s%s)\n",
               res_cmp.speedup, res_cmp.fast.wall_s,
               res_cmp.fast.completed ? "" : " partial", res_cmp.naive.wall_s,
               res_cmp.naive.completed ? "" : " partial");
-  const auto link_cmp = compare(link_churn, churn_n, naive_budget);
+  const auto link_cmp = compare(link_churn<sim::FlowLink>,
+                                link_churn<sim::NaiveLink>, churn_n,
+                                naive_budget);
   std::printf("link      speedup %.1fx  (fast %.3f s%s, naive %.3f s%s)\n",
               link_cmp.speedup, link_cmp.fast.wall_s,
               link_cmp.fast.completed ? "" : " partial", link_cmp.naive.wall_s,
               link_cmp.naive.completed ? "" : " partial");
-  const auto engine_cmp = compare(engine_churn, churn_n, naive_budget);
-  std::printf("engine    speedup %.1fx  (cancel-heavy; fast compacts, naive "
-              "carries dead entries)\n",
-              engine_cmp.speedup);
 
   std::string json = "{\n";
   {
@@ -394,8 +393,7 @@ int main(int argc, char** argv) {
   json += "  \"scaling\": " + scaling_json + ",\n";
   json += "  \"churn_vs_naive\": {\n";
   json += "    \"resource\": " + comparison_json(res_cmp) + ",\n";
-  json += "    \"link\": " + comparison_json(link_cmp) + ",\n";
-  json += "    \"engine\": " + comparison_json(engine_cmp) + "\n  }\n}\n";
+  json += "    \"link\": " + comparison_json(link_cmp) + "\n  }\n}\n";
 
   if (!out.empty()) {
     std::ofstream file(out);

@@ -1,7 +1,7 @@
 // Google-benchmark micro benchmarks for the fast-ML substrate: blocked
-// sgemm vs int8 gemm, im2col+GEMM vs naive convolution, fused + quantized
-// conv, batched RICC encode across paths and pool sizes, and cached-NN vs
-// full-rescan Ward clustering. `tools/bench_kernels.sh` runs this binary and
+// sgemm vs int8 gemm, im2col+GEMM convolution, fused + quantized conv,
+// batched RICC encode across paths and pool sizes, and cached-NN Ward
+// clustering. `tools/bench_kernels.sh` runs this binary and
 // snapshots the numbers into BENCH_kernels.json.
 //
 // The binary stamps its own build type into the benchmark context
@@ -122,27 +122,17 @@ void BM_FusedConvBiasLeaky(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedConvBiasLeaky);
 
-void conv2d_forward(benchmark::State& state, bool naive) {
-  ml::kernels::set_use_naive(naive);
+void BM_Conv2dForwardGemm(benchmark::State& state) {
   util::Rng rng(5);
   ml::Conv2d conv(8, 8, 3, 1, 1, rng);
   ml::Tensor input({8, 32, 32});
   for (std::size_t i = 0; i < input.size(); ++i)
     input[i] = static_cast<float>(rng.uniform());
   for (auto _ : state) benchmark::DoNotOptimize(conv.forward(input));
-  ml::kernels::set_use_naive(false);
 }
-void BM_Conv2dForwardNaive(benchmark::State& state) {
-  conv2d_forward(state, true);
-}
-void BM_Conv2dForwardGemm(benchmark::State& state) {
-  conv2d_forward(state, false);
-}
-BENCHMARK(BM_Conv2dForwardNaive);
 BENCHMARK(BM_Conv2dForwardGemm);
 
-void conv2d_backward(benchmark::State& state, bool naive) {
-  ml::kernels::set_use_naive(naive);
+void BM_Conv2dBackwardGemm(benchmark::State& state) {
   util::Rng rng(5);
   ml::Conv2d conv(8, 8, 3, 1, 1, rng);
   ml::Tensor input({8, 32, 32});
@@ -153,15 +143,7 @@ void conv2d_backward(benchmark::State& state, bool naive) {
   for (std::size_t i = 0; i < grad.size(); ++i)
     grad[i] = static_cast<float>(rng.uniform());
   for (auto _ : state) benchmark::DoNotOptimize(conv.backward(grad));
-  ml::kernels::set_use_naive(false);
 }
-void BM_Conv2dBackwardNaive(benchmark::State& state) {
-  conv2d_backward(state, true);
-}
-void BM_Conv2dBackwardGemm(benchmark::State& state) {
-  conv2d_backward(state, false);
-}
-BENCHMARK(BM_Conv2dBackwardNaive);
 BENCHMARK(BM_Conv2dBackwardGemm);
 
 void BM_RiccEncodeBatch(benchmark::State& state) {
@@ -235,17 +217,12 @@ BENCHMARK(BM_RiccEncodeFp32)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RiccEncodeFused)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RiccEncodeInt8)->Unit(benchmark::kMillisecond);
 
-void ward(benchmark::State& state, bool naive) {
-  ml::kernels::set_use_naive(naive);
+void BM_WardCachedNN(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto data = random_vec(n * 8, 3);
   for (auto _ : state)
     benchmark::DoNotOptimize(ml::agglomerative_ward(data, n, 8, 42));
-  ml::kernels::set_use_naive(false);
 }
-void BM_WardNaive(benchmark::State& state) { ward(state, true); }
-void BM_WardCachedNN(benchmark::State& state) { ward(state, false); }
-BENCHMARK(BM_WardNaive)->Arg(512)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WardCachedNN)->Arg(512)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 }  // namespace

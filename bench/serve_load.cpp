@@ -21,7 +21,9 @@
 //
 // Usage: serve_load [--quick] [--out <path>] [--tiles N] [--users N]
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -65,6 +67,17 @@ double time_ingest(serve::Catalog& catalog,
       .count();
 }
 
+/// Parses a positive decimal count; false on anything else.
+bool parse_count(const char* text, std::size_t& out) {
+  if (*text < '0' || *text > '9') return false;  // no sign, no blanks
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno != 0 || value == 0) return false;
+  out = static_cast<std::size_t>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -78,13 +91,23 @@ int main(int argc, char** argv) {
   std::size_t tiles = 500'000;
   std::size_t users = 1'000'000;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
+    const bool has_value = i + 1 < argc;
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else if (std::strcmp(argv[i], "--out") == 0 && has_value) {
       out_path = argv[++i];
-    if (std::strcmp(argv[i], "--tiles") == 0 && i + 1 < argc)
-      tiles = static_cast<std::size_t>(std::atol(argv[++i]));
-    if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc)
-      users = static_cast<std::size_t>(std::atol(argv[++i]));
+    } else if (std::strcmp(argv[i], "--tiles") == 0 && has_value &&
+               parse_count(argv[i + 1], tiles)) {
+      ++i;
+    } else if (std::strcmp(argv[i], "--users") == 0 && has_value &&
+               parse_count(argv[i + 1], users)) {
+      ++i;
+    } else {
+      std::fprintf(stderr,
+                   "usage: serve_load [--quick] [--out <path>] [--tiles N] "
+                   "[--users N]\n");
+      return 2;
+    }
   }
   if (quick) {
     tiles = std::min<std::size_t>(tiles, 100'000);

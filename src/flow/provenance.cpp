@@ -6,12 +6,6 @@
 
 namespace mfw::flow {
 
-double RunRecord::total_state_latency() const {
-  double total = 0.0;
-  for (const auto& s : states) total += s.latency();
-  return total;
-}
-
 void ProvenanceLog::record(RunRecord run) { runs_.push_back(std::move(run)); }
 
 std::vector<const RunRecord*> ProvenanceLog::runs_of(

@@ -45,9 +45,6 @@ struct RunRecord {
   std::vector<StateRecord> states;
 
   double elapsed() const { return finished_at - started_at; }
-  /// Sum of per-state latencies excluding action work — i.e. orchestration
-  /// overhead (the paper's ~50 ms figure is per action transition).
-  double total_state_latency() const;
 };
 
 /// Append-only log of completed runs.

@@ -6,7 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ml/kernels.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mfw::ml {
@@ -81,9 +80,9 @@ ClusterResult agglomerative_ward(std::span<const float> data, std::size_t n,
   // Ward linkage is reducible, so d(a∪b, j) >= min(d(a,j), d(b,j)) >=
   // nn_d[j]: a merge can only invalidate caches that pointed AT one of the
   // merged clusters, never create a closer neighbour elsewhere. Recomputes
-  // scan in the same ascending index order as the original full rescan, so
-  // the merge sequence is identical (up to exact FP ties).
-  const bool cache_nn = !kernels::use_naive();
+  // scan in the same ascending index order as a full rescan, so the merge
+  // sequence is the cache-free one up to exact FP ties (tests/ml_test.cpp
+  // checks this).
   std::vector<std::size_t> nn_of(n, 0);
   std::vector<double> nn_d(n, 0.0);
   std::vector<char> nn_valid(n, 0);
@@ -91,7 +90,7 @@ ClusterResult agglomerative_ward(std::span<const float> data, std::size_t n,
   chain.reserve(n);
   std::size_t n_active = n;
   auto nearest = [&](std::size_t c) {
-    if (cache_nn && nn_valid[c]) return std::make_pair(nn_of[c], nn_d[c]);
+    if (nn_valid[c]) return std::make_pair(nn_of[c], nn_d[c]);
     double best = std::numeric_limits<double>::infinity();
     std::size_t best_j = c;
     for (std::size_t j = 0; j < n; ++j) {
@@ -101,11 +100,9 @@ ClusterResult agglomerative_ward(std::span<const float> data, std::size_t n,
         best_j = j;
       }
     }
-    if (cache_nn) {
-      nn_of[c] = best_j;
-      nn_d[c] = best;
-      nn_valid[c] = 1;
-    }
+    nn_of[c] = best_j;
+    nn_d[c] = best;
+    nn_valid[c] = 1;
     return std::make_pair(best_j, best);
   };
 
@@ -154,16 +151,14 @@ ClusterResult agglomerative_ward(std::span<const float> data, std::size_t n,
         merged_into[b] = a;
         size[a] += size[b];
         --n_active;
-        if (cache_nn) {
-          // a's cache comes from the update pass above; any cache pointing
-          // at a or b is stale. Everyone else keeps theirs (reducibility).
-          nn_of[a] = a_best_j;
-          nn_d[a] = a_best;
-          nn_valid[a] = n_active > 1 ? 1 : 0;
-          for (std::size_t j = 0; j < n; ++j) {
-            if (j != a && nn_valid[j] && (nn_of[j] == a || nn_of[j] == b))
-              nn_valid[j] = 0;
-          }
+        // a's cache comes from the update pass above; any cache pointing at
+        // a or b is stale. Everyone else keeps theirs (reducibility).
+        nn_of[a] = a_best_j;
+        nn_d[a] = a_best;
+        nn_valid[a] = n_active > 1 ? 1 : 0;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (j != a && nn_valid[j] && (nn_of[j] == a || nn_of[j] == b))
+            nn_valid[j] = 0;
         }
         break;
       }

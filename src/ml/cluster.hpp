@@ -35,9 +35,8 @@ struct ClusterResult {
 /// is reducible (a merged cluster is never closer to a bystander than the
 /// nearer of its parts was), so a cache entry only goes stale when its target
 /// was one of the two merged clusters. That drops the rescan work from O(n)
-/// per chain step to O(n) per *merge* in the common case. Set
-/// MFW_ML_NAIVE_KERNELS (or kernels::set_use_naive) to force the original
-/// full-rescan path for equivalence testing.
+/// per chain step to O(n) per *merge* in the common case. tests/ml_test.cpp
+/// checks it against a cache-free full-rescan reference.
 ///
 /// If `pool` is non-null the initial O(n^2 d) distance-matrix fill is
 /// parallelised across it; the merge sequence is identical either way.

@@ -1,9 +1,7 @@
 #include "ml/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -15,23 +13,10 @@
 namespace mfw::ml::kernels {
 
 namespace {
-std::atomic<bool>& naive_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("MFW_ML_NAIVE_KERNELS");
-    return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  }();
-  return flag;
-}
-
 // One C row tile + one B row tile fit comfortably in a 32 KiB L1 with room
 // for the streamed A scalars.
 constexpr std::size_t kNBlock = 1024;
 }  // namespace
-
-bool use_naive() { return naive_flag().load(std::memory_order_relaxed); }
-void set_use_naive(bool on) {
-  naive_flag().store(on, std::memory_order_relaxed);
-}
 
 void sgemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
            const float* b, float* c, bool accumulate) {

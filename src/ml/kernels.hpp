@@ -8,7 +8,7 @@
 //     in L1, with a K-ascending scalar accumulation per output element. The
 //     inner loop is a contiguous saxpy the compiler vectorizes; because K
 //     stays ascending per element, the gemm accumulates each output in the
-//     same order as the naive convolution loops it replaces.
+//     same order as the direct convolution loops it replaces.
 //   - im2col / col2im: unfold a [C][H][W] image into the [C*k*k][out_h*out_w]
 //     patch matrix (zero-padded, any stride) and the transposed scatter-add
 //     for the gradient. Row r = (c, kh, kw) of the patch matrix is contiguous
@@ -37,21 +37,14 @@
 //     bitwise identical to Conv2d::forward + LeakyReLU::forward — it just
 //     skips the per-layer Tensor allocations and input caches.
 //
-// The naive 7-deep loop nest is retained inside Conv2d behind this module's
-// runtime flag (env MFW_ML_NAIVE_KERNELS=1, or set_use_naive() from tests)
-// so equivalence tests can compare both paths in one binary.
+// tests/ml_test.cpp keeps the direct 7-deep convolution loops as the
+// reference the GEMM lowering is checked against.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 namespace mfw::ml::kernels {
-
-/// True when the naive (pre-GEMM) kernel paths should be used. Initialised
-/// once from the MFW_ML_NAIVE_KERNELS environment variable (any value other
-/// than empty/"0" enables it); tests override via set_use_naive().
-bool use_naive();
-void set_use_naive(bool on);
 
 /// Row-major C[m][n] = A[m][k] * B[k][n] (accumulate=false) or
 /// C[m][n] += A[m][k] * B[k][n] (accumulate=true). Per output element the

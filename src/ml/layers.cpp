@@ -54,10 +54,6 @@ Tensor Conv2d::forward(const Tensor& input) {
   const int out_w = out_width(in_w);
   if (out_h <= 0 || out_w <= 0)
     throw std::invalid_argument("Conv2d: output would be empty");
-  if (kernels::use_naive()) {
-    col_.clear();
-    return forward_naive(input, out_h, out_w);
-  }
   // GEMM path: out[oc][oh*ow] = W[oc][ic*k*k] * col[ic*k*k][oh*ow] + bias.
   // The weight tensor's [out][in][k][k] layout *is* the [M][K] gemm operand.
   const std::size_t patch = kernels::im2col_rows(in_channels_, kernel_);
@@ -77,44 +73,8 @@ Tensor Conv2d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Conv2d::forward_naive(const Tensor& input, int out_h, int out_w) const {
-  const int in_h = input.dim(1);
-  const int in_w = input.dim(2);
-  Tensor out({out_channels_, out_h, out_w});
-  const float* wdata = weight_.value.data();
-  for (int oc = 0; oc < out_channels_; ++oc) {
-    const float b = bias_.value[static_cast<std::size_t>(oc)];
-    for (int oh = 0; oh < out_h; ++oh) {
-      for (int ow = 0; ow < out_w; ++ow) {
-        float acc = b;
-        const int h0 = oh * stride_ - pad_;
-        const int w0 = ow * stride_ - pad_;
-        for (int ic = 0; ic < in_channels_; ++ic) {
-          for (int kh = 0; kh < kernel_; ++kh) {
-            const int ih = h0 + kh;
-            if (ih < 0 || ih >= in_h) continue;
-            for (int kw = 0; kw < kernel_; ++kw) {
-              const int iw = w0 + kw;
-              if (iw < 0 || iw >= in_w) continue;
-              const std::size_t widx =
-                  ((static_cast<std::size_t>(oc) * in_channels_ + ic) * kernel_ +
-                   kh) *
-                      kernel_ +
-                  kw;
-              acc += wdata[widx] * input.at3(ic, ih, iw);
-            }
-          }
-        }
-        out.at3(oc, oh, ow) = acc;
-      }
-    }
-  }
-  return out;
-}
-
 Tensor Conv2d::backward(const Tensor& grad_output) {
   expect_rank(grad_output, 3, "Conv2d::backward");
-  if (kernels::use_naive()) return backward_naive(grad_output);
   const int in_h = input_.dim(1);
   const int in_w = input_.dim(2);
   const int out_h = grad_output.dim(1);
@@ -122,12 +82,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::size_t patch = kernels::im2col_rows(in_channels_, kernel_);
   const std::size_t out_n = static_cast<std::size_t>(out_h) * out_w;
   const auto m = static_cast<std::size_t>(out_channels_);
-  if (col_.size() != patch * out_n) {
-    // forward ran on the naive path (flag flipped mid-step); rebuild.
-    col_.resize(patch * out_n);
-    kernels::im2col(input_.data(), in_channels_, in_h, in_w, kernel_, stride_,
-                    pad_, col_.data());
-  }
   const float* g = grad_output.data();
   // Bias grad: row sums of dY.
   for (std::size_t oc = 0; oc < m; ++oc) {
@@ -150,45 +104,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   Tensor grad_in(input_.shape());
   kernels::col2im(dcol.data(), in_channels_, in_h, in_w, kernel_, stride_,
                   pad_, grad_in.data());
-  return grad_in;
-}
-
-Tensor Conv2d::backward_naive(const Tensor& grad_output) {
-  const int in_h = input_.dim(1);
-  const int in_w = input_.dim(2);
-  const int out_h = grad_output.dim(1);
-  const int out_w = grad_output.dim(2);
-  Tensor grad_in(input_.shape());
-  float* gw = weight_.grad.data();
-  const float* wdata = weight_.value.data();
-  for (int oc = 0; oc < out_channels_; ++oc) {
-    for (int oh = 0; oh < out_h; ++oh) {
-      for (int ow = 0; ow < out_w; ++ow) {
-        const float g = grad_output.at3(oc, oh, ow);
-        if (g == 0.0f) continue;
-        bias_.grad[static_cast<std::size_t>(oc)] += g;
-        const int h0 = oh * stride_ - pad_;
-        const int w0 = ow * stride_ - pad_;
-        for (int ic = 0; ic < in_channels_; ++ic) {
-          for (int kh = 0; kh < kernel_; ++kh) {
-            const int ih = h0 + kh;
-            if (ih < 0 || ih >= in_h) continue;
-            for (int kw = 0; kw < kernel_; ++kw) {
-              const int iw = w0 + kw;
-              if (iw < 0 || iw >= in_w) continue;
-              const std::size_t widx =
-                  ((static_cast<std::size_t>(oc) * in_channels_ + ic) * kernel_ +
-                   kh) *
-                      kernel_ +
-                  kw;
-              gw[widx] += g * input_.at3(ic, ih, iw);
-              grad_in.at3(ic, ih, iw) += g * wdata[widx];
-            }
-          }
-        }
-      }
-    }
-  }
   return grad_in;
 }
 

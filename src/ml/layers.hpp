@@ -65,14 +65,11 @@ class Conv2d final : public Layer {
   const Tensor& bias() const { return bias_.value; }
 
  private:
-  Tensor forward_naive(const Tensor& input, int out_h, int out_w) const;
-  Tensor backward_naive(const Tensor& grad_output);
-
   int in_channels_, out_channels_, kernel_, stride_, pad_;
   Param weight_;  // [out][in][k][k]
   Param bias_;    // [out]
   Tensor input_;             // cached for backward
-  std::vector<float> col_;   // cached im2col of input_ (GEMM path)
+  std::vector<float> col_;   // cached im2col of input_
 };
 
 /// Fully connected layer over flat input.

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "ml/kernels.hpp"
 #include "ml/loss.hpp"
 #include "ml/optim.hpp"
 #include "obs/metrics.hpp"
@@ -89,13 +88,6 @@ RiccModel::EncodePath RiccModel::parse_encode_path(std::string_view name) {
                               "' (expected layers|fused|int8)");
 }
 
-RiccModel::EncodePath RiccModel::active_path() const {
-  // The naive-kernel oracle compares against the original layer path; the
-  // fused/int8 plans would bypass it, so they yield while it is active.
-  if (kernels::use_naive()) return EncodePath::kLayers;
-  return encode_path_;
-}
-
 void RiccModel::set_encode_path(EncodePath path) {
   if (path == EncodePath::kFused) {
     fused_ = FusedEncoder::build(encoder_, config_.tile_size);
@@ -113,7 +105,7 @@ void RiccModel::calibrate_int8(std::span<const Tensor> sample) {
 Tensor RiccModel::encode(const Tensor& tile) {
   if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled())
     metrics.counter_add("mfw.ml.encode_tiles_total", 1.0);
-  switch (active_path()) {
+  switch (encode_path_) {
     case EncodePath::kFused:
       return fused_->encode(tile, scratch_);
     case EncodePath::kInt8:
@@ -131,7 +123,7 @@ std::vector<Tensor> RiccModel::encode_batch(std::span<const Tensor> tiles,
   if (auto& rec = obs::TraceRecorder::instance(); rec.enabled())
     span = rec.begin_span("ml/encode", "ml", "ml.encode",
                           {{"tiles", std::to_string(tiles.size())}});
-  const EncodePath path = active_path();
+  const EncodePath path = encode_path_;
   auto encode_range = [&](std::size_t begin, std::size_t end,
                           EncodeScratch& scratch) {
     switch (path) {

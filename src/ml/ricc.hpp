@@ -79,9 +79,7 @@ class RiccModel {
   /// kLayers on the same weights); kInt8 is the quantized plan and needs
   /// calibrate_int8() first. Plans snapshot the weights when selected /
   /// calibrated — after retraining or loading new weights, re-select the
-  /// path to rebuild them. When kernels::use_naive() is set (the
-  /// MFW_ML_NAIVE_KERNELS oracle toggle), inference falls back to kLayers
-  /// regardless of the selected path.
+  /// path to rebuild them.
   enum class EncodePath { kLayers, kFused, kInt8 };
 
   /// Maps "layers" / "fused" / "int8" (the config-file spellings) to the
@@ -89,9 +87,6 @@ class RiccModel {
   static EncodePath parse_encode_path(std::string_view name);
 
   EncodePath encode_path() const { return encode_path_; }
-  /// The path inference actually takes right now (kLayers when the naive
-  /// oracle override is active).
-  EncodePath active_path() const;
   /// Selects the inference path. kFused (re)builds the fused plan from the
   /// current weights; kInt8 throws std::logic_error unless int8_ready().
   void set_encode_path(EncodePath path);

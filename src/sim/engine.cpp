@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/substrate.hpp"
-
 namespace mfw::sim {
 
 namespace {
@@ -12,8 +10,6 @@ namespace {
 // dead-fraction trigger from thrashing on tiny queues.
 constexpr std::size_t kMinCompactSize = 64;
 }  // namespace
-
-SimEngine::SimEngine() : naive_(substrate::use_naive()) {}
 
 void SimEngine::heap_push(QueueEntry entry) {
   heap_.push_back(entry);
@@ -70,9 +66,6 @@ void SimEngine::cancel(EventHandle handle) {
 }
 
 void SimEngine::maybe_compact() {
-  // Naive-substrate mode reproduces the original engine: cancelled entries
-  // linger until their timestamps surface.
-  if (naive_) return;
   if (heap_.size() < kMinCompactSize || dead_ * 2 <= heap_.size()) return;
   std::erase_if(heap_, [this](const QueueEntry& e) {
     const Slot& s = slots_[e.slot];

@@ -38,7 +38,7 @@ class SimEngine final : public Clock {
  public:
   using Callback = std::function<void()>;
 
-  SimEngine();
+  SimEngine() = default;
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
 
@@ -70,8 +70,7 @@ class SimEngine final : public Clock {
 
   /// Heap entries whose event was cancelled but whose timestamp has not
   /// surfaced yet (lazy cancellation). Compaction keeps this below the live
-  /// count; in naive-substrate mode it grows until timestamps surface,
-  /// reproducing the original engine's behaviour.
+  /// count.
   std::size_t dead_entries() const { return dead_; }
   /// Number of dead-entry compaction passes performed (telemetry).
   std::size_t compactions() const { return compactions_; }
@@ -109,7 +108,6 @@ class SimEngine final : public Clock {
   std::size_t live_ = 0;
   std::size_t dead_ = 0;
   std::size_t compactions_ = 0;
-  bool naive_;  // sampled from substrate::use_naive() at construction
   std::vector<QueueEntry> heap_;     // binary min-heap on (time, seq)
   std::vector<Slot> slots_;          // slab of callbacks, indexed by slot
   std::vector<std::uint32_t> free_;  // retired slots available for reuse

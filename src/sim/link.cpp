@@ -6,14 +6,12 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/substrate.hpp"
-
 namespace mfw::sim {
 
 namespace {
 constexpr double kEpsilon = 1e-6;  // bytes
-// Occupancy at which the fast path trades the exact (oracle-identical)
-// water-filling pass for the incremental structures; see SharedResource's
+// Occupancy at which the link trades the exact water-filling pass for the
+// incremental structures; see SharedResource's
 // kVirtualCutover for the rationale.
 constexpr std::size_t kVirtualCutover = 64;
 }
@@ -21,8 +19,7 @@ constexpr std::size_t kVirtualCutover = 64;
 FlowLink::FlowLink(SimEngine& engine, std::string name, double capacity_bps)
     : engine_(engine),
       name_(std::move(name)),
-      capacity_(capacity_bps),
-      naive_(substrate::use_naive()) {
+      capacity_(capacity_bps) {
   if (!(capacity_bps > 0))
     throw std::invalid_argument("FlowLink capacity must be > 0");
   last_update_ = engine_.now();
@@ -48,7 +45,7 @@ FlowId FlowLink::start_flow(double bytes, double rate_cap_bps,
   } else {
     flows_.emplace(id, Flow{bytes, bytes, rate_cap_bps, engine_.now(),
                             std::move(on_complete)});
-    if (!naive_ && flows_.size() >= kVirtualCutover) {
+    if (flows_.size() >= kVirtualCutover) {
       convert_to_virtual();
     } else {
       recompute_rates();
@@ -292,7 +289,7 @@ void FlowLink::on_event() {
     return;
   }
 
-  // Fast path. Same per-flow completion rule as above (residual below
+  // Incremental regime. Same per-flow completion rule as above (residual below
   // kEpsilon bytes or below a nanosecond of service at the flow's rate).
   std::vector<std::uint64_t> done_ids;
   if (!shared_by_finish_.empty()) {
@@ -322,9 +319,9 @@ void FlowLink::on_event() {
     }
   }
   if (done_ids.empty() && !fast_flows_.empty()) {
-    // Forced-min fallback (see the naive branch). Rare rounding case, so the
+    // Forced-min fallback (see the exact branch). Rare rounding case, so the
     // O(n) scan is acceptable; the id-ordered map keeps tie-breaks (strictly
-    // smaller wins, first id kept) identical to the naive scan.
+    // smaller wins, first id kept) identical to the exact scan.
     auto min_it = fast_flows_.begin();
     double min_rem = remaining_of(min_it->second);
     for (auto it = std::next(fast_flows_.begin()); it != fast_flows_.end();

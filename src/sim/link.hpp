@@ -5,23 +5,25 @@
 // Defiant -> Frontier/Orion path used by the shipment stage. A flow's rate is
 // min(its own cap, its max-min fair share of the link capacity).
 //
-// Two implementations share this interface (selected at construction via
-// sim::substrate::use_naive(), env MFW_SIM_NAIVE_SUBSTRATE):
-//   naive — rates are recomputed by a full cap-sorted water-filling pass and
-//           every flow's residual is walked on each occupancy change: O(n) /
-//           O(n log n) per flow event. Kept as the oracle.
-//   fast  — incremental water-filling (DESIGN.md §9): flows are partitioned
-//           into a *capped* group (rate = own cap, absolute finish times) and
-//           a *shared* group progressing at the common water level
-//           L = (C - sum of caps in capped) / |shared|. The shared group uses
-//           the virtual-time trick (cumulative credit, finish credits in an
-//           ordered set); occupancy changes move only the flows that cross
-//           the L boundary, O(log n) amortized per change.
+// The link runs in one of two regimes, picked by occupancy:
+//   exact       — rates are recomputed by a full cap-sorted water-filling
+//                 pass and every flow's residual is walked on each occupancy
+//                 change: O(n log n) per flow event, used while the flow
+//                 count stays below a small cutover.
+//   incremental — (DESIGN.md §9) flows are partitioned into a *capped* group
+//                 (rate = own cap, absolute finish times) and a *shared*
+//                 group progressing at the common water level
+//                 L = (C - sum of caps in capped) / |shared|. The shared
+//                 group uses the virtual-time trick (cumulative credit,
+//                 finish credits in an ordered set); occupancy changes move
+//                 only the flows that cross the L boundary, O(log n)
+//                 amortized per change.
 //
-// As in SharedResource, the fast implementation keeps the naive arithmetic
-// while occupancy stays below a small cutover (bounded work, bit-for-bit
-// identical to the oracle) and converts to the incremental structures when
-// the flow count reaches it, reverting when the link drains.
+// As in SharedResource, the link converts to the incremental structures when
+// the flow count reaches the cutover and reverts when it drains, so every
+// paper run keeps the exact arithmetic bit for bit. tests/sim_oracle.hpp
+// holds the O(n)-per-event reference that sim_test checks the incremental
+// regime against.
 #pragma once
 
 #include <cstdint>
@@ -115,9 +117,8 @@ class FlowLink {
   SimEngine& engine_;
   std::string name_;
   double capacity_;
-  const bool naive_;
-  /// True while the incremental structures are authoritative; always false
-  /// in naive mode and in the fast path's small-occupancy exact regime.
+  /// True while the incremental structures are authoritative; false in the
+  /// small-occupancy exact regime.
   bool virtual_mode_ = false;
   std::uint64_t next_id_ = 1;
   double last_update_ = 0.0;

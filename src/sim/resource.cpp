@@ -6,16 +6,14 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/substrate.hpp"
-
 namespace mfw::sim {
 
 namespace {
 // Jobs whose remaining demand falls below this fraction of a unit are
 // considered complete; guards against float drift stalling the resource.
 constexpr double kEpsilon = 1e-9;
-// Occupancy at which the fast path trades the exact (oracle-identical)
-// per-job arithmetic for the O(log n) virtual-time structures. Calibrated
+// Occupancy at which the resource trades the exact per-job arithmetic for
+// the O(log n) virtual-time structures. Calibrated
 // workflow runs never get near it (a node hosts <= 8 workers); archive-scale
 // churn crosses it immediately.
 constexpr std::size_t kVirtualCutover = 64;
@@ -54,7 +52,7 @@ double StepCapLaw::aggregate_rate(std::size_t active) const {
 
 SharedResource::SharedResource(SimEngine& engine,
                                std::unique_ptr<ContentionLaw> law)
-    : engine_(engine), law_(std::move(law)), naive_(substrate::use_naive()) {
+    : engine_(engine), law_(std::move(law)) {
   if (!law_) throw std::invalid_argument("SharedResource needs a law");
   last_update_ = engine_.now();
 }
@@ -91,7 +89,7 @@ ResourceJobId SharedResource::submit(double demand,
     finish_of_.emplace(id, finish);
   } else {
     jobs_.emplace(id, Job{demand, std::move(on_complete)});
-    if (!naive_ && jobs_.size() >= kVirtualCutover) convert_to_virtual();
+    if (jobs_.size() >= kVirtualCutover) convert_to_virtual();
   }
   reschedule();
   return ResourceJobId{id};

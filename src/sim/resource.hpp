@@ -8,25 +8,23 @@
 // ContentionLaw, divided evenly among the n active tasks (processor
 // sharing).
 //
-// Two implementations share this interface (selected at construction via
-// sim::substrate::use_naive(), env MFW_SIM_NAIVE_SUBSTRATE):
-//   naive — remaining demand stored per job; every occupancy change walks
-//           all n jobs (advance) and rescans for the minimum (reschedule):
-//           O(n) per event, O(n^2) per drained batch. Kept as the oracle.
-//   fast  — virtual-service-time transformation (DESIGN.md §9): track the
-//           cumulative per-job service credit S(t); a job with demand d
-//           submitted at credit S finishes when the credit reaches S + d.
-//           An ordered set on finish credit gives O(log n) submit/cancel and
-//           O(1) advance; completions pop from the front.
+// The resource runs in one of two regimes, picked by occupancy:
+//   exact   — remaining demand stored per job; every occupancy change walks
+//             all n jobs (advance) and rescans for the minimum (reschedule).
+//             Used while occupancy stays below a small cutover, so the work
+//             per event stays bounded.
+//   virtual — virtual-service-time transformation (DESIGN.md §9): track the
+//             cumulative per-job service credit S(t); a job with demand d
+//             submitted at credit S finishes when the credit reaches S + d.
+//             An ordered set on finish credit gives O(log n) submit/cancel
+//             and O(1) advance; completions pop from the front.
 //
-// The fast implementation keeps the naive per-job arithmetic while occupancy
-// stays below a small cutover (bounded, so still O(1) per event) and switches
-// to the virtual-time structures when occupancy reaches it, reverting when
-// the resource drains. The credit rebases to 0 at the switch, so conversion
-// is exact; below the cutover the fast path is bit-for-bit identical to the
-// naive oracle (reassociating the credit sums is not), which keeps every
-// calibrated workflow run reproducible while the 1e5-job regime gets the
-// O(log n) structures.
+// The switch happens when occupancy reaches the cutover and reverts when the
+// resource drains. The credit rebases to 0 at the switch, so conversion is
+// exact. The exact regime keeps every calibrated workflow run reproducible
+// bit for bit (reassociating the credit sums does not), while the 1e5-job
+// regime gets the O(log n) structures. tests/sim_oracle.hpp holds the
+// O(n)-per-event reference that sim_test checks the virtual regime against.
 #pragma once
 
 #include <cstdint>
@@ -126,8 +124,8 @@ class SharedResource {
     std::function<void()> on_complete;
   };
   /// Ordered on (finish credit, id): the front is always the next completion,
-  /// and equal-credit ties resolve to the lowest id (matching the naive
-  /// implementation's id-ordered scan).
+  /// and equal-credit ties resolve to the lowest id (matching the exact
+  /// regime's id-ordered scan).
   using FinishKey = std::pair<double, std::uint64_t>;
 
   /// Applies service delivered since last_update_ (exact regime: walks all
@@ -143,9 +141,8 @@ class SharedResource {
 
   SimEngine& engine_;
   std::unique_ptr<ContentionLaw> law_;
-  const bool naive_;
-  /// True while the virtual-time structures are authoritative; always false
-  /// in naive mode and in the fast path's small-occupancy exact regime.
+  /// True while the virtual-time structures are authoritative; false in the
+  /// small-occupancy exact regime.
   bool virtual_mode_ = false;
   std::uint64_t next_id_ = 1;
   double last_update_ = 0.0;

@@ -1,7 +1,8 @@
 // Fixed-size thread pool over BlockingQueue. This is the *real-thread*
-// execution substrate (used by ThreadPoolExecutor and tests); the scaling
-// benchmarks use the discrete-event ClusterExecutor instead, since scaling
-// curves cannot be measured on this host's core count.
+// execution substrate (parallel_for under ML encode/training and Ward, serve
+// ingest, AICCA labelling, tile streaming); the scaling benchmarks use the
+// discrete-event ClusterExecutor instead, since scaling curves cannot be
+// measured on this host's core count.
 #pragma once
 
 #include <functional>

@@ -1,6 +1,6 @@
-// Tests for the compute substrate: real-thread executor, SlurmSim scheduling
-// semantics, the ClusterExecutor task farm (throughput, stragglers, node
-// drain), and the elastic BlockProvider.
+// Tests for the compute substrate: SlurmSim scheduling semantics, the
+// ClusterExecutor task farm (throughput, stragglers, node drain), and the
+// elastic BlockProvider.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,31 +13,10 @@
 #include "compute/cluster.hpp"
 #include "compute/policy.hpp"
 #include "compute/slurm_sim.hpp"
-#include "compute/thread_executor.hpp"
 #include "preprocess/tasks.hpp"
 
 namespace mfw::compute {
 namespace {
-
-TEST(ThreadPoolExecutor, FuturesDeliverResults) {
-  ThreadPoolExecutor exec(4);
-  auto f1 = exec.submit([] { return 21 * 2; });
-  auto f2 = exec.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPoolExecutor, ExceptionsPropagateThroughFuture) {
-  ThreadPoolExecutor exec(2);
-  auto f = exec.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolExecutor, SubmitAfterShutdownThrows) {
-  ThreadPoolExecutor exec(1);
-  exec.shutdown();
-  EXPECT_THROW(exec.submit([] { return 1; }), std::runtime_error);
-}
 
 TEST(SlurmSim, GrantsAfterSchedulingLatency) {
   sim::SimEngine engine;

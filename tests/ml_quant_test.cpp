@@ -36,10 +36,6 @@ std::vector<Tensor> random_tiles(int n, int channels, int size,
   return tiles;
 }
 
-struct NaiveGuard {
-  ~NaiveGuard() { kernels::set_use_naive(false); }
-};
-
 TEST(QuantKernels, QuantizeDequantizeRoundTripBound) {
   util::Rng rng(11);
   std::vector<float> x(513);
@@ -168,7 +164,7 @@ TEST(FusedEncoder, BitwiseMatchesLayerPathIncludingBatch) {
   for (const Tensor& t : tiles) ref.push_back(model.encode(t));
 
   model.set_encode_path(RiccModel::EncodePath::kFused);
-  EXPECT_EQ(model.active_path(), RiccModel::EncodePath::kFused);
+  EXPECT_EQ(model.encode_path(), RiccModel::EncodePath::kFused);
   for (std::size_t i = 0; i < tiles.size(); ++i) {
     const Tensor z = model.encode(tiles[i]);
     ASSERT_EQ(z.shape(), ref[i].shape());
@@ -187,15 +183,6 @@ TEST(FusedEncoder, BitwiseMatchesLayerPathIncludingBatch) {
   }
 }
 
-TEST(FusedEncoder, NaiveOracleOverrideForcesLayerPath) {
-  NaiveGuard guard;
-  RiccModel model(small_config());
-  model.set_encode_path(RiccModel::EncodePath::kFused);
-  kernels::set_use_naive(true);
-  EXPECT_EQ(model.active_path(), RiccModel::EncodePath::kLayers);
-  EXPECT_EQ(model.encode_path(), RiccModel::EncodePath::kFused);
-}
-
 TEST(FusedEncoder, RejectsNonRiccPattern) {
   Sequential net;
   util::Rng rng(3);
@@ -212,7 +199,7 @@ TEST(QuantizedEncoder, RequiresCalibrationBeforeSelection) {
   model.calibrate_int8(sample);
   EXPECT_TRUE(model.int8_ready());
   model.set_encode_path(RiccModel::EncodePath::kInt8);
-  EXPECT_EQ(model.active_path(), RiccModel::EncodePath::kInt8);
+  EXPECT_EQ(model.encode_path(), RiccModel::EncodePath::kInt8);
 }
 
 TEST(QuantizedEncoder, LatentsCloseToFp32AndBatchDeterministic) {

@@ -1,10 +1,15 @@
-// Equivalence and determinism tests for the fast ML substrate: GEMM vs
-// naive convolution (forward + backward), bitwise-reproducible batched
-// encode and data-parallel training across pool sizes, and cached-NN Ward
-// clustering against the full-rescan path.
+// Equivalence and determinism tests for the fast ML substrate: Conv2d's GEMM
+// lowering against direct convolution loops (forward + backward),
+// bitwise-reproducible batched encode and data-parallel training across pool
+// sizes, and cached-NN Ward clustering against a full-rescan reference. The
+// references live here, not in src/: the library has one path per kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "ml/cluster.hpp"
@@ -19,8 +24,9 @@
 namespace mfw::ml {
 namespace {
 
-// GEMM and naive conv accumulate in the same k-order, but FMA contraction
-// and ±0.0 padding terms allow tiny drift; compare with a relative bound.
+// GEMM and the direct loops accumulate in the same k-order, but FMA
+// contraction and ±0.0 padding terms allow tiny drift; compare with a
+// relative bound.
 void expect_close(const Tensor& a, const Tensor& b, const char* what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -37,43 +43,116 @@ Tensor random_tensor(std::vector<int> shape, std::uint64_t seed) {
   return t;
 }
 
-struct NaiveGuard {
-  ~NaiveGuard() { kernels::set_use_naive(false); }
+// -- direct-loop convolution reference -------------------------------------
+// The 7-deep loop nest the GEMM lowering replaced, with the same per-element
+// accumulation order.
+
+Tensor reference_conv_forward(const Conv2d& conv, const Tensor& input) {
+  const int in_c = conv.in_channels(), out_c = conv.out_channels();
+  const int kernel = conv.kernel_size(), stride = conv.stride();
+  const int pad = conv.padding();
+  const int in_h = input.dim(1), in_w = input.dim(2);
+  const int out_h = conv.out_height(in_h), out_w = conv.out_width(in_w);
+  Tensor out({out_c, out_h, out_w});
+  const float* w = conv.weight().data();
+  for (int oc = 0; oc < out_c; ++oc) {
+    for (int oh = 0; oh < out_h; ++oh) {
+      for (int ow = 0; ow < out_w; ++ow) {
+        float acc = conv.bias()[static_cast<std::size_t>(oc)];
+        for (int ic = 0; ic < in_c; ++ic) {
+          for (int kh = 0; kh < kernel; ++kh) {
+            const int ih = oh * stride - pad + kh;
+            if (ih < 0 || ih >= in_h) continue;
+            for (int kw = 0; kw < kernel; ++kw) {
+              const int iw = ow * stride - pad + kw;
+              if (iw < 0 || iw >= in_w) continue;
+              const std::size_t widx =
+                  ((static_cast<std::size_t>(oc) * in_c + ic) * kernel + kh) *
+                      kernel +
+                  kw;
+              acc += w[widx] * input.at3(ic, ih, iw);
+            }
+          }
+        }
+        out.at3(oc, oh, ow) = acc;
+      }
+    }
+  }
+  return out;
+}
+
+struct ConvGrads {
+  Tensor input, weight, bias;
 };
 
-TEST(ConvKernels, GemmMatchesNaiveAcrossShapes) {
-  NaiveGuard guard;
+/// Gradients of one backward pass from zero, as Conv2d accumulates them
+/// into a fresh layer.
+ConvGrads reference_conv_backward(const Conv2d& conv, const Tensor& input,
+                                  const Tensor& grad_output) {
+  const int in_c = conv.in_channels(), out_c = conv.out_channels();
+  const int kernel = conv.kernel_size(), stride = conv.stride();
+  const int pad = conv.padding();
+  const int in_h = input.dim(1), in_w = input.dim(2);
+  ConvGrads grads{Tensor(input.shape()), Tensor(conv.weight().shape()),
+                  Tensor({out_c})};
+  const float* w = conv.weight().data();
+  float* gw = grads.weight.data();
+  for (int oc = 0; oc < out_c; ++oc) {
+    for (int oh = 0; oh < grad_output.dim(1); ++oh) {
+      for (int ow = 0; ow < grad_output.dim(2); ++ow) {
+        const float g = grad_output.at3(oc, oh, ow);
+        if (g == 0.0f) continue;
+        grads.bias[static_cast<std::size_t>(oc)] += g;
+        for (int ic = 0; ic < in_c; ++ic) {
+          for (int kh = 0; kh < kernel; ++kh) {
+            const int ih = oh * stride - pad + kh;
+            if (ih < 0 || ih >= in_h) continue;
+            for (int kw = 0; kw < kernel; ++kw) {
+              const int iw = ow * stride - pad + kw;
+              if (iw < 0 || iw >= in_w) continue;
+              const std::size_t widx =
+                  ((static_cast<std::size_t>(oc) * in_c + ic) * kernel + kh) *
+                      kernel +
+                  kw;
+              gw[widx] += g * input.at3(ic, ih, iw);
+              grads.input.at3(ic, ih, iw) += g * w[widx];
+            }
+          }
+        }
+      }
+    }
+  }
+  return grads;
+}
+
+TEST(ConvKernels, GemmMatchesDirectLoopsAcrossShapes) {
   const int in_c = 3, out_c = 4, in_h = 9, in_w = 11;
   for (int kernel : {1, 3, 5}) {
     for (int stride : {1, 2}) {
       for (int pad : {0, 1, 2}) {
         if (in_h + 2 * pad < kernel) continue;
-        util::Rng rng_a(42), rng_b(42);
-        Conv2d naive(in_c, out_c, kernel, stride, pad, rng_a);
-        Conv2d gemm(in_c, out_c, kernel, stride, pad, rng_b);
+        util::Rng rng(42);
+        Conv2d conv(in_c, out_c, kernel, stride, pad, rng);
+        // He init leaves the bias at zero; give it values so a dropped bias
+        // term shows.
+        conv.params()[1]->value = random_tensor({out_c}, 5);
         const Tensor x = random_tensor({in_c, in_h, in_w}, 7);
-
-        kernels::set_use_naive(true);
-        const Tensor y_naive = naive.forward(x);
-        kernels::set_use_naive(false);
-        const Tensor y_gemm = gemm.forward(x);
         SCOPED_TRACE("kernel=" + std::to_string(kernel) +
                      " stride=" + std::to_string(stride) +
                      " pad=" + std::to_string(pad));
-        expect_close(y_naive, y_gemm, "forward");
 
-        const Tensor gy = random_tensor(y_naive.shape(), 13);
-        kernels::set_use_naive(true);
-        const Tensor gx_naive = naive.backward(gy);
-        kernels::set_use_naive(false);
-        const Tensor gx_gemm = gemm.backward(gy);
-        expect_close(gx_naive, gx_gemm, "grad_input");
+        const Tensor y_ref = reference_conv_forward(conv, x);
+        const Tensor y = conv.forward(x);
+        expect_close(y_ref, y, "forward");
 
-        const auto pa = naive.params();
-        const auto pb = gemm.params();
-        ASSERT_EQ(pa.size(), pb.size());
-        for (std::size_t p = 0; p < pa.size(); ++p)
-          expect_close(pa[p]->grad, pb[p]->grad, pa[p]->name.c_str());
+        const Tensor gy = random_tensor(y_ref.shape(), 13);
+        const ConvGrads ref = reference_conv_backward(conv, x, gy);
+        const Tensor gx = conv.backward(gy);
+        expect_close(ref.input, gx, "grad_input");
+        const auto params = conv.params();
+        ASSERT_EQ(params.size(), 2u);
+        expect_close(ref.weight, params[0]->grad, "weight");
+        expect_close(ref.bias, params[1]->grad, "bias");
       }
     }
   }
@@ -214,25 +293,117 @@ TEST(ObsIntegration, TrainingEmitsEpochSpans) {
   rec.clear();
 }
 
+// -- full-rescan Ward reference ---------------------------------------------
+// The nearest-neighbour chain with no neighbour cache: every chain step
+// rescans the whole row. The dendrogram is cut at k by applying the first
+// n - k merges in the order the chain finds them, as agglomerative_ward does.
+ClusterResult reference_ward(std::span<const float> data, std::size_t n,
+                             std::size_t d, int k) {
+  std::vector<double> dist(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double d2 =
+          squared_distance(data.subspan(i * d, d), data.subspan(j * d, d));
+      dist[i * n + j] = dist[j * n + i] = d2 / 2.0;
+    }
+  }
+  std::vector<std::size_t> size(n, 1);
+  std::vector<bool> active(n, true);
+  std::vector<std::pair<std::size_t, std::size_t>> merges;  // (into, from)
+  const auto nearest = [&](std::size_t c) {
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t best_j = c;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (active[j] && j != c && dist[c * n + j] < best) {
+        best = dist[c * n + j];
+        best_j = j;
+      }
+    }
+    return best_j;
+  };
+  std::vector<std::size_t> chain;
+  for (std::size_t n_active = n; n_active > 1; --n_active) {
+    if (chain.empty()) {
+      std::size_t first = 0;
+      while (!active[first]) ++first;
+      chain.push_back(first);
+    }
+    while (true) {
+      const std::size_t a = chain.back();
+      const std::size_t b = nearest(a);
+      if (chain.size() < 2 || b != chain[chain.size() - 2]) {
+        chain.push_back(b);
+        continue;
+      }
+      // Reciprocal nearest neighbours: merge b into a (Lance-Williams).
+      chain.resize(chain.size() - 2);
+      merges.emplace_back(a, b);
+      const double na = static_cast<double>(size[a]);
+      const double nb = static_cast<double>(size[b]);
+      for (std::size_t j = 0; j < n; ++j) {
+        if (!active[j] || j == a || j == b) continue;
+        const double nj = static_cast<double>(size[j]);
+        dist[a * n + j] = dist[j * n + a] =
+            ((na + nj) * dist[a * n + j] + (nb + nj) * dist[b * n + j] -
+             nj * dist[a * n + b]) /
+            (na + nb + nj);
+      }
+      active[b] = false;
+      size[a] += size[b];
+      break;
+    }
+  }
+
+  std::vector<std::size_t> root(n);
+  for (std::size_t i = 0; i < n; ++i) root[i] = i;
+  const std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
+    return root[x] == x ? x : find(root[x]);
+  };
+  for (std::size_t m = 0; m < n - static_cast<std::size_t>(k); ++m)
+    root[find(merges[m].second)] = find(merges[m].first);
+
+  ClusterResult result;
+  result.k = k;
+  result.dim = d;
+  std::vector<std::size_t> label_roots;  // labels in order of first row
+  std::vector<std::size_t> counts(static_cast<std::size_t>(k), 0);
+  result.centroids = Tensor({k, static_cast<int>(d)});
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = find(i);
+    auto it = std::find(label_roots.begin(), label_roots.end(), r);
+    if (it == label_roots.end()) it = label_roots.insert(label_roots.end(), r);
+    const auto label = static_cast<std::size_t>(it - label_roots.begin());
+    result.labels.push_back(static_cast<int>(label));
+    ++counts[label];
+    for (std::size_t j = 0; j < d; ++j)
+      result.centroids[label * d + j] += data[i * d + j];
+  }
+  for (std::size_t c = 0; c < counts.size(); ++c)
+    for (std::size_t j = 0; j < d; ++j)
+      result.centroids[c * d + j] /= static_cast<float>(counts[c]);
+  return result;
+}
+
 TEST(WardCachedNN, MatchesFullRescan) {
-  NaiveGuard guard;
   const std::size_t n = 200, d = 5;
   util::Rng rng(3);
   std::vector<float> data(n * d);
   for (auto& v : data) v = static_cast<float>(rng.normal());
 
-  kernels::set_use_naive(true);
-  const ClusterResult naive = agglomerative_ward(data, n, d, 7);
-  kernels::set_use_naive(false);
-  const ClusterResult cached = agglomerative_ward(data, n, d, 7);
-  ASSERT_EQ(naive.labels, cached.labels);
-  for (std::size_t i = 0; i < naive.centroids.size(); ++i)
-    ASSERT_EQ(naive.centroids[i], cached.centroids[i]);
+  for (const int k : {7, 42}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const ClusterResult ref = reference_ward(data, n, d, k);
+    const ClusterResult cached = agglomerative_ward(data, n, d, k);
+    ASSERT_EQ(ref.labels, cached.labels);
+    ASSERT_EQ(ref.centroids.shape(), cached.centroids.shape());
+    for (std::size_t i = 0; i < ref.centroids.size(); ++i)
+      ASSERT_EQ(ref.centroids[i], cached.centroids[i]);
 
-  // The parallel distance fill changes nothing about the merge sequence.
-  util::ThreadPool pool(3);
-  const ClusterResult pooled = agglomerative_ward(data, n, d, 7, &pool);
-  ASSERT_EQ(naive.labels, pooled.labels);
+    // The parallel distance fill changes nothing about the merge sequence.
+    util::ThreadPool pool(3);
+    const ClusterResult pooled = agglomerative_ward(data, n, d, k, &pool);
+    ASSERT_EQ(ref.labels, pooled.labels);
+  }
 }
 
 }  // namespace

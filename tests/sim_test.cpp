@@ -1,9 +1,10 @@
 // Unit tests for the discrete-event engine, contention laws, the
 // processor-sharing SharedResource, and the water-filling FlowLink — plus
-// randomized equivalence checks of the fast substrates against the naive
-// reference implementations (DESIGN.md §9).
+// randomized equivalence checks of SharedResource and FlowLink against the
+// O(n)-per-event oracles in sim_oracle.hpp (DESIGN.md §9).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -13,23 +14,11 @@
 #include "sim/engine.hpp"
 #include "sim/link.hpp"
 #include "sim/resource.hpp"
-#include "sim/substrate.hpp"
+#include "sim_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace mfw::sim {
 namespace {
-
-/// Forces the substrate flag for the lifetime of a test, restoring the
-/// ambient value (which MFW_SIM_NAIVE_SUBSTRATE may have set) afterwards.
-class SubstrateGuard {
- public:
-  explicit SubstrateGuard(bool naive) : prev_(substrate::use_naive()) {
-    substrate::set_use_naive(naive);
-  }
-  ~SubstrateGuard() { substrate::set_use_naive(prev_); }
- private:
-  bool prev_;
-};
 
 TEST(SimEngine, ExecutesInTimeOrder) {
   SimEngine engine;
@@ -304,7 +293,6 @@ TEST(SimEngine, FifoPreservedAcrossCompaction) {
   // Cancel enough events to trigger heap compaction while a batch of
   // simultaneous events is still pending; compaction must not perturb the
   // (time, seq) FIFO order of the survivors.
-  SubstrateGuard guard(false);
   SimEngine engine;
   std::vector<EventHandle> doomed;
   for (int i = 0; i < 150; ++i)
@@ -321,7 +309,6 @@ TEST(SimEngine, FifoPreservedAcrossCompaction) {
 }
 
 TEST(SimEngine, DoubleCancelAndStaleHandleAreNoOps) {
-  SubstrateGuard guard(false);
   SimEngine engine;
   bool a_fired = false, b_fired = false;
   const auto ha = engine.schedule_at(1.0, [&] { a_fired = true; });
@@ -339,7 +326,6 @@ TEST(SimEngine, DoubleCancelAndStaleHandleAreNoOps) {
 }
 
 TEST(SimEngine, StaleHandleAfterFireIsNoOp) {
-  SubstrateGuard guard(false);
   SimEngine engine;
   int fired = 0;
   const auto ha = engine.schedule_at(0.5, [&] { ++fired; });
@@ -357,7 +343,6 @@ TEST(SimEngine, DeadEntriesStayBoundedUnderCancelStorm) {
   // fire. Lazy cancellation plus compaction must keep the dead fraction of
   // the heap bounded (dead <= live once the heap is past the minimum
   // compaction size) instead of letting cancelled entries accumulate.
-  SubstrateGuard guard(false);
   SimEngine engine;
   util::Rng rng(17);
   for (int round = 0; round < 4; ++round) {
@@ -374,11 +359,12 @@ TEST(SimEngine, DeadEntriesStayBoundedUnderCancelStorm) {
   EXPECT_EQ(engine.pending(), 0u);
 }
 
-// -- fast vs naive equivalence ----------------------------------------------
-// The fast substrates must be behaviourally indistinguishable from the naive
-// oracles: identical completion order, timestamps equal to ~1e-9 relative.
-// Occupancy is pushed past the virtual cutover (64) so the virtual-time
-// regime — not just the exact small-occupancy regime — is exercised.
+// -- equivalence with the O(n) oracles -------------------------------------
+// SharedResource and FlowLink must be behaviourally indistinguishable from
+// the oracles: identical completion order, timestamps equal to ~1e-9
+// relative. Occupancy is pushed past the virtual cutover (64) so the
+// virtual-time regime — not just the exact small-occupancy regime — is
+// exercised.
 
 struct Completion {
   int index;
@@ -386,19 +372,25 @@ struct Completion {
   double bps;  // FlowLink only
 };
 
-std::vector<Completion> run_resource_scenario(bool naive) {
-  SubstrateGuard guard(naive);
+struct Scenario {
+  std::vector<Completion> done;
+  std::size_t peak_active = 0;
+};
+
+template <typename Resource>
+Scenario run_resource_scenario() {
   SimEngine engine;
-  SharedResource res(engine, std::make_unique<SaturatingExpLaw>(38.5, 3.1));
+  Resource res(engine, std::make_unique<SaturatingExpLaw>(38.5, 3.1));
   util::Rng rng(23);
   constexpr int kJobs = 200;
-  std::vector<Completion> done;
+  Scenario out;
   std::vector<ResourceJobId> ids(kJobs);
   for (int i = 0; i < kJobs; ++i) {
     const double demand = rng.uniform(0.5, 20.0);
     engine.schedule_at(i * 0.05, [&, i, demand] {
-      ids[static_cast<std::size_t>(i)] =
-          res.submit(demand, [&, i] { done.push_back({i, engine.now(), 0.0}); });
+      ids[static_cast<std::size_t>(i)] = res.submit(
+          demand, [&, i] { out.done.push_back({i, engine.now(), 0.0}); });
+      out.peak_active = std::max(out.peak_active, res.active());
     });
     if (i % 9 == 0) {
       // Some cancels land after the job already completed — both substrates
@@ -410,23 +402,26 @@ std::vector<Completion> run_resource_scenario(bool naive) {
   }
   engine.run();
   EXPECT_EQ(res.active(), 0u);
-  return done;
+  return out;
 }
 
-std::vector<Completion> run_link_scenario(bool naive) {
-  SubstrateGuard guard(naive);
+template <typename Link>
+Scenario run_link_scenario() {
   SimEngine engine;
-  FlowLink link(engine, "wan", 23.5 * 1024 * 1024);
+  Link link(engine, "wan", 23.5 * 1024 * 1024);
   util::Rng rng(29);
   constexpr int kFlows = 200;
-  std::vector<Completion> done;
+  Scenario out;
   std::vector<FlowId> ids(kFlows);
   for (int i = 0; i < kFlows; ++i) {
     const double bytes = rng.uniform(0.2, 8.0) * 1024 * 1024;
     const double cap = rng.uniform(0.3, 6.0) * 1024 * 1024;
     engine.schedule_at(i * 0.01, [&, i, bytes, cap] {
-      ids[static_cast<std::size_t>(i)] = link.start_flow(
-          bytes, cap, [&, i](double bps) { done.push_back({i, engine.now(), bps}); });
+      ids[static_cast<std::size_t>(i)] =
+          link.start_flow(bytes, cap, [&, i](double bps) {
+            out.done.push_back({i, engine.now(), bps});
+          });
+      out.peak_active = std::max(out.peak_active, link.active_flows());
     });
     if (i % 11 == 0) {
       engine.schedule_at(i * 0.01 + 0.05, [&, i] {
@@ -436,7 +431,7 @@ std::vector<Completion> run_link_scenario(bool naive) {
   }
   engine.run();
   EXPECT_EQ(link.active_flows(), 0u);
-  return done;
+  return out;
 }
 
 void expect_equivalent(const std::vector<Completion>& fast,
@@ -456,33 +451,30 @@ void expect_equivalent(const std::vector<Completion>& fast,
 }
 
 TEST(SubstrateEquivalence, SharedResourceMatchesNaiveOracle) {
-  const auto fast = run_resource_scenario(false);
-  const auto naive = run_resource_scenario(true);
-  ASSERT_GT(fast.size(), 150u);  // cancels remove a few of the 200
-  expect_equivalent(fast, naive, 0.0);
+  const auto fast = run_resource_scenario<SharedResource>();
+  const auto naive = run_resource_scenario<NaiveResource>();
+  ASSERT_GT(fast.done.size(), 150u);  // cancels remove a few of the 200
+  ASSERT_GT(fast.peak_active, 64u);   // the virtual regime ran
+  expect_equivalent(fast.done, naive.done, 0.0);
 }
 
 TEST(SubstrateEquivalence, FlowLinkMatchesNaiveOracle) {
-  const auto fast = run_link_scenario(false);
-  const auto naive = run_link_scenario(true);
-  ASSERT_GT(fast.size(), 150u);
-  expect_equivalent(fast, naive, 1e-6);
+  const auto fast = run_link_scenario<FlowLink>();
+  const auto naive = run_link_scenario<NaiveLink>();
+  ASSERT_GT(fast.done.size(), 150u);
+  ASSERT_GT(fast.peak_active, 64u);
+  expect_equivalent(fast.done, naive.done, 1e-6);
 }
 
-TEST(SubstrateEquivalence, EngineProcessesSameEventCount) {
-  // The engine itself is exact in both modes; sanity-check the counters.
-  for (const bool naive : {false, true}) {
-    SubstrateGuard guard(naive);
-    SimEngine engine;
-    util::Rng rng(31);
-    std::vector<EventHandle> handles;
-    for (int i = 0; i < 1000; ++i)
-      handles.push_back(engine.schedule_at(rng.uniform(0.0, 100.0), [] {}));
-    for (std::size_t i = 0; i < handles.size(); i += 2)
-      engine.cancel(handles[i]);
-    EXPECT_EQ(engine.run(), 500u);
-    EXPECT_EQ(engine.processed(), 500u);
-  }
+TEST(SimEngine, ProcessesOnlyUncancelledEvents) {
+  SimEngine engine;
+  util::Rng rng(31);
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 1000; ++i)
+    handles.push_back(engine.schedule_at(rng.uniform(0.0, 100.0), [] {}));
+  for (std::size_t i = 0; i < handles.size(); i += 2) engine.cancel(handles[i]);
+  EXPECT_EQ(engine.run(), 500u);
+  EXPECT_EQ(engine.processed(), 500u);
 }
 
 }  // namespace

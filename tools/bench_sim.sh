@@ -2,8 +2,9 @@
 # Runs the archive-scale simulation benchmark (bench/archive_campaign) and
 # snapshots the numbers into BENCH_sim.json at the repo root, so substrate
 # regressions show up as a diff: a year-long streaming campaign (~105k
-# granules), substrate scaling to 10^6 jobs/flows, and the fast-vs-naive
-# churn speedups (DESIGN.md §9).
+# granules), substrate scaling to 10^6 jobs/flows, and the churn speedups of
+# SharedResource and FlowLink over the O(n)-per-event oracles in
+# tests/sim_oracle.hpp (DESIGN.md §9).
 #
 # Usage: tools/bench_sim.sh [build-dir] [out-json] [extra archive_campaign args]
 #        (defaults: build, BENCH_sim.json; pass --quick for a CI-sized run)

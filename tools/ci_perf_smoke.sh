@@ -14,15 +14,16 @@
 #          --json --quiet > tools/baselines/fig6_barrier_report.json
 #      (and likewise for fig6_streaming.yaml).
 #   2. A trimmed archive_campaign (--quick) still clears the substrate
-#      speedup floors vs the naive oracle: >= 10x on SharedResource churn,
-#      >= 5x on FlowLink churn. A regression to O(n)-per-event behaviour
-#      fails this immediately.
+#      speedup floors vs the O(n)-per-event oracles in tests/sim_oracle.hpp:
+#      >= 10x on SharedResource churn, >= 5x on FlowLink churn. A regression
+#      to O(n)-per-event behaviour fails this immediately.
 #   3. The substrate micro benchmarks run, BM_Crc32's folding kernel and
 #      table loop and BM_NoiseFbm's octave-lane kernel included (a
 #      crash/assert gate with no thresholds; EXPERIMENTS.md records their
 #      numbers).
-#   4. A bench that takes no arguments rejects one: fig4_strong_scaling
-#      --help exits 2 instead of running the figure.
+#   4. Benches reject arguments they do not take: fig4_strong_scaling
+#      (argument-free) and serve_load (flagged) both exit 2 on --help
+#      instead of running.
 #
 # Usage: tools/ci_perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail
@@ -32,7 +33,7 @@ build_dir="${1:-"${repo_root}/build-perf"}"
 
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "$(nproc)" --target \
-      mfwctl archive_campaign micro_substrates fig4_strong_scaling
+      mfwctl archive_campaign micro_substrates fig4_strong_scaling serve_load
 
 # -- 1. differential gate: mfwctl diff vs committed baselines ----------------
 mfwctl="${build_dir}/tools/mfwctl"
@@ -60,7 +61,7 @@ echo "OK: fig6 runs diff clean against the committed baselines"
 smoke_json="${build_dir}/BENCH_sim_smoke.json"
 "${build_dir}/bench/archive_campaign" --quick --out "${smoke_json}"
 
-speedup_of() {  # speedup_of <resource|link|engine> <json>
+speedup_of() {  # speedup_of <resource|link> <json>
   grep -o "\"${1}\": {\"fast\".*" "${2}" | grep -o '"speedup": [0-9.]*' |
     head -1 | awk '{print $2}'
 }
@@ -80,13 +81,15 @@ echo "OK: substrate speedups clear the floors"
   --benchmark_filter='BM_(EngineScheduleRun|SharedResourceChurn|FlowLinkChurn|NoiseFbm|GranuleStats|GranuleMaterialize|Crc32)' \
   --benchmark_min_time=0.05
 
-# -- 4. argument-free benches reject arguments -------------------------------
-status=0
-"${build_dir}/bench/fig4_strong_scaling" --help > /dev/null 2>&1 || status=$?
-if [[ "${status}" -ne 2 ]]; then
-  echo "FAIL: fig4_strong_scaling --help exited ${status}, expected 2" >&2
-  exit 1
-fi
-echo "OK: fig4_strong_scaling rejects arguments"
+# -- 4. benches reject arguments they do not take -----------------------------
+for bench in fig4_strong_scaling serve_load; do
+  status=0
+  "${build_dir}/bench/${bench}" --help > /dev/null 2>&1 || status=$?
+  if [[ "${status}" -ne 2 ]]; then
+    echo "FAIL: ${bench} --help exited ${status}, expected 2" >&2
+    exit 1
+  fi
+  echo "OK: ${bench} rejects --help"
+done
 
 echo "perf smoke: all gates passed"

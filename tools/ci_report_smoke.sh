@@ -12,7 +12,8 @@
 #   3. mfwctl rejects unknown flags with usage + exit 2 (the CLI contract the
 #      gating scripts depend on).
 #   4. A 2-day archive_campaign with --report-out runs under the bounded
-#      recorder (kStatsOnly retention + rollups): spans must be dropped, the
+#      recorder (kStatsOnly retention + rollups; --quick keeps the substrate
+#      rows it also prints small): spans must be dropped, the
 #      retained sample must respect its cap, and the rollup report must cover
 #      every observed span.
 #
@@ -98,7 +99,7 @@ done
 echo "OK: unknown flags rejected with usage + exit 2"
 
 # -- 4. bounded-memory campaign telemetry ------------------------------------
-"${build_dir}/bench/archive_campaign" --days 2 \
+"${build_dir}/bench/archive_campaign" --days 2 --quick \
     --report-out "${workdir}/rollup.json" --out "${workdir}/campaign.json" \
     > /dev/null
 python3 - "${workdir}/rollup.json" "${workdir}/campaign.json" <<'EOF'
