@@ -20,30 +20,18 @@ int main(int argc, char** argv) {
   // --trace-out <path>: record the end-to-end barrier/streaming comparison
   // runs (not the isolated-farm iterations) as a Chrome trace-event JSON.
   // --report-out <path>: write the trace-analysis report for those runs.
-  // --fast-path <layers|fused|int8>: inference encode path for the
-  // end-to-end workflow runs (config.encode_path); the default is the fp32
-  // layer path, keeping the headline numbers bit-identical to earlier runs.
   std::string trace_out;
   std::string report_out;
-  std::string fast_path = "layers";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (arg == "--report-out" && i + 1 < argc) {
       report_out = argv[++i];
-    } else if (arg == "--fast-path" && i + 1 < argc) {
-      fast_path = argv[++i];
-      if (fast_path != "layers" && fast_path != "fused" &&
-          fast_path != "int8") {
-        std::fprintf(stderr, "--fast-path must be layers, fused, or int8\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
                    "usage: headline_12k [--trace-out <path>] "
-                   "[--report-out <path>] "
-                   "[--fast-path layers|fused|int8]\n");
+                   "[--report-out <path>]\n");
       return 2;
     }
   }
@@ -111,7 +99,6 @@ int main(int argc, char** argv) {
     config.preprocess_nodes = 10;
     config.workers_per_node = 8;
     config.inference_workers = 1;
-    config.encode_path = fast_path;
     config.scheduling = mode;
     pipeline::EomlWorkflow workflow(config);
     const auto report = workflow.run();

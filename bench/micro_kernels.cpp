@@ -233,8 +233,8 @@ int main(int argc, char** argv) {
   // library_build_type reflects the library, not this binary).
   benchmark::AddCustomContext("mfw_build_type", MFW_BUILD_TYPE);
   benchmark::AddCustomContext(
-      "mfw_gemm_s8_vectorized",
-      mfw::ml::kernels::gemm_s8_vectorized() ? "true" : "false");
+      "mfw_gemm_isa",
+      mfw::ml::kernels::isa_name(mfw::ml::kernels::host_isa()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

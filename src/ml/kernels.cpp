@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -13,13 +15,33 @@
 namespace mfw::ml::kernels {
 
 namespace {
+
+Isa detect_isa() {
+#ifdef MFW_KERNELS_X86
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512vnni") &&
+      __builtin_cpu_supports("avx512bw"))
+    return Isa::kAvx512Vnni;
+  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
+#endif
+  return Isa::kScalar;
+}
+const Isa kHostIsa = detect_isa();
+
+void require_isa(Isa isa, const char* who) {
+  if (static_cast<int>(isa) > static_cast<int>(kHostIsa))
+    throw std::invalid_argument(std::string(who) + ": the host lacks tier " +
+                                isa_name(isa));
+}
+
 // One C row tile + one B row tile fit comfortably in a 32 KiB L1 with room
 // for the streamed A scalars.
 constexpr std::size_t kNBlock = 1024;
-}  // namespace
 
-void sgemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
-           const float* b, float* c, bool accumulate) {
+// The reference loop: per output element, start from C or +0.0f and add
+// each rounded product in ascending k. Every tier reproduces these bits.
+void sgemm_scalar(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                  const float* b, float* c, bool accumulate) {
   for (std::size_t n0 = 0; n0 < n; n0 += kNBlock) {
     const std::size_t nw = std::min(kNBlock, n - n0);
     for (std::size_t i = 0; i < m; ++i) {
@@ -33,6 +55,145 @@ void sgemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
       }
     }
   }
+}
+
+#ifdef MFW_KERNELS_X86
+// One R x (8*V) tile of C, held in R*V ymm accumulators across the whole K
+// loop. Each step is a rounded multiply then a rounded add, k ascending,
+// starting from C (accumulate) or +0.0f: the scalar loop's per-element
+// sequence. The target is "avx2" without "fma" on purpose: with FMA enabled
+// GCC would contract the pair into one rounding and change the bits.
+// kMasked (V == 1 only) reads and writes the first lanes of `mask`.
+template <int R, int V, bool kMasked>
+__attribute__((target("avx2"))) inline void sgemm_tile_avx2(
+    std::size_t k, const float* a, std::size_t lda, const float* b,
+    std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
+    __m256i mask) {
+  static_assert(!kMasked || V == 1);
+  __m256 acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      float* cp = c + r * ldc + 8 * v;
+      acc[r][v] = !accumulate ? _mm256_setzero_ps()
+                  : kMasked   ? _mm256_maskload_ps(cp, mask)
+                              : _mm256_loadu_ps(cp);
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      const float* bp = b + p * ldb + 8 * v;
+      bv[v] = kMasked ? _mm256_maskload_ps(bp, mask) : _mm256_loadu_ps(bp);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v)
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      float* cp = c + r * ldc + 8 * v;
+      if (kMasked)
+        _mm256_maskstore_ps(cp, mask, acc[r][v]);
+      else
+        _mm256_storeu_ps(cp, acc[r][v]);
+    }
+  }
+}
+
+// Columns [j, j + 8*V) (or the masked lanes) of every row: 4-row tiles,
+// then one 3-, 2- or 1-row tile for m % 4.
+template <int V, bool kMasked>
+__attribute__((target("avx2"))) void sgemm_cols_avx2(
+    std::size_t m, std::size_t n, std::size_t k, const float* a,
+    const float* b, float* c, bool accumulate, std::size_t j, __m256i mask) {
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4)
+    sgemm_tile_avx2<4, V, kMasked>(k, a + i * k, k, b + j, n, c + i * n + j,
+                                   n, accumulate, mask);
+  const float* ai = a + i * k;
+  float* ci = c + i * n + j;
+  switch (m - i) {
+    case 3:
+      sgemm_tile_avx2<3, V, kMasked>(k, ai, k, b + j, n, ci, n, accumulate,
+                                     mask);
+      break;
+    case 2:
+      sgemm_tile_avx2<2, V, kMasked>(k, ai, k, b + j, n, ci, n, accumulate,
+                                     mask);
+      break;
+    case 1:
+      sgemm_tile_avx2<1, V, kMasked>(k, ai, k, b + j, n, ci, n, accumulate,
+                                     mask);
+      break;
+    default:
+      break;
+  }
+}
+
+// 16-column blocks, then one unmasked 8-column block if it fits, then the
+// last n % 8 columns under a lane mask. Each B column panel is reused by
+// every row tile before the next panel is touched.
+__attribute__((target("avx2"))) void sgemm_avx2(std::size_t m, std::size_t n,
+                                                std::size_t k, const float* a,
+                                                const float* b, float* c,
+                                                bool accumulate) {
+  const __m256i all = _mm256_set1_epi32(-1);
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16)
+    sgemm_cols_avx2<2, false>(m, n, k, a, b, c, accumulate, j, all);
+  if (j + 8 <= n) {
+    sgemm_cols_avx2<1, false>(m, n, k, a, b, c, accumulate, j, all);
+    j += 8;
+  }
+  if (j < n) {
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n - j)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    sgemm_cols_avx2<1, true>(m, n, k, a, b, c, accumulate, j, mask);
+  }
+}
+#endif  // MFW_KERNELS_X86
+
+}  // namespace
+
+Isa host_isa() { return kHostIsa; }
+
+const char* isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return "scalar";
+    case Isa::kAvx2:
+      return "avx2";
+    case Isa::kAvx512Vnni:
+      return "avx512vnni";
+  }
+  return "unknown";
+}
+
+void sgemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
+           const float* b, float* c, bool accumulate) {
+  sgemm(kHostIsa, m, n, k, a, b, c, accumulate);
+}
+
+void sgemm(Isa isa, std::size_t m, std::size_t n, std::size_t k,
+           const float* a, const float* b, float* c, bool accumulate) {
+  require_isa(isa, "sgemm");
+#ifdef MFW_KERNELS_X86
+  if (isa != Isa::kScalar) {
+    sgemm_avx2(m, n, k, a, b, c, accumulate);
+    return;
+  }
+#endif
+  sgemm_scalar(m, n, k, a, b, c, accumulate);
 }
 
 void transpose(std::size_t rows, std::size_t cols, const float* in,
@@ -166,29 +327,23 @@ void im2col_s8(const std::int8_t* input, int channels, int in_h, int in_w,
 
 namespace {
 
-bool detect_avx2() {
 #ifdef MFW_KERNELS_X86
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-const bool kHaveAvx2 = detect_avx2();
 
-#ifdef MFW_KERNELS_X86
-// Repacks B's rows into interleaved k-pairs for vpmaddwd: packed row
-// pr = p/2 holds (b[p][j], b[p+1][j]) adjacent, so after sign extension to
-// int16 each 32-bit lane carries one column's pair and a single madd
-// accumulates both k taps. Odd k pads the final pair with 0. 16 columns per
+// Repacks B's rows into interleaved k-pairs: packed row pr = p/2 holds
+// (b[p][j], b[p+1][j]) adjacent, so after sign extension to int16 each 32-bit
+// lane carries one column's pair and a single vpmaddwd / vpdpwssd accumulates
+// both k taps. Odd k pads the final pair with 0 (the one pad: A's pairs do
+// not carry one), and the padding columns [n, ldp/2) are 0. 16 columns per
 // iteration via byte unpack of the two source rows.
 __attribute__((target("avx2"))) void pack_b_pairs_s8_avx2(
-    std::size_t n, std::size_t k, const std::int8_t* b, std::int8_t* packed) {
+    std::size_t n, std::size_t k, const std::int8_t* b, std::int8_t* packed,
+    std::size_t ldp) {
   const std::size_t pairs = (k + 1) / 2;
   const __m128i zero = _mm_setzero_si128();
   for (std::size_t pr = 0; pr < pairs; ++pr) {
     const std::int8_t* b0 = b + (2 * pr) * n;
     const std::int8_t* b1 = (2 * pr + 1 < k) ? b0 + n : nullptr;
-    std::int8_t* dst = packed + pr * 2 * n;
+    std::int8_t* dst = packed + pr * ldp;
     std::size_t j = 0;
     for (; j + 16 <= n; j += 16) {
       const __m128i r0 =
@@ -205,101 +360,152 @@ __attribute__((target("avx2"))) void pack_b_pairs_s8_avx2(
       dst[2 * j] = b0[j];
       dst[2 * j + 1] = b1 ? b1[j] : std::int8_t{0};
     }
+    std::memset(dst + 2 * n, 0, ldp - 2 * n);
   }
 }
 
-__attribute__((target("avx2"))) void gemm_s8_avx2(
-    std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,
-    const std::int8_t* packed, std::int32_t* c) {
+// A's rows as broadcastable int32 pairs: low half a[i][2pr], high half
+// a[i][2pr+1], each sign-extended to int16. The odd-k tail's high half meets
+// B's zero pad row, so it just repeats the last tap.
+void pack_a_pairs_s8(std::size_t m, std::size_t k, const std::int8_t* a,
+                     std::int32_t* packed) {
   const std::size_t pairs = (k + 1) / 2;
-#define MFW_PAIR_BROADCAST(e0, e1)                                          \
-  _mm256_set1_epi32(static_cast<int>(                                       \
-      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(e1)) << 16) |  \
-      static_cast<std::uint16_t>(e0)))
-#define MFW_TAP(idx) ((idx) < k ? std::int16_t{arow[(idx)]} : std::int16_t{0})
   for (std::size_t i = 0; i < m; ++i) {
     const std::int8_t* arow = a + i * k;
-    std::int32_t* crow = c + i * n;
-    std::memset(crow, 0, n * sizeof(std::int32_t));
-    std::size_t pr = 0;
-    // Two packed rows (four k taps) per pass over C halves the dominant
-    // cost — the accumulator row's load/store traffic.
-    for (; pr + 2 <= pairs; pr += 2) {
-      const std::int16_t a0 = MFW_TAP(2 * pr);
-      const std::int16_t a1 = MFW_TAP(2 * pr + 1);
-      const std::int16_t a2 = MFW_TAP(2 * pr + 2);
-      const std::int16_t a3 = MFW_TAP(2 * pr + 3);
-      if (a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0) continue;
-      const __m256i av01 = MFW_PAIR_BROADCAST(a0, a1);
-      const __m256i av23 = MFW_PAIR_BROADCAST(a2, a3);
-      const std::int8_t* prow0 = packed + pr * 2 * n;
-      const std::int8_t* prow1 = prow0 + 2 * n;
-      std::size_t j = 0;
-      for (; j + 16 <= n; j += 16) {
-        const __m256i raw0 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(prow0 + 2 * j));
-        const __m256i raw1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(prow1 + 2 * j));
-        __m256i c0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(crow + j));
-        __m256i c1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(crow + j + 8));
-        c0 = _mm256_add_epi32(
-            c0, _mm256_madd_epi16(
-                    _mm256_cvtepi8_epi16(_mm256_castsi256_si128(raw0)), av01));
-        c1 = _mm256_add_epi32(
-            c1,
-            _mm256_madd_epi16(
-                _mm256_cvtepi8_epi16(_mm256_extracti128_si256(raw0, 1)),
-                av01));
-        c0 = _mm256_add_epi32(
-            c0, _mm256_madd_epi16(
-                    _mm256_cvtepi8_epi16(_mm256_castsi256_si128(raw1)), av23));
-        c1 = _mm256_add_epi32(
-            c1,
-            _mm256_madd_epi16(
-                _mm256_cvtepi8_epi16(_mm256_extracti128_si256(raw1, 1)),
-                av23));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j), c0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j + 8), c1);
-      }
-      for (; j < n; ++j)
-        crow[j] += static_cast<std::int32_t>(a0) * prow0[2 * j] +
-                   static_cast<std::int32_t>(a1) * prow0[2 * j + 1] +
-                   static_cast<std::int32_t>(a2) * prow1[2 * j] +
-                   static_cast<std::int32_t>(a3) * prow1[2 * j + 1];
-    }
-    for (; pr < pairs; ++pr) {
-      const std::int16_t a0 = MFW_TAP(2 * pr);
-      const std::int16_t a1 = MFW_TAP(2 * pr + 1);
-      if (a0 == 0 && a1 == 0) continue;  // zero weights contribute nothing
-      const __m256i av = MFW_PAIR_BROADCAST(a0, a1);
-      const std::int8_t* prow = packed + pr * 2 * n;
-      std::size_t j = 0;
-      for (; j + 16 <= n; j += 16) {
-        const __m256i raw = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(prow + 2 * j));
-        const __m256i lo =
-            _mm256_cvtepi8_epi16(_mm256_castsi256_si128(raw));
-        const __m256i hi =
-            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(raw, 1));
-        __m256i c0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(crow + j));
-        __m256i c1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(crow + j + 8));
-        c0 = _mm256_add_epi32(c0, _mm256_madd_epi16(lo, av));
-        c1 = _mm256_add_epi32(c1, _mm256_madd_epi16(hi, av));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j), c0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j + 8), c1);
-      }
-      for (; j < n; ++j)
-        crow[j] += static_cast<std::int32_t>(a0) * prow[2 * j] +
-                   static_cast<std::int32_t>(a1) * prow[2 * j + 1];
+    for (std::size_t pr = 0; pr < pairs; ++pr) {
+      const auto lo = static_cast<std::uint16_t>(std::int16_t{arow[2 * pr]});
+      const auto hi = static_cast<std::uint16_t>(
+          std::int16_t{arow[std::min(2 * pr + 1, k - 1)]});
+      packed[i * pairs + pr] = static_cast<std::int32_t>(
+          (static_cast<std::uint32_t>(hi) << 16) | lo);
     }
   }
 }
-#undef MFW_PAIR_BROADCAST
-#undef MFW_TAP
+
+// The gemm_s8 tiers. tile<R> computes one R x kCols block of C in R*2
+// accumulators across all k pairs, then stores its first w columns (all of
+// them when w >= kCols). Integer sums are exact, so the order is free.
+//
+// AVX2: per pair, sign-extend 16 columns of packed B to int16 and vpmaddwd
+// them against each row's broadcast A pair.
+struct S8Avx2 {
+  static constexpr std::size_t kCols = 16;
+
+  template <int R>
+  __attribute__((target("avx2"))) static void tile(
+      std::size_t pairs, const std::int32_t* ap, const std::int8_t* bp,
+      std::size_t ldp, std::int32_t* c, std::size_t ldc, std::size_t w) {
+    __m256i acc[R][2];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      acc[r][0] = _mm256_setzero_si256();
+      acc[r][1] = _mm256_setzero_si256();
+    }
+    for (std::size_t pr = 0; pr < pairs; ++pr) {
+      const std::int8_t* brow = bp + pr * ldp;
+      const __m256i b0 = _mm256_cvtepi8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(brow)));
+      const __m256i b1 = _mm256_cvtepi8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(brow + 16)));
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const __m256i av = _mm256_set1_epi32(ap[r * pairs + pr]);
+        acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(b0, av));
+        acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(b1, av));
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      std::int32_t* crow = c + r * ldc;
+      if (w >= kCols) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow), acc[r][0]);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + 8), acc[r][1]);
+      } else {
+        alignas(32) std::int32_t row[kCols];
+        _mm256_store_si256(reinterpret_cast<__m256i*>(row), acc[r][0]);
+        _mm256_store_si256(reinterpret_cast<__m256i*>(row + 8), acc[r][1]);
+        std::memcpy(crow, row, w * sizeof(std::int32_t));
+      }
+    }
+  }
+};
+
+// AVX-512 VNNI: vpdpwssd fuses the pair multiply-add with the int32
+// accumulate, 16 columns per zmm. A column tail goes through a stack row:
+// with masked stores GCC 12 copies every accumulator on each k step.
+struct S8Vnni {
+  static constexpr std::size_t kCols = 32;
+
+  template <int R>
+  __attribute__((target("avx512f,avx512bw,avx512vnni"))) static void tile(
+      std::size_t pairs, const std::int32_t* ap, const std::int8_t* bp,
+      std::size_t ldp, std::int32_t* c, std::size_t ldc, std::size_t w) {
+    __m512i acc[R][2];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      acc[r][0] = _mm512_setzero_si512();
+      acc[r][1] = _mm512_setzero_si512();
+    }
+    for (std::size_t pr = 0; pr < pairs; ++pr) {
+      const std::int8_t* brow = bp + pr * ldp;
+      const __m512i b0 = _mm512_cvtepi8_epi16(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow)));
+      const __m512i b1 = _mm512_cvtepi8_epi16(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(brow + 32)));
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const __m512i av = _mm512_set1_epi32(ap[r * pairs + pr]);
+        acc[r][0] = _mm512_dpwssd_epi32(acc[r][0], av, b0);
+        acc[r][1] = _mm512_dpwssd_epi32(acc[r][1], av, b1);
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      std::int32_t* crow = c + r * ldc;
+      if (w >= kCols) {
+        _mm512_storeu_si512(crow, acc[r][0]);
+        _mm512_storeu_si512(crow + 16, acc[r][1]);
+      } else {
+        alignas(64) std::int32_t row[kCols];
+        _mm512_store_si512(row, acc[r][0]);
+        _mm512_store_si512(row + 16, acc[r][1]);
+        std::memcpy(crow, row, w * sizeof(std::int32_t));
+      }
+    }
+  }
+};
+
+// Covers C with tier T's tiles: kCols-wide column blocks, each as 4-row
+// tiles and then one 3-, 2- or 1-row tile for m % 4.
+template <class T>
+void gemm_s8_tiled(std::size_t m, std::size_t n, std::size_t pairs,
+                   const std::int32_t* ap, const std::int8_t* bp,
+                   std::size_t ldp, std::int32_t* c) {
+  for (std::size_t j = 0; j < n; j += T::kCols) {
+    const std::size_t w = n - j;
+    const std::int8_t* bj = bp + 2 * j;
+    std::size_t i = 0;
+    for (; i + 4 <= m; i += 4)
+      T::template tile<4>(pairs, ap + i * pairs, bj, ldp, c + i * n + j, n,
+                          w);
+    const std::int32_t* ai = ap + i * pairs;
+    std::int32_t* ci = c + i * n + j;
+    switch (m - i) {
+      case 3:
+        T::template tile<3>(pairs, ai, bj, ldp, ci, n, w);
+        break;
+      case 2:
+        T::template tile<2>(pairs, ai, bj, ldp, ci, n, w);
+        break;
+      case 1:
+        T::template tile<1>(pairs, ai, bj, ldp, ci, n, w);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
 // Vectorized symmetric quantization: 32 floats per iteration. vcvtps2dq
 // rounds per MXCSR (nearest-even by default), the same mode lrintf uses in
 // the scalar tail, so both produce identical int8 for any value the clamp
@@ -366,12 +572,10 @@ __attribute__((target("avx2"))) void dequant_bias_leaky_s32_avx2(
 
 }  // namespace
 
-bool gemm_s8_vectorized() { return kHaveAvx2; }
-
 void quantize_s8(const float* x, std::size_t n, float scale, std::int8_t* q) {
   const float inv = 1.0f / scale;
 #ifdef MFW_KERNELS_X86
-  if (kHaveAvx2) {
+  if (kHostIsa != Isa::kScalar) {
     quantize_s8_avx2(x, n, inv, q);
     return;
   }
@@ -387,7 +591,7 @@ void quantize_s8(const float* x, std::size_t n, float scale, std::int8_t* q) {
 void dequant_bias_leaky_s32(const std::int32_t* acc, std::size_t n,
                             float scale, float bias, float slope, float* out) {
 #ifdef MFW_KERNELS_X86
-  if (kHaveAvx2) {
+  if (kHostIsa != Isa::kScalar) {
     dequant_bias_leaky_s32_avx2(acc, n, scale, bias, slope, out);
     return;
   }
@@ -406,20 +610,38 @@ void dequantize_s8(const std::int8_t* q, std::size_t n, float scale,
 
 void gemm_s8(std::size_t m, std::size_t n, std::size_t k,
              const std::int8_t* a, const std::int8_t* b, std::int32_t* c) {
+  gemm_s8(kHostIsa, m, n, k, a, b, c);
+}
+
+void gemm_s8(Isa isa, std::size_t m, std::size_t n, std::size_t k,
+             const std::int8_t* a, const std::int8_t* b, std::int32_t* c) {
+  require_isa(isa, "gemm_s8");
 #ifdef MFW_KERNELS_X86
-  if (kHaveAvx2 && n >= 16 && k >= 2) {
-    // B is repacked once per call into a per-thread workspace (O(k*n), the
-    // same order as the im2col that produced it) and reused for all m rows.
-    thread_local std::vector<std::int8_t> packed;
+  if (isa != Isa::kScalar) {
+    // Both operands are repacked once per call into per-thread workspaces
+    // (O(k*n) for B, the same order as the im2col that produced it).
+    thread_local std::vector<std::int8_t> packed_b;
+    thread_local std::vector<std::int32_t> packed_a;
     const std::size_t pairs = (k + 1) / 2;
-    packed.resize(pairs * 2 * n);
-    pack_b_pairs_s8_avx2(n, k, b, packed.data());
-    gemm_s8_avx2(m, n, k, a, packed.data(), c);
+    // Packed rows are padded to the widest tile, so every tier's loads stay
+    // in bounds.
+    constexpr std::size_t kPad = S8Vnni::kCols;
+    const std::size_t ldp = 2 * ((n + kPad - 1) / kPad * kPad);
+    packed_b.resize(pairs * ldp);
+    packed_a.resize(m * pairs);
+    pack_b_pairs_s8_avx2(n, k, b, packed_b.data(), ldp);
+    pack_a_pairs_s8(m, k, a, packed_a.data());
+    if (isa == Isa::kAvx512Vnni)
+      gemm_s8_tiled<S8Vnni>(m, n, pairs, packed_a.data(), packed_b.data(),
+                            ldp, c);
+    else
+      gemm_s8_tiled<S8Avx2>(m, n, pairs, packed_a.data(), packed_b.data(),
+                            ldp, c);
     return;
   }
 #endif
   // Scalar fallback: blocked like sgemm; integer arithmetic is exact, so
-  // this produces the same values as the vector path.
+  // this produces the same values as the vector tiers.
   for (std::size_t n0 = 0; n0 < n; n0 += kNBlock) {
     const std::size_t nw = std::min(kNBlock, n - n0);
     for (std::size_t i = 0; i < m; ++i) {

@@ -129,8 +129,11 @@ FusedEncoder FusedEncoder::build(const Sequential& encoder, int tile_size) {
   }
   plan.dense_in_ = layout.dense->in_features();
   plan.dense_out_ = layout.dense->out_features();
-  const auto dw = layout.dense->weight().span();
-  plan.dense_w_.assign(dw.begin(), dw.end());
+  plan.dense_wt_.resize(static_cast<std::size_t>(plan.dense_in_) *
+                        plan.dense_out_);
+  kernels::transpose(static_cast<std::size_t>(plan.dense_out_),
+                     static_cast<std::size_t>(plan.dense_in_),
+                     layout.dense->weight().data(), plan.dense_wt_.data());
   const auto db = layout.dense->bias().span();
   plan.dense_b_.assign(db.begin(), db.end());
   return plan;
@@ -197,15 +200,13 @@ Tensor FusedEncoder::encode_impl(const Tensor& tile, EncodeScratch& s,
     }
     x = s.x.data();
   }
-  // Dense: same per-output accumulation order as Dense::forward.
-  Tensor z({dense_out_});
-  for (int o = 0; o < dense_out_; ++o) {
-    float acc = dense_b_[static_cast<std::size_t>(o)];
-    const float* wrow =
-        dense_w_.data() + static_cast<std::size_t>(o) * dense_in_;
-    for (int i = 0; i < dense_in_; ++i) acc += wrow[i] * x[i];
-    z[static_cast<std::size_t>(o)] = acc;
-  }
+  // Dense as the [1 x in] * [in x out] gemm onto the bias: each output adds
+  // x[i] * w[o][i] in ascending i, Dense::forward's sequence (the operands of
+  // a rounded product commute exactly).
+  Tensor z(std::vector<int>{dense_out_}, dense_b_);
+  kernels::sgemm(1, static_cast<std::size_t>(dense_out_),
+                 static_cast<std::size_t>(dense_in_), x, dense_wt_.data(),
+                 z.data(), /*accumulate=*/true);
   return z;
 }
 

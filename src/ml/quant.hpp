@@ -85,7 +85,8 @@ class FusedEncoder {
 
   std::vector<Stage> stages_;
   int dense_in_ = 0, dense_out_ = 0;
-  std::vector<float> dense_w_, dense_b_;
+  std::vector<float> dense_wt_;  // [in][out]: the Dense weight transposed
+  std::vector<float> dense_b_;
   int tile_size_ = 0, channels_ = 0;
 };
 

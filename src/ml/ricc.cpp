@@ -257,6 +257,12 @@ RiccTrainReport train_autoencoder(RiccModel& model,
     throw std::invalid_argument("train_autoencoder needs tiles");
   if (options.epochs <= 0 || options.batch_size <= 0)
     throw std::invalid_argument("train_autoencoder: bad options");
+  // A fused or int8 plan snapshots the weights it was built from: the
+  // invariance score and any centroid fit after training would read stale
+  // latents through it.
+  if (model.encode_path() != RiccModel::EncodePath::kLayers)
+    throw std::logic_error(
+        "train_autoencoder: select EncodePath::kLayers before training");
   RiccTrainReport report;
   report.invariance_score_before = rotation_invariance_score(model, tiles);
 

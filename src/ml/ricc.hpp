@@ -138,6 +138,8 @@ struct RiccTrainReport {
 };
 
 /// Trains the autoencoder on tiles with the rotation-consistency objective.
+/// Throws std::logic_error unless model.encode_path() is kLayers: a selected
+/// fused or int8 plan would keep encoding with the pre-training weights.
 RiccTrainReport train_autoencoder(RiccModel& model,
                                   std::span<const Tensor> tiles,
                                   const RiccTrainOptions& options);

@@ -92,10 +92,10 @@ struct EomlConfig {
   int inference_workers = 1;
   preprocess::InferenceCostModel inference_cost{};
   /// Encoder implementation for materialized inference (DESIGN.md §13):
-  /// "layers" (default; the fp32 oracle, bit-for-bit the historical
-  /// outputs), "fused" (fp32, bitwise identical, fewer allocations), or
-  /// "int8" (quantized fast path, accuracy-gated in CI).
-  std::string encode_path = "layers";
+  /// "fused" (default; the fp32 plan, bitwise identical to the layer path
+  /// with fewer allocations), "layers" (the layer-by-layer fp32 oracle that
+  /// training runs), or "int8" (quantized fast path, accuracy-gated in CI).
+  std::string encode_path = "fused";
   /// Bounded-memory tile streaming for materialized inference: 0 keeps the
   /// classic whole-granule materialization; > 0 streams encode batches with
   /// at most this many decoded tiles resident at once (must be >=

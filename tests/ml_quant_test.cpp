@@ -63,12 +63,20 @@ TEST(QuantKernels, QuantizeDequantizeRoundTripBound) {
 }
 
 TEST(QuantKernels, GemmS8MatchesExactReference) {
-  // Shapes chosen to hit the AVX2 main loop, the n<16 column tail, odd k
-  // (pack zero-padding), and the scalar-dispatch small cases.
+  // Full 4 x 32 tiles (the RICC encoder and micro-bench shapes) first, so
+  // the per-thread pack buffers hold stale bytes when the tails run: m % 4
+  // row tails, n % 16 and n % 32 column tails, and odd k (B's zero pad).
   const struct {
     std::size_t m, n, k;
-  } shapes[] = {{1, 1, 1},   {2, 3, 5},    {4, 16, 8},  {3, 37, 27},
-                {8, 100, 54}, {5, 15, 7},  {1, 64, 150}};
+  } shapes[] = {{8, 1024, 72}, {8, 1024, 54}, {16, 256, 72}, {32, 64, 144},
+                {1, 1, 1},     {2, 3, 5},     {4, 16, 8},    {3, 37, 27},
+                {8, 100, 54},  {5, 15, 7},    {1, 64, 150},  {7, 31, 71},
+                {5, 33, 9},    {6, 47, 3},    {9, 65, 1},    {3, 17, 2}};
+  std::vector<kernels::Isa> tiers;
+  for (const kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
+                                 kernels::Isa::kAvx512Vnni})
+    if (static_cast<int>(isa) <= static_cast<int>(kernels::host_isa()))
+      tiers.push_back(isa);
   util::Rng rng(5);
   for (const auto& s : shapes) {
     SCOPED_TRACE("m=" + std::to_string(s.m) + " n=" + std::to_string(s.n) +
@@ -78,14 +86,20 @@ TEST(QuantKernels, GemmS8MatchesExactReference) {
       v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
     for (auto& v : b)
       v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-    std::vector<std::int32_t> c(s.m * s.n, -1), ref(s.m * s.n, 0);
+    std::vector<std::int32_t> ref(s.m * s.n, 0);
     for (std::size_t i = 0; i < s.m; ++i)
       for (std::size_t p = 0; p < s.k; ++p)
         for (std::size_t j = 0; j < s.n; ++j)
           ref[i * s.n + j] += static_cast<std::int32_t>(a[i * s.k + p]) *
                               static_cast<std::int32_t>(b[p * s.n + j]);
+    for (const kernels::Isa isa : tiers) {
+      std::vector<std::int32_t> c(s.m * s.n, -1);
+      kernels::gemm_s8(isa, s.m, s.n, s.k, a.data(), b.data(), c.data());
+      EXPECT_EQ(c, ref) << kernels::isa_name(isa);
+    }
+    std::vector<std::int32_t> c(s.m * s.n, -1);
     kernels::gemm_s8(s.m, s.n, s.k, a.data(), b.data(), c.data());
-    EXPECT_EQ(c, ref);
+    EXPECT_EQ(c, ref) << "host dispatch";
   }
 }
 

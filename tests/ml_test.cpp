@@ -1,12 +1,14 @@
-// Equivalence and determinism tests for the fast ML substrate: Conv2d's GEMM
-// lowering against direct convolution loops (forward + backward),
-// bitwise-reproducible batched encode and data-parallel training across pool
-// sizes, and cached-NN Ward clustering against a full-rescan reference. The
-// references live here, not in src/: the library has one path per kernel.
+// Equivalence and determinism tests for the fast ML substrate: every sgemm
+// tier bit for bit against the scalar loop, Conv2d's GEMM lowering against
+// direct convolution loops (forward + backward), bitwise-reproducible
+// batched encode and data-parallel training across pool sizes, and cached-NN
+// Ward clustering against a full-rescan reference. The references live here,
+// not in src/: the library has one path per kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <span>
@@ -171,6 +173,123 @@ TEST(ConvKernels, SgemmSmallCase) {
   kernels::sgemm(2, 2, 3, a, b, c, true);
   EXPECT_FLOAT_EQ(c[0], 116);
   EXPECT_FLOAT_EQ(c[3], 308);
+}
+
+// -- scalar sgemm reference ------------------------------------------------
+// The library's blocked scalar loop, copied verbatim: per element, start
+// from C or +0.0f and add each rounded product in ascending k. Every tier
+// must return its bytes.
+
+constexpr std::size_t kNBlock = 1024;
+
+void reference_sgemm(std::size_t m, std::size_t n, std::size_t k,
+                     const float* a, const float* b, float* c,
+                     bool accumulate) {
+  for (std::size_t n0 = 0; n0 < n; n0 += kNBlock) {
+    const std::size_t nw = std::min(kNBlock, n - n0);
+    for (std::size_t i = 0; i < m; ++i) {
+      float* __restrict crow = c + i * n + n0;
+      if (!accumulate) std::memset(crow, 0, nw * sizeof(float));
+      const float* arow = a + i * k;
+      for (std::size_t p = 0; p < k; ++p) {
+        const float av = arow[p];
+        const float* __restrict brow = b + p * n + n0;
+        for (std::size_t j = 0; j < nw; ++j) crow[j] += av * brow[j];
+      }
+    }
+  }
+}
+
+std::vector<kernels::Isa> host_tiers() {
+  std::vector<kernels::Isa> tiers;
+  for (const kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
+                                 kernels::Isa::kAvx512Vnni})
+    if (static_cast<int>(isa) <= static_cast<int>(kernels::host_isa()))
+      tiers.push_back(isa);
+  return tiers;
+}
+
+/// Normal values with every fifth one an exact +0.0f or -0.0f, so products
+/// and sums of signed zeros are exercised.
+std::vector<float> gemm_operand(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = i % 5 == 3 ? (i % 2 ? -0.0f : 0.0f)
+                      : static_cast<float>(rng.normal());
+  return v;
+}
+
+/// Runs sgemm on every host tier, both accumulate modes, and requires the
+/// reference loop's bytes. Without accumulate C starts as NaN, so an
+/// unwritten element shows.
+void expect_sgemm_bitwise(std::size_t m, std::size_t n, std::size_t k,
+                          std::uint64_t seed) {
+  SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+               " k=" + std::to_string(k));
+  const auto a = gemm_operand(m * k, seed);
+  const auto b = gemm_operand(k * n, seed + 1);
+  const auto c0 = gemm_operand(m * n, seed + 2);
+  for (const bool accumulate : {false, true}) {
+    std::vector<float> ref =
+        accumulate ? c0
+                   : std::vector<float>(
+                         m * n, std::numeric_limits<float>::quiet_NaN());
+    reference_sgemm(m, n, k, a.data(), b.data(), ref.data(), accumulate);
+    for (const kernels::Isa isa : host_tiers()) {
+      std::vector<float> c = accumulate
+                                 ? c0
+                                 : std::vector<float>(
+                                       m * n,
+                                       std::numeric_limits<float>::quiet_NaN());
+      kernels::sgemm(isa, m, n, k, a.data(), b.data(), c.data(), accumulate);
+      ASSERT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)),
+                0)
+          << kernels::isa_name(isa) << " accumulate=" << accumulate;
+    }
+  }
+}
+
+TEST(Sgemm, BitwiseMatchesScalarLoopOnRiccShapes) {
+  // (m, n, k) of every gemm the default RICC model runs: per conv stage the
+  // forward W*col, the weight grad dY*col^T and the input grad W^T*dY.
+  struct Conv {
+    std::size_t out_c, patch, out_n;
+  };
+  const Conv convs[] = {
+      {8, 54, 1024}, {16, 72, 256}, {32, 144, 64},   // encoder
+      {16, 288, 64}, {8, 144, 256}, {6, 72, 1024}};  // decoder
+  std::uint64_t seed = 100;
+  for (const Conv& c : convs) {
+    expect_sgemm_bitwise(c.out_c, c.out_n, c.patch, seed += 3);
+    expect_sgemm_bitwise(c.out_c, c.patch, c.out_n, seed += 3);
+    expect_sgemm_bitwise(c.patch, c.out_n, c.out_c, seed += 3);
+  }
+  // FusedEncoder's Dense: [1 x 512] * [512 x 32].
+  expect_sgemm_bitwise(1, 32, 512, seed += 3);
+}
+
+TEST(Sgemm, BitwiseMatchesScalarLoopOnTails) {
+  // m % 4 row tails, n % 16 and n % 8 column tails, and K short enough that
+  // a signed zero can survive to the output.
+  std::uint64_t seed = 500;
+  for (const std::size_t m : {1, 3, 5})
+    for (const std::size_t n : {1, 15, 17, 33})
+      for (const std::size_t k : {1, 2})
+        expect_sgemm_bitwise(m, n, k, seed += 3);
+}
+
+TEST(Sgemm, SignedZeroStartsFromPositiveZero) {
+  // -0 * 1 = -0, and +0.0f + -0.0f = +0.0f: a kernel that seeds its
+  // accumulator with the first product instead of +0.0f returns -0.0f.
+  const float a[] = {-0.0f};
+  const float b[] = {1.0f, -0.0f};
+  for (const kernels::Isa isa : host_tiers()) {
+    float c[] = {7.0f, 7.0f};
+    kernels::sgemm(isa, 1, 2, 1, a, b, c, false);
+    EXPECT_FALSE(std::signbit(c[0])) << kernels::isa_name(isa);
+    EXPECT_FALSE(std::signbit(c[1])) << kernels::isa_name(isa);
+  }
 }
 
 RiccConfig tiny_config() {

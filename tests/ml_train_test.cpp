@@ -201,6 +201,29 @@ TEST(RiccModel, SaveLoadRoundTrip) {
   }
 }
 
+TEST(RiccTraining, RefusesToTrainThroughAWeightSnapshotPlan) {
+  // Fused and int8 plans encode with the weights they were built from, so
+  // the post-training invariance score and the centroid fit would read
+  // stale latents. Training requires the layer path.
+  RiccModel model(tiny_config());
+  util::Rng rng(9);
+  const auto tiles = make_tiles(model.config(), 24, rng);
+  RiccTrainOptions options;
+  options.epochs = 2;
+  options.batch_size = 8;
+  model.set_encode_path(RiccModel::EncodePath::kFused);
+  EXPECT_THROW(train_autoencoder(model, tiles, options), std::logic_error);
+  EXPECT_THROW(train_ricc(model, tiles, options), std::logic_error);
+  model.calibrate_int8(tiles);
+  model.set_encode_path(RiccModel::EncodePath::kInt8);
+  EXPECT_THROW(train_autoencoder(model, tiles, options), std::logic_error);
+
+  model.set_encode_path(RiccModel::EncodePath::kLayers);
+  const auto report = train_autoencoder(model, tiles, options);
+  EXPECT_EQ(report.invariance_score_after,
+            rotation_invariance_score(model, tiles));
+}
+
 TEST(RiccTraining, RejectsBadInputs) {
   RiccModel model(tiny_config());
   RiccTrainOptions options;
