@@ -8,7 +8,8 @@
 // the O(log n) substrate rebuild (DESIGN.md §9) against the O(n)-per-event
 // oracles of tests/sim_oracle.hpp at archive-scale concurrency.
 //
-// Emits a JSON report (see tools/bench_sim.sh -> BENCH_sim.json).
+// Emits a JSON report (see tools/bench_sim.sh -> BENCH_sim.json) whose
+// "context" block stamps the build type, compiler and CPU count.
 //
 // With --report-out <path> the campaign runs with the obs layer in bounded
 // mode: RetentionMode::kStatsOnly keeps a small sample of spans while a
@@ -31,8 +32,10 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "obs/export.hpp"
 #include "obs/rollup.hpp"
 #include "obs/trace.hpp"
@@ -44,6 +47,13 @@
 #include "sim_oracle.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+
+#ifndef MFW_BUILD_TYPE
+#define MFW_BUILD_TYPE "Unknown"
+#endif
+#ifndef MFW_COMPILER
+#define MFW_COMPILER "Unknown"
+#endif
 
 using namespace mfw;
 
@@ -214,14 +224,15 @@ std::string comparison_json(const Comparison& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int days = 365;
+  std::size_t days = 365;
   bool quick = false;
   std::string out;
   std::string report_out;
   std::string health_out;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--days") && i + 1 < argc) {
-      days = std::atoi(argv[++i]);
+    if (!std::strcmp(argv[i], "--days") && i + 1 < argc &&
+        benchx::parse_count(argv[i + 1], 1, days)) {
+      ++i;
     } else if (!std::strcmp(argv[i], "--quick")) {
       quick = true;
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
@@ -237,8 +248,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (quick) days = std::min(days, 5);
-  if (days < 1 || days > 365) {
+  if (quick) days = std::min<std::size_t>(days, 5);
+  if (days > 365) {
     std::fprintf(stderr, "archive_campaign: --days must be in [1, 365]\n");
     return 2;
   }
@@ -279,9 +290,9 @@ int main(int argc, char** argv) {
     obs::set_globally_enabled(true);
   }
 
-  std::printf("=== Archive campaign: %d day(s), streaming, all granules ===\n",
+  std::printf("=== Archive campaign: %zu day(s), streaming, all granules ===\n",
               days);
-  const auto campaign = run_campaign(days, monitor.get());
+  const auto campaign = run_campaign(static_cast<int>(days), monitor.get());
   std::printf(
       "%zu granules -> %zu tiles, %zu shipped files\n"
       "virtual makespan %.0f s (%.1f days), %zu events, %zu compactions, "
@@ -379,6 +390,12 @@ int main(int argc, char** argv) {
   std::string json = "{\n";
   {
     char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "  \"context\": {\"build_type\": \"%s\", \"compiler\": "
+                  "\"%s\", \"nproc\": %u},\n",
+                  MFW_BUILD_TYPE, MFW_COMPILER,
+                  std::thread::hardware_concurrency());
+    json += buf;
     std::snprintf(
         buf, sizeof buf,
         "  \"campaign\": {\"days\": %d, \"granules\": %zu, \"tiles\": %zu, "

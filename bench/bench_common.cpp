@@ -1,6 +1,7 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -92,6 +93,16 @@ void print_header(const std::string& experiment, const std::string& paper_ref) {
   std::printf("(Simulated ACE Defiant substrate; see DESIGN.md for the\n");
   std::printf(" calibration of the node contention model and WAN parameters.)\n");
   std::printf("================================================================\n\n");
+}
+
+bool parse_count(const char* text, std::size_t min, std::size_t& out) {
+  if (*text < '0' || *text > '9') return false;  // no sign, no blanks
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno != 0 || value < min) return false;
+  out = static_cast<std::size_t>(value);
+  return true;
 }
 
 void require_no_args(int argc, char** argv) {

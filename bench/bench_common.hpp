@@ -76,6 +76,10 @@ MeanStd mean_std(const std::vector<double>& values);
 /// Prints the standard bench header (paper reference + reproduction note).
 void print_header(const std::string& experiment, const std::string& paper_ref);
 
+/// Parses a decimal count of at least `min` into `out`; false, leaving `out`
+/// alone, on anything else: a sign, blanks, trailing characters, overflow.
+bool parse_count(const char* text, std::size_t min, std::size_t& out);
+
 /// For benches that take no arguments: given any, prints the offending
 /// argument and a usage line to stderr and exits with status 2.
 void require_no_args(int argc, char** argv);

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 
 #include "bench_common.hpp"
 #include "ml/ricc.hpp"
@@ -28,16 +29,25 @@ int main(int argc, char** argv) {
   util::Logger::instance().set_level(util::LogLevel::kWarn);
   ml::RiccModel::EncodePath encode_path = ml::RiccModel::EncodePath::kLayers;
   std::size_t tile_budget = 0;
+  auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: fig1_swath [--encode-path layers|fused|int8] "
+                 "[--tile-budget N]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--encode-path") && i + 1 < argc) {
-      encode_path = ml::RiccModel::parse_encode_path(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--tile-budget") && i + 1 < argc) {
-      tile_budget = static_cast<std::size_t>(std::atol(argv[++i]));
+      try {
+        encode_path = ml::RiccModel::parse_encode_path(argv[++i]);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "fig1_swath: %s\n", e.what());
+        return usage();
+      }
+    } else if (!std::strcmp(argv[i], "--tile-budget") && i + 1 < argc &&
+               benchx::parse_count(argv[i + 1], 0, tile_budget)) {
+      ++i;
     } else {
-      std::fprintf(stderr,
-                   "usage: fig1_swath [--encode-path layers|fused|int8] "
-                   "[--tile-budget N]\n");
-      return 2;
+      return usage();
     }
   }
   benchx::print_header(

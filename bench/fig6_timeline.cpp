@@ -10,7 +10,6 @@
 // so the preprocess band slides left under the download plateau and the
 // makespan shrinks by roughly the barrier-mode compute tail.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_common.hpp"
@@ -58,8 +57,9 @@ int main(int argc, char** argv) {
       trace_out = argv[++i];
     } else if (arg == "--report-out" && i + 1 < argc) {
       report_out = argv[++i];
-    } else if (arg == "--max-files" && i + 1 < argc) {
-      max_files = static_cast<std::size_t>(std::atol(argv[++i]));
+    } else if (arg == "--max-files" && i + 1 < argc &&
+               benchx::parse_count(argv[i + 1], 1, max_files)) {
+      ++i;
     } else {
       std::fprintf(stderr,
                    "usage: fig6_timeline [--trace-out <path>] "

@@ -21,13 +21,13 @@
 // Usage: micro_obs [--spans N] [--out <path>]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
 #include <vector>
 
+#include "bench_common.hpp"
 #include "obs/flight.hpp"
 #include "obs/rollup.hpp"
 #include "obs/trace.hpp"
@@ -100,8 +100,9 @@ int main(int argc, char** argv) {
   std::size_t spans = 200'000;
   std::string out;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--spans") && i + 1 < argc) {
-      spans = static_cast<std::size_t>(std::atol(argv[++i]));
+    if (!std::strcmp(argv[i], "--spans") && i + 1 < argc &&
+        benchx::parse_count(argv[i + 1], 1, spans)) {
+      ++i;
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out = argv[++i];
     } else {

@@ -21,15 +21,14 @@
 //
 // Usage: serve_load [--quick] [--out <path>] [--tiles N] [--users N]
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "serve/catalog.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/service.hpp"
@@ -67,17 +66,6 @@ double time_ingest(serve::Catalog& catalog,
       .count();
 }
 
-/// Parses a positive decimal count; false on anything else.
-bool parse_count(const char* text, std::size_t& out) {
-  if (*text < '0' || *text > '9') return false;  // no sign, no blanks
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno != 0 || value == 0) return false;
-  out = static_cast<std::size_t>(value);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,10 +85,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && has_value) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--tiles") == 0 && has_value &&
-               parse_count(argv[i + 1], tiles)) {
+               benchx::parse_count(argv[i + 1], 1, tiles)) {
       ++i;
     } else if (std::strcmp(argv[i], "--users") == 0 && has_value &&
-               parse_count(argv[i + 1], users)) {
+               benchx::parse_count(argv[i + 1], 1, users)) {
       ++i;
     } else {
       std::fprintf(stderr,

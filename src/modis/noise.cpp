@@ -202,8 +202,9 @@ double NoiseField::fbm(double x, double y, int octaves, Memo& memo) const {
   return norm > 0 ? sum / norm : 0.0;
 }
 
-bool NoiseField::fbm_above(double x, double y, int octaves, Memo& memo,
-                           double offset, double threshold) const {
+Side NoiseField::fbm_above(double x, double y, int octaves, Memo& memo,
+                           double offset_lo, double offset_hi,
+                           double threshold, double& value) const {
   bind(memo);
   const double norm = amplitude_sum(octaves);
   double sum = 0.0;
@@ -216,11 +217,74 @@ bool NoiseField::fbm_above(double x, double y, int octaves, Memo& memo,
     // to sum; the slack covers the roundings of both sides.
     const double rest =
         (norm - amplitude_sum(done)) / norm * (1.0 + 1e-6) + 1e-12;
-    const double estimate = sum / norm + offset;
-    if (estimate - rest > threshold) return true;
-    if (estimate + rest < threshold) return false;
+    const double estimate = sum / norm;
+    if (estimate + offset_lo - rest > threshold) return Side::kAbove;
+    if (estimate + offset_hi + rest < threshold) return Side::kBelow;
   }
-  return (norm > 0 ? sum / norm : 0.0) + offset > threshold;
+  // Rounded addition is monotone, so value + offset lies between the two
+  // ends for every offset in the interval.
+  value = norm > 0 ? sum / norm : 0.0;
+  if (value + offset_lo > threshold) return Side::kAbove;
+  if (!(value + offset_hi > threshold)) return Side::kBelow;
+  return Side::kUndecided;
+}
+
+Interval NoiseField::at_range(double x0, double y0, double x1,
+                              double y1) const {
+  const double fx0 = std::floor(x0);
+  const double fy0 = std::floor(y0);
+  const double fx1 = std::floor(x1);
+  const double fy1 = std::floor(y1);
+  if (!(fx1 - fx0 <= 2.0 && fy1 - fy0 <= 2.0)) return {-1.0, 1.0};
+  const auto ix = static_cast<std::int64_t>(fx0);
+  const auto iy = static_cast<std::int64_t>(fy0);
+  if (fx0 == fx1 && fy0 == fy1) {
+    // Inside one cell the noise is bilinear in smooth(x - fx) and
+    // smooth(y - fy), and smooth is monotone on [0, 1]: its extremes over
+    // the box are at the box's corners.
+    const double v00 = lattice(ix, iy);
+    const double v10 = lattice(ix + 1, iy);
+    const double v01 = lattice(ix, iy + 1);
+    const double v11 = lattice(ix + 1, iy + 1);
+    const double c[] = {blend(x0, y0, fx0, fy0, v00, v10, v01, v11),
+                        blend(x1, y0, fx0, fy0, v00, v10, v01, v11),
+                        blend(x0, y1, fx0, fy0, v00, v10, v01, v11),
+                        blend(x1, y1, fx0, fy0, v00, v10, v01, v11)};
+    return {std::min({c[0], c[1], c[2], c[3]}),
+            std::max({c[0], c[1], c[2], c[3]})};
+  }
+  // Within each cell the noise is a convex combination of the cell's
+  // corners, so the corners the box touches bound it.
+  const auto nx = static_cast<std::int64_t>(fx1 - fx0);
+  const auto ny = static_cast<std::int64_t>(fy1 - fy0);
+  Interval range{1.0, -1.0};
+  for (std::int64_t i = 0; i <= nx + 1; ++i) {
+    for (std::int64_t j = 0; j <= ny + 1; ++j) {
+      const double v = lattice(ix + i, iy + j);
+      range.lo = std::min(range.lo, v);
+      range.hi = std::max(range.hi, v);
+    }
+  }
+  return range;
+}
+
+Interval NoiseField::fbm_range(double x0, double y0, double x1, double y1,
+                               int octaves) const {
+  const double norm = amplitude_sum(octaves);
+  if (!(norm > 0)) return {};
+  Interval sum;
+  double amplitude = 1.0;
+  for (int k = 0; k < octaves; ++k) {
+    const Interval r = at_range(x0, y0, x1, y1);
+    sum.lo += amplitude * r.lo;
+    sum.hi += amplitude * r.hi;
+    amplitude *= 0.5;
+    x0 *= 2.0;
+    y0 *= 2.0;
+    x1 *= 2.0;
+    y1 *= 2.0;
+  }
+  return {sum.lo / norm, sum.hi / norm};
 }
 
 }  // namespace mfw::modis

@@ -12,6 +12,17 @@
 
 namespace mfw::modis {
 
+/// A closed interval [lo, hi].
+struct Interval {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// Where a threshold test lands for a set of values (an interval, or the
+/// values over a set of points): above the threshold for every one
+/// (kAbove), for none (kBelow), or not decided (kUndecided).
+enum class Side : std::uint8_t { kBelow, kAbove, kUndecided };
+
 /// Deterministic 2-D value-noise field; cheap and allocation-free.
 class NoiseField {
  public:
@@ -56,14 +67,32 @@ class NoiseField {
   /// fbm reusing (and updating) `memo`; equal to fbm(x, y, octaves).
   double fbm(double x, double y, int octaves, Memo& memo) const;
 
-  /// fbm(x, y, octaves, memo) + offset > threshold, always the answer the
-  /// full evaluation gives. Octaves are evaluated four at a time; after each
-  /// group it returns as soon as the octaves still missing, each adding at
-  /// most its amplitude, cannot flip the comparison.
-  bool fbm_above(double x, double y, int octaves, Memo& memo, double offset,
-                 double threshold) const;
+  /// Whether fbm(x, y, octaves, memo) + offset > threshold for every offset
+  /// in [offset_lo, offset_hi] (kAbove), for none (kBelow) or for some only
+  /// (kUndecided); an answer it gives is the full evaluation's for every
+  /// such offset. Octaves are evaluated four at a time; after each group it
+  /// returns as soon as the octaves still missing, each adding at most its
+  /// amplitude, cannot flip the comparison. It answers kUndecided only after
+  /// the last octave, with `value` set to fbm(x, y, octaves, memo), so the
+  /// caller finishes with its exact offset as `value + offset > threshold`.
+  /// With offset_lo == offset_hi it never answers kUndecided.
+  Side fbm_above(double x, double y, int octaves, Memo& memo,
+                 double offset_lo, double offset_hi, double threshold,
+                 double& value) const;
+
+  /// Bounds fbm(x, y, octaves) over the box [x0, x1] x [y0, y1], up to a
+  /// few ulps of rounding, from lattice corners hashed fresh (no memo). Per
+  /// octave, a box inside one lattice cell is bounded by the noise at its
+  /// four corners, a box across at most three cells per axis by the corner
+  /// values it touches, and a larger one by [-1, 1].
+  Interval fbm_range(double x0, double y0, double x1, double y1,
+                     int octaves) const;
 
  private:
+  /// Bounds at(x, y) over the box [x0, x1] x [y0, y1], as fbm_range does
+  /// for one octave.
+  Interval at_range(double x0, double y0, double x1, double y1) const;
+
   /// Adds amplitude * noise for octaves [first, last) to `sum` in octave
   /// order and returns it; fbm is add_octaves(..., 0, n, ..., 0.0) divided
   /// by the amplitude sum. `first` is a multiple of four.

@@ -1,8 +1,11 @@
 #include "modis/products.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
+#include <limits>
+#include <numbers>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -108,7 +111,50 @@ double cloud_climatology(double lat) {
          0.05 * std::cos(2.0 * lat_rad);
 }
 
+// Added to the continents field by the land test: pushes land away from the
+// poles a little (Southern Ocean / Arctic ocean).
+double polar_offset(double lat) {
+  return 0.10 * std::cos(lat * std::numbers::pi / 90.0);
+}
+
+// Octaves of the continents field, and its sampling frame: scaled so that
+// continents span ~40-80 degrees.
+constexpr int kContinentOctaves = 5;
+double continents_x(double lon) { return lon / 42.0; }
+double continents_y(double lat) { return lat / 30.0; }
+
+// Latitude cells of LatitudeTable, each with a node at either end.
+constexpr int kLatitudeCells = 180 * LatitudeTable::kNodesPerDegree;
+
 }  // namespace
+
+LatitudeTable::LatitudeTable()
+    : polar_(kLatitudeCells + 1), climatology_(kLatitudeCells + 1) {
+  for (int i = 0; i <= kLatitudeCells; ++i) {
+    // Exact: i / 64 has at most 14 significant bits.
+    const double lat = -90.0 + static_cast<double>(i) / kNodesPerDegree;
+    polar_[static_cast<std::size_t>(i)] = polar_offset(lat);
+    climatology_[static_cast<std::size_t>(i)] = cloud_climatology(lat);
+  }
+}
+
+const LatitudeTable& LatitudeTable::instance() {
+  static const LatitudeTable table;
+  return table;
+}
+
+Interval LatitudeTable::lookup(const std::vector<double>& nodes,
+                               double lat) {
+  const double u = (lat + 90.0) * kNodesPerDegree;
+  if (!(u >= 0.0 && u <= kLatitudeCells))
+    return {-std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::infinity()};
+  const int i = std::min(static_cast<int>(u), kLatitudeCells - 1);
+  const double a = nodes[static_cast<std::size_t>(i)];
+  const double b = nodes[static_cast<std::size_t>(i) + 1];
+  const double v = a + (b - a) * (u - i);
+  return {v - kSlack, v + kSlack};
+}
 
 EarthModel::EarthModel(std::uint64_t seed)
     : continents_(util::mix64(seed, 1)),
@@ -117,11 +163,46 @@ EarthModel::EarthModel(std::uint64_t seed)
       pressure_(util::mix64(seed, 4)) {}
 
 bool EarthModel::is_land(const LatLon& p, Memo& memo) const {
-  // Push land away from the poles a little (Southern Ocean / Arctic ocean).
-  const double polar = 0.10 * std::cos(p.lat * std::numbers::pi / 90.0);
-  // Sample in a lat/lon frame scaled so continents span ~40-80 degrees.
-  return continents_.fbm_above(p.lon / 42.0, p.lat / 30.0, 5, memo.land,
-                               polar, kLandThreshold);
+  // The exact polar offset is needed only when its interval straddles the
+  // threshold.
+  const auto polar = LatitudeTable::instance().polar(p.lat);
+  double value = 0.0;
+  const auto side = continents_.fbm_above(
+      continents_x(p.lon), continents_y(p.lat), kContinentOctaves, memo.land,
+      polar.lo, polar.hi, kLandThreshold, value);
+  if (side != Side::kUndecided) return side == Side::kAbove;
+  return value + polar_offset(p.lat) > kLandThreshold;
+}
+
+Side EarthModel::land_over(std::span<const LatLon> points) const {
+  if (points.empty()) return Side::kUndecided;
+  LatLon lo = points.front();
+  LatLon hi = lo;
+  for (const LatLon& p : points.subspan(1)) {
+    lo.lat = std::min(lo.lat, p.lat);
+    hi.lat = std::max(hi.lat, p.lat);
+    lo.lon = std::min(lo.lon, p.lon);
+    hi.lon = std::max(hi.lon, p.lon);
+  }
+  // Points on both sides of the dateline have no lat/lon box in the
+  // continents' frame.
+  if (!(hi.lon - lo.lon <= 180.0)) return Side::kUndecided;
+  // Division by a positive constant is monotone, so the scaled box holds
+  // every point's sampling coordinates.
+  const auto field = continents_.fbm_range(
+      continents_x(lo.lon), continents_y(lo.lat), continents_x(hi.lon),
+      continents_y(hi.lat), kContinentOctaves);
+  // The polar offset is even and decreases in |lat|.
+  const double nearest = lo.lat > 0.0 ? lo.lat : hi.lat < 0.0 ? -hi.lat : 0.0;
+  const double farthest = std::max(-lo.lat, hi.lat);
+  const auto& table = LatitudeTable::instance();
+  // The slack covers the roundings of fbm_range and of each point's sum.
+  constexpr double kSlack = 1e-9;
+  if (field.hi + table.polar(nearest).hi + kSlack < kLandThreshold)
+    return Side::kBelow;
+  if (field.lo + table.polar(farthest).lo - kSlack > kLandThreshold)
+    return Side::kAbove;
+  return Side::kUndecided;
 }
 
 double EarthModel::synoptic_cloud(const LatLon& p, int day_of_year,
@@ -150,14 +231,18 @@ bool EarthModel::is_cloudy(const LatLon& p, int day_of_year,
                            Memo& memo) const {
   // The clamp in cloud_intensity keeps every value on its side of the
   // threshold, so the unclamped sum is compared. The mesoscale term lies in
-  // [-0.35, 0.35]; the slack covers the roundings of both sides.
+  // [-0.35, 0.35]; the slack covers the roundings of both sides. Rounded
+  // addition is monotone, so each test against an end of the climatology's
+  // interval gives the exact climatology's answer whenever it decides.
   const double synoptic = synoptic_cloud(p, day_of_year, memo);
-  const double climo = cloud_climatology(p.lat);
+  const auto climo = LatitudeTable::instance().climatology(p.lat);
   constexpr double kMesoBound = 0.35 * (1.0 + 1e-6) + 1e-12;
-  const double estimate = synoptic + climo;
-  if (estimate - kMesoBound > kCloudThreshold) return true;
-  if (estimate + kMesoBound < kCloudThreshold) return false;
-  return synoptic + mesoscale_cloud(p, memo) + climo > kCloudThreshold;
+  if (synoptic + climo.lo - kMesoBound > kCloudThreshold) return true;
+  if (synoptic + climo.hi + kMesoBound < kCloudThreshold) return false;
+  const double v = synoptic + mesoscale_cloud(p, memo);
+  if (v + climo.lo > kCloudThreshold) return true;
+  if (!(v + climo.hi > kCloudThreshold)) return false;
+  return v + cloud_climatology(p.lat) > kCloudThreshold;
 }
 
 double EarthModel::cloud_top_pressure(const LatLon& p, int day_of_year,
@@ -421,26 +506,32 @@ GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
       rows[sr] = swath_row(spec.satellite, spec.slot, row_frac);
     }
     for (int tc = 0; tc < tile_cols; ++tc) {
-      // Land first: one land sample rules the tile out, and its cloud field
-      // is never needed. Samples go column by column, down one column and up
-      // the next: along-track neighbours are the closest, so the memo's
-      // cells carry over. The counts below do not depend on the order.
-      bool any_land = false;
+      // Samples go column by column, down one column and up the next:
+      // along-track neighbours are the closest, so the memo's cells carry
+      // over. The counts below do not depend on the order.
       std::size_t sampled = 0;
-      for (int sc = 0; sc < n && !any_land; ++sc) {
+      for (int sc = 0; sc < n; ++sc) {
         const double col_frac =
             (tc * tile_size + (sc + 0.5) * tile_size / n) / g.cols;
-        for (int k = 0; k < n && !any_land; ++k) {
+        for (int k = 0; k < n; ++k) {
           const int sr = sc % 2 == 0 ? k : n - 1 - k;
-          const LatLon p = swath_pixel(rows[sr], col_frac);
-          points[sampled++] = p;
-          any_land = earth.is_land(p, memo);
+          points[sampled++] = swath_pixel(rows[sr], col_frac);
         }
       }
-      if (any_land) continue;
+      const std::span<const LatLon> tile(points.data(), sampled);
+      // Land first: one land sample rules the tile out, and its cloud field
+      // is never needed. A bound over the tile's box finds most tiles all
+      // land (kAbove) or all ocean (kBelow) without a per-sample test.
+      const Side land = earth.land_over(tile);
+      if (land == Side::kAbove) continue;
+      if (land == Side::kUndecided &&
+          std::any_of(tile.begin(), tile.end(), [&](const LatLon& p) {
+            return earth.is_land(p, memo);
+          }))
+        continue;
       int cloudy = 0;
-      for (std::size_t i = 0; i < sampled; ++i)
-        if (earth.is_cloudy(points[i], spec.day_of_year, memo)) ++cloudy;
+      for (const LatLon& p : tile)
+        if (earth.is_cloudy(p, spec.day_of_year, memo)) ++cloudy;
       ++stats.candidate_tiles;
       const double cloud_frac =
           static_cast<double>(cloudy) / static_cast<double>(n * n);

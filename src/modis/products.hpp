@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,37 @@ struct GranuleSpec {
 /// cloudy samples estimate_granule_stats counts.
 inline constexpr double kCloudThreshold = 0.45;
 
+/// The two latitude-only terms of the land and cloud tests, the polar offset
+/// 0.10 cos(lat pi / 90) and the cloud climatology, tabulated at 1/64 degree
+/// over [-90, 90] from their exact functions. A look-up interpolates
+/// linearly and widens the result by kSlack on each side, so the interval it
+/// returns holds the exact term: the interpolation error is at most
+/// h^2/8 max|f''|, 1.4e-7 for the climatology and 3.7e-9 for the polar
+/// offset, and 0 is a node, so the climatology's kink at the equator never
+/// falls inside a cell. Built once, on first use; const and safe to share
+/// across threads.
+class LatitudeTable {
+ public:
+  static constexpr int kNodesPerDegree = 64;
+  static constexpr double kSlack = 1e-6;
+
+  static const LatitudeTable& instance();
+
+  /// Intervals holding each term at `lat`; (-inf, inf) for a latitude
+  /// outside [-90, 90] or NaN.
+  Interval polar(double lat) const { return lookup(polar_, lat); }
+  Interval climatology(double lat) const {
+    return lookup(climatology_, lat);
+  }
+
+ private:
+  LatitudeTable();
+  static Interval lookup(const std::vector<double>& nodes, double lat);
+
+  std::vector<double> polar_;
+  std::vector<double> climatology_;
+};
+
 /// Shared procedural geography: continents, sea-surface temperature, and the
 /// daily weather (cloud) field. One instance per world seed; all products of
 /// all granules sample it, which is what keeps them mutually consistent.
@@ -76,15 +108,24 @@ class EarthModel {
   explicit EarthModel(std::uint64_t seed);
 
   /// True over continents/islands (~30% of the globe). Usually decided from
-  /// the continents' first four octaves; the answer is always the one the
-  /// full evaluation gives.
+  /// the continents' first four octaves and the tabulated polar offset; the
+  /// answer is always the one the full evaluation gives.
   bool is_land(const LatLon& p, Memo& memo) const;
+
+  /// is_land at every one of `points`, decided at once from a bound over
+  /// their lat/lon box: kAbove when all are land, kBelow when none is. The
+  /// continents field is bounded by NoiseField::fbm_range, the polar offset
+  /// by its table at the box's nearest and farthest latitudes from the
+  /// equator. kUndecided when the box straddles the dateline or the bound
+  /// straddles the threshold; is_land must then be asked point by point.
+  Side land_over(std::span<const LatLon> points) const;
 
   /// Cloud presence probability in [0, 1] for a day's weather.
   double cloud_intensity(const LatLon& p, int day_of_year, Memo& memo) const;
 
   /// cloud_intensity(p, day_of_year, memo) > kCloudThreshold, skipping the
-  /// mesoscale texture when the synoptic field alone settles it.
+  /// mesoscale texture when the synoptic field and the tabulated climatology
+  /// settle it, and the exact climatology when its interval does.
   bool is_cloudy(const LatLon& p, int day_of_year, Memo& memo) const;
 
   /// Cloud-top pressure proxy in hPa (lower = higher cloud); only meaningful

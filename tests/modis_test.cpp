@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 #include <span>
 #include <stdexcept>
@@ -175,21 +176,92 @@ TEST(Noise, MatchesFreshHashOracle) {
 
 TEST(Noise, FbmAboveMatchesFullComparison) {
   // Thresholds far from the value are settled after the first group of
-  // four octaves; the ones a rounding step away need every octave.
+  // four octaves; the ones a rounding step away need every octave. A point
+  // offset always gets an answer; an interval offset gets one only when
+  // both of its ends agree, and otherwise the fbm value to finish with.
   const auto walk = noise_walk();
   const NoiseField field(5);
+  int undecided = 0;
   for (const int octaves : {1, 4, 5, 8, 11}) {
     NoiseField::Memo memo;
     for (const auto& [px, py] : walk) {
       const double offset = 0.1 * std::sin(px);
-      const double v = oracle_fbm(5, px, py, octaves) + offset;
+      const double fbm = oracle_fbm(5, px, py, octaves);
+      const double v = fbm + offset;
       for (const double threshold :
            {v - 0.5, v - 1e-3, std::nextafter(v, -2.0), v,
             std::nextafter(v, 2.0), v + 1e-3, v + 0.5}) {
-        ASSERT_EQ(field.fbm_above(px, py, octaves, memo, offset, threshold),
-                  v > threshold)
+        double value = 0.0;
+        ASSERT_EQ(field.fbm_above(px, py, octaves, memo, offset, offset,
+                                  threshold, value),
+                  v > threshold ? Side::kAbove : Side::kBelow)
             << "octaves " << octaves << " at (" << px << ", " << py
             << "), threshold " << threshold - v << " from the value";
+        const double lo = offset - 1e-6;
+        const double hi = offset + 1e-6;
+        const bool above_lo = fbm + lo > threshold;
+        const bool above_hi = fbm + hi > threshold;
+        const Side want = above_lo   ? Side::kAbove
+                          : above_hi ? Side::kUndecided
+                                     : Side::kBelow;
+        ASSERT_EQ(field.fbm_above(px, py, octaves, memo, lo, hi, threshold,
+                                  value),
+                  want)
+            << "octaves " << octaves << " at (" << px << ", " << py
+            << "), threshold " << threshold - v << " from the value";
+        if (want == Side::kUndecided) {
+          ASSERT_EQ(bits(value), bits(fbm));
+          ++undecided;
+        }
+      }
+    }
+  }
+  EXPECT_GT(undecided, 0);
+}
+
+TEST(Noise, FbmRangeHoldsEverySampleOfItsBox) {
+  // Random boxes inside one lattice cell, across two or three cells and
+  // across many, sampled on a dense grid that includes their edges: every
+  // sample lies in fbm_range's interval, up to rounding. At one octave the
+  // one-cell boxes take the corner bound, the wider ones the corner-value
+  // bound and the widest [-1, 1]; more octaves mix all three.
+  const NoiseField field(17);
+  util::Rng rng(23);
+  constexpr int kGrid = 33;
+  constexpr double kRounding = 1e-12;
+  for (const double max_width : {0.9, 2.5, 9.0}) {
+    for (int octaves = 1; octaves <= 5; ++octaves) {
+      for (int box = 0; box < 40; ++box) {
+        const double width = rng.uniform(0.05, 1.0) * max_width;
+        const double height = rng.uniform(0.05, 1.0) * max_width;
+        double x0 = rng.uniform(-20.0, 20.0);
+        double y0 = rng.uniform(-20.0, 20.0);
+        if (max_width < 1.0) {
+          // Keep the box inside the cell it starts in.
+          x0 = std::floor(x0) + rng.uniform(0.0, 1.0 - width);
+          y0 = std::floor(y0) + rng.uniform(0.0, 1.0 - height);
+        }
+        const double x1 = x0 + width;
+        const double y1 = y0 + height;
+        const auto range = field.fbm_range(x0, y0, x1, y1, octaves);
+        ASSERT_LE(range.lo, range.hi);
+        NoiseField::Memo memo;
+        for (int i = 0; i < kGrid; ++i) {
+          const double x = i + 1 == kGrid ? x1 : x0 + width * i / (kGrid - 1);
+          for (int j = 0; j < kGrid; ++j) {
+            const double y =
+                j + 1 == kGrid ? y1 : y0 + height * j / (kGrid - 1);
+            const double v = field.fbm(x, y, octaves, memo);
+            ASSERT_GE(v, range.lo - kRounding)
+                << octaves << " octaves, box [" << x0 << ", " << x1
+                << "] x [" << y0 << ", " << y1 << "] at (" << x << ", " << y
+                << ")";
+            ASSERT_LE(v, range.hi + kRounding)
+                << octaves << " octaves, box [" << x0 << ", " << x1
+                << "] x [" << y0 << ", " << y1 << "] at (" << x << ", " << y
+                << ")";
+          }
+        }
       }
     }
   }
@@ -434,6 +506,131 @@ TEST(Products, LandAndCloudTestsMatchFullEvaluation) {
   EXPECT_GE(near_cloud, 10);
 }
 
+// The latitude terms written out plainly.
+double oracle_polar(double lat) {
+  return 0.10 * std::cos(lat * std::numbers::pi / 90.0);
+}
+
+double oracle_climatology(double lat) {
+  return 0.18 * std::exp(-std::pow(lat / 12.0, 2)) +
+         0.22 * std::exp(-std::pow((std::abs(lat) - 52.0) / 16.0, 2)) +
+         0.05 * std::cos(2.0 * lat * std::numbers::pi / 180.0);
+}
+
+TEST(Products, LatitudeTableWithinATenthOfItsSlack) {
+  // Every node, the points where the climatology peaks or kinks, the poles,
+  // and a million latitudes at random: each interval holds the exact term,
+  // and its centre, the interpolated value, is within a tenth of the slack.
+  const auto& table = LatitudeTable::instance();
+  std::vector<double> lats = {0.0, -0.0, 12.0, -12.0, 52.0, -52.0, 90.0, -90.0};
+  for (int i = 0; i <= 180 * LatitudeTable::kNodesPerDegree; ++i)
+    lats.push_back(-90.0 + static_cast<double>(i) /
+                               LatitudeTable::kNodesPerDegree);
+  util::Rng rng(31);
+  for (int i = 0; i < 1'000'000; ++i) lats.push_back(rng.uniform(-90, 90));
+  double polar_error = 0.0;
+  double climatology_error = 0.0;
+  for (const double lat : lats) {
+    const auto polar = table.polar(lat);
+    const auto climatology = table.climatology(lat);
+    const double want_polar = oracle_polar(lat);
+    const double want_climatology = oracle_climatology(lat);
+    ASSERT_LE(polar.lo, want_polar) << lat;
+    ASSERT_GE(polar.hi, want_polar) << lat;
+    ASSERT_LE(climatology.lo, want_climatology) << lat;
+    ASSERT_GE(climatology.hi, want_climatology) << lat;
+    polar_error = std::max(
+        polar_error, std::abs(0.5 * (polar.lo + polar.hi) - want_polar));
+    climatology_error = std::max(
+        climatology_error,
+        std::abs(0.5 * (climatology.lo + climatology.hi) - want_climatology));
+  }
+  EXPECT_LE(polar_error, LatitudeTable::kSlack / 10) << polar_error;
+  EXPECT_LE(climatology_error, LatitudeTable::kSlack / 10)
+      << climatology_error;
+
+  // Off the table, an interval that decides nothing.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double lat : {-90.5, 90.5, std::nan("")}) {
+    EXPECT_EQ(table.polar(lat).lo, -kInf);
+    EXPECT_EQ(table.climatology(lat).hi, kInf);
+  }
+}
+
+// Finds where f(lon) - threshold changes sign along the parallel at `lat`,
+// scanning in half-degree steps, and bisects each crossing down to two
+// neighbouring longitudes; appends both ends of each crossing.
+template <typename F>
+void bisect_crossings(double lat, double threshold, F f,
+                      std::vector<LatLon>& out) {
+  double a = -180.0;
+  bool above_a = f(LatLon{lat, a}) > threshold;
+  for (double b = a + 0.5; b < 180.0; b += 0.5) {
+    const bool above_b = f(LatLon{lat, b}) > threshold;
+    if (above_b != above_a) {
+      double lo = a;
+      double hi = b;
+      for (;;) {
+        const double mid = 0.5 * (lo + hi);
+        if (mid <= lo || mid >= hi) break;
+        if ((f(LatLon{lat, mid}) > threshold) == above_a)
+          lo = mid;
+        else
+          hi = mid;
+      }
+      out.push_back({lat, lo});
+      out.push_back({lat, hi});
+    }
+    a = b;
+    above_a = above_b;
+  }
+}
+
+TEST(Products, LandAndCloudFallbacksAtThreshold) {
+  // Points within 1e-12 of each threshold, where the tabulated term's
+  // interval always straddles it, so is_land and is_cloudy finish with the
+  // exact polar offset and climatology: their answers match the full
+  // evaluation on both sides of every crossing.
+  const std::uint64_t seed = 2022;
+  const EarthModel earth(seed);
+  const NoiseField continents(util::mix64(seed, 1));
+  NoiseField::Memo land_memo;
+  auto land = [&](const LatLon& p) {
+    return continents.fbm(p.lon / 42.0, p.lat / 30.0, 5, land_memo) +
+           oracle_polar(p.lat);
+  };
+  EarthModel::Memo full;
+  EarthModel::Memo memo;
+  util::Rng rng(41);
+  std::vector<LatLon> land_points;
+  for (int i = 0; i < 30; ++i)
+    bisect_crossings(rng.uniform(-80, 80), 0.18, land, land_points);
+  ASSERT_GE(land_points.size(), 100u);
+  for (const LatLon& p : land_points) {
+    const double v = land(p);
+    ASSERT_LT(std::abs(v - 0.18), 1e-12) << "(" << p.lat << ", " << p.lon << ")";
+    ASSERT_EQ(earth.is_land(p, memo), v > 0.18)
+        << "(" << p.lat << ", " << p.lon << ")";
+  }
+  for (const int day : {1, 182}) {
+    auto cloud = [&](const LatLon& p) {
+      return earth.cloud_intensity(p, day, full);
+    };
+    std::vector<LatLon> cloud_points;
+    for (int i = 0; i < 10; ++i)
+      bisect_crossings(rng.uniform(-80, 80), kCloudThreshold, cloud,
+                       cloud_points);
+    ASSERT_GE(cloud_points.size(), 100u);
+    for (const LatLon& p : cloud_points) {
+      const double v = cloud(p);
+      ASSERT_LT(std::abs(v - kCloudThreshold), 1e-12)
+          << "(" << p.lat << ", " << p.lon << ") day " << day;
+      ASSERT_EQ(earth.is_cloudy(p, day, memo), v > kCloudThreshold)
+          << "(" << p.lat << ", " << p.lon << ") day " << day;
+    }
+  }
+}
+
 TEST(Products, EarthQueriesIgnoreMemoHistory) {
   // One memo threaded through scattered queries answers exactly as a fresh
   // memo per query.
@@ -586,6 +783,67 @@ TEST(Stats, SharedGeneratorAcrossThreads) {
     ASSERT_EQ(bits(got.mean_cloud_fraction), bits(serial.mean_cloud_fraction))
         << slot;
   }
+}
+
+TEST(Stats, TileLandBoundAgreesWithEverySample) {
+  // Every tile of both satellites at the three golden tilings, sampled as
+  // the estimator samples it. Land does not depend on the day and a slot's
+  // swath is the same every day, so every slot covers the daytime tiles of
+  // any days (1, 91, 182 and 274 among them). A tile the bound decides must
+  // agree with is_land at every sample; the undecided ones must include
+  // samples within 1e-4 of the threshold, which no bound could settle.
+  const std::uint64_t seed = 2022;
+  const GranuleGenerator gen(seed);
+  const EarthModel& earth = gen.earth();
+  const NoiseField continents(util::mix64(seed, 1));
+  NoiseField::Memo continents_memo;
+  EarthModel::Memo memo;
+  long tiles[3] = {0, 0, 0};  // indexed by Side
+  long near_threshold = 0;
+  const std::pair<int, int> tilings[] = {{128, 6}, {96, 5}, {200, 9}};
+  std::vector<LatLon> points;
+  for (const auto& [tile_size, n] : tilings) {
+    const auto& g = kFullGeometry;
+    for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+      for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+        for (int tr = 0; tr < g.rows / tile_size; ++tr) {
+          std::vector<SwathRow> rows;
+          for (int sr = 0; sr < n; ++sr)
+            rows.push_back(swath_row(
+                sat, slot,
+                (tr * tile_size + (sr + 0.5) * tile_size / n) / g.rows));
+          for (int tc = 0; tc < g.cols / tile_size; ++tc) {
+            points.clear();
+            for (int sc = 0; sc < n; ++sc)
+              for (const SwathRow& row : rows)
+                points.push_back(swath_pixel(
+                    row, (tc * tile_size + (sc + 0.5) * tile_size / n) /
+                             g.cols));
+            const Side bound = earth.land_over(points);
+            ++tiles[static_cast<int>(bound)];
+            for (const LatLon& p : points) {
+              const bool land = earth.is_land(p, memo);
+              if (bound == Side::kUndecided) {
+                const double v = continents.fbm(p.lon / 42.0, p.lat / 30.0,
+                                                5, continents_memo) +
+                                 oracle_polar(p.lat);
+                if (std::abs(v - 0.18) < 1e-4) ++near_threshold;
+                continue;
+              }
+              ASSERT_EQ(land, bound == Side::kAbove)
+                  << satellite_name(sat) << " slot " << slot << ", tile ("
+                  << tr << ", " << tc << ") of " << tile_size << " px at ("
+                  << p.lat << ", " << p.lon << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(tiles[static_cast<int>(Side::kBelow)], 0);
+  EXPECT_GT(tiles[static_cast<int>(Side::kAbove)], 0);
+  EXPECT_GT(tiles[static_cast<int>(Side::kUndecided)], 0);
+  EXPECT_GE(near_threshold, 10);
 }
 
 TEST(Stats, SelectedSubsetOfCandidates) {

@@ -23,7 +23,9 @@
 #      numbers).
 #   4. Benches reject arguments they do not take: fig4_strong_scaling
 #      (argument-free) and serve_load (flagged) both exit 2 on --help
-#      instead of running.
+#      instead of running, and malformed flag values exit 2 as well:
+#      archive_campaign --days 1x, fig6_timeline --max-files 3x,
+#      micro_obs --spans -5 and fig1_swath --encode-path bogus.
 #
 # Usage: tools/ci_perf_smoke.sh [build-dir]   (default: build-perf)
 set -euo pipefail
@@ -33,7 +35,8 @@ build_dir="${1:-"${repo_root}/build-perf"}"
 
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "$(nproc)" --target \
-      mfwctl archive_campaign micro_substrates fig4_strong_scaling serve_load
+      mfwctl archive_campaign micro_substrates fig4_strong_scaling serve_load \
+      fig6_timeline micro_obs fig1_swath
 
 # -- 1. differential gate: mfwctl diff vs committed baselines ----------------
 mfwctl="${build_dir}/tools/mfwctl"
@@ -82,14 +85,18 @@ echo "OK: substrate speedups clear the floors"
   --benchmark_min_time=0.05
 
 # -- 4. benches reject arguments they do not take -----------------------------
-for bench in fig4_strong_scaling serve_load; do
+for args in "fig4_strong_scaling --help" "serve_load --help" \
+            "archive_campaign --days 1x" "fig6_timeline --max-files 3x" \
+            "micro_obs --spans -5" "fig1_swath --encode-path bogus"; do
+  read -r bench flags <<< "${args}"
   status=0
-  "${build_dir}/bench/${bench}" --help > /dev/null 2>&1 || status=$?
+  # shellcheck disable=SC2086  # flags splits into the flag and its value
+  "${build_dir}/bench/${bench}" ${flags} > /dev/null 2>&1 || status=$?
   if [[ "${status}" -ne 2 ]]; then
-    echo "FAIL: ${bench} --help exited ${status}, expected 2" >&2
+    echo "FAIL: ${args} exited ${status}, expected 2" >&2
     exit 1
   fi
-  echo "OK: ${bench} rejects --help"
+  echo "OK: ${args} is rejected"
 done
 
 echo "perf smoke: all gates passed"
