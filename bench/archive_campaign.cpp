@@ -47,6 +47,7 @@
 #include "sim_oracle.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 #ifndef MFW_BUILD_TYPE
 #define MFW_BUILD_TYPE "Unknown"
@@ -231,7 +232,7 @@ int main(int argc, char** argv) {
   std::string health_out;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--days") && i + 1 < argc &&
-        benchx::parse_count(argv[i + 1], 1, days)) {
+        util::parse_count(argv[i + 1], 1, days)) {
       ++i;
     } else if (!std::strcmp(argv[i], "--quick")) {
       quick = true;

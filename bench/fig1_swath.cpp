@@ -22,6 +22,7 @@
 #include "ml/ricc.hpp"
 #include "preprocess/tiler.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 using namespace mfw;
 
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (!std::strcmp(argv[i], "--tile-budget") && i + 1 < argc &&
-               benchx::parse_count(argv[i + 1], 0, tile_budget)) {
+               util::parse_count(argv[i + 1], 0, tile_budget)) {
       ++i;
     } else {
       return usage();

@@ -19,6 +19,7 @@
 #include "obs/trace.hpp"
 #include "pipeline/eoml_workflow.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 using namespace mfw;
 
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--report-out" && i + 1 < argc) {
       report_out = argv[++i];
     } else if (arg == "--max-files" && i + 1 < argc &&
-               benchx::parse_count(argv[i + 1], 1, max_files)) {
+               util::parse_count(argv[i + 1], 1, max_files)) {
       ++i;
     } else {
       std::fprintf(stderr,

@@ -32,6 +32,7 @@
 #include "obs/rollup.hpp"
 #include "obs/trace.hpp"
 #include "obs/watch.hpp"
+#include "util/strings.hpp"
 
 using namespace mfw;
 
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
   std::string out;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--spans") && i + 1 < argc &&
-        benchx::parse_count(argv[i + 1], 1, spans)) {
+        util::parse_count(argv[i + 1], 1, spans)) {
       ++i;
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out = argv[++i];

@@ -84,13 +84,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  spec::FacilityCaps caps;
-  caps.name = "lab_facility";
-  caps.total_nodes = 4;
-  caps.max_workers_per_node = 8;
-  caps.wan_bps = 200.0 * 1024 * 1024;
+  spec::Facility facility;
+  facility.name = "lab_facility";
+  facility.total_nodes = 4;
+  facility.max_workers_per_node = 8;
+  facility.wan_bps = 200.0 * 1024 * 1024;
   const auto graph = spec::StageGraph::compile(
-      spec::WorkflowSpec::from_yaml_text(kCampaignSpec), caps);
+      spec::WorkflowSpec::from_yaml_text(kCampaignSpec), facility);
 
   const std::vector<std::string> policies =
       quick ? std::vector<std::string>{"fifo", "fair_share"}

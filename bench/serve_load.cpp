@@ -34,6 +34,7 @@
 #include "serve/service.hpp"
 #include "util/json_writer.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 #ifndef MFW_BUILD_TYPE
@@ -85,10 +86,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && has_value) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--tiles") == 0 && has_value &&
-               benchx::parse_count(argv[i + 1], 1, tiles)) {
+               util::parse_count(argv[i + 1], 1, tiles)) {
       ++i;
     } else if (std::strcmp(argv[i], "--users") == 0 && has_value &&
-               benchx::parse_count(argv[i + 1], 1, users)) {
+               util::parse_count(argv[i + 1], 1, users)) {
       ++i;
     } else {
       std::fprintf(stderr,

@@ -101,37 +101,52 @@ std::string to_chrome_trace_json(const TraceRecorder& recorder) {
          ",\"name\":\"process_name\",\"args\":{\"name\":" +
          json_string(process.name) + "}}");
   }
-  for (const auto& track : tracks) {
-    const auto pid = std::to_string(track.process);
-    const auto tid = std::to_string(track.tid);
-    emit("{\"ph\":\"M\",\"pid\":" + pid + ",\"tid\":" + tid +
-         ",\"name\":\"thread_name\",\"args\":{\"name\":" +
-         json_string(track.name) + "}}");
-  }
+  for (const auto& track : tracks)
+    emit(thread_name_event(track.process, track.tid, track.name));
   for (const auto& span : spans) {
     const TraceTrack& track = tracks.at(span.track);
-    std::string event = "{\"ph\":\"X\",\"pid\":" +
-                        std::to_string(track.process) +
-                        ",\"tid\":" + std::to_string(track.tid) +
-                        ",\"cat\":" + json_string(span.category) +
-                        ",\"name\":" + json_string(span.name) +
-                        ",\"ts\":" + micros(span.start) + ",\"dur\":" +
-                        micros(span.closed() ? span.end - span.start : 0.0);
     Args args = span.args;
     if (!span.closed()) args.emplace_back("open", "true");
-    event += ",\"args\":" + json_args(args) + "}";
-    emit(event);
+    emit(span_event(track.process, track.tid, span.category, span.name,
+                    span.start, span.closed() ? span.end - span.start : 0.0,
+                    args));
   }
   for (const auto& inst : instants) {
     const TraceTrack& track = tracks.at(inst.track);
-    emit("{\"ph\":\"i\",\"pid\":" + std::to_string(track.process) +
-         ",\"tid\":" + std::to_string(track.tid) + ",\"cat\":" +
-         json_string(inst.category) + ",\"name\":" + json_string(inst.name) +
-         ",\"ts\":" + micros(inst.at) + ",\"s\":\"t\",\"args\":" +
-         json_args(inst.args) + "}");
+    emit(instant_event(track.process, track.tid, inst.category, inst.name,
+                       inst.at, inst.args));
   }
   os << "\n]}\n";
   return os.str();
+}
+
+std::string thread_name_event(std::uint32_t pid, std::uint32_t tid,
+                              std::string_view name) {
+  return "{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
+         ",\"tid\":" + std::to_string(tid) +
+         ",\"name\":\"thread_name\",\"args\":{\"name\":" +
+         json_string(name) + "}}";
+}
+
+std::string span_event(std::uint32_t pid, std::uint32_t tid,
+                       std::string_view category, std::string_view name,
+                       double start, double duration, const Args& args) {
+  return "{\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
+         ",\"tid\":" + std::to_string(tid) +
+         ",\"cat\":" + json_string(category) + ",\"name\":" +
+         json_string(name) + ",\"ts\":" + micros(start) +
+         ",\"dur\":" + micros(duration) + ",\"args\":" + json_args(args) +
+         "}";
+}
+
+std::string instant_event(std::uint32_t pid, std::uint32_t tid,
+                          std::string_view category, std::string_view name,
+                          double at, const Args& args) {
+  return "{\"ph\":\"i\",\"pid\":" + std::to_string(pid) +
+         ",\"tid\":" + std::to_string(tid) +
+         ",\"cat\":" + json_string(category) + ",\"name\":" +
+         json_string(name) + ",\"ts\":" + micros(at) +
+         ",\"s\":\"t\",\"args\":" + json_args(args) + "}";
 }
 
 std::string to_metrics_text(const MetricsRegistry& registry) {

@@ -9,6 +9,7 @@
 //    distribution.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -25,6 +26,20 @@ std::string json_escape(std::string_view text);
 
 /// Renders the recorder's events as a Chrome trace-event JSON document.
 std::string to_chrome_trace_json(const TraceRecorder& recorder);
+
+/// The Chrome trace-event records both trace documents are built from (this
+/// exporter and FlightRecorder::to_chrome_trace_json), so a lane, a span or
+/// an instant reads byte for byte the same in either: thread-name metadata,
+/// a complete event (ph "X") and a thread-scoped instant (ph "i"). Times
+/// are in seconds.
+std::string thread_name_event(std::uint32_t pid, std::uint32_t tid,
+                              std::string_view name);
+std::string span_event(std::uint32_t pid, std::uint32_t tid,
+                       std::string_view category, std::string_view name,
+                       double start, double duration, const Args& args);
+std::string instant_event(std::uint32_t pid, std::uint32_t tid,
+                          std::string_view category, std::string_view name,
+                          double at, const Args& args);
 
 /// Renders the registry as flat text (counters, gauges, distributions).
 std::string to_metrics_text(const MetricsRegistry& registry);

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
-#include <limits>
+#include <map>
 #include <sstream>
 
+#include "obs/rollup.hpp"
 #include "util/json_writer.hpp"
 
 namespace mfw::obs {
@@ -235,179 +235,6 @@ std::string LineageReport::render_granule(const std::string& granule) const {
     os << line;
   }
   return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// LineageRollup
-// ---------------------------------------------------------------------------
-
-LineageRollup::LineageRollup(LineageRollupConfig config) : config_(config) {
-  if (config_.max_granules == 0) config_.max_granules = 1;
-}
-
-void LineageRollup::set_next(SpanSink* next) {
-  std::lock_guard<std::mutex> lock(mu_);
-  next_ = next;
-}
-
-void LineageRollup::on_span(const TraceTrack& track, const TraceSpan& span) {
-  SpanSink* next = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::string granule = granule_arg(span.args);
-    if (!granule.empty() && span.closed()) {
-      const std::string* status = arg_of(span.args, "status");
-      touch_locked(granule, span.start, span.end,
-                   double_arg(span.args, "queue_wait_s"),
-                   span.category == "download", span.category == "compute",
-                   span.category == "flow.state",
-                   /*ready=*/false, status && *status == "failed");
-    }
-    next = next_;
-  }
-  if (next) next->on_span(track, span);
-}
-
-void LineageRollup::on_instant(const TraceTrack& track,
-                               const TraceInstant& instant) {
-  SpanSink* next = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::string granule = granule_arg(instant.args);
-    if (!granule.empty())
-      touch_locked(granule, instant.at, instant.at, 0.0, false, false, false,
-                   instant.name == "granule.ready", false);
-    next = next_;
-  }
-  if (next) next->on_instant(track, instant);
-}
-
-void LineageRollup::touch_locked(const std::string& granule, double start,
-                                 double end, double wait_s, bool is_download,
-                                 bool is_compute, bool is_flow_state,
-                                 bool ready, bool failed) {
-  auto it = live_.find(granule);
-  if (it == live_.end()) {
-    if (live_.size() >= config_.max_granules) evict_one_locked();
-    it = live_.emplace(granule, Summary{}).first;
-    it->second.first_start = start;
-    it->second.last_end = end;
-    order_.push_back(granule);
-  }
-  Summary& s = it->second;
-  s.first_start = std::min(s.first_start, start);
-  s.last_end = std::max(s.last_end, end);
-  s.service_s += end - start;
-  s.wait_s += wait_s;
-  ++s.hops;
-  if (is_download) ++s.downloads;
-  if (is_compute) ++s.computes;
-  if (is_flow_state) ++s.flow_states;
-  s.ready = s.ready || ready;
-  s.failed = s.failed || failed;
-}
-
-void LineageRollup::evict_one_locked() {
-  // FIFO by first touch: campaign granules enter roughly in time order, so
-  // the front of the order queue is the granule least likely to gain hops.
-  while (!order_.empty()) {
-    const std::string victim = std::move(order_.front());
-    order_.pop_front();
-    const auto it = live_.find(victim);
-    if (it == live_.end()) continue;
-    fold_locked(it->second);
-    live_.erase(it);
-    ++evicted_;
-    return;
-  }
-}
-
-void LineageRollup::fold_locked(const Summary& summary) {
-  if (summary.latency_s() > 0.0) latency_hist_.add(summary.latency_s());
-  if (summary.wait_s > 0.0) wait_hist_.add(summary.wait_s);
-}
-
-std::size_t LineageRollup::live_granules() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return live_.size();
-}
-
-std::uint64_t LineageRollup::total_granules() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return live_.size() + evicted_;
-}
-
-std::uint64_t LineageRollup::evicted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evicted_;
-}
-
-bool LineageRollup::summary(const std::string& granule, Summary& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = live_.find(granule);
-  if (it == live_.end()) return false;
-  out = it->second;
-  return true;
-}
-
-double LineageRollup::latency_quantile(double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LogHistogram merged = latency_hist_;
-  for (const auto& [granule, s] : live_)
-    if (s.latency_s() > 0.0) merged.add(s.latency_s());
-  return merged.quantile(q);
-}
-
-double LineageRollup::wait_quantile(double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LogHistogram merged = wait_hist_;
-  for (const auto& [granule, s] : live_)
-    if (s.wait_s > 0.0) merged.add(s.wait_s);
-  return merged.quantile(q);
-}
-
-std::string LineageRollup::to_json(std::size_t top) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LogHistogram latency = latency_hist_;
-  LogHistogram wait = wait_hist_;
-  std::vector<std::pair<double, const std::string*>> slowest;
-  slowest.reserve(live_.size());
-  for (const auto& [granule, s] : live_) {
-    if (s.latency_s() > 0.0) latency.add(s.latency_s());
-    if (s.wait_s > 0.0) wait.add(s.wait_s);
-    slowest.emplace_back(s.latency_s(), &granule);
-  }
-  std::sort(slowest.begin(), slowest.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return *a.second < *b.second;
-            });
-  util::JsonWriter w;
-  w.begin_object();
-  w.field("schema", "mfw.lineage_rollup/v1");
-  w.field("live", live_.size());
-  w.field("evicted", evicted_);
-  w.field("total", live_.size() + evicted_);
-  w.field("latency_p50", latency.quantile(0.50));
-  w.field("latency_p99", latency.quantile(0.99));
-  w.field("wait_p50", wait.quantile(0.50));
-  w.field("wait_p99", wait.quantile(0.99));
-  w.key("slowest").begin_array();
-  std::size_t emitted = 0;
-  for (const auto& [latency_s, granule] : slowest) {
-    if (top && emitted++ >= top) break;
-    const Summary& s = live_.at(*granule);
-    w.item("\n ").begin_object();
-    w.field("granule", *granule);
-    w.field("latency_s", latency_s);
-    w.field("service_s", s.service_s);
-    w.field("wait_s", s.wait_s);
-    w.field("hops", s.hops);
-    w.field("ready", s.ready);
-    w.end_object();
-  }
-  w.end_array("\n").end_object();
-  return w.take();
 }
 
 }  // namespace mfw::obs

@@ -6,29 +6,16 @@
 // obs/analyze.hpp consumes (the "granule"/"key" identity arg threaded
 // through every instrumented stage).
 //
-// Two consumption modes, mirroring the full-trace vs rollup split:
-//
-//  - extract_lineage(): post-hoc, O(events) — walks a recorder snapshot and
-//    materialises every hop of every granule with a per-hop wait/service
-//    split (queue_wait_s when the span recorded it, otherwise the causal gap
-//    since the previous hop ended). Powers `mfwctl lineage`.
-//  - LineageRollup: a SpanSink for year-scale campaigns — per granule it
-//    keeps one fixed-size summary (first/last touch, hop counts, wait and
-//    service seconds), bounded by `max_granules`: when the table is full the
-//    oldest-completed granule is folded into whole-campaign latency/wait
-//    sketches (LogHistogram) and evicted, so memory is O(max_granules)
-//    regardless of campaign length.
+// extract_lineage() is post-hoc, O(events): it walks a recorder snapshot
+// and materialises every hop of every granule with a per-hop wait/service
+// split (queue_wait_s when the span recorded it, otherwise the causal gap
+// since the previous hop ended). Powers `mfwctl lineage`.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/rollup.hpp"
 #include "obs/trace.hpp"
 
 namespace mfw::obs {
@@ -97,76 +84,5 @@ struct LineageOptions {
 /// "key" arg joins the chain of that granule.
 LineageReport extract_lineage(const TraceRecorder& recorder,
                               const LineageOptions& options = {});
-
-/// Bounded-memory streaming lineage for year-scale campaigns. Attach as the
-/// recorder's SpanSink (or chain behind TelemetryBus::set_next). Thread-safe
-/// like SpanRollup: sink callbacks arrive under the recorder lock, accessors
-/// may run on another thread.
-struct LineageRollupConfig {
-  /// Live per-granule summaries kept; past this, the oldest granule is
-  /// folded into the aggregate sketches and evicted.
-  std::size_t max_granules = 65536;
-};
-
-class LineageRollup : public SpanSink {
- public:
-  /// Fixed-size per-granule accumulator (no per-hop storage).
-  struct Summary {
-    double first_start = 0.0;
-    double last_end = 0.0;
-    double service_s = 0.0;
-    double wait_s = 0.0;
-    std::uint32_t hops = 0;
-    std::uint16_t downloads = 0;
-    std::uint16_t computes = 0;   // preprocess + inference tasks
-    std::uint16_t flow_states = 0;
-    bool ready = false;
-    bool failed = false;
-
-    double latency_s() const {
-      return last_end > first_start ? last_end - first_start : 0.0;
-    }
-  };
-
-  explicit LineageRollup(LineageRollupConfig config = {});
-
-  void on_span(const TraceTrack& track, const TraceSpan& span) override;
-  void on_instant(const TraceTrack& track,
-                  const TraceInstant& instant) override;
-
-  /// Chains a downstream sink fed every event verbatim (single sink slot on
-  /// the recorder).
-  void set_next(SpanSink* next);
-
-  std::size_t live_granules() const;
-  std::uint64_t total_granules() const;  // live + evicted
-  std::uint64_t evicted() const;
-  /// Copy of one live granule's summary; false when unknown (or evicted).
-  bool summary(const std::string& granule, Summary& out) const;
-  /// Whole-campaign end-to-end latency quantile over every granule ever
-  /// seen (live + evicted), sketch accuracy LogHistogram::kMaxRelativeError.
-  double latency_quantile(double q) const;
-  double wait_quantile(double q) const;
-
-  /// {"schema": "mfw.lineage_rollup/v1", ...}: counts, quantiles, and the
-  /// slowest `top` live granules.
-  std::string to_json(std::size_t top = 10) const;
-
- private:
-  void touch_locked(const std::string& granule, double start, double end,
-                    double wait_s, bool is_download, bool is_compute,
-                    bool is_flow_state, bool ready, bool failed);
-  void evict_one_locked();
-  void fold_locked(const Summary& summary);
-
-  mutable std::mutex mu_;
-  LineageRollupConfig config_;
-  SpanSink* next_ = nullptr;
-  std::map<std::string, Summary> live_;
-  std::deque<std::string> order_;  // first-touch order, drives FIFO eviction
-  LogHistogram latency_hist_;  // every granule ever seen (fold on evict +
-  LogHistogram wait_hist_;     // on accessor snapshots of live granules)
-  std::uint64_t evicted_ = 0;
-};
 
 }  // namespace mfw::obs

@@ -230,6 +230,89 @@ EomlConfig EomlConfig::from_yaml_text(std::string_view text) {
   return from_yaml(util::parse_yaml(text));
 }
 
+spec::Facility facility_of(const EomlConfig& config) {
+  spec::Facility facility;
+  facility.total_nodes = config.facility_total_nodes;
+  facility.max_workers_per_node = std::max(64, config.workers_per_node);
+  facility.scheduler_latency = config.slurm_latency;
+  facility.node_r_max = config.node_r_max;
+  facility.node_tau = config.node_tau;
+  facility.wan_bps = config.wan_capacity_bps;
+  facility.analysis_link_bps = config.facility_link_bps;
+  return facility;
+}
+
+void apply(const spec::Facility& facility, EomlConfig& config) {
+  config.facility_total_nodes = facility.total_nodes;
+  config.slurm_latency = facility.scheduler_latency;
+  config.node_r_max = facility.node_r_max;
+  config.node_tau = facility.node_tau;
+  config.wan_capacity_bps = facility.wan_bps;
+  config.facility_link_bps = facility.analysis_link_bps;
+  config.preprocess_nodes =
+      std::min(config.preprocess_nodes, facility.total_nodes);
+}
+
+const std::array<PipelineTemplate, 3> kPipelineTemplates = {{
+    {"aicca-daily",
+     "One day of Terra ocean-cloud tiles, labelled and shipped to Orion "
+     "(the paper's production configuration).",
+     R"(
+workflow:
+  satellite: Terra
+  products: [MOD02, MOD03, MOD06]
+  span: {year: 2022, first_day: 1}
+  daytime_only: true
+download:   {workers: 3}
+preprocess: {nodes: 10, workers_per_node: 8, tile_size: 128, min_cloud_fraction: 0.3}
+monitor:    {poll_interval: 1.0}
+inference:  {workers: 1}
+shipment:   {streams: 4}
+)"},
+    {"aicca-elastic",
+     "Elastic-block variant: Parsl-style blocks scale with queue depth "
+     "(the dynamic allocation of Fig. 6).",
+     R"(
+workflow:
+  satellite: Terra
+  products: [MOD02, MOD03, MOD06]
+  span: {year: 2022, first_day: 1}
+  max_files: 40
+  daytime_only: true
+preprocess:
+  elastic: true
+  block: {nodes_per_block: 1, init_blocks: 1, max_blocks: 8, idle_timeout: 10}
+  workers_per_node: 8
+)"},
+    {"aicca-scaling",
+     "The benchmarking configuration of §IV: capped file count, MOD02 only "
+     "download accounting, static allocation.",
+     R"(
+workflow:
+  satellite: Terra
+  products: [MOD02, MOD03, MOD06]
+  span: {year: 2022, first_day: 1}
+  max_files: 80
+  daytime_only: true
+download:   {workers: 3}
+preprocess: {nodes: 10, workers_per_node: 8}
+inference:  {workers: 1}
+)"},
+}};
+
+EomlConfig instantiate(std::string_view name, std::string_view overrides_yaml) {
+  const auto it = std::find_if(
+      kPipelineTemplates.begin(), kPipelineTemplates.end(),
+      [name](const PipelineTemplate& tpl) { return tpl.name == name; });
+  if (it == kPipelineTemplates.end())
+    throw std::invalid_argument("no pipeline named '" + std::string(name) +
+                                "'");
+  util::YamlNode merged = util::parse_yaml(it->yaml);
+  if (!overrides_yaml.empty())
+    merged = util::merge_yaml(merged, util::parse_yaml(overrides_yaml));
+  return EomlConfig::from_yaml(merged);
+}
+
 void EomlConfig::validate() const {
   if (products.empty()) throw std::invalid_argument("config: no products");
   if (scheduling == SchedulingMode::kStreaming) {

@@ -8,8 +8,10 @@
 // tiling + RICC inference).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compute/block_provider.hpp"
@@ -128,5 +130,32 @@ struct EomlConfig {
 
   void validate() const;
 };
+
+/// The facility `config` runs on (Defiant by default): every run compiles
+/// its stage graph against it. Per-node claims up to 64 workers, or the
+/// config's own width if wider, are admitted.
+spec::Facility facility_of(const EomlConfig& config);
+
+/// Writes `facility`'s characteristics onto `config`, clamping the
+/// preprocess node request to the facility's partition.
+void apply(const spec::Facility& facility, EomlConfig& config);
+
+/// A built-in shareable pipeline template: the "pipeline-as-a-service" of
+/// paper §V-A, a vetted configuration a scientist reuses by name, stating
+/// only what differs.
+struct PipelineTemplate {
+  const char* name;
+  const char* description;
+  const char* yaml;
+};
+
+/// The built-in templates, in name order.
+extern const std::array<PipelineTemplate, 3> kPipelineTemplates;
+
+/// Instantiates the built-in template `name`, deep-merging `overrides_yaml`
+/// (may be empty) onto it; the result is validated like any config file.
+/// Throws std::invalid_argument for an unknown name.
+EomlConfig instantiate(std::string_view name,
+                       std::string_view overrides_yaml = {});
 
 }  // namespace mfw::pipeline

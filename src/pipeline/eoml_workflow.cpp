@@ -202,7 +202,9 @@ EomlReport EomlWorkflow::run() {
         "EO-ML workflow deadlocked: engine drained before shipment finished");
 
   report_.makespan = report_.shipment_span.end;
-  report_.mean_flow_action_overhead = provenance_.mean_action_overhead();
+  if (action_count_ > 0)
+    report_.mean_flow_action_overhead =
+        action_overhead_sum_ / static_cast<double>(action_count_);
   if (first_tile_time_ >= 0 && first_flow_time_ >= first_tile_time_)
     report_.monitor_trigger_gap = first_flow_time_ - first_tile_time_;
   report_.provenance = provenance_;
@@ -539,6 +541,11 @@ void EomlWorkflow::trigger_flows(const std::vector<storage::FileInfo>& files) {
                     if (!record.succeeded) {
                       MFW_ERROR(kComponent, "inference flow failed: ",
                                 record.error);
+                    }
+                    for (const auto& state : record.states) {
+                      if (state.kind != "action") continue;
+                      action_overhead_sum_ += state.orchestration_overhead();
+                      ++action_count_;
                     }
                     report_.inference_span.end = engine_.now();
                     check_shipment();

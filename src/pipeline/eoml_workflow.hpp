@@ -250,6 +250,10 @@ class EomlWorkflow {
   double slurm_request_time_ = -1.0;
   double first_tile_time_ = -1.0;
   double first_flow_time_ = -1.0;
+  /// Orchestration overhead of every action state, summed as flow runs
+  /// finish, so the report has it whether or not provenance is retained.
+  double action_overhead_sum_ = 0.0;
+  std::size_t action_count_ = 0;
   /// Open obs stage spans keyed by stage name (all invalid while the global
   /// TraceRecorder is disabled).
   std::map<std::string, obs::SpanId> stage_spans_;

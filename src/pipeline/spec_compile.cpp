@@ -1,7 +1,5 @@
 #include "pipeline/spec_compile.hpp"
 
-#include <algorithm>
-
 namespace mfw::pipeline {
 
 namespace {
@@ -87,18 +85,9 @@ spec::WorkflowSpec spec_for_config(const EomlConfig& config) {
   return spec;
 }
 
-spec::FacilityCaps caps_for_config(const EomlConfig& config) {
-  spec::FacilityCaps caps;
-  caps.name = "olcf_defiant";
-  caps.total_nodes = config.facility_total_nodes;
-  caps.max_workers_per_node = std::max(64, config.workers_per_node);
-  caps.wan_bps = config.wan_capacity_bps;
-  return caps;
-}
-
 spec::StageGraph compile_config(const EomlConfig& config) {
   return spec::StageGraph::compile(spec_for_config(config),
-                                   caps_for_config(config));
+                                   facility_of(config));
 }
 
 }  // namespace mfw::pipeline

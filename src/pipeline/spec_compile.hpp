@@ -21,10 +21,8 @@ namespace mfw::pipeline {
 /// whole inference stage, as the seed does.
 spec::WorkflowSpec spec_for_config(const EomlConfig& config);
 
-/// Facility capacity slice of the config (Defiant by default).
-spec::FacilityCaps caps_for_config(const EomlConfig& config);
-
-/// Validates and compiles the built-in paper spec for `config`.
+/// Validates and compiles the built-in paper spec for `config` against
+/// facility_of(config).
 spec::StageGraph compile_config(const EomlConfig& config);
 
 }  // namespace mfw::pipeline

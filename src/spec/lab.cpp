@@ -36,24 +36,24 @@ class Lab {
 
   LabResult run() {
     const auto& graph = config_.graph;
-    const auto& caps = graph.caps();
+    const auto& facility = graph.facility();
     const auto& campaign = graph.spec().campaign;
     if (config_.facilities < 1)
       throw std::invalid_argument("lab: facilities must be >= 1");
     const int n_campaigns = std::max(
         1, static_cast<int>(std::ceil(campaign.count * config_.load)));
 
-    // Facility substrate: one executor (the batch partition) + one archive
-    // WAN link per facility. Worker width per node is the largest compute
-    // claim (already validated against caps).
+    // Facility substrate: one executor (the batch partition, under the
+    // facility's contention law) + one archive WAN link per facility. Worker
+    // width per node is the largest compute claim (already validated against
+    // the facility).
     int workers_per_node = 1;
     for (const auto& stage : graph.spec().stages)
       if (stage.kind == "compute")
         workers_per_node = std::max(workers_per_node,
                                     stage.claim.workers_per_node);
-    auto law = [this] {
-      return std::make_unique<sim::SaturatingExpLaw>(config_.node_r_max,
-                                                     config_.node_tau);
+    auto law = [r = facility.node_r_max, tau = facility.node_tau] {
+      return std::make_unique<sim::SaturatingExpLaw>(r, tau);
     };
     auto policy = std::shared_ptr<compute::SchedulerPolicy>(
         compute::make_policy(config_.policy, [this](const std::string& c) {
@@ -64,11 +64,11 @@ class Lab {
       auto exec = std::make_unique<compute::ClusterExecutor>(engine_, law);
       exec->set_label("facility" + std::to_string(f));
       exec->set_policy(policy);
-      for (int n = 0; n < caps.total_nodes; ++n)
+      for (int n = 0; n < facility.total_nodes; ++n)
         exec->add_node(workers_per_node);
       executors_.push_back(std::move(exec));
       wan_.push_back(std::make_unique<sim::FlowLink>(
-          engine_, "wan" + std::to_string(f), caps.wan_bps));
+          engine_, "wan" + std::to_string(f), facility.wan_bps));
     }
 
     // Campaign instances, round-robin across facilities.

@@ -199,8 +199,35 @@ WorkflowSpec WorkflowSpec::from_yaml_text(std::string_view text) {
   return from_yaml(util::parse_yaml(text));
 }
 
+const Facility& olcf_defiant() {
+  static const Facility facility{.name = "OLCF-Defiant"};
+  return facility;
+}
+
+const Facility& nersc_perlmutter_like() {
+  static const Facility facility{.name = "NERSC-Perlmutter-like",
+                                 .total_nodes = 64,
+                                 .scheduler_latency = 2.5,
+                                 .node_r_max = 34.0,
+                                 .node_tau = 3.6,
+                                 .wan_bps = 40.0 * 1024 * 1024,
+                                 .analysis_link_bps = 0.8 * 1024 * 1024 * 1024};
+  return facility;
+}
+
+const Facility& alcf_polaris_like() {
+  static const Facility facility{.name = "ALCF-Polaris-like",
+                                 .total_nodes = 24,
+                                 .scheduler_latency = 4.0,
+                                 .node_r_max = 44.0,
+                                 .node_tau = 2.8,
+                                 .wan_bps = 30.0 * 1024 * 1024,
+                                 .analysis_link_bps = 0.6 * 1024 * 1024 * 1024};
+  return facility;
+}
+
 StageGraph StageGraph::compile(const WorkflowSpec& spec,
-                               const FacilityCaps& caps) {
+                               const Facility& facility) {
   if (spec.stages.empty())
     throw SpecError(0, "workflow '" + spec.name + "' has no stages");
 
@@ -245,25 +272,26 @@ StageGraph StageGraph::compile(const WorkflowSpec& spec,
   // Claim-vs-capacity check.
   for (const auto& stage : spec.stages) {
     const auto& claim = stage.claim;
-    if (claim.nodes > caps.total_nodes)
+    if (claim.nodes > facility.total_nodes)
       throw SpecError(claim.line,
                       "stage '" + stage.name + "' claims " +
                           std::to_string(claim.nodes) + " nodes but facility '" +
-                          caps.name + "' has " +
-                          std::to_string(caps.total_nodes));
-    if (claim.workers_per_node > caps.max_workers_per_node)
+                          facility.name + "' has " +
+                          std::to_string(facility.total_nodes));
+    if (claim.workers_per_node > facility.max_workers_per_node)
       throw SpecError(claim.line,
                       "stage '" + stage.name + "' claims " +
                           std::to_string(claim.workers_per_node) +
-                          " workers/node but facility '" + caps.name +
+                          " workers/node but facility '" + facility.name +
                           "' allows " +
-                          std::to_string(caps.max_workers_per_node));
-    if (claim.wan_bps > caps.wan_bps)
+                          std::to_string(facility.max_workers_per_node));
+    if (claim.wan_bps > facility.wan_bps)
       throw SpecError(claim.line,
                       "stage '" + stage.name + "' claims " +
                           std::to_string(claim.wan_bps) +
-                          " B/s WAN but facility '" + caps.name + "' has " +
-                          std::to_string(caps.wan_bps) + " B/s");
+                          " B/s WAN but facility '" + facility.name +
+                          "' has " + std::to_string(facility.wan_bps) +
+                          " B/s");
   }
 
   // SLO validation: unique names, resolvable stage references, thresholds
@@ -313,7 +341,7 @@ StageGraph StageGraph::compile(const WorkflowSpec& spec,
   // Kahn topological sort, stable in declaration order; leftovers = cycle.
   StageGraph graph;
   graph.spec_ = spec;
-  graph.caps_ = caps;
+  graph.facility_ = facility;
   std::map<std::string, int, std::less<>> pending_inputs;
   for (const auto& stage : spec.stages)
     pending_inputs[stage.name] = static_cast<int>(stage.inputs.size());
@@ -380,8 +408,9 @@ std::vector<std::string> StageGraph::downstream(std::string_view name) const {
 
 std::string StageGraph::describe() const {
   std::ostringstream os;
-  os << "workflow '" << spec_.name << "' on facility '" << caps_.name << "' ("
-     << caps_.total_nodes << " nodes, " << caps_.wan_bps << " B/s WAN)\n";
+  os << "workflow '" << spec_.name << "' on facility '" << facility_.name
+     << "' (" << facility_.total_nodes << " nodes, " << facility_.wan_bps
+     << " B/s WAN)\n";
   const auto& c = spec_.campaign;
   os << "campaign: " << c.count << " instance(s) x " << c.items
      << " item(s), spacing " << c.arrival_spacing << "s";

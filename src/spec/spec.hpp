@@ -139,28 +139,50 @@ std::vector<SloSpec> parse_slo_list(const util::YamlNode& node);
 /// Converts validated SLO specs into the watch layer's rule type.
 std::vector<obs::SloRule> health_rules(const WorkflowSpec& spec);
 
-/// The slice of a facility the validator checks claims against. Neutral
-/// struct (no federation dependency); federation::FacilityProfile converts
-/// trivially.
-struct FacilityCaps {
+/// One facility, described once (paper §V-A): StageGraph::compile checks
+/// claims against it, the lab runs its executors under its contention law,
+/// and pipeline::apply writes it onto a workflow configuration. A default
+/// Facility is the OLCF ACE Defiant partition the paper measured.
+struct Facility {
   std::string name = "olcf_defiant";
+  /// Batch-partition size available to the workflow.
   int total_nodes = 36;
+  /// Widest per-node worker claim the partition admits.
   int max_workers_per_node = 64;
+  /// Scheduler grant latency in seconds (Slurm, PBS, ...).
+  double scheduler_latency = 1.5;
+  /// Node contention law: aggregate rate saturates at node_r_max
+  /// tile-equivalents/s with time constant node_tau.
+  double node_r_max = 38.5;
+  double node_tau = 3.1;
+  /// Archive -> facility WAN throughput (bytes/s).
   double wan_bps = 23.5 * 1024 * 1024;
+  /// Facility -> analysis-site (Frontier/Orion) link (bytes/s).
+  double analysis_link_bps = 1.2 * 1024 * 1024 * 1024;
+
+  bool operator==(const Facility&) const = default;
 };
+
+/// The built-in facilities for the three DOE IRI sites the paper names.
+/// Defiant is the measured system: a default Facility named "OLCF-Defiant".
+const Facility& olcf_defiant();
+/// Bigger partition, slower per-node saturation, faster WAN (ESnet-adjacent).
+const Facility& nersc_perlmutter_like();
+/// PBS-like slower scheduling, fewer nodes, higher per-node ceiling.
+const Facility& alcf_polaris_like();
 
 /// A validated, topologically ordered workflow DAG.
 class StageGraph {
  public:
-  /// Validates `spec` against `caps` and builds the DAG. Throws SpecError
+  /// Validates `spec` against `facility` and builds the DAG. Throws SpecError
   /// (line-anchored) on: duplicate stage name, unknown input stage, cycle,
   /// dataflow edge not matching a declared input, claim exceeding facility
   /// capacity.
   static StageGraph compile(const WorkflowSpec& spec,
-                            const FacilityCaps& caps);
+                            const Facility& facility);
 
   const WorkflowSpec& spec() const { return spec_; }
-  const FacilityCaps& caps() const { return caps_; }
+  const Facility& facility() const { return facility_; }
 
   /// Stage names in topological (dependency-respecting) order; stable with
   /// respect to declaration order among independent stages.
@@ -183,7 +205,7 @@ class StageGraph {
 
  private:
   WorkflowSpec spec_;
-  FacilityCaps caps_;
+  Facility facility_;
   std::vector<std::string> topo_;
 };
 

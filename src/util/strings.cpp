@@ -1,8 +1,11 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 namespace mfw::util {
 
@@ -86,6 +89,30 @@ std::string_view path_basename(std::string_view path) {
 std::string_view path_dirname(std::string_view path) {
   const auto pos = path.find_last_of('/');
   return pos == std::string_view::npos ? std::string_view{} : path.substr(0, pos);
+}
+
+bool parse_count(const char* text, std::size_t min, std::size_t& out) {
+  if (*text < '0' || *text > '9') return false;  // no sign, no blanks
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno != 0 || value < min) return false;
+  out = static_cast<std::size_t>(value);
+  return true;
+}
+
+bool parse_real(const char* text, double min, double& out) {
+  // Digits, signs, a point and an exponent only: strtod alone would also
+  // take leading blanks, hex, inf and nan.
+  if (*text == '+' || text[std::strspn(text, "0123456789+-.eE")] != '\0')
+    return false;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !(value >= min))
+    return false;
+  out = value;
+  return true;
 }
 
 std::string strformat(const char* fmt, ...) {

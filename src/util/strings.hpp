@@ -1,6 +1,7 @@
 // Small string / path helpers shared across modules.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +31,17 @@ std::string_view path_basename(std::string_view path);
 
 /// Directory part ("a/b/c.nc" -> "a/b"; "c.nc" -> "").
 std::string_view path_dirname(std::string_view path);
+
+/// Parses a decimal count of at least `min` into `out`; false, leaving `out`
+/// alone, on anything else: a sign, blanks, trailing characters, overflow.
+/// Every numeric command-line flag of the benches and mfwctl goes through
+/// this or parse_real.
+bool parse_count(const char* text, std::size_t min, std::size_t& out);
+
+/// Parses a finite decimal real of at least `min` into `out`; false, leaving
+/// `out` alone, on anything else: blanks, a leading '+', trailing
+/// characters, hex, inf, nan, overflow.
+bool parse_real(const char* text, double min, double& out);
 
 /// printf-style formatting into std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -82,6 +82,20 @@ TEST_F(EomlIntegration, LatencyBreakdownPopulated) {
   EXPECT_LE(report.monitor_trigger_gap, 1.0 + 0.2);
 }
 
+TEST_F(EomlIntegration, ActionOverheadDoesNotNeedRetainedProvenance) {
+  // Archive-scale runs drop the per-run provenance records; the report's
+  // mean flow action overhead must not drop with them.
+  auto config = small_config();
+  const auto retained = EomlWorkflow(config).run();
+  config.retain_provenance = false;
+  const auto dropped = EomlWorkflow(config).run();
+  EXPECT_GT(retained.provenance.size(), 0u);
+  EXPECT_EQ(dropped.provenance.size(), 0u);
+  EXPECT_GT(retained.mean_flow_action_overhead, 0.0);
+  EXPECT_EQ(dropped.mean_flow_action_overhead,
+            retained.mean_flow_action_overhead);
+}
+
 TEST_F(EomlIntegration, TimelineShowsStagedWorkers) {
   auto config = small_config();
   config.download_workers = 3;

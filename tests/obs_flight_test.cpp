@@ -4,11 +4,14 @@
 // in-repo JSON reader).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "obs/watch.hpp"
@@ -139,6 +142,47 @@ TEST(Flight, DumpIsValidChromeTraceJson) {
   EXPECT_DOUBLE_EQ(meta->num("seen"), 12.0);
   EXPECT_DOUBLE_EQ(meta->num("overwritten"), 4.0);
   EXPECT_DOUBLE_EQ(meta->num("retained"), 8.0);
+}
+
+/// The event lines of a trace document that contain `needle`, without
+/// their separating commas, sorted.
+std::vector<std::string> event_lines(const std::string& doc,
+                                     const std::string& needle) {
+  std::vector<std::string> out;
+  std::istringstream in(doc);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find(needle) == std::string::npos) continue;
+    if (line.back() == ',') line.pop_back();
+    out.push_back(line);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Flight, EventsMatchTheExporterByteForByte) {
+  // One span and one instant, with names and args that need escaping, seen
+  // by both writers: each event must read the same in the exporter's
+  // document and in the flight dump.
+  FlightRecorder flight;
+  TraceRecorder rec;
+  rec.set_enabled(true);
+  rec.begin_process("p");
+  rec.set_span_sink(&flight);
+  rec.add_span("download/w0", "download", "get \"MOD02\"", 1.25, 3.5,
+               {{"granule", "g\n1"}, {"bytes", "42"}});
+  rec.add_instant("flow/granules", "flow", "granule.ready", 3.5,
+                  {{"key", "g\t1"}});
+  rec.set_span_sink(nullptr);
+
+  const std::string exported = to_chrome_trace_json(rec);
+  const std::string dumped = flight.to_chrome_trace_json("test");
+  for (const std::string needle :
+       {"{\"ph\":\"X\"", "{\"ph\":\"i\"", "\"thread_name\""}) {
+    const auto want = event_lines(exported, needle);
+    ASSERT_FALSE(want.empty()) << needle;
+    EXPECT_EQ(event_lines(dumped, needle), want) << needle;
+  }
 }
 
 TEST(Flight, DumpWritesFile) {

@@ -1,7 +1,6 @@
 // Unit tests for per-granule lineage (obs/lineage.hpp): exact causal chains
 // on a hand-built synthetic trace, the barrier-vs-streaming contract on the
-// real workflow (same granule set and chain shape, different overlap), and
-// the bounded-memory LineageRollup.
+// real workflow (same granule set and chain shape, different overlap).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,81 +132,6 @@ TEST(Lineage, BarrierAndStreamingShareChainsButNotOverlap) {
   EXPECT_GE(barrier.min_preprocess_start, barrier.max_download_end);
   // Streaming: preprocess overlaps the download stage.
   EXPECT_LT(streaming.min_preprocess_start, streaming.max_download_end);
-}
-
-TEST(LineageRollup, BoundedMemoryWithFifoEviction) {
-  LineageRollupConfig config;
-  config.max_granules = 8;
-  LineageRollup rollup(config);
-
-  TraceTrack track{0, 1, "preprocess/node0/w0"};
-  for (int i = 0; i < 50; ++i) {
-    TraceSpan span;
-    span.category = "compute";
-    span.name = "p";
-    span.start = 10.0 * i;
-    span.end = 10.0 * i + 5.0;
-    span.args = {{"granule", "g" + std::to_string(i)},
-                 {"queue_wait_s", "2"},
-                 {"status", "ok"}};
-    rollup.on_span(track, span);
-  }
-
-  EXPECT_EQ(rollup.live_granules(), 8u);
-  EXPECT_EQ(rollup.total_granules(), 50u);
-  EXPECT_EQ(rollup.evicted(), 42u);
-
-  // FIFO: the oldest granules were folded into the sketches and evicted,
-  // the newest are still queryable.
-  LineageRollup::Summary summary;
-  EXPECT_FALSE(rollup.summary("g0", summary));
-  ASSERT_TRUE(rollup.summary("g49", summary));
-  EXPECT_EQ(summary.computes, 1u);
-  EXPECT_DOUBLE_EQ(summary.service_s, 5.0);
-  EXPECT_DOUBLE_EQ(summary.wait_s, 2.0);
-
-  // Whole-campaign quantiles cover evicted granules too (every granule has
-  // latency 5 s, so any quantile lands there within sketch error).
-  EXPECT_NEAR(rollup.latency_quantile(0.5), 5.0,
-              5.0 * LogHistogram::kMaxRelativeError);
-  EXPECT_NEAR(rollup.wait_quantile(0.9), 2.0,
-              2.0 * LogHistogram::kMaxRelativeError);
-  EXPECT_NE(rollup.to_json().find("\"mfw.lineage_rollup/v1\""),
-            std::string::npos);
-}
-
-/// Counts events; stands in for a downstream rollup on the single sink slot.
-struct CountingSink : SpanSink {
-  int spans = 0;
-  int instants = 0;
-  void on_span(const TraceTrack&, const TraceSpan&) override { ++spans; }
-  void on_instant(const TraceTrack&, const TraceInstant&) override {
-    ++instants;
-  }
-};
-
-TEST(LineageRollup, ChainsToDownstreamSink) {
-  LineageRollup rollup;
-  CountingSink downstream;
-  rollup.set_next(&downstream);
-
-  TraceRecorder rec;
-  rec.set_enabled(true);
-  rec.begin_process("p");
-  rec.set_span_sink(&rollup);
-  rec.add_span("download/w0", "download", "d", 0.0, 1.0,
-               {{"granule", "g"}});
-  rec.add_instant("flow/granules", "flow", "granule.ready", 1.0,
-                  {{"key", "g"}});
-  rec.set_span_sink(nullptr);
-
-  EXPECT_EQ(downstream.spans, 1);
-  EXPECT_EQ(downstream.instants, 1);
-  EXPECT_EQ(rollup.live_granules(), 1u);
-  LineageRollup::Summary summary;
-  ASSERT_TRUE(rollup.summary("g", summary));
-  EXPECT_TRUE(summary.ready);
-  EXPECT_EQ(summary.downloads, 1u);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
-// Tests for pipeline configuration parsing and the timeline recorder.
+// Tests for pipeline configuration parsing, facilities and templates, and
+// the timeline recorder.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string_view>
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -56,12 +60,101 @@ TEST(SpecCompile, BuiltinSpecMirrorsConfig) {
             spec::EdgeMode::kStreaming);
 }
 
-TEST(SpecCompile, ClaimsRespectFacilityCaps) {
+TEST(SpecCompile, ClaimsRespectTheFacility) {
   // compile_config validates the paper claims against the config's own
   // facility, so an oversubscribed config fails at compile, not mid-run.
   EomlConfig config;
   config.preprocess_nodes = config.facility_total_nodes + 1;
   EXPECT_THROW(compile_config(config), spec::SpecError);
+}
+
+TEST(Facility, DefaultConfigRunsOnTheDefaultFacility) {
+  // mfwctl plan/sweep compile the built-in spec against spec::Facility{}
+  // when no --facility is named; that must be the facility a default run
+  // compiles against.
+  EXPECT_EQ(facility_of(EomlConfig{}), spec::Facility{});
+}
+
+TEST(Facility, ApplyWritesTheFacilityAndClampsPreprocessNodes) {
+  EomlConfig config;
+  config.preprocess_nodes = 50;  // more than Polaris-like has
+  const spec::Facility& alcf = spec::alcf_polaris_like();
+  apply(alcf, config);
+  EXPECT_EQ(config.facility_total_nodes, 24);
+  EXPECT_EQ(config.preprocess_nodes, 24);  // clamped to the partition
+  EXPECT_DOUBLE_EQ(config.slurm_latency, 4.0);
+  EXPECT_DOUBLE_EQ(config.node_r_max, 44.0);
+  EXPECT_NO_THROW(config.validate());
+
+  // facility_of reads back everything apply wrote.
+  spec::Facility back = facility_of(config);
+  back.name = alcf.name;
+  EXPECT_EQ(back, alcf);
+}
+
+TEST(Facility, LowerArchiveBandwidthLengthensTheJob) {
+  // The same job must take longer on a facility whose archive path is the
+  // bottleneck (WAN below the workers' aggregate connection throughput).
+  const auto job = instantiate("aicca-daily",
+                               "workflow: {max_files: 4, span: {first_day: 1}}\n"
+                               "preprocess: {nodes: 2}\n");
+  const auto makespan_on = [&job](const spec::Facility& facility) {
+    auto config = job;
+    apply(facility, config);
+    return EomlWorkflow(config).run().makespan;
+  };
+  spec::Facility throttled = spec::olcf_defiant();
+  throttled.wan_bps = 6.0 * 1024 * 1024;
+  const double fast = makespan_on(spec::olcf_defiant());
+  const double slow = makespan_on(throttled);
+  EXPECT_LT(fast * 1.5, slow);
+}
+
+TEST(Templates, ListInNameOrderAndInstantiate) {
+  EXPECT_TRUE(std::is_sorted(
+      kPipelineTemplates.begin(), kPipelineTemplates.end(),
+      [](const PipelineTemplate& a, const PipelineTemplate& b) {
+        return std::string_view(a.name) < std::string_view(b.name);
+      }));
+  EXPECT_STREQ(kPipelineTemplates.front().name, "aicca-daily");
+  EXPECT_NE(std::string_view(kPipelineTemplates.front().description), "");
+
+  const auto config = instantiate("aicca-daily");
+  EXPECT_EQ(config.preprocess_nodes, 10);
+  EXPECT_TRUE(config.daytime_only);
+  EXPECT_THROW(instantiate("nope"), std::invalid_argument);
+}
+
+TEST(Templates, EveryBuiltinInstantiatesAndValidates) {
+  for (const auto& tpl : kPipelineTemplates) {
+    SCOPED_TRACE(tpl.name);
+    EomlConfig config;
+    ASSERT_NO_THROW(config = instantiate(tpl.name));
+    EXPECT_NO_THROW(config.validate());
+    EXPECT_NO_THROW(compile_config(config));
+  }
+}
+
+TEST(Templates, OverridesDeepMerge) {
+  const auto config = instantiate("aicca-daily", R"(
+workflow:
+  max_files: 6
+  span: {first_day: 42}
+preprocess:
+  nodes: 2
+)");
+  ASSERT_TRUE(config.max_files.has_value());
+  EXPECT_EQ(*config.max_files, 6u);
+  EXPECT_EQ(config.span.first_day, 42);
+  EXPECT_EQ(config.preprocess_nodes, 2);
+  // Untouched template values survive the merge.
+  EXPECT_EQ(config.workers_per_node, 8);
+  EXPECT_EQ(config.download_workers, 3);
+}
+
+TEST(Templates, RejectAnInvalidOverride) {
+  EXPECT_THROW(instantiate("aicca-daily", "download: {workers: 0}\n"),
+               std::invalid_argument);
 }
 
 TEST(Config, DefaultsAreValid) {

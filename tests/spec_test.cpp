@@ -13,9 +13,9 @@ namespace mfw::spec {
 namespace {
 
 /// Parses + compiles `yaml`, returning the SpecError message ("" if none).
-std::string compile_error(const char* yaml, FacilityCaps caps = {}) {
+std::string compile_error(const char* yaml, Facility facility = {}) {
   try {
-    StageGraph::compile(WorkflowSpec::from_yaml_text(yaml), caps);
+    StageGraph::compile(WorkflowSpec::from_yaml_text(yaml), facility);
   } catch (const SpecError& e) {
     return e.what();
   }
@@ -68,16 +68,16 @@ TEST(SpecValidate, ClaimExceedsNodeCapacity) {
 }
 
 TEST(SpecValidate, ClaimExceedsWanCapacity) {
-  FacilityCaps caps;
-  caps.name = "lab";
-  caps.wan_bps = 100.0;
+  Facility facility;
+  facility.name = "lab";
+  facility.wan_bps = 100.0;
   const auto err = compile_error(
       "stages:\n"
       "  - name: ship\n"
       "    kind: transfer\n"
       "    claim:\n"
       "      wan: 200\n",
-      caps);
+      facility);
   EXPECT_NE(err.find("spec:5: stage 'ship' claims 200"), std::string::npos)
       << err;
   EXPECT_NE(err.find("facility 'lab' has 100"), std::string::npos) << err;
@@ -119,7 +119,7 @@ TEST(SpecCompile, TopoOrderAndEdgeModes) {
           "  count: 2\n"
           "  spacing: 30\n"
           "  items: 8\n"),
-      FacilityCaps{});
+      Facility{});
   const auto& topo = graph.topo_order();
   ASSERT_EQ(topo.size(), 3u);
   EXPECT_EQ(topo[0], "ingest");
@@ -139,10 +139,10 @@ TEST(SpecCompile, TopoOrderAndEdgeModes) {
 }
 
 TEST(SpecLab, RunsCompiledGraphAndEmitsSchema) {
-  FacilityCaps caps;
-  caps.name = "lab";
-  caps.total_nodes = 2;
-  caps.max_workers_per_node = 4;
+  Facility facility;
+  facility.name = "lab";
+  facility.total_nodes = 2;
+  facility.max_workers_per_node = 4;
   LabConfig config;
   config.graph = StageGraph::compile(
       WorkflowSpec::from_yaml_text(
@@ -163,7 +163,7 @@ TEST(SpecLab, RunsCompiledGraphAndEmitsSchema) {
           "  count: 2\n"
           "  spacing: 1\n"
           "  items: 6\n"),
-      caps);
+      facility);
   config.policy = "fair_share";
   const auto result = run_lab(config);
   EXPECT_GT(result.makespan, 0.0);
@@ -179,9 +179,9 @@ TEST(SpecLab, RunsCompiledGraphAndEmitsSchema) {
 }
 
 TEST(SpecLab, LoadScalesCampaignCount) {
-  FacilityCaps caps;
-  caps.total_nodes = 1;
-  caps.max_workers_per_node = 2;
+  Facility facility;
+  facility.total_nodes = 1;
+  facility.max_workers_per_node = 2;
   LabConfig config;
   config.graph = StageGraph::compile(
       WorkflowSpec::from_yaml_text(
@@ -192,7 +192,7 @@ TEST(SpecLab, LoadScalesCampaignCount) {
           "campaign:\n"
           "  count: 2\n"
           "  items: 3\n"),
-      caps);
+      facility);
   config.load = 2.0;
   const auto result = run_lab(config);
   EXPECT_EQ(result.campaigns, 4);
@@ -324,7 +324,7 @@ TEST(SpecSlo, CompilesIntoHealthRulesAndDescribe) {
           "  - name: deadlines\n"
           "    metric: deadline_miss_rate\n"
           "    threshold: 0.1\n"),
-      FacilityCaps{});
+      Facility{});
   const auto rules = health_rules(graph.spec());
   ASSERT_EQ(rules.size(), 2u);
   EXPECT_EQ(rules[0].name, "tile-lat");
@@ -346,9 +346,9 @@ TEST(SpecSlo, CompilesIntoHealthRulesAndDescribe) {
 }
 
 TEST(SpecLab, DeadlineSloEvaluatedFromCampaignOutcomes) {
-  FacilityCaps caps;
-  caps.total_nodes = 1;
-  caps.max_workers_per_node = 2;
+  Facility facility;
+  facility.total_nodes = 1;
+  facility.max_workers_per_node = 2;
   LabConfig config;
   config.graph = StageGraph::compile(
       WorkflowSpec::from_yaml_text(
@@ -366,7 +366,7 @@ TEST(SpecLab, DeadlineSloEvaluatedFromCampaignOutcomes) {
           "    metric: deadline_miss_rate\n"
           "    threshold: 0.25\n"
           "    window: 60\n"),
-      caps);
+      facility);
   const auto result = run_lab(config);
   EXPECT_EQ(result.deadline_misses, 2);
   EXPECT_EQ(result.slo_rules, 1);
@@ -376,6 +376,54 @@ TEST(SpecLab, DeadlineSloEvaluatedFromCampaignOutcomes) {
   const auto json = results_to_json({result});
   EXPECT_NE(json.find("\"slo_rules\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"slo_firing\": 1"), std::string::npos);
+}
+
+TEST(SpecFacility, DefaultIsDefiantAndBuiltinsDiffer) {
+  const Facility defiant;
+  EXPECT_EQ(defiant.name, "olcf_defiant");
+  EXPECT_EQ(defiant.total_nodes, 36);
+  EXPECT_EQ(defiant.max_workers_per_node, 64);
+  EXPECT_DOUBLE_EQ(defiant.wan_bps, 23.5 * 1024 * 1024);
+  EXPECT_DOUBLE_EQ(defiant.node_r_max, 38.5);
+  EXPECT_DOUBLE_EQ(defiant.node_tau, 3.1);
+
+  const Facility& olcf = olcf_defiant();
+  const Facility& nersc = nersc_perlmutter_like();
+  const Facility& alcf = alcf_polaris_like();
+  EXPECT_EQ(olcf.name, "OLCF-Defiant");
+  EXPECT_EQ(olcf.total_nodes, 36);
+  EXPECT_GT(nersc.total_nodes, olcf.total_nodes);
+  EXPECT_LT(alcf.total_nodes, olcf.total_nodes);
+  EXPECT_NE(nersc.scheduler_latency, alcf.scheduler_latency);
+  EXPECT_NE(nersc.node_r_max, olcf.node_r_max);
+  EXPECT_NE(alcf.node_r_max, olcf.node_r_max);
+}
+
+TEST(SpecLab, ExecutorsRunTheFacilityContentionLaw) {
+  // Same spec, same partition: only the node law's ceiling differs, and
+  // every item contends for the node's shared substrate.
+  const auto spec = WorkflowSpec::from_yaml_text(
+      "stages:\n"
+      "  - name: tile\n"
+      "    claim:\n"
+      "      workers_per_node: 8\n"
+      "      cpu_per_item: 0.1\n"
+      "      demand_per_item: 20\n"
+      "campaign:\n"
+      "  count: 2\n"
+      "  items: 24\n");
+  Facility slow;
+  slow.total_nodes = 1;
+  Facility fast = slow;
+  fast.node_r_max = 2 * slow.node_r_max;
+
+  LabConfig config;
+  config.graph = StageGraph::compile(spec, slow);
+  const double slow_makespan = run_lab(config).makespan;
+  config.graph = StageGraph::compile(spec, fast);
+  const double fast_makespan = run_lab(config).makespan;
+  EXPECT_GT(slow_makespan, 0.0);
+  EXPECT_LT(fast_makespan, slow_makespan);
 }
 
 }  // namespace

@@ -215,6 +215,41 @@ TEST(Crc32, EverySingleBitFlipChangesTheCrc) {
   }
 }
 
+TEST(Strings, ParseCountIsStrict) {
+  std::size_t out = 7;
+  EXPECT_TRUE(parse_count("0", 0, out));
+  EXPECT_EQ(out, 0u);
+  EXPECT_TRUE(parse_count("2000", 1, out));
+  EXPECT_EQ(out, 2000u);
+  for (const char* bad : {"", "2000x", "x", "-1", "+1", " 1", "1 ", "1e3",
+                          "1.5", "99999999999999999999999"}) {
+    out = 7;
+    EXPECT_FALSE(parse_count(bad, 0, out)) << bad;
+    EXPECT_EQ(out, 7u) << bad;
+  }
+  EXPECT_FALSE(parse_count("0", 1, out));
+}
+
+TEST(Strings, ParseRealIsStrict) {
+  double out = 7.0;
+  EXPECT_TRUE(parse_real("2.5", 0.0, out));
+  EXPECT_EQ(out, 2.5);
+  EXPECT_TRUE(parse_real(".5", 0.0, out));
+  EXPECT_EQ(out, 0.5);
+  EXPECT_TRUE(parse_real("3e2", 0.0, out));
+  EXPECT_EQ(out, 300.0);
+  EXPECT_TRUE(parse_real("-1", -2.0, out));
+  EXPECT_EQ(out, -1.0);
+  for (const char* bad : {"", "abc", "1x", "+1", " 1", "1 ", "1e", "-",
+                          "inf", "nan", "0x10", "1e999", "1,5"}) {
+    out = 7.0;
+    EXPECT_FALSE(parse_real(bad, -10.0, out)) << bad;
+    EXPECT_EQ(out, 7.0) << bad;
+  }
+  EXPECT_FALSE(parse_real("-0.5", 0.0, out));
+  EXPECT_TRUE(parse_real("0", 0.0, out));
+}
+
 TEST(Strings, SplitKeepsEmptyFields) {
   const auto parts = split("a,,b,", ',');
   ASSERT_EQ(parts.size(), 4u);

@@ -9,8 +9,8 @@
 #   2. The report's dominant stage equals the longest stage span — i.e. the
 #      analyzer agrees with the rendered timeline about where the makespan
 #      goes.
-#   3. mfwctl rejects unknown flags with usage + exit 2 (the CLI contract the
-#      gating scripts depend on).
+#   3. mfwctl rejects unknown flags and malformed numeric values with usage +
+#      exit 2 (the CLI contract the gating scripts depend on).
 #   4. A 2-day archive_campaign with --report-out runs under the bounded
 #      recorder (kStatsOnly retention + rollups; --quick keeps the substrate
 #      rows it also prints small): spans must be dropped, the
@@ -97,6 +97,18 @@ for bad in "report ${workdir}/fig6.yaml --bogus" "trace ${workdir}/fig6.yaml --f
   fi
 done
 echo "OK: unknown flags rejected with usage + exit 2"
+set +e
+"${build_dir}/tools/mfwctl" report "${workdir}/fig6.yaml" --straggler-k abc \
+    >/dev/null 2>"${workdir}/err.txt"
+status=$?
+set -e
+if [[ ${status} -ne 2 ]] || ! grep -q "invalid value" "${workdir}/err.txt"; then
+  echo "FAIL: 'mfwctl report --straggler-k abc' should exit 2 with an" \
+       "invalid-value error" >&2
+  cat "${workdir}/err.txt" >&2
+  exit 1
+fi
+echo "OK: malformed --straggler-k rejected with usage + exit 2"
 
 # -- 4. bounded-memory campaign telemetry ------------------------------------
 "${build_dir}/bench/archive_campaign" --days 2 --quick \

@@ -7,8 +7,9 @@
 #      brute-force archive scan), and clear a cache-hit-rate floor on the
 #      Zipf workload (0.30 — current runs sit around 0.5-0.7, so the floor
 #      has slack for small CI boxes).
-#   2. CLI flag validation: an unknown serve-bench flag must exit 2 with a
-#      usage message, per the mfwctl per-command flag contract.
+#   2. CLI flag validation: an unknown serve-bench flag and a malformed
+#      count (--tiles 2000x) must each exit 2 with a usage message, per the
+#      mfwctl per-command flag contract.
 #   3. serve_test passes in the main tree (property tests vs the oracle,
 #      seal/cache/generation semantics).
 #   4. A ThreadSanitizer build of serve_test exercises the lock-free
@@ -64,6 +65,13 @@ if [[ "${rc}" != 2 ]]; then
   exit 1
 fi
 echo "OK: unknown serve-bench flag rejected with exit 2"
+rc=0
+"${build_dir}/tools/mfwctl" serve-bench --tiles 2000x >/dev/null 2>&1 || rc=$?
+if [[ "${rc}" != 2 ]]; then
+  echo "FAIL: serve-bench --tiles 2000x exited ${rc}, want 2" >&2
+  exit 1
+fi
+echo "OK: malformed serve-bench --tiles rejected with exit 2"
 
 # -- 3. unit + property tests -------------------------------------------------
 "${build_dir}/tests/serve_test" --gtest_brief=1

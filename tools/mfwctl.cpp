@@ -4,11 +4,11 @@
 //       Run the five-stage workflow from a YAML configuration file.
 //   mfwctl registry
 //       List the built-in shareable pipeline templates.
-//   mfwctl run-template <name> [<overrides.yaml>] [--facility <profile>]
-//       Instantiate a registry template (optionally merged with overrides)
-//       and run it on a named facility profile (olcf | nersc | alcf).
+//   mfwctl run-template <name> [<overrides.yaml>] [--facility <facility>]
+//       Instantiate a built-in pipeline template (optionally merged with
+//       overrides) and run it on a named facility (olcf | nersc | alcf).
 //   mfwctl facilities
-//       Show the built-in facility profiles.
+//       Show the built-in facilities.
 //   mfwctl trace <config.yaml> [--out <trace.json>] [--metrics <path>] [--quiet]
 //       Run the workflow with the obs layer enabled and export a Chrome
 //       trace-event JSON (load in Perfetto / chrome://tracing) plus an
@@ -78,13 +78,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "federation/orchestrator.hpp"
 #include "obs/analyze.hpp"
 #include "obs/diff.hpp"
 #include "obs/flight.hpp"
@@ -104,6 +104,7 @@
 #include "util/json_writer.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -303,39 +304,55 @@ int run_config(pipeline::EomlConfig config, bool timeline,
   return 0;
 }
 
-federation::FacilityProfile profile_by_name(const std::string& name) {
-  if (name == "olcf") return federation::FacilityProfile::olcf_defiant();
-  if (name == "nersc")
-    return federation::FacilityProfile::nersc_perlmutter_like();
-  if (name == "alcf") return federation::FacilityProfile::alcf_polaris_like();
+const spec::Facility& facility_by_name(const std::string& name) {
+  if (name == "olcf") return spec::olcf_defiant();
+  if (name == "nersc") return spec::nersc_perlmutter_like();
+  if (name == "alcf") return spec::alcf_polaris_like();
   throw std::runtime_error("unknown facility '" + name +
                            "' (expected olcf|nersc|alcf)");
 }
 
-spec::FacilityCaps caps_from_profile(const federation::FacilityProfile& p) {
-  spec::FacilityCaps caps;
-  caps.name = p.name;
-  caps.total_nodes = p.total_nodes;
-  caps.max_workers_per_node = std::max(64, p.default_workers_per_node);
-  caps.wan_bps = p.archive_bandwidth_bps;
-  return caps;
-}
-
-/// Resolves the spec + caps a plan/sweep command operates on: either a spec
-/// YAML file validated against a facility, or the built-in paper spec.
+/// Compiles the spec a plan/sweep command operates on (a spec YAML file or
+/// the built-in paper spec) against the named facility, Defiant by default.
 spec::StageGraph load_graph(bool builtin, const std::string& path,
                             const std::string& facility) {
-  spec::FacilityCaps caps;
-  if (!facility.empty()) caps = caps_from_profile(profile_by_name(facility));
-  if (builtin) {
-    pipeline::EomlConfig config;
-    if (facility.empty()) return pipeline::compile_config(config);
-    return spec::StageGraph::compile(pipeline::spec_for_config(config), caps);
-  }
+  const spec::Facility site =
+      facility.empty() ? spec::Facility{} : facility_by_name(facility);
+  if (builtin)
+    return spec::StageGraph::compile(
+        pipeline::spec_for_config(pipeline::EomlConfig{}), site);
   if (path.empty())
     throw std::runtime_error("expected a <spec.yaml> path or --builtin");
   return spec::StageGraph::compile(
-      spec::WorkflowSpec::from_yaml_text(slurp(path)), caps);
+      spec::WorkflowSpec::from_yaml_text(slurp(path)), site);
+}
+
+/// A malformed or out-of-range numeric flag value; main answers it with the
+/// usage line and exit 2, like an unknown flag.
+struct BadValue : std::runtime_error {
+  BadValue(const char* flag, const std::string& value)
+      : std::runtime_error("invalid value '" + value + "' for flag '" +
+                           flag + "'") {}
+};
+
+constexpr std::size_t kNoMax = std::numeric_limits<std::size_t>::max();
+constexpr std::size_t kMaxInt = std::numeric_limits<int>::max();
+/// The smallest positive double: as a minimum it admits exactly the reals
+/// above zero.
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+
+std::size_t count_value(const char* flag, const std::string& text,
+                        std::size_t min, std::size_t max = kNoMax) {
+  std::size_t out = 0;
+  if (!util::parse_count(text.c_str(), min, out) || out > max)
+    throw BadValue(flag, text);
+  return out;
+}
+
+double real_value(const char* flag, const std::string& text, double min) {
+  double out = 0.0;
+  if (!util::parse_real(text.c_str(), min, out)) throw BadValue(flag, text);
+  return out;
 }
 
 std::vector<std::string> split_csv(const std::string& text) {
@@ -368,6 +385,16 @@ int main(int argc, char** argv) {
       if (args[i] == flag) return args[i + 1];
     return {};
   };
+  // Numeric flags: `fallback` when absent, else the checked value.
+  auto count_flag = [&](const char* flag, std::size_t min,
+                        std::size_t fallback, std::size_t max = kNoMax) {
+    const auto v = flag_value(flag);
+    return v.empty() ? fallback : count_value(flag, v, min, max);
+  };
+  auto real_flag = [&](const char* flag, double min, double fallback) {
+    const auto v = flag_value(flag);
+    return v.empty() ? fallback : real_value(flag, v, min);
+  };
   auto positional = [&](std::size_t index) -> std::string {
     std::size_t seen = 0;
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -388,10 +415,8 @@ int main(int argc, char** argv) {
     if (command == "run") {
       const auto path = positional(0);
       if (path.empty()) return usage();
+      const std::size_t flight_capacity = count_flag("--flight-capacity", 1, 0);
       auto config = pipeline::EomlConfig::from_yaml_text(slurp(path));
-      std::size_t flight_capacity = 0;
-      if (const auto v = flag_value("--flight-capacity"); !v.empty())
-        flight_capacity = static_cast<std::size_t>(std::atol(v.c_str()));
       return run_config(std::move(config), has_flag("--timeline"),
                         flag_value("--csv"), flag_value("--flight-out"),
                         flight_capacity);
@@ -399,14 +424,12 @@ int main(int argc, char** argv) {
     if (command == "run-template") {
       const auto name = positional(0);
       if (name.empty()) return usage();
-      federation::PipelineRegistry registry;
-      registry.publish_builtin();
       std::string overrides;
       if (const auto overrides_path = positional(1); !overrides_path.empty())
         overrides = slurp(overrides_path);
-      auto config = registry.instantiate(name, overrides);
+      auto config = pipeline::instantiate(name, overrides);
       if (const auto facility = flag_value("--facility"); !facility.empty())
-        profile_by_name(facility).apply(config);
+        pipeline::apply(facility_by_name(facility), config);
       return run_config(std::move(config), has_flag("--timeline"),
                         flag_value("--csv"));
     }
@@ -459,6 +482,9 @@ int main(int argc, char** argv) {
       }
       const auto path = positional(0);
       if (path.empty()) return usage();
+      obs::AnalyzeOptions options;
+      options.straggler_k =
+          real_flag("--straggler-k", 0.0, options.straggler_k);
       auto config = pipeline::EomlConfig::from_yaml_text(slurp(path));
       const bool json = has_flag("--json");
       // Keep --json stdout machine-readable: logs already go to stderr, but
@@ -467,9 +493,6 @@ int main(int argc, char** argv) {
       obs::set_globally_enabled(true);
       pipeline::EomlWorkflow workflow(std::move(config));
       const auto report = workflow.run();
-      obs::AnalyzeOptions options;
-      if (const auto k = flag_value("--straggler-k"); !k.empty())
-        options.straggler_k = std::atof(k.c_str());
       const auto analysis =
           obs::analyze_trace(obs::TraceRecorder::instance(), options);
       if (const auto out = flag_value("--out"); !out.empty()) {
@@ -487,6 +510,7 @@ int main(int argc, char** argv) {
     if (command == "lineage") {
       const auto path = positional(0);
       if (path.empty()) return usage();
+      const std::size_t top = count_flag("--top", 0, 10);
       auto config = pipeline::EomlConfig::from_yaml_text(slurp(path));
       const bool json = has_flag("--json");
       if (json) util::Logger::instance().set_level(util::LogLevel::kError);
@@ -495,9 +519,6 @@ int main(int argc, char** argv) {
       const auto report = workflow.run();
       const auto lineage =
           obs::extract_lineage(obs::TraceRecorder::instance());
-      std::size_t top = 10;
-      if (const auto v = flag_value("--top"); !v.empty())
-        top = static_cast<std::size_t>(std::atol(v.c_str()));
       if (const auto out = flag_value("--out"); !out.empty()) {
         obs::write_file(out, lineage.to_json());
         if (!json)
@@ -557,16 +578,15 @@ int main(int argc, char** argv) {
     if (command == "watch") {
       const auto path = positional(0);
       if (path.empty()) return usage();
-      auto config = pipeline::EomlConfig::from_yaml_text(slurp(path));
       const bool quiet = has_flag("--quiet");
-      double interval = 0.0;
-      if (const auto v = flag_value("--interval"); !v.empty())
-        interval = std::atof(v.c_str());
+      const double interval = real_flag("--interval", 0.0, 0.0);
       obs::HealthConfig health;
-      if (const auto v = flag_value("--window"); !v.empty())
-        health.window_s = std::atof(v.c_str());
-      if (const auto v = flag_value("--anomaly-k"); !v.empty())
-        health.anomaly_k = std::atof(v.c_str());
+      health.window_s = real_flag("--window", kPositive, health.window_s);
+      health.anomaly_k = real_flag("--anomaly-k", 0.0, health.anomaly_k);
+      obs::FlightConfig flight_config;
+      flight_config.capacity =
+          count_flag("--flight-capacity", 1, flight_config.capacity);
+      auto config = pipeline::EomlConfig::from_yaml_text(slurp(path));
 
       obs::set_globally_enabled(true);
       auto& rec = obs::TraceRecorder::instance();
@@ -592,10 +612,6 @@ int main(int argc, char** argv) {
       const auto flight_out = flag_value("--flight-out");
       std::unique_ptr<obs::FlightRecorder> flight;
       if (!flight_out.empty()) {
-        obs::FlightConfig flight_config;
-        if (const auto v = flag_value("--flight-capacity"); !v.empty())
-          flight_config.capacity =
-              static_cast<std::size_t>(std::atol(v.c_str()));
         flight = std::make_unique<obs::FlightRecorder>(flight_config);
         bus.set_next(flight.get());
         monitor.set_alert_hook([&](const obs::Alert& alert) {
@@ -669,12 +685,14 @@ int main(int argc, char** argv) {
       if (const auto f = flag_value("--facilities"); !f.empty()) {
         facility_counts.clear();
         for (const auto& v : split_csv(f))
-          facility_counts.push_back(std::atoi(v.c_str()));
+          facility_counts.push_back(
+              static_cast<int>(count_value("--facilities", v, 1, kMaxInt)));
       }
       std::vector<double> loads = {1.0, 2.0};
       if (const auto l = flag_value("--loads"); !l.empty()) {
         loads.clear();
-        for (const auto& v : split_csv(l)) loads.push_back(std::atof(v.c_str()));
+        for (const auto& v : split_csv(l))
+          loads.push_back(real_value("--loads", v, kPositive));
       }
       std::vector<spec::LabResult> results;
       for (const auto& policy : policies) {
@@ -710,22 +728,20 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "serve-bench") {
-      const auto int_flag = [&](const char* flag, long fallback) {
-        const auto v = flag_value(flag);
-        return v.empty() ? fallback : std::atol(v.c_str());
-      };
-      const auto tiles = static_cast<std::size_t>(int_flag("--tiles", 200000));
-      const int days = static_cast<int>(int_flag("--days", 30));
-      const auto seed =
-          static_cast<std::uint64_t>(int_flag("--seed", 2024));
-      const auto cache_capacity =
-          static_cast<std::size_t>(int_flag("--cache", 8192));
+      const std::size_t tiles = count_flag("--tiles", 1, 200000);
+      const int days = static_cast<int>(count_flag("--days", 1, 30, kMaxInt));
+      const std::uint64_t seed = count_flag("--seed", 0, 2024);
+      const std::size_t cache_capacity = count_flag("--cache", 0, 8192);
+      serve::CatalogConfig cat_config;
+      cat_config.shard_count =
+          count_flag("--shards", 1, cat_config.shard_count);
+      serve::LoadConfig load;
+      load.users = count_flag("--users", 1, load.users);
+      load.requests = count_flag("--requests", 1, load.requests);
+      load.threads = count_flag("--threads", 1, load.threads);
       constexpr int kNumClasses = 42;
 
       const auto records = serve::synth_records(tiles, days, kNumClasses, seed);
-      serve::CatalogConfig cat_config;
-      cat_config.shard_count =
-          static_cast<std::size_t>(std::max(1L, int_flag("--shards", 32)));
       serve::Catalog catalog(cat_config);
       util::ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()));
       catalog.ingest(records, &pool);
@@ -783,10 +799,6 @@ int main(int argc, char** argv) {
       svc_config.enable_cache = cache_capacity > 0;
       svc_config.cache_capacity = std::max<std::size_t>(1, cache_capacity);
       serve::ServeService service(catalog, svc_config);
-      serve::LoadConfig load;
-      load.users = static_cast<std::size_t>(int_flag("--users", 100000));
-      load.requests = static_cast<std::size_t>(int_flag("--requests", 200000));
-      load.threads = static_cast<std::size_t>(int_flag("--threads", 4));
       load.day_hi = days;
       load.num_classes = kNumClasses;
       load.seed = seed;
@@ -839,26 +851,25 @@ int main(int argc, char** argv) {
       return mismatched == 0 ? 0 : 1;
     }
     if (command == "registry") {
-      federation::PipelineRegistry registry;
-      registry.publish_builtin();
-      for (const auto& name : registry.names())
-        std::printf("%-16s %s\n", name.c_str(),
-                    registry.entry(name).description.c_str());
+      for (const auto& tpl : pipeline::kPipelineTemplates)
+        std::printf("%-16s %s\n", tpl.name, tpl.description);
       return 0;
     }
     if (command == "facilities") {
-      for (const auto& profile :
-           {federation::FacilityProfile::olcf_defiant(),
-            federation::FacilityProfile::nersc_perlmutter_like(),
-            federation::FacilityProfile::alcf_polaris_like()}) {
+      for (const auto* facility :
+           {&spec::olcf_defiant(), &spec::nersc_perlmutter_like(),
+            &spec::alcf_polaris_like()}) {
         std::printf("%-24s %3d nodes  sched %.1fs  archive %s  analysis %s\n",
-                    profile.name.c_str(), profile.total_nodes,
-                    profile.scheduler_latency,
-                    util::format_rate(profile.archive_bandwidth_bps).c_str(),
-                    util::format_rate(profile.analysis_link_bps).c_str());
+                    facility->name.c_str(), facility->total_nodes,
+                    facility->scheduler_latency,
+                    util::format_rate(facility->wan_bps).c_str(),
+                    util::format_rate(facility->analysis_link_bps).c_str());
       }
       return 0;
     }
+  } catch (const BadValue& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
