@@ -11,7 +11,7 @@
 namespace mfw::benchx {
 
 DaytimeFileSource::DaytimeFileSource(int start_day, std::uint64_t seed)
-    : generator_(seed), seed_(seed), day_(start_day) {}
+    : generator_(seed), day_(start_day) {}
 
 const std::vector<FileWorkload>& DaytimeFileSource::take(std::size_t count) {
   while (files_.size() < count && day_ <= 366) {
@@ -19,7 +19,6 @@ const std::vector<FileWorkload>& DaytimeFileSource::take(std::size_t count) {
     spec.day_of_year = day_;
     spec.slot = slot_;
     spec.geometry = modis::kFullGeometry;
-    spec.world_seed = seed_;
     const auto stats = modis::estimate_granule_stats(generator_, spec);
     if (stats.daytime && stats.selected_tiles > 0) {
       FileWorkload file;

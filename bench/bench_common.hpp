@@ -43,7 +43,6 @@ class DaytimeFileSource {
 
  private:
   modis::GranuleGenerator generator_;
-  std::uint64_t seed_;
   int day_;
   int slot_ = 0;
   std::vector<FileWorkload> files_;

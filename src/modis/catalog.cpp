@@ -141,7 +141,6 @@ std::vector<std::byte> ArchiveService::materialize(
   spec.day_of_year = id.day_of_year;
   spec.slot = id.slot;
   spec.geometry = geometry;
-  spec.world_seed = seed_;
   switch (id.product) {
     case ProductKind::kMod02: return generator_.mod02(spec).to_hdfl().serialize();
     case ProductKind::kMod03: return generator_.mod03(spec).to_hdfl().serialize();

@@ -39,19 +39,29 @@ LatLon ground_track(Satellite satellite, int slot, double u) {
   return {lat, wrap_lon(node + in_orbit)};
 }
 
-double solar_zenith_deg(const LatLon& where, double utc_day_fraction,
-                        int day_of_year) {
+SunAngles::SunAngles(int day_of_year) {
   // Solar declination (Cooper's formula).
   const double decl =
       23.45 * kRad *
       std::sin(2.0 * kPi * (284.0 + static_cast<double>(day_of_year)) / 365.0);
+  sin_decl_ = std::sin(decl);
+  cos_decl_ = std::cos(decl);
+}
+
+double SunAngles::zenith_deg(const LatLon& where,
+                             double utc_day_fraction) const {
   // Hour angle from local solar time.
   const double local_time = utc_day_fraction * 24.0 + where.lon / 15.0;
   const double hour_angle = (local_time - 12.0) * 15.0 * kRad;
   const double lat = where.lat * kRad;
-  const double cos_zenith = std::sin(lat) * std::sin(decl) +
-                            std::cos(lat) * std::cos(decl) * std::cos(hour_angle);
+  const double cos_zenith = std::sin(lat) * sin_decl_ +
+                            std::cos(lat) * cos_decl_ * std::cos(hour_angle);
   return std::acos(std::fmin(1.0, std::fmax(-1.0, cos_zenith))) * kDeg;
+}
+
+double solar_zenith_deg(const LatLon& where, double utc_day_fraction,
+                        int day_of_year) {
+  return SunAngles(day_of_year).zenith_deg(where, utc_day_fraction);
 }
 
 SwathRow swath_row(Satellite satellite, int slot, double row_frac) {

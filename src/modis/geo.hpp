@@ -32,8 +32,22 @@ struct LatLon {
 /// fraction u in [0, 1) within the 5-minute granule.
 LatLon ground_track(Satellite satellite, int slot, double u);
 
-/// Solar zenith angle (degrees) at a location for a given UTC time-of-day
-/// fraction (0 = midnight, 0.5 = noon) and day-of-year (for declination).
+/// The day-of-year terms of the solar zenith: the solar declination's sine
+/// and cosine, computed once for all the pixels of a granule.
+class SunAngles {
+ public:
+  explicit SunAngles(int day_of_year);
+
+  /// Solar zenith angle (degrees) at a location for a UTC time-of-day
+  /// fraction (0 = midnight, 0.5 = noon) on this object's day.
+  double zenith_deg(const LatLon& where, double utc_day_fraction) const;
+
+ private:
+  double sin_decl_ = 0.0;
+  double cos_decl_ = 1.0;
+};
+
+/// SunAngles(day_of_year).zenith_deg(where, utc_day_fraction).
 double solar_zenith_deg(const LatLon& where, double utc_day_fraction,
                         int day_of_year);
 

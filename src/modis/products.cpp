@@ -12,6 +12,11 @@
 
 #include "util/rng.hpp"
 
+#if defined(__x86_64__) || defined(__i386__)
+#define MFW_PRODUCTS_X86 1
+#include <immintrin.h>
+#endif
+
 namespace mfw::modis {
 
 namespace {
@@ -126,7 +131,182 @@ double continents_y(double lat) { return lat / 30.0; }
 // Latitude cells of LatitudeTable, each with a node at either end.
 constexpr int kLatitudeCells = 180 * LatitudeTable::kNodesPerDegree;
 
+#ifdef MFW_PRODUCTS_X86
+// fdlibm's minimax coefficients, highest power first: Lg7, Lg5, Lg3, Lg1
+// and Lg6, Lg4, Lg2 of e_log.c, S6..S1 of k_sin.c and C6..C1 of k_cos.c.
+// Each kernel is within about one ulp.
+constexpr double kLogOdd[] = {
+    1.479819860511658591e-01, 1.818357216161805012e-01,
+    2.857142874366239149e-01, 6.666666666666735130e-01};
+constexpr double kLogEven[] = {1.531383769920937332e-01,
+                               2.222219843214978396e-01,
+                               3.999999999940941908e-01};
+constexpr double kSin[] = {
+    1.58969099521155010221e-10, -2.50507602534068634195e-08,
+    2.75573137070700676789e-06, -1.98412698298579493134e-04,
+    8.33333333332248946124e-03, -1.66666666666666324348e-01};
+constexpr double kCos[] = {
+    -1.13596475577881948265e-11, 2.08757232129817482790e-09,
+    -2.75573143513906633035e-07, 2.48015872894767294178e-05,
+    -1.38888888888741095749e-03, 4.16666666666666019037e-02};
+
+// The polynomial with coefficients c (highest power first) at x.
+template <std::size_t N>
+__attribute__((target("avx2,fma"))) inline __m256d horner(
+    __m256d x, const double (&c)[N]) {
+  __m256d p = _mm256_set1_pd(c[0]);
+  for (std::size_t i = 1; i < N; ++i)
+    p = _mm256_fmadd_pd(p, x, _mm256_set1_pd(c[i]));
+  return p;
+}
+
+// util::Rng::box_muller on four lanes, with the fdlibm kernels in place of
+// libm's log and cos. Its error against box_muller is measured by
+// Radiance.ApproximateNormalsWithinBound.
+__attribute__((target("avx2,fma"))) inline __m256d box_muller4(__m256d u1,
+                                                               __m256d u2) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d half = _mm256_set1_pd(0.5);
+  // log(u1): u1 = 2^k m with m in [1, 2), moved to (sqrt(2)/2, sqrt(2)] so
+  // that f = m - 1 (exact) is small; log(u1) = k ln 2 + log(1 + f). u1 is
+  // positive and normal (at least 2^-53), so its exponent field is k + 1023;
+  // set as the low bits of 2^52 it reads 2^52 + k + 1023 exactly.
+  const __m256i bits = _mm256_castpd_si256(u1);
+  __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi64x(0x000fffffffffffffLL)),
+      _mm256_set1_epi64x(0x3ff0000000000000LL)));
+  __m256d k = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_srli_epi64(bits, 52),
+          _mm256_set1_epi64x(0x4330000000000000LL))),
+      _mm256_set1_pd(0x1p52 + 1023.0));
+  const __m256d big =
+      _mm256_cmp_pd(m, _mm256_set1_pd(std::numbers::sqrt2), _CMP_GT_OQ);
+  m = _mm256_blendv_pd(m, _mm256_mul_pd(m, half), big);
+  k = _mm256_add_pd(k, _mm256_and_pd(big, one));
+  const __m256d f = _mm256_sub_pd(m, one);
+  // log(1 + f) = f - (f^2/2 - s (f^2/2 + R)) with s = f / (2 + f), z = s^2
+  // and R = z Lg_odd(z^2) + z^2 Lg_even(z^2).
+  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(_mm256_set1_pd(2.0), f));
+  const __m256d z = _mm256_mul_pd(s, s);
+  const __m256d w = _mm256_mul_pd(z, z);
+  const __m256d r = _mm256_add_pd(_mm256_mul_pd(z, horner(w, kLogOdd)),
+                                  _mm256_mul_pd(w, horner(w, kLogEven)));
+  const __m256d hfsq = _mm256_mul_pd(_mm256_mul_pd(half, f), f);
+  // ln 2 = ln2_hi + ln2_lo; k ln2_hi is exact for |k| < 2^11.
+  const __m256d ln2_hi = _mm256_set1_pd(6.93147180369123816490e-01);
+  const __m256d ln2_lo = _mm256_set1_pd(1.90821492927058770002e-10);
+  const __m256d tail = _mm256_sub_pd(
+      _mm256_sub_pd(hfsq, _mm256_fmadd_pd(s, _mm256_add_pd(hfsq, r),
+                                          _mm256_mul_pd(k, ln2_lo))),
+      f);
+  const __m256d log_u1 = _mm256_sub_pd(_mm256_mul_pd(k, ln2_hi), tail);
+  const __m256d radius =
+      _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), log_u1));
+
+  // cos(x) for box_muller's own argument x = 2 pi u2 in [0, 2 pi): with q
+  // the nearest multiple of pi/2, theta = x - q pi/2 in [-pi/4, pi/4] by
+  // Cody-Waite. pio2_1 has 33 significant bits, so q pio2_1 is exact for
+  // q <= 4 and x - q pio2_1 is exact (Sterbenz); pio2_1t = pi/2 - pio2_1.
+  const __m256d x = _mm256_mul_pd(u2, _mm256_set1_pd(2.0 * std::numbers::pi));
+  const __m256d q = _mm256_round_pd(
+      _mm256_mul_pd(x, _mm256_set1_pd(2.0 / std::numbers::pi)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  const __m256d theta = _mm256_fnmadd_pd(
+      q, _mm256_set1_pd(6.07710050650619224932e-11),
+      _mm256_fnmadd_pd(q, _mm256_set1_pd(0x1.921fb544p+0), x));
+  const __m256d t2 = _mm256_mul_pd(theta, theta);
+  // sin(theta) = theta + theta^3 S(t2).
+  const __m256d sin_t =
+      _mm256_fmadd_pd(_mm256_mul_pd(t2, theta), horner(t2, kSin), theta);
+  // cos(theta) = (1 - t2/2) + t2^2 C(t2), with the rounding error of
+  // 1 - t2/2 added back.
+  const __m256d hz = _mm256_mul_pd(half, t2);
+  const __m256d w1 = _mm256_sub_pd(one, hz);
+  const __m256d cos_t = _mm256_add_pd(
+      w1, _mm256_fmadd_pd(_mm256_mul_pd(t2, t2), horner(t2, kCos),
+                          _mm256_sub_pd(_mm256_sub_pd(one, w1), hz)));
+  // cos(x) by quadrant: cos, -sin, -cos, sin for q mod 4 = 0, 1, 2, 3.
+  const __m256i qi = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(q));
+  const __m256i one_i = _mm256_set1_epi64x(1);
+  const __m256d use_sin = _mm256_castsi256_pd(
+      _mm256_cmpeq_epi64(_mm256_and_si256(qi, one_i), one_i));
+  const __m256i sign = _mm256_slli_epi64(
+      _mm256_and_si256(_mm256_add_epi64(qi, one_i), _mm256_set1_epi64x(2)),
+      62);
+  const __m256d cos_x = _mm256_xor_pd(_mm256_blendv_pd(cos_t, sin_t, use_sin),
+                                      _mm256_castsi256_pd(sign));
+  return _mm256_mul_pd(radius, cos_x);
+}
+
+__attribute__((target("avx2,fma"))) void approximate_normals_avx2(
+    const double* u1, const double* u2, double* out, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    _mm256_storeu_pd(out + i, box_muller4(_mm256_loadu_pd(u1 + i),
+                                          _mm256_loadu_pd(u2 + i)));
+  if (i == n) return;
+  // The last one to three draws, padded with u1 = 1/2, u2 = 0.
+  double a[4] = {0.5, 0.5, 0.5, 0.5};
+  double b[4] = {0.0, 0.0, 0.0, 0.0};
+  double c[4];
+  for (std::size_t l = 0; i + l < n; ++l) {
+    a[l] = u1[i + l];
+    b[l] = u2[i + l];
+  }
+  _mm256_storeu_pd(c, box_muller4(_mm256_loadu_pd(a), _mm256_loadu_pd(b)));
+  for (std::size_t l = 0; i + l < n; ++l) out[i + l] = c[l];
+}
+#endif
+
+bool detect_avx2_fma() {
+#ifdef MFW_PRODUCTS_X86
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+const bool kHaveAvx2Fma = detect_avx2_fma();
+
 }  // namespace
+
+void approximate_normals(std::span<const double> u1,
+                         std::span<const double> u2, std::span<double> out) {
+  if (u2.size() != u1.size() || out.size() != u1.size())
+    throw std::invalid_argument("approximate_normals: spans differ in size");
+#ifdef MFW_PRODUCTS_X86
+  if (kHaveAvx2Fma) {
+    approximate_normals_avx2(u1.data(), u2.data(), out.data(), u1.size());
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < u1.size(); ++i)
+    out[i] = util::Rng::box_muller(u1[i], u2[i]);
+}
+
+float noisy_radiance(double a, double coef, double approx, double u1,
+                     double u2) {
+  // The stored value is (float)s for s = fl(a + fl(coef n)) with
+  // n = box_muller(u1, u2); v = fl(a + p) with p = fl(coef approx) is the
+  // same sum of the approximation. With e = |n - approx| <= E / 2 and
+  // u = 2^-53, each rounding errs by at most u times its result, so to
+  // first order in u
+  //   |fl(coef n) - p| <= coef e + 2u |p|,
+  //   |s - v| <= |fl(coef n) - p| + 2u |v|,
+  // and rounding v -/+ slack moves each end point by at most u |v| more.
+  // slack = coef E + 8u (|p| + |v|) covers all three with room to spare:
+  // coef E is at least twice coef e, which absorbs the second-order terms
+  // and any underflow (at most 2^-1074 each), and 8u exceeds 2u and 3u. So
+  // lo <= s <= hi. Rounding a double to float is monotone: when lo and hi
+  // give one float, s gives it too. Otherwise n is computed.
+  const double p = coef * approx;
+  const double v = a + p;
+  const double slack =
+      coef * kNormalApproxError + 0x1p-50 * (std::fabs(p) + std::fabs(v));
+  const float lo = static_cast<float>(v - slack);
+  if (lo == static_cast<float>(v + slack)) return lo;
+  return static_cast<float>(a + coef * util::Rng::box_muller(u1, u2));
+}
 
 LatitudeTable::LatitudeTable()
     : polar_(kLatitudeCells + 1), climatology_(kLatitudeCells + 1) {
@@ -273,10 +453,12 @@ Mod03Granule GranuleGenerator::mod03(const GranuleSpec& spec) const {
   out.longitude.resize(g.pixels());
   out.land_mask.resize(g.pixels());
   out.solar_zenith.resize(g.pixels());
+  const SunAngles sun(spec.day_of_year);
   EarthModel::Memo memo;
   for (int r = 0; r < g.rows; ++r) {
     const double row_frac = (r + 0.5) / g.rows;
     const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
+    const double utc = day_fraction(spec, row_frac);
     for (int c = 0; c < g.cols; ++c) {
       const double col_frac = (c + 0.5) / g.cols;
       const LatLon p = swath_pixel(row, col_frac);
@@ -286,8 +468,7 @@ Mod03Granule GranuleGenerator::mod03(const GranuleSpec& spec) const {
       out.latitude[i] = static_cast<float>(p.lat);
       out.longitude[i] = static_cast<float>(p.lon);
       out.land_mask[i] = earth_.is_land(p, memo) ? 1 : 0;
-      out.solar_zenith[i] = static_cast<float>(
-          solar_zenith_deg(p, day_fraction(spec, row_frac), spec.day_of_year));
+      out.solar_zenith[i] = static_cast<float>(sun.zenith_deg(p, utc));
     }
   }
   return out;
@@ -337,12 +518,28 @@ Mod02Granule GranuleGenerator::mod02(const GranuleSpec& spec) const {
   out.spec = spec;
   out.daytime = is_daytime(spec.satellite, spec.slot, spec.day_of_year);
   out.radiance.resize(static_cast<std::size_t>(g.bands) * g.pixels());
-  // Per-granule sensor noise stream.
+  // Per-granule sensor noise stream: one normal per band of each pixel,
+  // pixel by pixel, except the reflective bands [0, 3) at night. A row's
+  // draws are taken in that order before its pixels are synthesised.
   util::Rng rng(util::mix64(
       seed_, util::mix64(static_cast<std::uint64_t>(spec.slot) + 1000,
                          static_cast<std::uint64_t>(spec.day_of_year))));
+  const int undrawn = out.daytime ? 0 : std::min(g.bands, 3);
+  const std::size_t row_draws =
+      static_cast<std::size_t>(g.bands - undrawn) *
+      static_cast<std::size_t>(g.cols);
+  std::vector<double> u1(row_draws);
+  std::vector<double> u2(row_draws);
+  std::vector<double> normal(row_draws);
   EarthModel::Memo memo;
   for (int r = 0; r < g.rows; ++r) {
+    for (std::size_t k = 0; k < row_draws; ++k) {
+      const auto draw = rng.normal_draw();
+      u1[k] = draw.u1;
+      u2[k] = draw.u2;
+    }
+    approximate_normals(u1, u2, normal);
+    std::size_t next = 0;  // the row's next draw
     const double row_frac = (r + 0.5) / g.rows;
     const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
     for (int c = 0; c < g.cols; ++c) {
@@ -355,19 +552,23 @@ Mod02Granule GranuleGenerator::mod02(const GranuleSpec& spec) const {
           earth_.cloud_intensity(p, spec.day_of_year, memo);
       const bool cloudy = intensity > kCloudThreshold;
       const bool land = earth_.is_land(p, memo);
-      const double tau =
-          cloudy ? 2.0 + 55.0 * std::fmax(0.0, intensity - kCloudThreshold)
-                 : 0.0;
-      // Cloud reflectance grows with optical thickness (saturating).
-      const double cloud_ref = 1.0 - std::exp(-tau / 12.0);
+      // Cloud reflectance grows with optical thickness (saturating); a clear
+      // pixel's is exactly 0. A cloudy pixel's temperature is its cloud
+      // top's.
+      double cloud_ref = 0.0;
+      double t_scene = 0.0;
+      if (cloudy) {
+        const double tau =
+            2.0 + 55.0 * std::fmax(0.0, intensity - kCloudThreshold);
+        cloud_ref = 1.0 - std::exp(-tau / 12.0);
+        const double ctp = earth_.cloud_top_pressure(p, spec.day_of_year, memo);
+        t_scene = 230.0 + 60.0 * (ctp - 250.0) / 650.0;
+      } else {
+        t_scene = earth_.surface_temperature(p, memo);
+      }
       const double surface_ref = land ? 0.18 : 0.05;
       const double reflectance =
           cloud_ref * 0.85 + (1.0 - cloud_ref) * surface_ref;
-      double t_scene = earth_.surface_temperature(p, memo);
-      if (cloudy) {
-        const double ctp = earth_.cloud_top_pressure(p, spec.day_of_year, memo);
-        t_scene = 230.0 + 60.0 * (ctp - 250.0) / 650.0;
-      }
       for (int b = 0; b < g.bands; ++b) {
         const std::size_t i = static_cast<std::size_t>(b) * g.pixels() + pix;
         float value;
@@ -377,15 +578,17 @@ Mod02Granule GranuleGenerator::mod02(const GranuleSpec& spec) const {
             value = kFillValue;
           } else {
             const double band_gain = 1.0 - 0.08 * b;
-            value = static_cast<float>(reflectance * band_gain +
-                                       0.01 * rng.normal());
+            value = noisy_radiance(reflectance * band_gain, 0.01,
+                                   normal[next], u1[next], u2[next]);
+            ++next;
           }
         } else {
           // Thermal bands (roles of 28/29/31 and beyond): brightness temp,
           // normalized to ~[0,1] for the ML stage ((320K - T) / 120K).
           const double band_shift = 2.0 * (b - 3);
-          value = static_cast<float>((320.0 - (t_scene - band_shift)) / 120.0 +
-                                     0.005 * rng.normal());
+          value = noisy_radiance((320.0 - (t_scene - band_shift)) / 120.0,
+                                 0.005, normal[next], u1[next], u2[next]);
+          ++next;
         }
         out.radiance[i] = value;
       }

@@ -49,7 +49,6 @@ struct GranuleSpec {
   int day_of_year = 1;  // 1-based
   int slot = 0;         // 0..287
   GranuleGeometry geometry{};
-  std::uint64_t world_seed = 2022;
 };
 
 /// cloud_intensity above this is cloudy: MOD06's cloud mask, and the
@@ -191,6 +190,30 @@ struct Mod02Granule {
 
 inline constexpr float kFillValue = -999.0f;
 
+// MOD02's sensor noise. Each radiance is (float)(a + coef * n) for a scene
+// value a, a band's noise scale coef > 0 and the normal
+// n = util::Rng::box_muller(u1, u2) of one util::Rng::normal_draw. The
+// normals of a swath row are approximated four at a time, and n itself is
+// computed only where the approximation cannot decide the float.
+
+/// E: noisy_radiance decides exactly for any approximation within E / 2 of
+/// the normal. The tests hold approximate_normals to E / 1000 over a million
+/// draws and the edge draws of its range reductions, a margin for a bound
+/// that is measured rather than proved.
+inline constexpr double kNormalApproxError = 1e-11;
+
+/// out[i] = util::Rng::box_muller(u1[i], u2[i]) to within
+/// kNormalApproxError, for u1[i] in (0, 1) and u2[i] in [0, 1). On hosts
+/// without AVX2 and FMA, out[i] is box_muller itself. The spans have one
+/// size.
+void approximate_normals(std::span<const double> u1,
+                         std::span<const double> u2, std::span<double> out);
+
+/// (float)(a + coef * util::Rng::box_muller(u1, u2)), bit for bit, given an
+/// `approx` within kNormalApproxError / 2 of that normal.
+float noisy_radiance(double a, double coef, double approx, double u1,
+                     double u2);
+
 /// Generates the three products for a spec. Deterministic in (spec, seed).
 class GranuleGenerator {
  public:
@@ -198,8 +221,9 @@ class GranuleGenerator {
 
   Mod03Granule mod03(const GranuleSpec& spec) const;
   Mod06Granule mod06(const GranuleSpec& spec) const;
-  /// Requires the matching MOD03/MOD06 content internally; generates it on
-  /// the fly so callers can request MOD02 alone.
+  /// Samples the Earth model directly, as mod03 and mod06 do, so its scene
+  /// matches theirs pixel for pixel without generating either. Each band
+  /// adds a seeded sensor noise (see noisy_radiance).
   Mod02Granule mod02(const GranuleSpec& spec) const;
 
   const EarthModel& earth() const { return earth_; }

@@ -54,12 +54,6 @@ std::string node_of(std::string_view track_name) {
   return std::string(rest);
 }
 
-std::string num(double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  return buf;
-}
-
 /// A task span plus its resolved track (worker lane).
 struct Task {
   const TraceSpan* span = nullptr;

@@ -67,13 +67,32 @@ class Rng {
     return lo + static_cast<std::int64_t>((*this)() % span);
   }
 
-  /// Standard normal via Box-Muller (one value per call; simple > fast here).
-  double normal() {
+  /// The two uniforms one normal() consumes, in its order: u1 in (0, 1),
+  /// redrawn while it is 0, then u2 in [0, 1).
+  struct NormalDraw {
+    double u1 = 0.0;
+    double u2 = 0.0;
+  };
+  NormalDraw normal_draw() {
     double u1 = uniform();
     while (u1 <= 0.0) u1 = uniform();
-    const double u2 = uniform();
+    return {u1, uniform()};
+  }
+
+  /// The Box-Muller normal of one draw: sqrt(-2 log u1) cos(2 pi u2).
+  static double box_muller(double u1, double u2) {
     return std::sqrt(-2.0 * std::log(u1)) *
            std::cos(2.0 * std::numbers::pi * u2);
+  }
+
+  /// Standard normal: box_muller of one normal_draw. MOD02's radiance noise
+  /// draws a swath row's pairs in a batch, normal_draw by normal_draw, and
+  /// decides most values from an approximation of box_muller (see
+  /// modis::noisy_radiance); both must stay exactly this draw order and this
+  /// expression, or every MOD02 byte changes.
+  double normal() {
+    const NormalDraw d = normal_draw();
+    return box_muller(d.u1, d.u2);
   }
 
   double normal(double mean, double stddev) { return mean + stddev * normal(); }

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numbers>
 #include <span>
@@ -650,6 +651,393 @@ TEST(Products, EarthQueriesIgnoreMemoHistory) {
     ASSERT_EQ(bits(earth.surface_temperature(p, shared)),
               bits(earth.surface_temperature(p, d)));
   }
+}
+
+// MOD02 radiance noise: the approximation of util::Rng::box_muller, and
+// the decision that must give the exact normal's float every time.
+
+// The draws the tests below feed the approximation: `count` draws of a
+// seeded stream, then every pair of edge values. u1 takes 1 - 2^-53, every
+// power of two from 2^-53 to 1/2, and sqrt(2)/2 with its neighbours (where
+// the log's reduction switches); u2 takes 1 - 2^-53 and each k/8 in [0, 1)
+// with the draws 2^-53 either side (the octants, where the cos's reduction
+// switches).
+struct Draws {
+  std::vector<double> u1;
+  std::vector<double> u2;
+};
+
+Draws normal_draws(std::size_t count, std::uint64_t seed) {
+  Draws d;
+  util::Rng rng(seed);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto draw = rng.normal_draw();
+    d.u1.push_back(draw.u1);
+    d.u2.push_back(draw.u2);
+  }
+  const double root = std::sqrt(0.5);
+  std::vector<double> u1s = {1.0 - 0x1p-53, std::nextafter(root, 0.0), root,
+                             std::nextafter(root, 1.0)};
+  for (int k = 1; k <= 53; ++k) u1s.push_back(std::ldexp(1.0, -k));
+  std::vector<double> u2s = {1.0 - 0x1p-53};
+  for (int k = 0; k < 8; ++k)
+    for (const double d2 : {-0x1p-53, 0.0, 0x1p-53})
+      if (k > 0 || d2 >= 0.0) u2s.push_back(k / 8.0 + d2);
+  for (const double a : u1s) {
+    for (const double b : u2s) {
+      d.u1.push_back(a);
+      d.u2.push_back(b);
+    }
+  }
+  return d;
+}
+
+TEST(Radiance, ApproximateNormalsWithinBound) {
+  // A count that is not a multiple of the four lanes, so the padded tail
+  // runs too.
+  const Draws d = normal_draws(1'000'003, 17);
+  std::vector<double> approx(d.u1.size());
+  approximate_normals(d.u1, d.u2, approx);
+  for (std::size_t i = 0; i < d.u1.size(); ++i) {
+    const double err =
+        std::abs(approx[i] - util::Rng::box_muller(d.u1[i], d.u2[i]));
+    ASSERT_LE(err, kNormalApproxError / 1000)
+        << "u1 " << d.u1[i] << ", u2 " << d.u2[i];
+  }
+  // Every length from 0 to 9 gives the same values as the long call.
+  for (std::size_t n = 0; n < 10; ++n) {
+    std::vector<double> part(n);
+    approximate_normals(std::span(d.u1).first(n), std::span(d.u2).first(n),
+                        part);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(bits(part[i]), bits(approx[i]));
+  }
+  std::vector<double> short_out(2);
+  EXPECT_THROW(approximate_normals(std::span(d.u1).first(3),
+                                   std::span(d.u2).first(3), short_out),
+               std::invalid_argument);
+}
+
+TEST(Radiance, UndecidedValuesTakeTheExactNormal) {
+  // Approximate normals that differ from the exact one (the kernel's own,
+  // where they differ, and the exact one moved by the largest error
+  // noisy_radiance allows), each with a radiance a chosen so that a float
+  // midpoint M
+  // falls between the two sums: a + coef n' lands on M and a + coef n
+  // beyond it, or the reverse, whichever makes the tie at M round away
+  // from the other sum. A decision from the approximation alone gives the
+  // wrong float for every one.
+  const Draws d = normal_draws(200'000, 23);
+  std::vector<double> approx(d.u1.size());
+  approximate_normals(d.u1, d.u2, approx);
+  constexpr double kMoved = kNormalApproxError / 2;
+  int forced = 0;
+  for (std::size_t i = 0; i < d.u1.size(); ++i) {
+    const double exact = util::Rng::box_muller(d.u1[i], d.u2[i]);
+    for (const double n : {approx[i], exact + kMoved, exact - kMoved}) {
+      for (const double coef : {0.01, 0.005}) {
+        const double p_exact = coef * exact;
+        const double p_approx = coef * n;
+        if (p_exact == p_approx) continue;
+        const float f = static_cast<float>(std::min(p_exact, p_approx));
+        const double mid =
+            0.5 * (static_cast<double>(f) +
+                   static_cast<double>(std::nextafter(f, HUGE_VALF)));
+        for (const double a : {mid - p_exact, mid - p_approx}) {
+          const float want = static_cast<float>(a + coef * exact);
+          if (want == static_cast<float>(a + coef * n)) continue;
+          ++forced;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                        noisy_radiance(a, coef, n, d.u1[i], d.u2[i])),
+                    std::bit_cast<std::uint32_t>(want))
+              << "u1 " << d.u1[i] << ", u2 " << d.u2[i] << ", approx " << n
+              << ", a " << a;
+        }
+      }
+    }
+  }
+  EXPECT_GE(forced, 100'000);
+}
+
+// The per-pixel synthesis the generator replaced, kept verbatim as the
+// oracle for every product byte: a fresh libm normal per band, the solar
+// zenith (declination included) recomputed for every pixel, and the
+// surface temperature of every pixel, cloudy or not. The parameters carry
+// the generator's member names so that the loop bodies stay verbatim.
+double direct_solar_zenith_deg(const LatLon& where, double utc_day_fraction,
+                               int day_of_year) {
+  constexpr double kPi = std::numbers::pi;
+  constexpr double kDeg = 180.0 / kPi;
+  constexpr double kRad = kPi / 180.0;
+  // Solar declination (Cooper's formula).
+  const double decl =
+      23.45 * kRad *
+      std::sin(2.0 * kPi * (284.0 + static_cast<double>(day_of_year)) / 365.0);
+  // Hour angle from local solar time.
+  const double local_time = utc_day_fraction * 24.0 + where.lon / 15.0;
+  const double hour_angle = (local_time - 12.0) * 15.0 * kRad;
+  const double lat = where.lat * kRad;
+  const double cos_zenith = std::sin(lat) * std::sin(decl) +
+                            std::cos(lat) * std::cos(decl) * std::cos(hour_angle);
+  return std::acos(std::fmin(1.0, std::fmax(-1.0, cos_zenith))) * kDeg;
+}
+
+double direct_day_fraction(const GranuleSpec& spec, double row_frac) {
+  return (static_cast<double>(spec.slot) + row_frac) / kSlotsPerDay;
+}
+
+Mod03Granule direct_mod03(const EarthModel& earth_, const GranuleSpec& spec) {
+  const auto& g = spec.geometry;
+  Mod03Granule out;
+  out.spec = spec;
+  out.latitude.resize(g.pixels());
+  out.longitude.resize(g.pixels());
+  out.land_mask.resize(g.pixels());
+  out.solar_zenith.resize(g.pixels());
+  EarthModel::Memo memo;
+  for (int r = 0; r < g.rows; ++r) {
+    const double row_frac = (r + 0.5) / g.rows;
+    const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
+    for (int c = 0; c < g.cols; ++c) {
+      const double col_frac = (c + 0.5) / g.cols;
+      const LatLon p = swath_pixel(row, col_frac);
+      const std::size_t i =
+          static_cast<std::size_t>(r) * static_cast<std::size_t>(g.cols) +
+          static_cast<std::size_t>(c);
+      out.latitude[i] = static_cast<float>(p.lat);
+      out.longitude[i] = static_cast<float>(p.lon);
+      out.land_mask[i] = earth_.is_land(p, memo) ? 1 : 0;
+      out.solar_zenith[i] = static_cast<float>(direct_solar_zenith_deg(
+          p, direct_day_fraction(spec, row_frac), spec.day_of_year));
+    }
+  }
+  return out;
+}
+
+Mod06Granule direct_mod06(const EarthModel& earth_, const GranuleSpec& spec) {
+  const auto& g = spec.geometry;
+  Mod06Granule out;
+  out.spec = spec;
+  out.cloud_mask.resize(g.pixels());
+  out.cloud_optical_thickness.resize(g.pixels());
+  out.cloud_top_pressure.resize(g.pixels());
+  out.cloud_water_path.resize(g.pixels());
+  EarthModel::Memo memo;
+  for (int r = 0; r < g.rows; ++r) {
+    const double row_frac = (r + 0.5) / g.rows;
+    const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
+    for (int c = 0; c < g.cols; ++c) {
+      const double col_frac = (c + 0.5) / g.cols;
+      const LatLon p = swath_pixel(row, col_frac);
+      const std::size_t i =
+          static_cast<std::size_t>(r) * static_cast<std::size_t>(g.cols) +
+          static_cast<std::size_t>(c);
+      const double intensity =
+          earth_.cloud_intensity(p, spec.day_of_year, memo);
+      const bool cloudy = intensity > kCloudThreshold;
+      out.cloud_mask[i] = cloudy ? 1 : 0;
+      const double excess = std::fmax(0.0, intensity - kCloudThreshold);
+      out.cloud_optical_thickness[i] =
+          cloudy ? static_cast<float>(2.0 + 55.0 * excess) : 0.0f;
+      out.cloud_top_pressure[i] =
+          cloudy ? static_cast<float>(
+                       earth_.cloud_top_pressure(p, spec.day_of_year, memo))
+                 : kFillValue;
+      out.cloud_water_path[i] =
+          cloudy ? static_cast<float>(20.0 + 900.0 * excess * excess) : 0.0f;
+    }
+  }
+  return out;
+}
+
+Mod02Granule direct_mod02(const EarthModel& earth_, std::uint64_t seed_,
+                          const GranuleSpec& spec) {
+  const auto& g = spec.geometry;
+  Mod02Granule out;
+  out.spec = spec;
+  out.daytime = is_daytime(spec.satellite, spec.slot, spec.day_of_year);
+  out.radiance.resize(static_cast<std::size_t>(g.bands) * g.pixels());
+  // Per-granule sensor noise stream.
+  util::Rng rng(util::mix64(
+      seed_, util::mix64(static_cast<std::uint64_t>(spec.slot) + 1000,
+                         static_cast<std::uint64_t>(spec.day_of_year))));
+  EarthModel::Memo memo;
+  for (int r = 0; r < g.rows; ++r) {
+    const double row_frac = (r + 0.5) / g.rows;
+    const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
+    for (int c = 0; c < g.cols; ++c) {
+      const double col_frac = (c + 0.5) / g.cols;
+      const LatLon p = swath_pixel(row, col_frac);
+      const std::size_t pix =
+          static_cast<std::size_t>(r) * static_cast<std::size_t>(g.cols) +
+          static_cast<std::size_t>(c);
+      const double intensity =
+          earth_.cloud_intensity(p, spec.day_of_year, memo);
+      const bool cloudy = intensity > kCloudThreshold;
+      const bool land = earth_.is_land(p, memo);
+      const double tau =
+          cloudy ? 2.0 + 55.0 * std::fmax(0.0, intensity - kCloudThreshold)
+                 : 0.0;
+      // Cloud reflectance grows with optical thickness (saturating).
+      const double cloud_ref = 1.0 - std::exp(-tau / 12.0);
+      const double surface_ref = land ? 0.18 : 0.05;
+      const double reflectance =
+          cloud_ref * 0.85 + (1.0 - cloud_ref) * surface_ref;
+      double t_scene = earth_.surface_temperature(p, memo);
+      if (cloudy) {
+        const double ctp = earth_.cloud_top_pressure(p, spec.day_of_year, memo);
+        t_scene = 230.0 + 60.0 * (ctp - 250.0) / 650.0;
+      }
+      for (int b = 0; b < g.bands; ++b) {
+        const std::size_t i = static_cast<std::size_t>(b) * g.pixels() + pix;
+        float value;
+        if (b < 3) {
+          // Reflective bands (roles of MODIS bands 6/7/20): fill at night.
+          if (!out.daytime) {
+            value = kFillValue;
+          } else {
+            const double band_gain = 1.0 - 0.08 * b;
+            value = static_cast<float>(reflectance * band_gain +
+                                       0.01 * rng.normal());
+          }
+        } else {
+          // Thermal bands (roles of 28/29/31 and beyond): brightness temp,
+          // normalized to ~[0,1] for the ML stage ((320K - T) / 120K).
+          const double band_shift = 2.0 * (b - 3);
+          value = static_cast<float>((320.0 - (t_scene - band_shift)) / 120.0 +
+                                     0.005 * rng.normal());
+        }
+        out.radiance[i] = value;
+      }
+    }
+  }
+  return out;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// Every byte of the three products of `spec` equals the direct synthesis.
+void expect_direct_bytes(const GranuleGenerator& gen, std::uint64_t seed,
+                         const GranuleSpec& spec) {
+  const auto m02 = gen.mod02(spec);
+  const auto want02 = direct_mod02(gen.earth(), seed, spec);
+  const auto m03 = gen.mod03(spec);
+  const auto want03 = direct_mod03(gen.earth(), spec);
+  const auto m06 = gen.mod06(spec);
+  const auto want06 = direct_mod06(gen.earth(), spec);
+  const auto& g = spec.geometry;
+  SCOPED_TRACE(::testing::Message()
+               << satellite_name(spec.satellite) << " day "
+               << spec.day_of_year << " slot " << spec.slot << " at "
+               << g.rows << "x" << g.cols << "x" << g.bands);
+  EXPECT_EQ(m02.daytime, want02.daytime);
+  EXPECT_TRUE(same_bytes(m02.radiance, want02.radiance));
+  EXPECT_TRUE(same_bytes(m03.latitude, want03.latitude));
+  EXPECT_TRUE(same_bytes(m03.longitude, want03.longitude));
+  EXPECT_TRUE(same_bytes(m03.land_mask, want03.land_mask));
+  EXPECT_TRUE(same_bytes(m03.solar_zenith, want03.solar_zenith));
+  EXPECT_TRUE(same_bytes(m06.cloud_mask, want06.cloud_mask));
+  EXPECT_TRUE(same_bytes(m06.cloud_optical_thickness,
+                         want06.cloud_optical_thickness));
+  EXPECT_TRUE(same_bytes(m06.cloud_top_pressure, want06.cloud_top_pressure));
+  EXPECT_TRUE(same_bytes(m06.cloud_water_path, want06.cloud_water_path));
+}
+
+TEST(Products, BytesMatchDirectSynthesis) {
+  // Both satellites, four days, every 7th slot (day and night granules), at
+  // odd geometries, one with fewer bands than the three reflective ones.
+  const std::uint64_t seed = 5;
+  const GranuleGenerator gen(seed);
+  const GranuleGeometry geometries[] = {
+      {61, 47, 7}, {1, 1, 1}, {17, 233, 3}, {9, 7, 2}};
+  int day_granules = 0;
+  int granules = 0;
+  for (const auto& geometry : geometries) {
+    for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+      for (const int day : {1, 100, 200, 300}) {
+        for (int slot = 0; slot < kSlotsPerDay; slot += 7) {
+          GranuleSpec spec;
+          spec.satellite = sat;
+          spec.day_of_year = day;
+          spec.slot = slot;
+          spec.geometry = geometry;
+          expect_direct_bytes(gen, seed, spec);
+          if (is_daytime(sat, slot, day)) ++day_granules;
+          ++granules;
+        }
+      }
+    }
+  }
+  EXPECT_GT(day_granules, granules / 4);
+  EXPECT_LT(day_granules, 3 * granules / 4);
+  // The materialized benchmark's granules: the default world's first four
+  // daytime Terra slots of day 1 at 512 x 340 x 6, and its first night one.
+  const GranuleGenerator world(2022);
+  GranuleSpec spec;
+  spec.geometry = GranuleGeometry{512, 340, 6};
+  int day_slots = 0;
+  bool night_slot = false;
+  for (spec.slot = 0; day_slots < 4 || !night_slot; ++spec.slot) {
+    const bool daytime =
+        is_daytime(spec.satellite, spec.slot, spec.day_of_year);
+    if (daytime ? day_slots == 4 : night_slot) continue;
+    expect_direct_bytes(world, 2022, spec);
+    if (daytime)
+      ++day_slots;
+    else
+      night_slot = true;
+  }
+}
+
+TEST(Products, SharedGeneratorAcrossThreads) {
+  // The noise buffers and memos of a call are its own, so threads sharing
+  // one const generator get exactly the serial products.
+  const GranuleGenerator gen(2022);
+  constexpr int kThreads = 4;
+  constexpr int kGranules = 16;
+  auto spec_of = [](int k) {
+    GranuleSpec spec;
+    spec.satellite = k % 2 == 0 ? Satellite::kTerra : Satellite::kAqua;
+    spec.slot = 11 * k;
+    spec.geometry = GranuleGeometry{40, 33, 7};
+    return spec;
+  };
+  std::vector<std::vector<std::byte>> parallel(kGranules);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int k = t; k < kGranules; k += kThreads) {
+        const auto spec = spec_of(k);
+        auto& bytes = parallel[static_cast<std::size_t>(k)];
+        for (const auto& file : {gen.mod02(spec).to_hdfl(),
+                                 gen.mod03(spec).to_hdfl(),
+                                 gen.mod06(spec).to_hdfl()}) {
+          const auto one = file.serialize();
+          bytes.insert(bytes.end(), one.begin(), one.end());
+        }
+      }
+    });
+  for (auto& thread : threads) thread.join();
+  int day_granules = 0;
+  for (int k = 0; k < kGranules; ++k) {
+    const auto spec = spec_of(k);
+    std::vector<std::byte> serial;
+    for (const auto& file :
+         {gen.mod02(spec).to_hdfl(), gen.mod03(spec).to_hdfl(),
+          gen.mod06(spec).to_hdfl()}) {
+      const auto one = file.serialize();
+      serial.insert(serial.end(), one.begin(), one.end());
+    }
+    EXPECT_EQ(parallel[static_cast<std::size_t>(k)], serial) << k;
+    if (is_daytime(spec.satellite, spec.slot, spec.day_of_year))
+      ++day_granules;
+  }
+  EXPECT_GT(day_granules, 0);
+  EXPECT_LT(day_granules, kGranules);
 }
 
 TEST(Catalog, FilenameRoundTrip) {

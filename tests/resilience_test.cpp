@@ -140,7 +140,9 @@ TEST_F(ResilienceTest, NodeFailureRequeuesOntoSurvivors) {
   EXPECT_NEAR(exec.completed_payload(), 40 * 40.0, 1e-6);
   // Every task finishing after the crash ran on the survivor.
   for (const auto& r : exec.results()) {
-    if (r.finished_at > 10.0) EXPECT_EQ(r.node, survivor);
+    if (r.finished_at > 10.0) {
+      EXPECT_EQ(r.node, survivor);
+    }
   }
 }
 

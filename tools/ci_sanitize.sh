@@ -6,8 +6,10 @@
 # reach a barrier-mode reproduction run.
 #
 # A second ThreadSanitizer build (TSan cannot coexist with ASan) covers the
-# thread-pool data-parallel ML paths: parallel_for, encode_batch replicas,
-# and the chunked gradient reduction.
+# thread-pool data-parallel ML paths (parallel_for, encode_batch replicas,
+# and the chunked gradient reduction) and modis_test, whose granule
+# statistics and MOD02/MOD03/MOD06 synthesis run from one const generator
+# on several threads.
 #
 # After the sanitizer suites pass, the perf smoke gate
 # (tools/ci_perf_smoke.sh) runs on a Release build to catch determinism
@@ -59,8 +61,8 @@ cmake -B "${tsan_dir}" -S "${repo_root}" -DMFW_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${tsan_dir}" -j "$(nproc)" --target \
       ml_test ml_tensor_test ml_train_test ml_cluster_test ml_continual_test \
-      util_test
-ctest --test-dir "${tsan_dir}" -R '^(ml_|util_)' --output-on-failure
+      ml_quant_test util_test modis_test
+ctest --test-dir "${tsan_dir}" -R '^(ml_|util_|modis_)' --output-on-failure
 
 if [[ "${MFW_SKIP_PERF:-0}" != "1" ]]; then
   "${repo_root}/tools/ci_perf_smoke.sh"
