@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
     spec.slot = slot;
     spec.geometry = modis::GranuleGeometry{64, 48, 6};
     if (!modis::is_daytime(spec.satellite, slot, spec.day_of_year)) continue;
-    const auto result = preprocess::make_tiles(generator.mod02(spec),
-                                               generator.mod03(spec),
-                                               generator.mod06(spec), options);
+    const auto granule = generator.generate(spec);
+    const auto result = preprocess::make_tiles(granule.mod02, granule.mod03,
+                                               granule.mod06, options);
     for (const auto& tile : result.tiles) {
       if (tiles.size() >= 160) break;
       tiles.emplace_back(

@@ -75,9 +75,9 @@ int main(int argc, char** argv) {
   preprocess::TilerOptions options;
   options.tile_size = 16;
   options.channels = 6;
-  const auto result = preprocess::make_tiles(generator.mod02(spec),
-                                             generator.mod03(spec),
-                                             generator.mod06(spec), options);
+  const auto granule = generator.generate(spec);
+  const auto result = preprocess::make_tiles(granule.mod02, granule.mod03,
+                                             granule.mod06, options);
   std::printf("Swath slot %d: %d tile positions, %zu ocean-cloud tiles "
               "(paper's example: 133)\n\n",
               spec.slot, result.candidate_positions, result.tiles.size());

@@ -150,32 +150,18 @@ void BM_GranuleStats(benchmark::State& state) {
 BENCHMARK(BM_GranuleStats);
 
 // Pixel synthesis of one daytime granule at the materialized benchmark's
-// reduced geometry, one product per argument (2: MOD02, 3: MOD03, 6: MOD06),
-// so that a regression names its product.
+// reduced geometry: its MOD02, MOD03 and MOD06 from one pass.
 void BM_GranuleMaterialize(benchmark::State& state) {
   modis::GranuleGenerator gen(2022);
   modis::GranuleSpec spec;
   spec.geometry = modis::GranuleGeometry{512, 340, 6};
   while (!modis::is_daytime(spec.satellite, spec.slot, spec.day_of_year))
     ++spec.slot;
-  const auto product = state.range(0);
-  state.SetLabel(product == 2 ? "MOD02" : product == 3 ? "MOD03" : "MOD06");
-  for (auto _ : state) {
-    if (product == 2)
-      benchmark::DoNotOptimize(gen.mod02(spec));
-    else if (product == 3)
-      benchmark::DoNotOptimize(gen.mod03(spec));
-    else
-      benchmark::DoNotOptimize(gen.mod06(spec));
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(gen.generate(spec));
   state.SetItemsProcessed(static_cast<std::int64_t>(spec.geometry.pixels()) *
                           state.iterations());
 }
-BENCHMARK(BM_GranuleMaterialize)
-    ->Arg(2)
-    ->Arg(3)
-    ->Arg(6)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GranuleMaterialize)->Unit(benchmark::kMillisecond);
 
 void BM_Tiler(benchmark::State& state) {
   modis::GranuleGenerator gen(2022);
@@ -183,13 +169,12 @@ void BM_Tiler(benchmark::State& state) {
   spec.geometry = modis::GranuleGeometry{128, 96, 6};
   while (!modis::is_daytime(spec.satellite, spec.slot, spec.day_of_year))
     ++spec.slot;
-  const auto m02 = gen.mod02(spec);
-  const auto m03 = gen.mod03(spec);
-  const auto m06 = gen.mod06(spec);
+  const auto granule = gen.generate(spec);
   preprocess::TilerOptions options;
   options.tile_size = 32;
   for (auto _ : state)
-    benchmark::DoNotOptimize(preprocess::make_tiles(m02, m03, m06, options));
+    benchmark::DoNotOptimize(preprocess::make_tiles(
+        granule.mod02, granule.mod03, granule.mod06, options));
 }
 BENCHMARK(BM_Tiler);
 

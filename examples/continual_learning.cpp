@@ -30,9 +30,9 @@ std::vector<ml::Tensor> tiles_for_day(int day, std::size_t count) {
     spec.slot = slot;
     spec.geometry = modis::GranuleGeometry{64, 48, 6};
     if (!modis::is_daytime(spec.satellite, slot, day)) continue;
-    const auto result = preprocess::make_tiles(
-        generator.mod02(spec), generator.mod03(spec), generator.mod06(spec),
-        options);
+    const auto granule = generator.generate(spec);
+    const auto result = preprocess::make_tiles(granule.mod02, granule.mod03,
+                                               granule.mod06, options);
     for (const auto& tile : result.tiles) {
       if (tiles.size() >= count) break;
       tiles.emplace_back(

@@ -28,9 +28,9 @@ int main() {
     spec.geometry = modis::GranuleGeometry{64, 48, 6};
     if (!modis::is_daytime(spec.satellite, spec.slot, spec.day_of_year))
       continue;
-    const auto result = preprocess::make_tiles(
-        generator.mod02(spec), generator.mod03(spec), generator.mod06(spec),
-        tiler);
+    const auto granule = generator.generate(spec);
+    const auto result = preprocess::make_tiles(granule.mod02, granule.mod03,
+                                               granule.mod06, tiler);
     for (const auto& tile : result.tiles) {
       tiles.emplace_back(
           std::vector<int>{tile.channels, tile.tile_size, tile.tile_size},

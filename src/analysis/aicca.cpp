@@ -29,8 +29,11 @@ ParsedFile parse_tile_file(const std::vector<std::byte>& bytes) {
   const auto granule_attr = file.attrs().find("granule");
   modis::GranuleId granule;
   if (granule_attr != file.attrs().end()) {
-    if (const auto id = modis::parse_granule_filename(granule_attr->second))
-      granule = *id;
+    const auto id = modis::parse_granule_filename(granule_attr->second);
+    if (!id)
+      throw storage::FormatError("bad granule attribute: " +
+                                 granule_attr->second);
+    granule = *id;
   }
   const auto labels = file.var("label").as_i32();
   const auto lat = file.var("latitude").as_f32();

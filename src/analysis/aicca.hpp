@@ -53,7 +53,9 @@ class AiccaArchive {
   /// variables and are counted in `skipped_manifests` instead. With a pool,
   /// byte reads stay sequential (FileSystem implementations need not be
   /// thread-safe) but container parsing fans out per file; records keep
-  /// file order either way.
+  /// file order either way. Throws storage::FormatError for a labelled file
+  /// whose `granule` attribute is not a granule filename; a file without
+  /// the attribute keeps a default GranuleId.
   static AiccaArchive load(storage::FileSystem& fs, const std::string& pattern,
                            util::ThreadPool* pool = nullptr);
 

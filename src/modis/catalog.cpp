@@ -1,7 +1,10 @@
 #include "modis/catalog.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -10,6 +13,12 @@
 namespace mfw::modis {
 
 namespace {
+
+// Most granules whose unrequested products ArchiveService::materialize
+// holds. With its default three download workers the workflow leaves at
+// most two granules partly served at a time; a dropped entry costs a second
+// synthesis, never a byte.
+constexpr std::size_t kHeldGranules = 4;
 
 // Mean archive file sizes calibrated to the paper's per-day volumes
 // (32 GB / 8.4 GB / 18 GB across 288 granules).
@@ -71,26 +80,35 @@ std::string GranuleId::filename() const {
 
 std::optional<GranuleId> parse_granule_filename(std::string_view name) {
   const auto parts = util::split(name, '.');
-  if (parts.size() != 5 || parts[4] != "hdf") return std::nullopt;
+  if (parts.size() != 5 || parts[3] != "061" || parts[4] != "hdf")
+    return std::nullopt;
   const auto product = parse_product_name(parts[0]);
   if (!product) return std::nullopt;
   if (parts[1].size() != 8 || parts[1][0] != 'A') return std::nullopt;
   if (parts[2].size() != 4) return std::nullopt;
+  // Each field is all digits: no sign, no blank, nothing after the number.
+  const auto digits = [](std::string_view field, int& out) {
+    unsigned value = 0;
+    const auto [end, ec] =
+        std::from_chars(field.data(), field.data() + field.size(), value);
+    out = static_cast<int>(value);
+    return ec == std::errc{} && end == field.data() + field.size();
+  };
   GranuleId id;
   id.product = product->first;
   id.satellite = product->second;
-  try {
-    id.year = std::stoi(parts[1].substr(1, 4));
-    id.day_of_year = std::stoi(parts[1].substr(5, 3));
-    const int hh = std::stoi(parts[2].substr(0, 2));
-    const int mm = std::stoi(parts[2].substr(2, 2));
-    if (mm % 5 != 0) return std::nullopt;
-    id.slot = hh * 12 + mm / 5;
-  } catch (const std::exception&) {
+  int hh = 0;
+  int mm = 0;
+  if (!digits(parts[1].substr(1, 4), id.year) ||
+      !digits(parts[1].substr(5, 3), id.day_of_year) ||
+      !digits(parts[2].substr(0, 2), hh) || !digits(parts[2].substr(2, 2), mm))
     return std::nullopt;
-  }
-  if (id.slot < 0 || id.slot >= kSlotsPerDay) return std::nullopt;
+  if (mm % 5 != 0 || mm >= 60) return std::nullopt;
+  id.slot = hh * 12 + mm / 5;
+  if (id.slot >= kSlotsPerDay) return std::nullopt;
   if (id.day_of_year < 1 || id.day_of_year > 366) return std::nullopt;
+  // Fixed-width digit fields and a time that is a slot's start: `name` is
+  // the name the granule prints, id.filename() == name.
   return id;
 }
 
@@ -135,18 +153,45 @@ std::uint64_t ArchiveService::size_of(const GranuleId& id) const {
 
 std::vector<std::byte> ArchiveService::materialize(
     const GranuleId& id, const GranuleGeometry& geometry) const {
+  const auto kind = static_cast<std::size_t>(id.product);
+  if (kind >= 3) throw std::invalid_argument("unknown product kind");
   GranuleSpec spec;
   spec.satellite = id.satellite;
   spec.year = id.year;
   spec.day_of_year = id.day_of_year;
   spec.slot = id.slot;
   spec.geometry = geometry;
-  switch (id.product) {
-    case ProductKind::kMod02: return generator_.mod02(spec).to_hdfl().serialize();
-    case ProductKind::kMod03: return generator_.mod03(spec).to_hdfl().serialize();
-    case ProductKind::kMod06: return generator_.mod06(spec).to_hdfl().serialize();
+  const auto same_granule = [&spec](const HeldGranule& held) {
+    return held.spec == spec;
+  };
+  std::optional<Product> product;
+  {
+    const std::lock_guard lock(held_mutex_);
+    const auto held = std::find_if(held_.begin(), held_.end(), same_granule);
+    if (held != held_.end() && held->products[kind]) {
+      product = std::exchange(held->products[kind], std::nullopt);
+      if (std::none_of(held->products.begin(), held->products.end(),
+                       [](const auto& p) { return p.has_value(); }))
+        held_.erase(held);
+    }
   }
-  throw std::invalid_argument("unknown product kind");
+  if (!product) {
+    auto made = generator_.generate(spec);
+    HeldGranule entry{spec,
+                      {std::move(made.mod02), std::move(made.mod03),
+                       std::move(made.mod06)}};
+    product = std::exchange(entry.products[kind], std::nullopt);
+    const std::lock_guard lock(held_mutex_);
+    std::erase_if(held_, same_granule);
+    held_.push_back(std::move(entry));
+    if (held_.size() > kHeldGranules) held_.pop_front();
+  }
+  // Serialization reads the hdfl copy alone, so the struct is freed first:
+  // one copy of the product fewer is live while the bytes are written.
+  const auto file = std::visit(
+      [](const auto& granule) { return granule.to_hdfl(); }, *product);
+  product.reset();
+  return file.serialize();
 }
 
 }  // namespace mfw::modis

@@ -9,9 +9,13 @@
 // inference stages.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "modis/products.hpp"
@@ -68,17 +72,40 @@ class ArchiveService {
   /// Deterministic archive file size for a granule.
   std::uint64_t size_of(const GranuleId& id) const;
 
-  /// Generates the product content at the requested geometry and serializes
-  /// it to hdfl bytes. (Real downloads move `size_of` bytes; the pipeline
-  /// materializes content at working geometry — see DESIGN.md.)
+  /// The product content at the requested geometry, serialized to hdfl
+  /// bytes: exactly GranuleGenerator::generate's product for the granule.
+  /// (Real downloads move `size_of` bytes; the pipeline materializes content
+  /// at working geometry — see DESIGN.md.)
+  ///
+  /// A granule's products are synthesised together, and the workflow asks
+  /// for them in separate calls, so the service holds the two a call did not
+  /// ask for until they are asked for. It holds them as product structs, at
+  /// most one entry per granule (satellite, year, day, slot and geometry)
+  /// and at most four entries, dropping the oldest first. An entry holds at
+  /// most two products, up to 6.4 MB at 512 x 340 x 6 (all three take
+  /// 8.7 MB), so the service holds at most about 26 MB there. A product
+  /// asked for after its entry was dropped, or again after it was handed
+  /// out, is synthesised again; the bytes never depend on what is held.
+  /// Const and safe to call from several threads at once: a mutex guards
+  /// the held entries, and synthesis and serialization run outside it.
   std::vector<std::byte> materialize(const GranuleId& id,
                                      const GranuleGeometry& geometry) const;
 
   const GranuleGenerator& generator() const { return generator_; }
 
  private:
+  /// One product struct, its alternative indexed by ProductKind.
+  using Product = std::variant<Mod02Granule, Mod03Granule, Mod06Granule>;
+  /// A granule's products not yet asked for, by ProductKind.
+  struct HeldGranule {
+    GranuleSpec spec;
+    std::array<std::optional<Product>, 3> products;
+  };
+
   GranuleGenerator generator_;
   std::uint64_t seed_;
+  mutable std::mutex held_mutex_;
+  mutable std::deque<HeldGranule> held_;  // oldest first
 };
 
 }  // namespace mfw::modis

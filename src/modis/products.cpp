@@ -444,93 +444,41 @@ double EarthModel::surface_temperature(const LatLon& p, Memo& memo) const {
 GranuleGenerator::GranuleGenerator(std::uint64_t world_seed)
     : seed_(world_seed), earth_(world_seed) {}
 
-Mod03Granule GranuleGenerator::mod03(const GranuleSpec& spec) const {
+GranuleProducts GranuleGenerator::generate(const GranuleSpec& spec) const {
   check_spec(spec);
   const auto& g = spec.geometry;
-  Mod03Granule out;
-  out.spec = spec;
-  out.latitude.resize(g.pixels());
-  out.longitude.resize(g.pixels());
-  out.land_mask.resize(g.pixels());
-  out.solar_zenith.resize(g.pixels());
-  const SunAngles sun(spec.day_of_year);
-  EarthModel::Memo memo;
-  for (int r = 0; r < g.rows; ++r) {
-    const double row_frac = (r + 0.5) / g.rows;
-    const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
-    const double utc = day_fraction(spec, row_frac);
-    for (int c = 0; c < g.cols; ++c) {
-      const double col_frac = (c + 0.5) / g.cols;
-      const LatLon p = swath_pixel(row, col_frac);
-      const std::size_t i =
-          static_cast<std::size_t>(r) * static_cast<std::size_t>(g.cols) +
-          static_cast<std::size_t>(c);
-      out.latitude[i] = static_cast<float>(p.lat);
-      out.longitude[i] = static_cast<float>(p.lon);
-      out.land_mask[i] = earth_.is_land(p, memo) ? 1 : 0;
-      out.solar_zenith[i] = static_cast<float>(sun.zenith_deg(p, utc));
-    }
-  }
-  return out;
-}
-
-Mod06Granule GranuleGenerator::mod06(const GranuleSpec& spec) const {
-  check_spec(spec);
-  const auto& g = spec.geometry;
-  Mod06Granule out;
-  out.spec = spec;
-  out.cloud_mask.resize(g.pixels());
-  out.cloud_optical_thickness.resize(g.pixels());
-  out.cloud_top_pressure.resize(g.pixels());
-  out.cloud_water_path.resize(g.pixels());
-  EarthModel::Memo memo;
-  for (int r = 0; r < g.rows; ++r) {
-    const double row_frac = (r + 0.5) / g.rows;
-    const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
-    for (int c = 0; c < g.cols; ++c) {
-      const double col_frac = (c + 0.5) / g.cols;
-      const LatLon p = swath_pixel(row, col_frac);
-      const std::size_t i =
-          static_cast<std::size_t>(r) * static_cast<std::size_t>(g.cols) +
-          static_cast<std::size_t>(c);
-      const double intensity =
-          earth_.cloud_intensity(p, spec.day_of_year, memo);
-      const bool cloudy = intensity > kCloudThreshold;
-      out.cloud_mask[i] = cloudy ? 1 : 0;
-      const double excess = std::fmax(0.0, intensity - kCloudThreshold);
-      out.cloud_optical_thickness[i] =
-          cloudy ? static_cast<float>(2.0 + 55.0 * excess) : 0.0f;
-      out.cloud_top_pressure[i] =
-          cloudy ? static_cast<float>(
-                       earth_.cloud_top_pressure(p, spec.day_of_year, memo))
-                 : kFillValue;
-      out.cloud_water_path[i] =
-          cloudy ? static_cast<float>(20.0 + 900.0 * excess * excess) : 0.0f;
-    }
-  }
-  return out;
-}
-
-Mod02Granule GranuleGenerator::mod02(const GranuleSpec& spec) const {
-  check_spec(spec);
-  const auto& g = spec.geometry;
-  Mod02Granule out;
-  out.spec = spec;
-  out.daytime = is_daytime(spec.satellite, spec.slot, spec.day_of_year);
-  out.radiance.resize(static_cast<std::size_t>(g.bands) * g.pixels());
+  GranuleProducts out;
+  Mod02Granule& m02 = out.mod02;
+  Mod03Granule& m03 = out.mod03;
+  Mod06Granule& m06 = out.mod06;
+  m02.spec = m03.spec = m06.spec = spec;
+  m02.daytime = is_daytime(spec.satellite, spec.slot, spec.day_of_year);
+  // Arrays in the reverse of the order the workflow usually asks for the
+  // products (MOD03, MOD06, MOD02), so that the first freed lie highest in
+  // the heap; the order changes no byte (EXPERIMENTS.md has its RSS).
+  m02.radiance.resize(static_cast<std::size_t>(g.bands) * g.pixels());
+  m06.cloud_mask.resize(g.pixels());
+  m06.cloud_optical_thickness.resize(g.pixels());
+  m06.cloud_top_pressure.resize(g.pixels());
+  m06.cloud_water_path.resize(g.pixels());
+  m03.latitude.resize(g.pixels());
+  m03.longitude.resize(g.pixels());
+  m03.land_mask.resize(g.pixels());
+  m03.solar_zenith.resize(g.pixels());
   // Per-granule sensor noise stream: one normal per band of each pixel,
   // pixel by pixel, except the reflective bands [0, 3) at night. A row's
   // draws are taken in that order before its pixels are synthesised.
   util::Rng rng(util::mix64(
       seed_, util::mix64(static_cast<std::uint64_t>(spec.slot) + 1000,
                          static_cast<std::uint64_t>(spec.day_of_year))));
-  const int undrawn = out.daytime ? 0 : std::min(g.bands, 3);
+  const int undrawn = m02.daytime ? 0 : std::min(g.bands, 3);
   const std::size_t row_draws =
       static_cast<std::size_t>(g.bands - undrawn) *
       static_cast<std::size_t>(g.cols);
   std::vector<double> u1(row_draws);
   std::vector<double> u2(row_draws);
   std::vector<double> normal(row_draws);
+  const SunAngles sun(spec.day_of_year);
   EarthModel::Memo memo;
   for (int r = 0; r < g.rows; ++r) {
     for (std::size_t k = 0; k < row_draws; ++k) {
@@ -542,30 +490,46 @@ Mod02Granule GranuleGenerator::mod02(const GranuleSpec& spec) const {
     std::size_t next = 0;  // the row's next draw
     const double row_frac = (r + 0.5) / g.rows;
     const SwathRow row = swath_row(spec.satellite, spec.slot, row_frac);
+    const double utc = day_fraction(spec, row_frac);
     for (int c = 0; c < g.cols; ++c) {
       const double col_frac = (c + 0.5) / g.cols;
       const LatLon p = swath_pixel(row, col_frac);
       const std::size_t pix =
           static_cast<std::size_t>(r) * static_cast<std::size_t>(g.cols) +
           static_cast<std::size_t>(c);
+      // MOD03: geolocation, land mask and solar zenith.
+      const bool land = earth_.is_land(p, memo);
+      m03.latitude[pix] = static_cast<float>(p.lat);
+      m03.longitude[pix] = static_cast<float>(p.lon);
+      m03.land_mask[pix] = land ? 1 : 0;
+      m03.solar_zenith[pix] = static_cast<float>(sun.zenith_deg(p, utc));
+      // MOD06: the cloud mask and, for cloudy pixels, the cloud properties.
+      // Cloud reflectance grows with optical thickness (saturating); a clear
+      // pixel's is exactly 0. A cloudy pixel's scene temperature is its
+      // cloud top's, a clear one's the surface's.
       const double intensity =
           earth_.cloud_intensity(p, spec.day_of_year, memo);
       const bool cloudy = intensity > kCloudThreshold;
-      const bool land = earth_.is_land(p, memo);
-      // Cloud reflectance grows with optical thickness (saturating); a clear
-      // pixel's is exactly 0. A cloudy pixel's temperature is its cloud
-      // top's.
+      m06.cloud_mask[pix] = cloudy ? 1 : 0;
       double cloud_ref = 0.0;
       double t_scene = 0.0;
       if (cloudy) {
-        const double tau =
-            2.0 + 55.0 * std::fmax(0.0, intensity - kCloudThreshold);
-        cloud_ref = 1.0 - std::exp(-tau / 12.0);
+        const double excess = std::fmax(0.0, intensity - kCloudThreshold);
+        const double tau = 2.0 + 55.0 * excess;
         const double ctp = earth_.cloud_top_pressure(p, spec.day_of_year, memo);
+        m06.cloud_optical_thickness[pix] = static_cast<float>(tau);
+        m06.cloud_top_pressure[pix] = static_cast<float>(ctp);
+        m06.cloud_water_path[pix] =
+            static_cast<float>(20.0 + 900.0 * excess * excess);
+        cloud_ref = 1.0 - std::exp(-tau / 12.0);
         t_scene = 230.0 + 60.0 * (ctp - 250.0) / 650.0;
       } else {
+        m06.cloud_optical_thickness[pix] = 0.0f;
+        m06.cloud_top_pressure[pix] = kFillValue;
+        m06.cloud_water_path[pix] = 0.0f;
         t_scene = earth_.surface_temperature(p, memo);
       }
+      // MOD02: the scene's radiance in each band, plus sensor noise.
       const double surface_ref = land ? 0.18 : 0.05;
       const double reflectance =
           cloud_ref * 0.85 + (1.0 - cloud_ref) * surface_ref;
@@ -574,7 +538,7 @@ Mod02Granule GranuleGenerator::mod02(const GranuleSpec& spec) const {
         float value;
         if (b < 3) {
           // Reflective bands (roles of MODIS bands 6/7/20): fill at night.
-          if (!out.daytime) {
+          if (!m02.daytime) {
             value = kFillValue;
           } else {
             const double band_gain = 1.0 - 0.08 * b;
@@ -590,7 +554,7 @@ Mod02Granule GranuleGenerator::mod02(const GranuleSpec& spec) const {
                                  0.005, normal[next], u1[next], u2[next]);
           ++next;
         }
-        out.radiance[i] = value;
+        m02.radiance[i] = value;
       }
     }
   }

@@ -5,7 +5,9 @@
 // matters more than radiometric realism: the preprocessing stage joins all
 // three products per time step, so the same (satellite, day, slot) must see
 // the same geography, cloud field, and day/night state in MOD02, MOD03, and
-// MOD06 — which holds here because all three sample one seeded EarthModel.
+// MOD06. That holds by construction: GranuleGenerator::generate synthesises
+// the three in one pass over the swath, from one sample of one seeded
+// EarthModel per pixel.
 //
 // Band layout: real RICC/AICCA uses 6 of MODIS's 36 bands (6, 7, 20, 28, 29,
 // 31 — two shortwave reflectance, one SWIR, three thermal IR). Our generator
@@ -36,6 +38,8 @@ struct GranuleGeometry {
   std::size_t pixels() const {
     return static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
   }
+
+  bool operator==(const GranuleGeometry&) const = default;
 };
 
 inline constexpr GranuleGeometry kFullGeometry{2030, 1354, 36};
@@ -49,6 +53,8 @@ struct GranuleSpec {
   int day_of_year = 1;  // 1-based
   int slot = 0;         // 0..287
   GranuleGeometry geometry{};
+
+  bool operator==(const GranuleSpec&) const = default;
 };
 
 /// cloud_intensity above this is cloudy: MOD06's cloud mask, and the
@@ -214,17 +220,27 @@ void approximate_normals(std::span<const double> u1,
 float noisy_radiance(double a, double coef, double approx, double u1,
                      double u2);
 
+/// The three products of one granule, synthesised together.
+struct GranuleProducts {
+  Mod02Granule mod02;
+  Mod03Granule mod03;
+  Mod06Granule mod06;
+};
+
 /// Generates the three products for a spec. Deterministic in (spec, seed).
 class GranuleGenerator {
  public:
   explicit GranuleGenerator(std::uint64_t world_seed = 2022);
 
-  Mod03Granule mod03(const GranuleSpec& spec) const;
-  Mod06Granule mod06(const GranuleSpec& spec) const;
-  /// Samples the Earth model directly, as mod03 and mod06 do, so its scene
-  /// matches theirs pixel for pixel without generating either. Each band
-  /// adds a seeded sensor noise (see noisy_radiance).
-  Mod02Granule mod02(const GranuleSpec& spec) const;
+  /// The granule's MOD02, MOD03 and MOD06 from one pass over its swath: each
+  /// pixel's location, land test and cloud intensity are computed once and
+  /// feed every product that reads them; the cloud-top pressure is computed
+  /// for cloudy pixels only (MOD06's value and MOD02's scene temperature),
+  /// the surface temperature for clear ones only. Each MOD02 band adds a
+  /// seeded sensor noise (see noisy_radiance). Throws std::invalid_argument
+  /// for a slot, day or geometry out of range. Const and safe to call from
+  /// several threads at once.
+  GranuleProducts generate(const GranuleSpec& spec) const;
 
   const EarthModel& earth() const { return earth_; }
 

@@ -109,6 +109,21 @@ TEST(AiccaArchive, SkipsManifestOnlyFiles) {
   EXPECT_FALSE(archive.report(42).empty());
 }
 
+TEST(AiccaArchive, RejectsMalformedGranuleAttribute) {
+  // A labelled file whose granule attribute does not parse is rejected, not
+  // read as the default granule; a file without the attribute still loads.
+  storage::MemFs fs("orion");
+  write_labelled_file(fs, "aicca/good.ncl", 8,
+                      {make_record(0, 0.0f, 0.5f, 5.0f)});
+  auto file = preprocess::read_tile_file(fs, "aicca/good.ncl");
+  file.attrs().erase("granule");
+  fs.write_file("aicca/anonymous.ncl", file.serialize());
+  EXPECT_EQ(AiccaArchive::load(fs, "aicca/*.ncl").tile_count(), 2u);
+  file.attrs()["granule"] = "MOD03.A2022001.+100.061.hdf";
+  fs.write_file("aicca/bad.ncl", file.serialize());
+  EXPECT_THROW(AiccaArchive::load(fs, "aicca/*.ncl"), storage::FormatError);
+}
+
 TEST(AiccaArchive, EndToEndFromMaterializedPipeline) {
   util::Logger::instance().set_level(util::LogLevel::kError);
   pipeline::EomlConfig config;

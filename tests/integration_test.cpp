@@ -255,6 +255,45 @@ TEST_F(EomlIntegration, MaterializedFastPathStreamsUnderTileBudget) {
   EXPECT_GT(checked, 0u);
 }
 
+TEST_F(EomlIntegration, StagedGranuleFilesEqualFreshSynthesis) {
+  // The archive hands out each granule's products from one synthesis, in
+  // the order the downloads finish; every file staged on Defiant must still
+  // be its own granule's product, at three and at six download workers.
+  for (const int workers : {3, 6}) {
+    auto config = small_config();
+    config.max_files = 4;
+    config.download_workers = workers;
+    config.materialize = true;
+    config.geometry = modis::kSmallGeometry;
+    EomlWorkflow workflow(config);
+    const auto report = workflow.run();
+    EXPECT_EQ(report.granules, 4u);
+    const auto staged = workflow.defiant_fs().list("staging/*.hdf");
+    EXPECT_EQ(staged.size(), 12u) << workers << " workers";
+    const modis::GranuleGenerator generator(config.seed);
+    for (const auto& info : staged) {
+      const auto id = modis::parse_granule_filename(
+          info.path.substr(info.path.rfind('/') + 1));
+      ASSERT_TRUE(id.has_value()) << info.path;
+      modis::GranuleSpec spec;
+      spec.satellite = id->satellite;
+      spec.year = id->year;
+      spec.day_of_year = id->day_of_year;
+      spec.slot = id->slot;
+      spec.geometry = config.geometry;
+      const auto granule = generator.generate(spec);
+      const auto want =
+          id->product == modis::ProductKind::kMod02
+              ? granule.mod02.to_hdfl().serialize()
+          : id->product == modis::ProductKind::kMod03
+              ? granule.mod03.to_hdfl().serialize()
+              : granule.mod06.to_hdfl().serialize();
+      EXPECT_EQ(workflow.defiant_fs().read_file(info.path), want)
+          << info.path << " with " << workers << " workers";
+    }
+  }
+}
+
 TEST_F(EomlIntegration, MaterializedPseudoLabelPath) {
   auto config = small_config();
   config.max_files = 3;

@@ -4,14 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <numbers>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "modis/noise.hpp"
 #include "modis/products.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace mfw::modis {
 namespace {
@@ -331,12 +335,10 @@ TEST(Products, GeneratedShapesMatchGeometry) {
   GranuleSpec spec;
   spec.geometry = kSmallGeometry;
   spec.slot = 100;
-  const auto m03 = gen.mod03(spec);
+  const auto [m02, m03, m06] = gen.generate(spec);
   EXPECT_EQ(m03.latitude.size(), spec.geometry.pixels());
   EXPECT_EQ(m03.land_mask.size(), spec.geometry.pixels());
-  const auto m06 = gen.mod06(spec);
   EXPECT_EQ(m06.cloud_mask.size(), spec.geometry.pixels());
-  const auto m02 = gen.mod02(spec);
   EXPECT_EQ(m02.radiance.size(),
             spec.geometry.pixels() * static_cast<std::size_t>(spec.geometry.bands));
 }
@@ -351,8 +353,9 @@ TEST(Products, CrossProductConsistency) {
   int slot = 0;
   while (!is_daytime(spec.satellite, slot, spec.day_of_year)) ++slot;
   spec.slot = slot;
-  const auto m02 = gen.mod02(spec);
-  const auto m06 = gen.mod06(spec);
+  const auto granule = gen.generate(spec);
+  const auto& m02 = granule.mod02;
+  const auto& m06 = granule.mod06;
   ASSERT_TRUE(m02.daytime);
   double cloudy_sum = 0, clear_sum = 0;
   std::size_t cloudy_n = 0, clear_n = 0;
@@ -382,7 +385,7 @@ TEST(Products, NightGranulesHaveFilledReflectiveBands) {
   int slot = 0;
   while (is_daytime(spec.satellite, slot, spec.day_of_year)) ++slot;
   spec.slot = slot;
-  const auto m02 = gen.mod02(spec);
+  const auto m02 = gen.generate(spec).mod02;
   ASSERT_FALSE(m02.daytime);
   EXPECT_FLOAT_EQ(m02.at(0, 0, 0), kFillValue);
   EXPECT_FLOAT_EQ(m02.at(2, 5, 5), kFillValue);
@@ -395,19 +398,17 @@ TEST(Products, HdflRoundTripAllProducts) {
   GranuleSpec spec;
   spec.geometry = GranuleGeometry{64, 48, 4};
   spec.slot = 37;
-  const auto m02 = gen.mod02(spec);
+  const auto [m02, m03, m06] = gen.generate(spec);
   const auto back02 = Mod02Granule::from_hdfl(
       storage::HdflFile::deserialize(m02.to_hdfl().serialize()));
   EXPECT_EQ(back02.spec.slot, 37);
   EXPECT_EQ(back02.daytime, m02.daytime);
   EXPECT_EQ(back02.radiance, m02.radiance);
 
-  const auto m03 = gen.mod03(spec);
   const auto back03 = Mod03Granule::from_hdfl(
       storage::HdflFile::deserialize(m03.to_hdfl().serialize()));
   EXPECT_EQ(back03.land_mask, m03.land_mask);
 
-  const auto m06 = gen.mod06(spec);
   const auto back06 = Mod06Granule::from_hdfl(
       storage::HdflFile::deserialize(m06.to_hdfl().serialize()));
   EXPECT_EQ(back06.cloud_mask, m06.cloud_mask);
@@ -418,9 +419,10 @@ TEST(Products, FromHdflRejectsGeometryThatDisagreesWithDatasets) {
   GranuleSpec spec;
   spec.geometry = GranuleGeometry{64, 48, 4};
   while (!is_daytime(spec.satellite, spec.slot, spec.day_of_year)) ++spec.slot;
-  const auto m02 = gen.mod02(spec).to_hdfl();
-  const auto m03 = gen.mod03(spec).to_hdfl();
-  const auto m06 = gen.mod06(spec).to_hdfl();
+  const auto granule = gen.generate(spec);
+  const auto m02 = granule.mod02.to_hdfl();
+  const auto m03 = granule.mod03.to_hdfl();
+  const auto m06 = granule.mod06.to_hdfl();
   // No CRC covers the attributes, so each edited file still loads.
   const auto edited = [](storage::HdflFile file, const char* key,
                          const char* value) {
@@ -760,10 +762,11 @@ TEST(Radiance, UndecidedValuesTakeTheExactNormal) {
 }
 
 // The per-pixel synthesis the generator replaced, kept verbatim as the
-// oracle for every product byte: a fresh libm normal per band, the solar
-// zenith (declination included) recomputed for every pixel, and the
-// surface temperature of every pixel, cloudy or not. The parameters carry
-// the generator's member names so that the loop bodies stay verbatim.
+// oracle for every product byte: one loop per product, each sampling the
+// Earth model on its own, a fresh libm normal per band, the solar zenith
+// (declination included) recomputed for every pixel, and the surface
+// temperature of every pixel, cloudy or not. The parameters carry the
+// generator's member names so that the loop bodies stay verbatim.
 double direct_solar_zenith_deg(const LatLon& where, double utc_day_fraction,
                                int day_of_year) {
   constexpr double kPi = std::numbers::pi;
@@ -923,11 +926,9 @@ bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
 // Every byte of the three products of `spec` equals the direct synthesis.
 void expect_direct_bytes(const GranuleGenerator& gen, std::uint64_t seed,
                          const GranuleSpec& spec) {
-  const auto m02 = gen.mod02(spec);
+  const auto [m02, m03, m06] = gen.generate(spec);
   const auto want02 = direct_mod02(gen.earth(), seed, spec);
-  const auto m03 = gen.mod03(spec);
   const auto want03 = direct_mod03(gen.earth(), spec);
-  const auto m06 = gen.mod06(spec);
   const auto want06 = direct_mod06(gen.earth(), spec);
   const auto& g = spec.geometry;
   SCOPED_TRACE(::testing::Message()
@@ -993,6 +994,17 @@ TEST(Products, BytesMatchDirectSynthesis) {
   }
 }
 
+// The serialized MOD02, MOD03 and MOD06 of `granule`, one after another.
+std::vector<std::byte> serialized(const GranuleProducts& granule) {
+  std::vector<std::byte> bytes;
+  for (const auto& file : {granule.mod02.to_hdfl(), granule.mod03.to_hdfl(),
+                           granule.mod06.to_hdfl()}) {
+    const auto one = file.serialize();
+    bytes.insert(bytes.end(), one.begin(), one.end());
+  }
+  return bytes;
+}
+
 TEST(Products, SharedGeneratorAcrossThreads) {
   // The noise buffers and memos of a call are its own, so threads sharing
   // one const generator get exactly the serial products.
@@ -1012,27 +1024,16 @@ TEST(Products, SharedGeneratorAcrossThreads) {
     threads.emplace_back([&, t] {
       for (int k = t; k < kGranules; k += kThreads) {
         const auto spec = spec_of(k);
-        auto& bytes = parallel[static_cast<std::size_t>(k)];
-        for (const auto& file : {gen.mod02(spec).to_hdfl(),
-                                 gen.mod03(spec).to_hdfl(),
-                                 gen.mod06(spec).to_hdfl()}) {
-          const auto one = file.serialize();
-          bytes.insert(bytes.end(), one.begin(), one.end());
-        }
+        parallel[static_cast<std::size_t>(k)] = serialized(gen.generate(spec));
       }
     });
   for (auto& thread : threads) thread.join();
   int day_granules = 0;
   for (int k = 0; k < kGranules; ++k) {
     const auto spec = spec_of(k);
-    std::vector<std::byte> serial;
-    for (const auto& file :
-         {gen.mod02(spec).to_hdfl(), gen.mod03(spec).to_hdfl(),
-          gen.mod06(spec).to_hdfl()}) {
-      const auto one = file.serialize();
-      serial.insert(serial.end(), one.begin(), one.end());
-    }
-    EXPECT_EQ(parallel[static_cast<std::size_t>(k)], serial) << k;
+    EXPECT_EQ(parallel[static_cast<std::size_t>(k)],
+              serialized(gen.generate(spec)))
+        << k;
     if (is_daytime(spec.satellite, spec.slot, spec.day_of_year))
       ++day_granules;
   }
@@ -1050,6 +1051,21 @@ TEST(Catalog, FilenameRoundTrip) {
   GranuleId aqua{ProductKind::kMod06, Satellite::kAqua, 2023, 365, 0};
   EXPECT_EQ(aqua.filename(), "MYD06_L2.A2023365.0000.061.hdf");
   EXPECT_EQ(*parse_granule_filename(aqua.filename()), aqua);
+
+  // Every product of both satellites, every day and slot.
+  for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+    for (const ProductKind kind :
+         {ProductKind::kMod02, ProductKind::kMod03, ProductKind::kMod06}) {
+      for (int day = 1; day <= 366; ++day) {
+        for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+          const GranuleId one{kind, sat, 2022, day, slot};
+          const auto back = parse_granule_filename(one.filename());
+          ASSERT_TRUE(back.has_value()) << one.filename();
+          ASSERT_EQ(*back, one) << one.filename();
+        }
+      }
+    }
+  }
 }
 
 TEST(Catalog, RejectsMalformedFilenames) {
@@ -1057,6 +1073,42 @@ TEST(Catalog, RejectsMalformedFilenames) {
   EXPECT_FALSE(parse_granule_filename("MOD021KM.A2022001.0003.061.hdf"));  // minute not multiple of 5
   EXPECT_FALSE(parse_granule_filename("MOD021KM.A2022001.0000.061.txt"));
   EXPECT_FALSE(parse_granule_filename("MOD021KM.X2022001.0000.061.hdf"));
+  // Each field is digits only, the collection is 061, and the name is the
+  // one its granule prints: a lenient number parse read the first four as
+  // year 20, day 1, slot 12 and slot 8.
+  EXPECT_FALSE(parse_granule_filename("MOD03.A20x2001.0040.061.hdf"));
+  EXPECT_FALSE(parse_granule_filename("MOD03.A2022 01.0040.061.hdf"));
+  EXPECT_FALSE(parse_granule_filename("MOD03.A2022001.+100.061.hdf"));
+  EXPECT_FALSE(parse_granule_filename("MOD03.A2022001.0 40.061.hdf"));
+  EXPECT_FALSE(parse_granule_filename("MOD03.A2022001.0040.999.hdf"));
+  EXPECT_FALSE(parse_granule_filename("MOD03.A2022001.-040.061.hdf"));
+  EXPECT_FALSE(parse_granule_filename("MOD03.A2022001.0075.061.hdf"));
+  EXPECT_FALSE(parse_granule_filename("MOD03.A2022000.0040.061.hdf"));
+  EXPECT_FALSE(parse_granule_filename("MOD03.A2022367.0040.061.hdf"));
+  EXPECT_FALSE(parse_granule_filename("MOD03.A2022001.2400.061.hdf"));
+  EXPECT_TRUE(parse_granule_filename("MOD03.A2022001.0040.061.hdf"));
+  // Every time field 0000-9999 and day field 000-999: a name is accepted
+  // exactly when it is the name its granule prints.
+  int times = 0;
+  for (int t = 0; t < 10000; ++t) {
+    const std::string name =
+        util::strformat("MYD06_L2.A2022200.%04d.061.hdf", t);
+    if (const auto id = parse_granule_filename(name)) {
+      ++times;
+      ASSERT_EQ(id->filename(), name);
+    }
+  }
+  EXPECT_EQ(times, kSlotsPerDay);
+  int days = 0;
+  for (int d = 0; d < 1000; ++d) {
+    const std::string name =
+        util::strformat("MOD021KM.A1999%03d.2355.061.hdf", d);
+    if (const auto id = parse_granule_filename(name)) {
+      ++days;
+      ASSERT_EQ(id->filename(), name);
+    }
+  }
+  EXPECT_EQ(days, 366);
 }
 
 TEST(Catalog, ProductNames) {
@@ -1105,6 +1157,225 @@ TEST(Catalog, MaterializeParsesBack) {
   const auto granule = Mod06Granule::from_hdfl(storage::HdflFile::deserialize(bytes));
   EXPECT_EQ(granule.spec.slot, 130);
   EXPECT_EQ(granule.cloud_mask.size(), 64u * 48u);
+}
+
+// One archive request: a granule's product at a geometry.
+struct Request {
+  GranuleId id;
+  GranuleGeometry geometry;
+};
+
+GranuleId product_of(GranuleId id, ProductKind kind) {
+  id.product = kind;
+  return id;
+}
+
+// The serialized products of a fresh generator's synthesis of each granule
+// asked for, synthesised once per granule.
+class FreshProducts {
+ public:
+  explicit FreshProducts(std::uint64_t seed) : seed_(seed) {}
+
+  const std::vector<std::byte>& of(const Request& r) {
+    const auto& g = r.geometry;
+    const std::string key = product_of(r.id, ProductKind::kMod02).filename() +
+                            " " + std::to_string(g.rows) + "x" +
+                            std::to_string(g.cols) + "x" +
+                            std::to_string(g.bands);
+    auto it = made_.find(key);
+    if (it == made_.end()) {
+      GranuleSpec spec;
+      spec.satellite = r.id.satellite;
+      spec.year = r.id.year;
+      spec.day_of_year = r.id.day_of_year;
+      spec.slot = r.id.slot;
+      spec.geometry = g;
+      const auto granule = GranuleGenerator(seed_).generate(spec);
+      it = made_
+               .emplace(key, std::array{granule.mod02.to_hdfl().serialize(),
+                                        granule.mod03.to_hdfl().serialize(),
+                                        granule.mod06.to_hdfl().serialize()})
+               .first;
+    }
+    return it->second[static_cast<std::size_t>(r.id.product)];
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::map<std::string, std::array<std::vector<std::byte>, 3>> made_;
+};
+
+// Serves `requests` in order from one archive; each answer must equal the
+// product of a fresh synthesis.
+void expect_fresh_answers(const ArchiveService& archive, FreshProducts& fresh,
+                          const std::vector<Request>& requests) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& r = requests[i];
+    const auto& g = r.geometry;
+    ASSERT_EQ(archive.materialize(r.id, g), fresh.of(r))
+        << "request " << i << ": " << r.id.filename() << " at " << g.rows
+        << "x" << g.cols << "x" << g.bands;
+  }
+}
+
+// The first daytime (or night) slot of a satellite's day at or after `from`.
+int slot_where(Satellite sat, int day, bool daytime, int from = 0) {
+  int slot = from;
+  while (is_daytime(sat, slot, day) != daytime) ++slot;
+  return slot;
+}
+
+TEST(Catalog, MaterializeMatchesGenerateInAnyOrder) {
+  constexpr std::uint64_t kSeed = 2022;
+  constexpr ProductKind k02 = ProductKind::kMod02;
+  constexpr ProductKind k03 = ProductKind::kMod03;
+  constexpr ProductKind k06 = ProductKind::kMod06;
+  const GranuleGeometry big{512, 340, 6};
+  const GranuleGeometry one{1, 1, 1};
+  const GranuleGeometry small{24, 17, 4};
+  const auto granule = [](Satellite sat, int slot, int day = 1) {
+    return GranuleId{ProductKind::kMod02, sat, 2022, day, slot};
+  };
+  const Satellite terra = Satellite::kTerra;
+  const Satellite aqua = Satellite::kAqua;
+  // Day and night granules of both satellites, at both geometries.
+  const std::vector<Request> granules = {
+      {granule(terra, slot_where(terra, 1, true)), big},
+      {granule(aqua, slot_where(aqua, 1, false)), one},
+      {granule(terra, slot_where(terra, 1, false)), one},
+      {granule(aqua, slot_where(aqua, 1, true)), one},
+  };
+  FreshProducts fresh(kSeed);
+
+  SCOPED_TRACE("every order of the three products");
+  std::array<ProductKind, 3> order = {k02, k03, k06};
+  int orders = 0;
+  do {
+    const ArchiveService archive(kSeed);
+    std::vector<Request> requests;
+    for (const Request& g : granules)
+      for (const ProductKind kind : order)
+        requests.push_back({product_of(g.id, kind), g.geometry});
+    expect_fresh_answers(archive, fresh, requests);
+    ++orders;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 6);
+
+  // The workflow's request order over the materialized benchmark's four
+  // granules (three download workers): at most two granules partly served.
+  {
+    SCOPED_TRACE("the workflow's interleaving");
+    std::vector<GranuleId> g;
+    for (int slot = 0; g.size() < 4; ++slot)
+      if (is_daytime(terra, slot, 1)) g.push_back(granule(terra, slot));
+    const std::pair<int, ProductKind> order[] = {
+        {0, k03}, {0, k06}, {1, k03}, {0, k02}, {1, k06}, {1, k02},
+        {2, k03}, {2, k06}, {2, k02}, {3, k03}, {3, k02}, {3, k06}};
+    std::vector<Request> requests;
+    for (const auto& [k, kind] : order)
+      requests.push_back({product_of(g[static_cast<std::size_t>(k)], kind),
+                          big});
+    expect_fresh_answers(ArchiveService(kSeed), fresh, requests);
+  }
+
+  // Granules that differ in one key field only, interleaved: the geometry,
+  // the satellite, the slot, the day and the year.
+  {
+    SCOPED_TRACE("granules one key field apart");
+    const GranuleId a = granule(terra, 40, 200);
+    GranuleId year = a;
+    year.year = 2023;
+    const std::pair<GranuleId, GranuleGeometry> pairs[][2] = {
+        {{a, one}, {a, small}},
+        {{a, small}, {granule(aqua, 40, 200), small}},
+        {{a, small}, {granule(terra, 41, 200), small}},
+        {{a, small}, {granule(terra, 40, 201), small}},
+        {{a, small}, {year, small}},
+    };
+    for (const auto& pair : pairs) {
+      std::vector<Request> requests;
+      for (const ProductKind kind : {k02, k03, k06})
+        for (const auto& [id, geometry] : pair)
+          requests.push_back({product_of(id, kind), geometry});
+      expect_fresh_answers(ArchiveService(kSeed), fresh, requests);
+    }
+  }
+
+  // A product asked for again after it was handed out.
+  {
+    SCOPED_TRACE("products asked for twice");
+    const GranuleId a = granule(aqua, slot_where(aqua, 1, true));
+    expect_fresh_answers(ArchiveService(kSeed), fresh,
+                         {{product_of(a, k02), small},
+                          {product_of(a, k02), small},
+                          {product_of(a, k06), small},
+                          {product_of(a, k03), small},
+                          {product_of(a, k06), small},
+                          {product_of(a, k02), small}});
+  }
+
+  // More granules started than the service holds, then finished in the
+  // order they were started and in reverse.
+  {
+    SCOPED_TRACE("more granules started than held");
+    constexpr int kStarted = 7;
+    for (const bool reverse : {false, true}) {
+      std::vector<Request> requests;
+      for (int k = 0; k < kStarted; ++k)
+        requests.push_back({product_of(granule(terra, 30 * k), k06), small});
+      for (const ProductKind kind : {k02, k03}) {
+        for (int i = 0; i < kStarted; ++i) {
+          const int k = reverse ? kStarted - 1 - i : i;
+          requests.push_back({product_of(granule(terra, 30 * k), kind), small});
+        }
+      }
+      expect_fresh_answers(ArchiveService(kSeed), fresh, requests);
+    }
+  }
+}
+
+TEST(Catalog, MaterializeAcrossThreads) {
+  // Four threads share one const archive, each asking for every product of
+  // the same eight granules in its own order; each answer equals a serial
+  // run's.
+  constexpr std::uint64_t kSeed = 2022;
+  constexpr int kThreads = 4;
+  constexpr int kGranules = 8;
+  const GranuleGeometry geometry{40, 33, 7};
+  std::vector<GranuleId> ids;
+  for (int k = 0; k < kGranules; ++k)
+    for (const ProductKind kind :
+         {ProductKind::kMod02, ProductKind::kMod03, ProductKind::kMod06})
+      ids.push_back(GranuleId{kind,
+                              k % 2 == 0 ? Satellite::kTerra : Satellite::kAqua,
+                              2022, 1, 23 * k});
+  std::vector<std::vector<std::byte>> serial;
+  {
+    const ArchiveService archive(kSeed);
+    for (const GranuleId& id : ids)
+      serial.push_back(archive.materialize(id, geometry));
+  }
+  const ArchiveService archive(kSeed);
+  std::vector<std::vector<std::vector<std::byte>>> parallel(
+      kThreads, std::vector<std::vector<std::byte>>(ids.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      // Thread t starts t * 5 requests in and walks forwards (even t) or
+      // backwards (odd t).
+      const std::size_t n = ids.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t step = t % 2 == 0 ? i : n - 1 - i;
+        const std::size_t k = (step + 5 * static_cast<std::size_t>(t)) % n;
+        parallel[static_cast<std::size_t>(t)][k] =
+            archive.materialize(ids[k], geometry);
+      }
+    });
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t k = 0; k < ids.size(); ++k)
+      EXPECT_EQ(parallel[static_cast<std::size_t>(t)][k], serial[k])
+          << "thread " << t << ", " << ids[k].filename();
 }
 
 TEST(Stats, NightGranulesYieldNoTiles) {
@@ -1338,11 +1609,11 @@ TEST(Golden, ProductBytesBitIdentical) {
         spec.day_of_year = 200;
         spec.slot = slot;
         spec.geometry = c.geometry;
-        const auto mod02 = gen.mod02(spec);
-        if (mod02.daytime) ++day_granules;
-        hash.bytes(mod02.to_hdfl().serialize());
-        hash.bytes(gen.mod03(spec).to_hdfl().serialize());
-        hash.bytes(gen.mod06(spec).to_hdfl().serialize());
+        const auto granule = gen.generate(spec);
+        if (granule.mod02.daytime) ++day_granules;
+        hash.bytes(granule.mod02.to_hdfl().serialize());
+        hash.bytes(granule.mod03.to_hdfl().serialize());
+        hash.bytes(granule.mod06.to_hdfl().serialize());
       }
     }
     EXPECT_EQ(hash.value(), c.pin)

@@ -11,21 +11,15 @@ namespace mfw::preprocess {
 namespace {
 
 // A small daytime granule triplet.
-struct Triplet {
-  modis::Mod02Granule mod02;
-  modis::Mod03Granule mod03;
-  modis::Mod06Granule mod06;
-};
-
-Triplet make_triplet(int slot_hint = 0, modis::GranuleGeometry geometry = {
-                                            128, 96, 4}) {
+modis::GranuleProducts make_triplet(
+    int slot_hint = 0, modis::GranuleGeometry geometry = {128, 96, 4}) {
   modis::GranuleGenerator gen(2022);
   modis::GranuleSpec spec;
   spec.geometry = geometry;
   spec.slot = slot_hint;
   while (!modis::is_daytime(spec.satellite, spec.slot, spec.day_of_year))
     ++spec.slot;
-  return Triplet{gen.mod02(spec), gen.mod03(spec), gen.mod06(spec)};
+  return gen.generate(spec);
 }
 
 TilerOptions small_options() {
@@ -93,8 +87,9 @@ TEST(Tiler, NightGranuleYieldsNothing) {
   spec.geometry = modis::GranuleGeometry{64, 64, 4};
   while (modis::is_daytime(spec.satellite, spec.slot, spec.day_of_year))
     ++spec.slot;
-  const auto result = make_tiles(gen.mod02(spec), gen.mod03(spec),
-                                 gen.mod06(spec), small_options());
+  const auto granule = gen.generate(spec);
+  const auto result = make_tiles(granule.mod02, granule.mod03, granule.mod06,
+                                 small_options());
   EXPECT_FALSE(result.daytime);
   EXPECT_TRUE(result.tiles.empty());
 }
@@ -198,6 +193,25 @@ TEST(TileIo, ManifestRoundTrip) {
   EXPECT_EQ(summary.granule, id);
 }
 
+TEST(TileIo, MalformedGranuleAttributeRejected) {
+  // Names a lenient number parse once read as some other granule (year 20,
+  // day 1, slot 12, slot 8) or accepted (collection 999).
+  storage::MemFs fs("x");
+  const modis::GranuleId id{modis::ProductKind::kMod02,
+                            modis::Satellite::kTerra, 2022, 1, 95};
+  write_tile_manifest(fs, "m.ncl", id, 3);
+  auto file = read_tile_file(fs, "m.ncl");
+  for (const char* name :
+       {"MOD03.A20x2001.0040.061.hdf", "MOD03.A2022 01.0040.061.hdf",
+        "MOD03.A2022001.+100.061.hdf", "MOD03.A2022001.0 40.061.hdf",
+        "MOD03.A2022001.0040.999.hdf"}) {
+    file.attrs()["granule"] = name;
+    fs.write_file("bad.ncl", file.serialize());
+    EXPECT_THROW(read_tile_summary(fs, "bad.ncl"), storage::FormatError)
+        << name;
+  }
+}
+
 TEST(TileIo, AppendLabels) {
   const auto t = make_triplet();
   const auto result = make_tiles(t.mod02, t.mod03, t.mod06, small_options());
@@ -239,9 +253,10 @@ TEST(RunPreprocess, EndToEndFromHdflFiles) {
   while (!modis::is_daytime(spec.satellite, spec.slot, spec.day_of_year))
     ++spec.slot;
   storage::MemFs fs("defiant");
-  fs.write_file("staging/m02.hdf", gen.mod02(spec).to_hdfl().serialize());
-  fs.write_file("staging/m03.hdf", gen.mod03(spec).to_hdfl().serialize());
-  fs.write_file("staging/m06.hdf", gen.mod06(spec).to_hdfl().serialize());
+  const auto granule = gen.generate(spec);
+  fs.write_file("staging/m02.hdf", granule.mod02.to_hdfl().serialize());
+  fs.write_file("staging/m03.hdf", granule.mod03.to_hdfl().serialize());
+  fs.write_file("staging/m06.hdf", granule.mod06.to_hdfl().serialize());
 
   GranulePaths paths{"staging/m02.hdf", "staging/m03.hdf", "staging/m06.hdf"};
   TilerOptions options;

@@ -201,14 +201,13 @@ TEST_P(TilerSweep, AccountingIdentityHolds) {
   spec.geometry = modis::GranuleGeometry{128, 96, 4};
   while (!modis::is_daytime(spec.satellite, spec.slot, spec.day_of_year))
     ++spec.slot;
-  const auto m02 = gen.mod02(spec);
-  const auto m03 = gen.mod03(spec);
-  const auto m06 = gen.mod06(spec);
+  const auto granule = gen.generate(spec);
   preprocess::TilerOptions options;
   options.tile_size = param.tile_size;
   options.channels = 3;
   options.min_cloud_fraction = param.threshold;
-  const auto result = preprocess::make_tiles(m02, m03, m06, options);
+  const auto result = preprocess::make_tiles(granule.mod02, granule.mod03,
+                                             granule.mod06, options);
   EXPECT_EQ(result.candidate_positions,
             (128 / param.tile_size) * (96 / param.tile_size));
   EXPECT_EQ(static_cast<int>(result.tiles.size()) + result.rejected_land +

@@ -18,9 +18,10 @@
 #      >= 10x on SharedResource churn, >= 5x on FlowLink churn. A regression
 #      to O(n)-per-event behaviour fails this immediately.
 #   3. The substrate micro benchmarks run, BM_Crc32's folding kernel and
-#      table loop and BM_NoiseFbm's octave-lane kernel included (a
-#      crash/assert gate with no thresholds; EXPERIMENTS.md records their
-#      numbers).
+#      table loop, BM_NoiseFbm's octave-lane kernel and
+#      BM_GranuleMaterialize's one-pass synthesis of a whole granule's
+#      MOD02/MOD03/MOD06 included (a crash/assert gate with no thresholds;
+#      EXPERIMENTS.md records their numbers).
 #   4. Benches reject arguments they do not take: fig4_strong_scaling
 #      (argument-free) and serve_load (flagged) both exit 2 on --help
 #      instead of running, and malformed flag values exit 2 as well:

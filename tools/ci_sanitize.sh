@@ -8,8 +8,10 @@
 # A second ThreadSanitizer build (TSan cannot coexist with ASan) covers the
 # thread-pool data-parallel ML paths (parallel_for, encode_batch replicas,
 # and the chunked gradient reduction) and modis_test, whose granule
-# statistics and MOD02/MOD03/MOD06 synthesis run from one const generator
-# on several threads.
+# statistics and one-pass MOD02/MOD03/MOD06 synthesis run from one const
+# generator on several threads, and whose Catalog.MaterializeAcrossThreads
+# shares one const ArchiveService, with the mutex-guarded holder of
+# synthesised but unrequested products, among four threads.
 #
 # After the sanitizer suites pass, the perf smoke gate
 # (tools/ci_perf_smoke.sh) runs on a Release build to catch determinism
