@@ -75,8 +75,14 @@ GranuleSpec spec_from_attrs(const storage::HdflFile& file) {
     return value;
   };
   GranuleSpec spec;
-  spec.satellite =
-      get("satellite") == "Aqua" ? Satellite::kAqua : Satellite::kTerra;
+  const std::string& satellite = get("satellite");
+  if (satellite == satellite_name(Satellite::kTerra))
+    spec.satellite = Satellite::kTerra;
+  else if (satellite == satellite_name(Satellite::kAqua))
+    spec.satellite = Satellite::kAqua;
+  else
+    throw storage::FormatError("granule attr satellite is neither Terra nor "
+                               "Aqua: '" + satellite + "'");
   spec.year = get_int("year");
   spec.day_of_year = get_int("day_of_year");
   spec.slot = get_int("slot");
@@ -662,10 +668,15 @@ GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
   const int tile_rows = g.rows / tile_size;
   const int tile_cols = g.cols / tile_size;
   const auto& earth = generator.earth();
+  // A tile is selected at a cloud fraction of 0.3: `need` is the fewest
+  // cloudy samples whose fraction, cloudy / (n n) in double, reaches it.
+  const int samples = n * n;
+  int need = 0;
+  while (static_cast<double>(need) / static_cast<double>(samples) < 0.3)
+    ++need;
   EarthModel::Memo memo;
   std::array<SwathRow, kMaxSamplesPerAxis> rows;
   std::array<LatLon, kMaxSamplesPerAxis * kMaxSamplesPerAxis> points;
-  double cloud_sum = 0.0;
   for (int tr = 0; tr < tile_rows; ++tr) {
     for (int sr = 0; sr < n; ++sr) {
       const double row_frac =
@@ -696,18 +707,17 @@ GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
             return earth.is_land(p, memo);
           }))
         continue;
-      int cloudy = 0;
-      for (const LatLon& p : tile)
-        if (earth.is_cloudy(p, spec.day_of_year, memo)) ++cloudy;
+      // Test for cloud only until the selection is decided: `need` cloudy
+      // samples select the tile, and it is ruled out once the samples left
+      // cannot reach `need`.
       ++stats.candidate_tiles;
-      const double cloud_frac =
-          static_cast<double>(cloudy) / static_cast<double>(n * n);
-      cloud_sum += cloud_frac;
-      if (cloud_frac >= 0.3) ++stats.selected_tiles;
+      int cloudy = 0;
+      for (int left = samples; cloudy < need && cloudy + left >= need; --left)
+        if (earth.is_cloudy(tile[samples - left], spec.day_of_year, memo))
+          ++cloudy;
+      if (cloudy == need) ++stats.selected_tiles;
     }
   }
-  stats.mean_cloud_fraction =
-      stats.candidate_tiles ? cloud_sum / stats.candidate_tiles : 0.0;
   return stats;
 }
 

@@ -58,7 +58,7 @@ struct GranuleSpec {
 };
 
 /// cloud_intensity above this is cloudy: MOD06's cloud mask, and the
-/// cloudy samples estimate_granule_stats counts.
+/// cloudy samples that select a tile in estimate_granule_stats.
 inline constexpr double kCloudThreshold = 0.45;
 
 /// The two latitude-only terms of the land and cloud tests, the polar offset
@@ -257,16 +257,19 @@ struct GranuleStats {
   bool daytime = false;
   int candidate_tiles = 0;   // tiles with zero land pixels (sampled)
   int selected_tiles = 0;    // candidates passing the cloud threshold
-  double mean_cloud_fraction = 0.0;  // over candidates
 };
 
 /// Largest samples_per_axis estimate_granule_stats accepts; the swath rows
 /// of one tile row and the sample points of one tile live on its stack.
 inline constexpr int kMaxSamplesPerAxis = 32;
 
-/// Samples each tile on a samples_per_axis^2 grid. Throws
-/// std::invalid_argument for a bad spec, tile_size <= 0, or samples_per_axis
-/// outside [1, kMaxSamplesPerAxis].
+/// Samples each tile on a samples_per_axis^2 grid. A tile with a land
+/// sample is no candidate, and its cloud is never tested. A candidate's
+/// samples are tested for cloud, in the sampling order, only until the
+/// selection is decided: once enough are cloudy to reach a fraction of 0.3,
+/// or once the samples left cannot reach it. Throws std::invalid_argument
+/// for a bad spec, tile_size <= 0, or samples_per_axis outside
+/// [1, kMaxSamplesPerAxis].
 GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
                                     const GranuleSpec& spec,
                                     int tile_size = 128,

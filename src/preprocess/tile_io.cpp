@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
+#include <system_error>
 
 namespace mfw::preprocess {
 
@@ -27,6 +29,21 @@ modis::GranuleId granule_from_attrs(const storage::NclFile& file) {
   const auto id = modis::parse_granule_filename(it->second);
   if (!id) throw storage::FormatError("bad granule attribute: " + it->second);
   return *id;
+}
+
+// The `tile_count` attribute, all of it decimal digits that fit a size_t;
+// `missing` is the error when the attribute is absent.
+std::size_t tile_count_attr(const storage::NclFile& file, const char* missing) {
+  const auto it = file.attrs().find("tile_count");
+  if (it == file.attrs().end()) throw storage::FormatError(missing);
+  const std::string& text = it->second;
+  std::size_t count = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), count);
+  if (ec != std::errc{} || end != text.data() + text.size())
+    throw storage::FormatError("tile file: 'tile_count' is not a count: '" +
+                               text + "'");
+  return count;
 }
 
 }  // namespace
@@ -93,10 +110,8 @@ TileFileSummary read_tile_summary(storage::FileSystem& fs,
   TileFileSummary summary;
   // The granule attr stores a MOD02 filename; keep the id it parses to.
   summary.granule = granule_from_attrs(file);
-  const auto it = file.attrs().find("tile_count");
-  if (it == file.attrs().end())
-    throw storage::FormatError("tile file missing 'tile_count'");
-  summary.tile_count = static_cast<std::size_t>(std::stoull(it->second));
+  summary.tile_count =
+      tile_count_attr(file, "tile file missing 'tile_count'");
   summary.has_pixel_data = file.has_var("tiles");
   summary.has_labels = file.has_var("label") ||
                        file.attrs().find("labeled") != file.attrs().end();
@@ -185,10 +200,8 @@ std::vector<Tile> tiles_from_ncl(const storage::NclFile& file) {
 void append_labels(storage::FileSystem& fs, const std::string& path,
                    std::span<const std::int32_t> labels) {
   auto file = read_tile_file(fs, path);
-  const auto it = file.attrs().find("tile_count");
-  if (it == file.attrs().end())
-    throw storage::FormatError("append_labels: not a tile file");
-  const auto count = static_cast<std::size_t>(std::stoull(it->second));
+  const std::size_t count =
+      tile_count_attr(file, "append_labels: not a tile file");
   if (labels.size() != count)
     throw std::invalid_argument("append_labels: got " +
                                 std::to_string(labels.size()) +

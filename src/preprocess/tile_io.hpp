@@ -37,7 +37,8 @@ void write_tile_manifest(storage::FileSystem& fs, const std::string& path,
                          const modis::GranuleId& granule,
                          std::size_t tile_count);
 
-/// Parses either flavour's header.
+/// Parses either flavour's header. Throws storage::FormatError unless the
+/// `tile_count` attribute is all decimal digits and fits a size_t.
 TileFileSummary read_tile_summary(storage::FileSystem& fs,
                                   const std::string& path);
 
@@ -63,7 +64,8 @@ Tile tile_from_ncl(const storage::NclFile& file, std::size_t index);
 std::vector<Tile> tiles_from_ncl(const storage::NclFile& file);
 
 /// Appends an i32 `label` variable (one per tile) and rewrites the file.
-/// For manifests, records the labels' presence in attributes only.
+/// For manifests, records the labels' presence in attributes only. The
+/// `tile_count` attribute is checked as in read_tile_summary.
 void append_labels(storage::FileSystem& fs, const std::string& path,
                    std::span<const std::int32_t> labels);
 

@@ -396,21 +396,24 @@ TEST(Products, NightGranulesHaveFilledReflectiveBands) {
 TEST(Products, HdflRoundTripAllProducts) {
   GranuleGenerator gen(5);
   GranuleSpec spec;
+  spec.satellite = Satellite::kAqua;
   spec.geometry = GranuleGeometry{64, 48, 4};
   spec.slot = 37;
   const auto [m02, m03, m06] = gen.generate(spec);
   const auto back02 = Mod02Granule::from_hdfl(
       storage::HdflFile::deserialize(m02.to_hdfl().serialize()));
-  EXPECT_EQ(back02.spec.slot, 37);
+  EXPECT_EQ(back02.spec, spec);
   EXPECT_EQ(back02.daytime, m02.daytime);
   EXPECT_EQ(back02.radiance, m02.radiance);
 
   const auto back03 = Mod03Granule::from_hdfl(
       storage::HdflFile::deserialize(m03.to_hdfl().serialize()));
+  EXPECT_EQ(back03.spec, spec);
   EXPECT_EQ(back03.land_mask, m03.land_mask);
 
   const auto back06 = Mod06Granule::from_hdfl(
       storage::HdflFile::deserialize(m06.to_hdfl().serialize()));
+  EXPECT_EQ(back06.spec, spec);
   EXPECT_EQ(back06.cloud_mask, m06.cloud_mask);
 }
 
@@ -450,6 +453,8 @@ TEST(Products, FromHdflRejectsGeometryThatDisagreesWithDatasets) {
   decode_all("cols", "");
   decode_all("slot", "abc");
   decode_all("year", "99999999999");  // out of int range
+  for (const char* satellite : {"Bogus", "", "aqua", "Terra "})
+    decode_all("satellite", satellite);  // only "Terra" and "Aqua" decode
   // rows x cols x bands that overflows 64 bits.
   auto huge = edited(m02, "rows", "2147483647");
   huge.attrs()["cols"] = "2147483647";
@@ -1409,7 +1414,6 @@ TEST(Stats, RejectsBadSampling) {
                  std::invalid_argument);
     const auto stats =
         estimate_granule_stats(gen, spec, 1024, kMaxSamplesPerAxis);
-    EXPECT_FALSE(std::isnan(stats.mean_cloud_fraction));
     EXPECT_LE(stats.candidate_tiles, 1);  // one 1024-px tile fits
   }
 }
@@ -1439,8 +1443,112 @@ TEST(Stats, SharedGeneratorAcrossThreads) {
     ASSERT_EQ(got.daytime, serial.daytime) << slot;
     ASSERT_EQ(got.candidate_tiles, serial.candidate_tiles) << slot;
     ASSERT_EQ(got.selected_tiles, serial.selected_tiles) << slot;
-    ASSERT_EQ(bits(got.mean_cloud_fraction), bits(serial.mean_cloud_fraction))
-        << slot;
+  }
+}
+
+// Reference for estimate_granule_stats: the full count, which tests every
+// sample of a candidate for cloud and selects the tile by its cloud
+// fraction. `cloudy_tiles[c]` counts the candidates with c cloudy samples.
+struct FullCount {
+  int candidate_tiles = 0;
+  int selected_tiles = 0;
+  std::vector<long> cloudy_tiles;
+};
+
+FullCount full_count_stats(const GranuleGenerator& generator,
+                           const GranuleSpec& spec, int tile_size,
+                           int samples_per_axis) {
+  FullCount stats;
+  const int n = samples_per_axis;
+  stats.cloudy_tiles.assign(static_cast<std::size_t>(n * n) + 1, 0);
+  if (!is_daytime(spec.satellite, spec.slot, spec.day_of_year)) return stats;
+
+  const auto& g = spec.geometry;
+  const int tile_rows = g.rows / tile_size;
+  const int tile_cols = g.cols / tile_size;
+  const auto& earth = generator.earth();
+  EarthModel::Memo memo;
+  std::array<SwathRow, kMaxSamplesPerAxis> rows;
+  std::array<LatLon, kMaxSamplesPerAxis * kMaxSamplesPerAxis> points;
+  for (int tr = 0; tr < tile_rows; ++tr) {
+    for (int sr = 0; sr < n; ++sr) {
+      const double row_frac =
+          (tr * tile_size + (sr + 0.5) * tile_size / n) / g.rows;
+      rows[sr] = swath_row(spec.satellite, spec.slot, row_frac);
+    }
+    for (int tc = 0; tc < tile_cols; ++tc) {
+      std::size_t sampled = 0;
+      for (int sc = 0; sc < n; ++sc) {
+        const double col_frac =
+            (tc * tile_size + (sc + 0.5) * tile_size / n) / g.cols;
+        for (int k = 0; k < n; ++k) {
+          const int sr = sc % 2 == 0 ? k : n - 1 - k;
+          points[sampled++] = swath_pixel(rows[sr], col_frac);
+        }
+      }
+      const std::span<const LatLon> tile(points.data(), sampled);
+      const Side land = earth.land_over(tile);
+      if (land == Side::kAbove) continue;
+      if (land == Side::kUndecided &&
+          std::any_of(tile.begin(), tile.end(), [&](const LatLon& p) {
+            return earth.is_land(p, memo);
+          }))
+        continue;
+      int cloudy = 0;
+      for (const LatLon& p : tile)
+        if (earth.is_cloudy(p, spec.day_of_year, memo)) ++cloudy;
+      ++stats.candidate_tiles;
+      ++stats.cloudy_tiles[static_cast<std::size_t>(cloudy)];
+      const double cloud_frac =
+          static_cast<double>(cloudy) / static_cast<double>(n * n);
+      if (cloud_frac >= 0.3) ++stats.selected_tiles;
+    }
+  }
+  return stats;
+}
+
+TEST(Stats, DecidedTilesMatchFullCount) {
+  // The estimator stops testing a candidate's samples for cloud once its
+  // selection is decided; its counts must equal the full count's. Sample
+  // grids of n x n with `need`, the fewest cloudy samples whose fraction
+  // reaches 0.3, at 1, 2, 3, 8, 11, 25 and 30 (30/100 lands exactly on 0.3).
+  // Tiles one sample short of `need` and tiles exactly at it must both
+  // occur, or a threshold off by one would go unseen.
+  const GranuleGenerator gen(2022);
+  const std::pair<int, int> grids[] = {{1, 1},  {2, 2},  {3, 3},  {5, 8},
+                                       {6, 11}, {9, 25}, {10, 30}};
+  for (const auto& [n, need] : grids) {
+    const double samples = static_cast<double>(n * n);
+    ASSERT_LT(static_cast<double>(need - 1) / samples, 0.3) << n;
+    ASSERT_GE(static_cast<double>(need) / samples, 0.3) << n;
+    long short_by_one = 0;
+    long at_need = 0;
+    long selected = 0;
+    for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+      for (const int day : {1, 91, 182}) {
+        for (int slot = 0; slot < kSlotsPerDay; slot += 13) {
+          GranuleSpec spec;
+          spec.satellite = sat;
+          spec.day_of_year = day;
+          spec.slot = slot;
+          spec.geometry = kFullGeometry;
+          const auto got = estimate_granule_stats(gen, spec, 128, n);
+          const auto want = full_count_stats(gen, spec, 128, n);
+          ASSERT_EQ(got.candidate_tiles, want.candidate_tiles)
+              << satellite_name(sat) << " day " << day << " slot " << slot
+              << ", " << n << "x" << n;
+          ASSERT_EQ(got.selected_tiles, want.selected_tiles)
+              << satellite_name(sat) << " day " << day << " slot " << slot
+              << ", " << n << "x" << n;
+          short_by_one += want.cloudy_tiles[static_cast<std::size_t>(need - 1)];
+          at_need += want.cloudy_tiles[static_cast<std::size_t>(need)];
+          selected += want.selected_tiles;
+        }
+      }
+    }
+    EXPECT_GT(short_by_one, 0) << n << "x" << n;
+    EXPECT_GT(at_need, 0) << n << "x" << n;
+    EXPECT_GT(selected, 0) << n << "x" << n;
   }
 }
 
@@ -1546,18 +1654,19 @@ TEST(Stats, DayYieldIsRealistic) {
 // leave every bit of these outputs unchanged.
 
 TEST(Golden, GranuleStatsBitIdentical) {
-  // Terra and Aqua, every slot of three days at full geometry, with the
-  // default tiling and two others (odd samples per axis, tile sizes that do
-  // not divide the granule).
+  // The tiling decisions (daytime, candidate and selected tiles) of Terra
+  // and Aqua, every slot of three days at full geometry, with the default
+  // tiling and two others (odd samples per axis, tile sizes that do not
+  // divide the granule).
   struct Tiling {
     int tile_size;
     int samples_per_axis;
     std::uint64_t pin;
   };
   const Tiling tilings[] = {
-      {128, 6, 0x8db8f8ce5a18a822ULL},
-      {96, 5, 0xe73b0a0332fec9fdULL},
-      {200, 9, 0xc47243d3d3fc3d95ULL},
+      {128, 6, 0x25d1edfa1b8ba5ecULL},
+      {96, 5, 0x646e8d8b37b1c86bULL},
+      {200, 9, 0x79d52eb1203a8746ULL},
   };
   const GranuleGenerator gen(2022);
   for (const auto& tiling : tilings) {
@@ -1575,7 +1684,6 @@ TEST(Golden, GranuleStatsBitIdentical) {
           hash.u64(stats.daytime ? 1 : 0);
           hash.u64(static_cast<std::uint64_t>(stats.candidate_tiles));
           hash.u64(static_cast<std::uint64_t>(stats.selected_tiles));
-          hash.u64(bits(stats.mean_cloud_fraction));
         }
       }
     }

@@ -212,6 +212,39 @@ TEST(TileIo, MalformedGranuleAttributeRejected) {
   }
 }
 
+TEST(TileIo, MalformedTileCountRejected) {
+  // A lenient parse such as std::stoull reads the first three as 12, 7 and
+  // 2^64 - 1, and rejects the rest with untyped exceptions.
+  storage::MemFs fs("x");
+  const modis::GranuleId id{modis::ProductKind::kMod02,
+                            modis::Satellite::kTerra, 2022, 1, 95};
+  write_tile_manifest(fs, "m.ncl", id, 3);
+  const auto manifest = read_tile_file(fs, "m.ncl");
+  const auto write_count = [&](const char* count) {
+    auto file = manifest;
+    file.attrs()["tile_count"] = count;
+    fs.write_file("c.ncl", file.serialize());
+  };
+  for (const char* count :
+       {"12abc", " 7", "-1", "abc", "", "123456789012345678901"}) {
+    write_count(count);
+    EXPECT_THROW(read_tile_summary(fs, "c.ncl"), storage::FormatError)
+        << "'" << count << "'";
+    EXPECT_THROW(append_labels(fs, "c.ncl", std::vector<std::int32_t>(7, 0)),
+                 storage::FormatError)
+        << "'" << count << "'";
+  }
+  for (const auto& [count, n] :
+       {std::pair<const char*, std::size_t>{"0", 0}, {"477", 477}}) {
+    write_count(count);
+    EXPECT_EQ(read_tile_summary(fs, "c.ncl").tile_count, n) << count;
+    EXPECT_NO_THROW(
+        append_labels(fs, "c.ncl", std::vector<std::int32_t>(n, 1)))
+        << count;
+    EXPECT_TRUE(read_tile_summary(fs, "c.ncl").has_labels) << count;
+  }
+}
+
 TEST(TileIo, AppendLabels) {
   const auto t = make_triplet();
   const auto result = make_tiles(t.mod02, t.mod03, t.mod06, small_options());

@@ -13,10 +13,15 @@
 #        build-perf/tools/mfwctl report tools/baselines/fig6.yaml \
 #          --json --quiet > tools/baselines/fig6_barrier_report.json
 #      (and likewise for fig6_streaming.yaml).
-#   2. A trimmed archive_campaign (--quick) still clears the substrate
-#      speedup floors vs the O(n)-per-event oracles in tests/sim_oracle.hpp:
-#      >= 10x on SharedResource churn, >= 5x on FlowLink churn. A regression
-#      to O(n)-per-event behaviour fails this immediately.
+#   2. A trimmed archive_campaign (--quick) simulates exactly the committed
+#      tools/baselines/campaign_quick.json: days, granules, tiles, shipped
+#      files, virtual makespan, events and compactions (wall time is not
+#      compared). It still clears the substrate speedup floors vs the
+#      O(n)-per-event oracles in tests/sim_oracle.hpp: >= 10x on
+#      SharedResource churn, >= 5x on FlowLink churn. A regression to
+#      O(n)-per-event behaviour fails this immediately. After an intended
+#      change to the campaign's outputs, copy the new "campaign" block of
+#      build-perf/BENCH_sim_smoke.json, without wall_s, into the baseline.
 #   3. The substrate micro benchmarks run, BM_Crc32's folding kernel and
 #      table loop, BM_NoiseFbm's octave-lane kernel and
 #      BM_GranuleMaterialize's one-pass synthesis of a whole granule's
@@ -61,9 +66,26 @@ for mode in barrier streaming; do
 done
 echo "OK: fig6 runs diff clean against the committed baselines"
 
-# -- 2. substrate speedup floors ---------------------------------------------
+# -- 2. quick campaign outputs and substrate speedup floors -------------------
 smoke_json="${build_dir}/BENCH_sim_smoke.json"
 "${build_dir}/bench/archive_campaign" --quick --out "${smoke_json}"
+
+campaign_field() {  # campaign_field <field> <json>; empty when absent
+  { grep -o '"campaign": {[^}]*}' "${2}" | grep -o "\"${1}\": [^,}]*" |
+      head -1 | awk '{print $2}'; } || true
+}
+campaign_baseline="${repo_root}/tools/baselines/campaign_quick.json"
+for field in days granules tiles shipped_files virtual_makespan_s events \
+             compactions; do
+  want="$(campaign_field "${field}" "${campaign_baseline}")"
+  got="$(campaign_field "${field}" "${smoke_json}")"
+  if [[ -z "${want}" || "${got}" != "${want}" ]]; then
+    echo "FAIL: quick campaign ${field} is '${got}', baseline '${want}'" \
+         "(${campaign_baseline})" >&2
+    exit 1
+  fi
+done
+echo "OK: quick campaign outputs match ${campaign_baseline}"
 
 speedup_of() {  # speedup_of <resource|link> <json>
   grep -o "\"${1}\": {\"fast\".*" "${2}" | grep -o '"speedup": [0-9.]*' |
