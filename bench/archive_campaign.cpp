@@ -9,7 +9,8 @@
 // oracles of tests/sim_oracle.hpp at archive-scale concurrency.
 //
 // Emits a JSON report (see tools/bench_sim.sh -> BENCH_sim.json) whose
-// "context" block stamps the build type, compiler and CPU count.
+// "context" block stamps the build type, compiler, CPU count and the CPUs
+// this process may run on (tools/bench_sim.sh pins the campaign to one).
 //
 // With --report-out <path> the campaign runs with the obs layer in bounded
 // mode: RetentionMode::kStatsOnly keeps a small sample of spans while a
@@ -26,6 +27,8 @@
 //
 // Usage: archive_campaign [--days N] [--quick] [--out <path>]
 //                         [--report-out <path>] [--health-out <path>]
+#include <sched.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -59,6 +62,14 @@
 using namespace mfw;
 
 namespace {
+
+/// CPUs in this process's affinity mask (0 when it cannot be read).
+int cpus_allowed() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return 0;
+  return CPU_COUNT(&set);
+}
 
 double wall_now() {
   return std::chrono::duration<double>(
@@ -393,9 +404,9 @@ int main(int argc, char** argv) {
     char buf[512];
     std::snprintf(buf, sizeof buf,
                   "  \"context\": {\"build_type\": \"%s\", \"compiler\": "
-                  "\"%s\", \"nproc\": %u},\n",
+                  "\"%s\", \"nproc\": %u, \"cpus_allowed\": %d},\n",
                   MFW_BUILD_TYPE, MFW_COMPILER,
-                  std::thread::hardware_concurrency());
+                  std::thread::hardware_concurrency(), cpus_allowed());
     json += buf;
     std::snprintf(
         buf, sizeof buf,

@@ -17,6 +17,14 @@
 //   stats_flight  RetentionMode::kStatsOnly + FlightRecorder sink — the
 //                 always-on black box (DESIGN.md §15): one ring-slot copy
 //                 per event, newest overwriting oldest at fixed memory
+//   metrics       the MetricsRegistry updates compute::ClusterExecutor makes
+//                 per task (a distribution observe and a counter labelled by
+//                 stage, a stage gauge and a stage+node gauge) through series
+//                 handles resolved once, as the executor does; reported as
+//                 ns per update, beside the same updates by name and labels
+//
+// The JSON's "context" block stamps the build type, compiler and CPU count;
+// tools/bench_obs.sh refuses to snapshot anything but a Release build.
 //
 // Usage: micro_obs [--spans N] [--out <path>]
 #include <chrono>
@@ -24,15 +32,23 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "obs/rollup.hpp"
 #include "obs/trace.hpp"
 #include "obs/watch.hpp"
 #include "util/strings.hpp"
+
+#ifndef MFW_BUILD_TYPE
+#define MFW_BUILD_TYPE "Unknown"
+#endif
+#ifndef MFW_COMPILER
+#define MFW_COMPILER "Unknown"
+#endif
 
 using namespace mfw;
 
@@ -84,6 +100,53 @@ ModeResult drive(obs::TraceRecorder& rec, std::string mode, std::size_t n,
   result.retained_spans = rec.span_count();
   result.observed_spans = rec.observed_span_count();
   return result;
+}
+
+/// ns per update for `tasks` rounds of ClusterExecutor's per-task metric
+/// updates on 10 nodes. `by_name` sends them through the name-plus-labels
+/// methods; otherwise through handles resolved on first use, as the executor
+/// keeps them.
+double metric_updates_ns(std::size_t tasks, bool by_name) {
+  constexpr int kNodes = 10;
+  obs::MetricsRegistry reg;
+  reg.set_enabled(true);
+  const obs::HistogramSpec spec{0.0, 30.0, 30};
+  const std::string stage = "preprocess";
+  obs::DistributionHandle run_seconds;
+  obs::CounterHandle tasks_total;
+  obs::GaugeHandle busy_workers;
+  std::vector<obs::GaugeHandle> node_busy(kNodes);
+  const double start = wall_now();
+  for (std::size_t i = 0; i < tasks; ++i) {
+    const int node = static_cast<int>(i % kNodes);
+    const double value = 0.25 * static_cast<double>(i % 97);
+    const double busy = static_cast<double>(i % 8);
+    if (by_name) {
+      reg.observe("mfw.compute.run_seconds", value, {{"stage", stage}}, spec);
+      reg.counter_add("mfw.compute.tasks_total", 1.0, {{"stage", stage}});
+      reg.gauge_set("mfw.compute.busy_workers", busy, {{"stage", stage}});
+      reg.gauge_set("mfw.compute.node_busy_workers", busy,
+                    {{"stage", stage}, {"node", std::to_string(node)}});
+      continue;
+    }
+    if (!run_seconds) {
+      run_seconds = reg.distribution_series("mfw.compute.run_seconds",
+                                            {{"stage", stage}});
+      tasks_total =
+          reg.counter_series("mfw.compute.tasks_total", {{"stage", stage}});
+      busy_workers =
+          reg.gauge_series("mfw.compute.busy_workers", {{"stage", stage}});
+    }
+    if (!node_busy[node])
+      node_busy[node] =
+          reg.gauge_series("mfw.compute.node_busy_workers",
+                           {{"stage", stage}, {"node", std::to_string(node)}});
+    reg.observe(run_seconds, value, spec);
+    reg.counter_add(tasks_total, 1.0);
+    reg.gauge_set(busy_workers, busy);
+    reg.gauge_set(node_busy[node], busy);
+  }
+  return 1e9 * (wall_now() - start) / (4.0 * static_cast<double>(tasks));
 }
 
 std::string mode_json(const ModeResult& r) {
@@ -161,6 +224,10 @@ int main(int argc, char** argv) {
   const auto stats_flight = drive(flight_rec, "stats_flight", spans);
   flight_rec.set_span_sink(nullptr);
 
+  // metrics: the per-task updates of a ClusterExecutor, one task per span.
+  const double metrics_ns = metric_updates_ns(spans, false);
+  const double named_ns = metric_updates_ns(spans, true);
+
   for (const auto& r : {disabled, full, stats, stats_bus, stats_flight})
     std::printf("%-14s %10.4f s  %14.0f spans/s  retained %zu\n",
                 r.mode.c_str(), r.wall_s, r.spans_per_s, r.retained_spans);
@@ -184,8 +251,20 @@ int main(int argc, char** argv) {
               "%zu rollup series\n",
               stats.retained_spans, stats.observed_spans,
               rollup.series_names().size());
+  std::printf("metrics: %.1f ns per update through handles, %.1f ns by "
+              "name and labels\n",
+              metrics_ns, named_ns);
 
   std::string json = "{\n";
+  {
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "  \"context\": {\"build_type\": \"%s\", \"compiler\": "
+                  "\"%s\", \"nproc\": %u},\n",
+                  MFW_BUILD_TYPE, MFW_COMPILER,
+                  std::thread::hardware_concurrency());
+    json += buf;
+  }
   json += "  \"spans\": " + std::to_string(spans) + ",\n";
   json += "  \"modes\": {\n";
   json += "    \"disabled\": " + mode_json(disabled) + ",\n";
@@ -202,13 +281,21 @@ int main(int argc, char** argv) {
                   "\"stats_flight_pair_ns\": %.1f, "
                   "\"rollup_vs_full\": %.3f, \"bus_vs_rollup\": %.3f, "
                   "\"flight_vs_rollup\": %.3f, "
-                  "\"bus_dropped\": %llu, \"flight_overwritten\": %llu}\n",
+                  "\"bus_dropped\": %llu, \"flight_overwritten\": %llu},\n",
                   full_ns, stats_ns, bus_ns, flight_ns,
                   stats_ns / std::max(full_ns, 1e-9),
                   bus_ns / std::max(stats_ns, 1e-9),
                   flight_ns / std::max(stats_ns, 1e-9),
                   static_cast<unsigned long long>(bus.dropped_total()),
                   static_cast<unsigned long long>(flight.overwritten()));
+    json += buf;
+  }
+  {
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "  \"metrics\": {\"updates\": %zu, \"ns_per_update\": %.1f, "
+                  "\"named_ns_per_update\": %.1f}\n",
+                  4 * spans, metrics_ns, named_ns);
     json += buf;
   }
   json += "}\n";

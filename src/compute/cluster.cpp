@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace mfw::compute {
 
@@ -168,18 +168,22 @@ void ClusterExecutor::start_on_node(int node_id, PendingTask task) {
   inflight.started_at = engine_.now();
   if (auto& rec = obs::TraceRecorder::instance(); rec.enabled()) {
     const double queue_wait = inflight.started_at - inflight.task.submitted_at;
-    obs::Args span_args = {{"queue_wait_s", std::to_string(queue_wait)}};
-    for (const auto& extra : inflight.task.desc.trace_args)
-      span_args.push_back(extra);
+    const auto& extras = inflight.task.desc.trace_args;
+    obs::Args span_args;
+    span_args.reserve(1 + extras.size());
+    span_args.emplace_back("queue_wait_s", util::fixed6(queue_wait));
+    span_args.insert(span_args.end(), extras.begin(), extras.end());
     inflight.span = rec.begin_span(
-        label_ + "/node" + std::to_string(node_id) + "/w" +
-            std::to_string(worker),
-        "compute",
+        track_name(node_id, worker), "compute",
         inflight.task.desc.label.empty() ? "task" : inflight.task.desc.label,
         std::move(span_args));
-    obs::MetricsRegistry::instance().observe(
-        "mfw.compute.queue_wait_seconds", queue_wait, {{"stage", label_}},
-        obs::HistogramSpec{0.0, 60.0, 24});
+    if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled()) {
+      if (!telemetry_.queue_wait)
+        telemetry_.queue_wait = metrics.distribution_series(
+            "mfw.compute.queue_wait_seconds", {{"stage", label_}});
+      metrics.observe(telemetry_.queue_wait, queue_wait,
+                      obs::HistogramSpec{0.0, 60.0, 24});
+    }
     record_node_occupancy(node_id);
   }
   auto [it, inserted] = in_flight_.emplace(instance, std::move(inflight));
@@ -231,9 +235,10 @@ void ClusterExecutor::complete(std::uint64_t instance) {
   record_activity();
   results_.push_back(result);
   if (state.span.valid()) {
-    obs::Args close_args = {
-        {"status", "ok"},
-        {"payload", std::to_string(state.task.desc.payload)}};
+    obs::Args close_args;
+    close_args.reserve(3);
+    close_args.emplace_back("status", "ok");
+    close_args.emplace_back("payload", util::fixed6(state.task.desc.payload));
     // Deadline-aware campaigns can see per-task misses in the trace (and in
     // anything watching it, e.g. the health layer) without touching results.
     if (state.task.desc.deadline !=
@@ -244,11 +249,17 @@ void ClusterExecutor::complete(std::uint64_t instance) {
     }
     obs::TraceRecorder::instance().end_span(state.span,
                                             std::move(close_args));
-    obs::MetricsRegistry::instance().observe(
-        "mfw.compute.run_seconds", result.service_time(), {{"stage", label_}},
-        obs::HistogramSpec{0.0, 30.0, 30});
-    obs::MetricsRegistry::instance().counter_add("mfw.compute.tasks_total",
-                                                 1.0, {{"stage", label_}});
+    if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled()) {
+      if (!telemetry_.run_seconds) {
+        telemetry_.run_seconds = metrics.distribution_series(
+            "mfw.compute.run_seconds", {{"stage", label_}});
+        telemetry_.tasks = metrics.counter_series("mfw.compute.tasks_total",
+                                                  {{"stage", label_}});
+      }
+      metrics.observe(telemetry_.run_seconds, result.service_time(),
+                      obs::HistogramSpec{0.0, 30.0, 30});
+      metrics.counter_add(telemetry_.tasks, 1.0);
+    }
     record_node_occupancy(state.node);
   }
 
@@ -300,18 +311,39 @@ bool ClusterExecutor::fail_node(int node_id) {
 void ClusterExecutor::record_activity() {
   activity_.emplace_back(engine_.now(), active_workers());
   if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled()) {
-    metrics.gauge_set("mfw.compute.busy_workers",
-                      static_cast<double>(active_workers()),
-                      {{"stage", label_}});
+    if (!telemetry_.busy_workers)
+      telemetry_.busy_workers = metrics.gauge_series(
+          "mfw.compute.busy_workers", {{"stage", label_}});
+    metrics.gauge_set(telemetry_.busy_workers,
+                      static_cast<double>(active_workers()));
   }
 }
 
 void ClusterExecutor::record_node_occupancy(int node_id) {
   auto& metrics = obs::MetricsRegistry::instance();
   if (!metrics.enabled()) return;
-  metrics.gauge_set(
-      "mfw.compute.node_busy_workers", static_cast<double>(node_busy(node_id)),
-      {{"stage", label_}, {"node", std::to_string(node_id)}});
+  auto& handles = telemetry_.node_busy;
+  const auto node = static_cast<std::size_t>(node_id);
+  if (handles.size() <= node) handles.resize(node + 1);
+  if (!handles[node])
+    handles[node] = metrics.gauge_series(
+        "mfw.compute.node_busy_workers",
+        {{"stage", label_}, {"node", std::to_string(node_id)}});
+  metrics.gauge_set(handles[node], static_cast<double>(node_busy(node_id)));
+}
+
+const std::string& ClusterExecutor::track_name(int node_id, int worker) {
+  auto& by_node = telemetry_.tracks;
+  const auto node = static_cast<std::size_t>(node_id);
+  if (by_node.size() <= node) by_node.resize(node + 1);
+  auto& by_worker = by_node[node];
+  const auto lane = static_cast<std::size_t>(worker);
+  if (by_worker.size() <= lane) by_worker.resize(lane + 1);
+  std::string& name = by_worker[lane];
+  if (name.empty())
+    name = label_ + "/node" + std::to_string(node_id) + "/w" +
+           std::to_string(worker);
+  return name;
 }
 
 void ClusterExecutor::check_idle() {

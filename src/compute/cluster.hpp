@@ -20,6 +20,7 @@
 
 #include "compute/policy.hpp"
 #include "compute/task.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/resource.hpp"
 
@@ -63,7 +64,10 @@ class ClusterExecutor {
 
   /// Names this executor's obs tracks and metric labels (e.g. "preprocess",
   /// "inference"). Purely observational; defaults to "cluster".
-  void set_label(std::string label) { label_ = std::move(label); }
+  void set_label(std::string label) {
+    label_ = std::move(label);
+    telemetry_ = {};
+  }
   const std::string& label() const { return label_; }
 
   /// Installs an admission policy. Null (the default) keeps the built-in
@@ -161,6 +165,20 @@ class ClusterExecutor {
   void record_activity();
   /// Publishes the per-node busy-worker gauge for one node (obs).
   void record_node_occupancy(int node_id);
+  /// "<label>/node<id>/w<worker>", built once per lane.
+  const std::string& track_name(int node_id, int worker);
+
+  /// Metric handles and track names, resolved on the first update made
+  /// while telemetry is on (so set-up allocates nothing); set_label() drops
+  /// them. Node ids are never reused, so per-node entries stay correct.
+  struct Telemetry {
+    obs::DistributionHandle queue_wait;
+    obs::DistributionHandle run_seconds;
+    obs::CounterHandle tasks;
+    obs::GaugeHandle busy_workers;
+    std::vector<obs::GaugeHandle> node_busy;       // by node id
+    std::vector<std::vector<std::string>> tracks;  // by node id, worker
+  };
   void check_idle();
   void check_all_complete();
 
@@ -168,6 +186,7 @@ class ClusterExecutor {
   LawFactory law_factory_;
   std::shared_ptr<SchedulerPolicy> policy_;
   std::string label_ = "cluster";
+  Telemetry telemetry_;
   std::map<int, std::unique_ptr<NodeSim>> nodes_;
   std::map<int, bool> draining_;
   int next_node_id_ = 0;

@@ -10,12 +10,15 @@ namespace mfw::compute {
 
 namespace {
 constexpr const char* kComponent = "slurm";
-
-void record_free_nodes_gauge(int free) {
-  if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled())
-    metrics.gauge_set("mfw.slurm.free_nodes", static_cast<double>(free));
-}
 }  // namespace
+
+void SlurmSim::record_free_nodes_gauge() {
+  if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled()) {
+    if (!free_nodes_series_)
+      free_nodes_series_ = metrics.gauge_series("mfw.slurm.free_nodes");
+    metrics.gauge_set(free_nodes_series_, static_cast<double>(free_));
+  }
+}
 
 SlurmSim::SlurmSim(sim::SimEngine& engine, SlurmSimConfig config)
     : engine_(engine), config_(config), free_(config.total_nodes) {
@@ -64,7 +67,7 @@ void SlurmSim::release(SlurmJobId job) {
   free_ += static_cast<int>(rit->second.node_ids.size());
   for (int node : rit->second.node_ids) free_node_ids_.push_back(node);
   running_.erase(rit);
-  record_free_nodes_gauge(free_);
+  record_free_nodes_gauge();
   MFW_DEBUG(kComponent, "released job ", job.id, "; free nodes=", free_);
   try_schedule();
 }
@@ -116,13 +119,17 @@ void SlurmSim::grant(PendingJob job) {
   running.on_expired = job.on_expired;
   if (auto& rec = obs::TraceRecorder::instance(); rec.enabled()) {
     rec.end_span(job.queued_span, {{"status", "granted"}});
-    obs::MetricsRegistry::instance().observe(
-        "mfw.slurm.queue_wait_seconds", engine_.now() - job.submitted_at, {},
-        obs::HistogramSpec{0.0, 30.0, 30});
+    if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled()) {
+      if (!queue_wait_series_)
+        queue_wait_series_ =
+            metrics.distribution_series("mfw.slurm.queue_wait_seconds");
+      metrics.observe(queue_wait_series_, engine_.now() - job.submitted_at,
+                      obs::HistogramSpec{0.0, 30.0, 30});
+    }
     running.alloc_span = rec.begin_span(
         "slurm/job" + std::to_string(job.id.id), "slurm", "allocation",
         {{"nodes", std::to_string(job.nodes)}});
-    record_free_nodes_gauge(free_);
+    record_free_nodes_gauge();
   }
   running.expiry = engine_.schedule_after(job.walltime, [this, id = job.id.id] {
     auto it = running_.find(id);
@@ -133,7 +140,7 @@ void SlurmSim::grant(PendingJob job) {
     free_ += static_cast<int>(it->second.node_ids.size());
     for (int node : it->second.node_ids) free_node_ids_.push_back(node);
     running_.erase(it);
-    record_free_nodes_gauge(free_);
+    record_free_nodes_gauge();
     MFW_DEBUG(kComponent, "job ", id, " walltime expired");
     try_schedule();
     if (on_expired) on_expired();

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
@@ -81,6 +82,7 @@ class SlurmSim {
 
   void try_schedule();
   void grant(PendingJob job);
+  void record_free_nodes_gauge();
 
   sim::SimEngine& engine_;
   SlurmSimConfig config_;
@@ -90,6 +92,9 @@ class SlurmSim {
   std::map<std::uint64_t, RunningJob> running_;
   std::uint64_t next_id_ = 1;
   bool schedule_pending_ = false;
+  /// Resolved on the first update made while metrics are on.
+  obs::GaugeHandle free_nodes_series_;
+  obs::DistributionHandle queue_wait_series_;
 };
 
 }  // namespace mfw::compute

@@ -2,9 +2,20 @@
 
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace mfw::flow {
+
+EventBus::TopicSeries& EventBus::series(Topic topic,
+                                        obs::MetricsRegistry& metrics) {
+  TopicSeries& s = series_[static_cast<std::size_t>(topic)];
+  if (!s.published) {
+    const obs::Labels label = {{"topic", topic_name(topic)}};
+    s.published =
+        metrics.counter_series("mfw.flow.events_published_total", label);
+    s.dispatch_latency =
+        metrics.distribution_series("mfw.flow.dispatch_latency_seconds", label);
+  }
+  return s;
+}
 
 Subscription EventBus::subscribe(Topic topic, Handler handler) {
   const std::uint64_t id = next_id_++;
@@ -20,8 +31,7 @@ void EventBus::unsubscribe(Subscription subscription) {
 void EventBus::publish(Topic topic, Event event) {
   ++published_;
   if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled())
-    metrics.counter_add("mfw.flow.events_published_total", 1.0,
-                        {{"topic", topic_name(topic)}});
+    metrics.counter_add(series(topic, metrics).published, 1.0);
   const Subscribers& handlers = subscribers(topic);
   if (handlers.empty()) return;
   // Snapshot subscriber *ids*, not handlers: subscribers added after
@@ -37,9 +47,8 @@ void EventBus::publish(Topic topic, Event event) {
     // Publish -> delivery gap: 0 in pure virtual time unless intervening
     // same-time events ran first; meaningful for wall-clock-coupled runs.
     if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled())
-      metrics.observe("mfw.flow.dispatch_latency_seconds",
+      metrics.observe(series(topic, metrics).dispatch_latency,
                       engine_.now() - published_at,
-                      {{"topic", topic_name(topic)}},
                       obs::HistogramSpec{0.0, 0.1, 20});
     const Subscribers& live = subscribers(topic);
     for (const auto id : ids) {

@@ -14,6 +14,7 @@
 #include <map>
 
 #include "flow/events.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace mfw::flow {
@@ -52,8 +53,17 @@ class EventBus {
     return topics_[static_cast<std::size_t>(topic)];
   }
 
+  /// Per-topic metric handles, resolved on the first update made while
+  /// metrics are on.
+  struct TopicSeries {
+    obs::CounterHandle published;
+    obs::DistributionHandle dispatch_latency;
+  };
+  TopicSeries& series(Topic topic, obs::MetricsRegistry& metrics);
+
   sim::SimEngine& engine_;
   std::array<Subscribers, kTopicCount> topics_;
+  std::array<TopicSeries, kTopicCount> series_;
   std::uint64_t next_id_ = 1;
   std::uint64_t published_ = 0;
 };

@@ -1,6 +1,6 @@
 #include "flow/events.hpp"
 
-#include <cstdio>
+#include "util/strings.hpp"
 
 namespace mfw::flow {
 
@@ -15,11 +15,15 @@ const char* topic_name(Topic topic) {
 }
 
 std::string GranuleKey::to_string() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s.A%04d%03d.s%04d",
-                satellite == modis::Satellite::kTerra ? "terra" : "aqua", year,
-                day_of_year, slot);
-  return buf;
+  // printf's "%s.A%04d%03d.s%04d" without the printf parser: every
+  // granule-carrying span and instant formats one of these.
+  std::string out = satellite == modis::Satellite::kTerra ? "terra" : "aqua";
+  out += ".A";
+  util::append_padded(out, year, 4);
+  util::append_padded(out, day_of_year, 3);
+  out += ".s";
+  util::append_padded(out, slot, 4);
+  return out;
 }
 
 GranuleKey GranuleKey::of(const modis::GranuleId& id) {

@@ -1,8 +1,8 @@
 #include "flow/granule_tracker.hpp"
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace mfw::flow {
 
@@ -55,11 +55,17 @@ void GranuleTracker::observe_file(const FileEvent& event) {
     const double assembly = ready.ready_at - ready.first_file_at;
     rec.instant("flow/granules", "flow", "granule.ready",
                 {{"key", ready.key.to_string()},
-                 {"assembly_s", std::to_string(assembly)}});
-    auto& metrics = obs::MetricsRegistry::instance();
-    metrics.counter_add("mfw.flow.granules_ready_total", 1.0);
-    metrics.observe("mfw.flow.granule_assembly_seconds", assembly, {},
-                    obs::HistogramSpec{0.0, 120.0, 24});
+                 {"assembly_s", util::fixed6(assembly)}});
+    if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled()) {
+      if (!ready_series_) {
+        ready_series_ = metrics.counter_series("mfw.flow.granules_ready_total");
+        assembly_series_ =
+            metrics.distribution_series("mfw.flow.granule_assembly_seconds");
+      }
+      metrics.counter_add(ready_series_, 1.0);
+      metrics.observe(assembly_series_, assembly,
+                      obs::HistogramSpec{0.0, 120.0, 24});
+    }
   }
   bus_.publish(Topic::kGranuleReady, std::move(ready));
 }

@@ -20,6 +20,7 @@
 #include "flow/event_bus.hpp"
 #include "flow/events.hpp"
 #include "modis/catalog.hpp"
+#include "obs/metrics.hpp"
 
 namespace mfw::flow {
 
@@ -56,6 +57,9 @@ class GranuleTracker {
 
   EventBus& bus_;
   Subscription file_sub_;
+  /// Resolved on the first granule made whole while metrics are on.
+  obs::CounterHandle ready_series_;
+  obs::DistributionHandle assembly_series_;
   std::map<GranuleKey, Partial> partial_;
   std::set<GranuleKey> completed_;
   std::size_t ready_ = 0;

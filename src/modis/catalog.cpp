@@ -72,10 +72,18 @@ std::optional<std::pair<ProductKind, Satellite>> parse_product_name(
 }
 
 std::string GranuleId::filename() const {
+  // printf's "%s.A%04d%03d.%02d%02d.061.hdf" without the printf parser
+  // (download spans and staging paths format one per file).
   const int minutes = slot * 5;
-  return util::strformat("%s.A%04d%03d.%02d%02d.061.hdf",
-                         product_short_name(product, satellite).c_str(), year,
-                         day_of_year, minutes / 60, minutes % 60);
+  std::string out = product_short_name(product, satellite);
+  out += ".A";
+  util::append_padded(out, year, 4);
+  util::append_padded(out, day_of_year, 3);
+  out += '.';
+  util::append_padded(out, minutes / 60, 2);
+  util::append_padded(out, minutes % 60, 2);
+  out += ".061.hdf";
+  return out;
 }
 
 std::optional<GranuleId> parse_granule_filename(std::string_view name) {

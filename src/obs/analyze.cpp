@@ -121,7 +121,7 @@ std::vector<ProcessData> collect(const Snapshot& snapshot) {
       if (!slot || span.duration() > slot->duration()) slot = &span;
     } else if (span.category == "compute" || span.category == "download" ||
                span.category == "serve") {
-      const std::string stage = track_stage(track.name);
+      const std::string stage(track_stage(track.name));
       data.task_groups[stage].push_back(task);
       if (span.category == "compute" && stage == "preprocess") {
         const std::string granule = granule_of(span);

@@ -52,29 +52,30 @@ FlightRecorder::FlightRecorder(FlightConfig config) : config_(config) {
 
 FlightRecorder::~FlightRecorder() { disarm_crash_dump(); }
 
-void FlightRecorder::push(Entry entry) {
-  std::lock_guard<std::mutex> lock(mu_);
+FlightRecorder::Entry& FlightRecorder::next_slot_locked() {
+  Entry& entry = ring_[head_];
   entry.seq = seen_++;
-  ring_[head_] = std::move(entry);
   head_ = (head_ + 1) % ring_.size();
   if (seen_ >= ring_.size()) full_ = true;
+  return entry;
 }
 
 void FlightRecorder::on_span(const TraceTrack& track, const TraceSpan& span) {
-  Entry entry;
-  entry.entry_kind = Entry::Kind::kSpan;
-  entry.start = span.start;
-  entry.end = span.end;
-  entry.process = track.process;
-  entry.tid = track.tid;
-  entry.track = track.name;
-  entry.category = span.category;
-  entry.name = span.name;
-  entry.args = span.args;
-  push(std::move(entry));
   SpanSink* next = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Written in place: an overwritten slot's strings and args keep their
+    // capacity.
+    Entry& entry = next_slot_locked();
+    entry.entry_kind = Entry::Kind::kSpan;
+    entry.start = span.start;
+    entry.end = span.end;
+    entry.process = track.process;
+    entry.tid = track.tid;
+    entry.track.assign(track.name);
+    entry.category.assign(span.category);
+    entry.name.assign(span.name);
+    entry.args = span.args;
     next = next_;
   }
   if (next) next->on_span(track, span);
@@ -82,20 +83,19 @@ void FlightRecorder::on_span(const TraceTrack& track, const TraceSpan& span) {
 
 void FlightRecorder::on_instant(const TraceTrack& track,
                                 const TraceInstant& instant) {
-  Entry entry;
-  entry.entry_kind = Entry::Kind::kInstant;
-  entry.start = instant.at;
-  entry.end = instant.at;
-  entry.process = track.process;
-  entry.tid = track.tid;
-  entry.track = track.name;
-  entry.category = instant.category;
-  entry.name = instant.name;
-  entry.args = instant.args;
-  push(std::move(entry));
   SpanSink* next = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    Entry& entry = next_slot_locked();
+    entry.entry_kind = Entry::Kind::kInstant;
+    entry.start = instant.at;
+    entry.end = instant.at;
+    entry.process = track.process;
+    entry.tid = track.tid;
+    entry.track.assign(track.name);
+    entry.category.assign(instant.category);
+    entry.name.assign(instant.name);
+    entry.args = instant.args;
     next = next_;
   }
   if (next) next->on_instant(track, instant);
@@ -107,7 +107,8 @@ void FlightRecorder::set_next(SpanSink* next) {
 }
 
 void FlightRecorder::note_alert(const Alert& alert) {
-  Entry entry;
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& entry = next_slot_locked();
   entry.entry_kind = Entry::Kind::kAlert;
   entry.start = alert.at;
   entry.end = alert.at;
@@ -123,7 +124,6 @@ void FlightRecorder::note_alert(const Alert& alert) {
                 {"threshold", num(alert.threshold)},
                 {"observed", num(alert.observed)},
                 {"cause", alert.cause}};
-  push(std::move(entry));
 }
 
 std::uint64_t FlightRecorder::seen() const {

@@ -68,8 +68,8 @@ class FlightRecorder : public SpanSink {
   explicit FlightRecorder(FlightConfig config = {});
   ~FlightRecorder() override;
 
-  // SpanSink: called under the recorder lock — one ring-slot copy, no
-  // allocation beyond the strings, no re-entry.
+  // SpanSink: called under the recorder lock — one in-place ring-slot
+  // write, no allocation beyond what the slot's strings lack, no re-entry.
   void on_span(const TraceTrack& track, const TraceSpan& span) override;
   void on_instant(const TraceTrack& track,
                   const TraceInstant& instant) override;
@@ -106,7 +106,8 @@ class FlightRecorder : public SpanSink {
   void disarm_crash_dump();
 
  private:
-  void push(Entry entry);
+  /// Claims the slot the next arrival overwrites (stamping its seq).
+  Entry& next_slot_locked();
 
   mutable std::mutex mu_;
   FlightConfig config_;

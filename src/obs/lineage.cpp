@@ -37,7 +37,7 @@ double double_arg(const Args& args, std::string_view key) {
 /// their stage so preprocess and inference read as distinct hops.
 std::string hop_kind(const TraceSpan& span, const TraceTrack& track) {
   if (span.category == "download") return "download";
-  if (span.category == "compute") return track_stage(track.name);
+  if (span.category == "compute") return std::string(track_stage(track.name));
   if (span.category == "flow") return "flow";
   if (span.category == "flow.state") return "flow:" + span.name;
   if (span.category == "serve") return "serve";

@@ -7,11 +7,18 @@
 // (name, sorted label set); the same name with different labels forms
 // independent series, like Prometheus.
 //
+// Every series lives in one cell of the registry's store. A call site that
+// updates per event resolves (name, labels) to a cell once, through
+// counter_series / gauge_series / distribution_series, and then updates the
+// cell through the returned handle: no label copy, sort, key string or map
+// lookup per update. The name-plus-labels methods resolve the same cells on
+// each call, so both paths feed one store.
+//
 // Distributions reuse util::StreamingStats (always) plus util::Histogram
 // (when the observe() call supplies bucket bounds). Like the TraceRecorder,
 // the registry is globally reachable, thread-safe, and free when disabled:
-// call sites guard with enabled() so labels are never materialised on the
-// off path.
+// call sites guard with enabled() so labels are never materialised and no
+// handle is resolved on the off path.
 #pragma once
 
 #include <atomic>
@@ -45,6 +52,41 @@ struct Distribution {
   std::optional<util::Histogram> histogram;
 };
 
+enum class SeriesKind : std::uint8_t { kCounter, kGauge, kDistribution };
+
+namespace detail {
+/// One series' storage. A cell is created on first resolution and lives as
+/// long as its registry; `live` says whether it was updated since then or
+/// since the last clear(), and only live cells are visible.
+struct SeriesCell {
+  bool live = false;
+  double value = 0.0;  // counter total or latest gauge value
+  Distribution dist;   // distribution series only
+};
+}  // namespace detail
+
+/// Stable reference to one series cell of a MetricsRegistry. Default-
+/// constructed handles are unresolved (false); a call site keeps one per
+/// series it updates and resolves it on the first update it makes while the
+/// registry is enabled. A handle stays valid for the registry's lifetime,
+/// across clear(). The kind is part of the type, so a counter handle cannot
+/// feed a gauge.
+template <SeriesKind Kind>
+class SeriesHandle {
+ public:
+  SeriesHandle() = default;
+  explicit operator bool() const { return cell_ != nullptr; }
+
+ private:
+  friend class MetricsRegistry;
+  explicit SeriesHandle(detail::SeriesCell* cell) : cell_(cell) {}
+  detail::SeriesCell* cell_ = nullptr;
+};
+
+using CounterHandle = SeriesHandle<SeriesKind::kCounter>;
+using GaugeHandle = SeriesHandle<SeriesKind::kGauge>;
+using DistributionHandle = SeriesHandle<SeriesKind::kDistribution>;
+
 class MetricsRegistry {
  public:
   /// Global registry used by the instrumented modules; direct construction
@@ -58,6 +100,23 @@ class MetricsRegistry {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
+  // -- series resolution ------------------------------------------------------
+  /// Resolves (name, sorted labels) to its cell, creating an empty one on
+  /// first use. Resolution alone does not make a series visible; its first
+  /// update does.
+  CounterHandle counter_series(std::string_view name,
+                               const Labels& labels = {});
+  GaugeHandle gauge_series(std::string_view name, const Labels& labels = {});
+  DistributionHandle distribution_series(std::string_view name,
+                                         const Labels& labels = {});
+
+  // -- updates through a handle (no-op when disabled or unresolved) -----------
+  void counter_add(CounterHandle series, double delta);
+  void gauge_set(GaugeHandle series, double value);
+  void observe(DistributionHandle series, double value,
+               std::optional<HistogramSpec> spec = std::nullopt);
+
+  // -- updates by name (resolve, then update the same cell) -------------------
   /// Adds `delta` to a monotonic counter series (created on first use).
   /// No-op when disabled.
   void counter_add(std::string_view name, double delta,
@@ -73,7 +132,9 @@ class MetricsRegistry {
   void observe(std::string_view name, double value, const Labels& labels = {},
                std::optional<HistogramSpec> spec = std::nullopt);
 
-  /// Drops every series (between runs).
+  /// Drops every series (between runs). Handles stay valid: a cleared
+  /// series reads as one never created until its next update, and the next
+  /// spec-carrying observe fixes its bucket layout again.
   void clear();
 
   // -- inspection (exporter + tests) ----------------------------------------
@@ -101,13 +162,29 @@ class MetricsRegistry {
 
  private:
   using SeriesKey = std::pair<std::string, Labels>;
+  using Store = std::map<SeriesKey, detail::SeriesCell>;
   static SeriesKey key_of(std::string_view name, const Labels& labels);
+
+  Store& store(SeriesKind kind) {
+    return stores_[static_cast<std::size_t>(kind)];
+  }
+  const Store& store(SeriesKind kind) const {
+    return stores_[static_cast<std::size_t>(kind)];
+  }
+  detail::SeriesCell* resolve_locked(SeriesKind kind, std::string_view name,
+                                     const Labels& labels);
+  const detail::SeriesCell* find_locked(SeriesKind kind, std::string_view name,
+                                        const Labels& labels) const;
+  static void add_locked(detail::SeriesCell& cell, double delta);
+  static void set_locked(detail::SeriesCell& cell, double value);
+  static void observe_locked(detail::SeriesCell& cell, double value,
+                             const std::optional<HistogramSpec>& spec);
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
-  std::map<SeriesKey, double> counters_;
-  std::map<SeriesKey, double> gauges_;
-  std::map<SeriesKey, Distribution> distributions_;
+  // One store per kind; std::map nodes never move, so handles may point at
+  // cells for the registry's lifetime.
+  Store stores_[3];
 };
 
 }  // namespace mfw::obs

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/export.hpp"
 #include "util/json_writer.hpp"
+#include "util/strings.hpp"
 
 namespace mfw::obs {
 
@@ -34,11 +34,8 @@ std::int64_t window_index(double t, double window_s) {
   return index;
 }
 
-std::string track_stage(std::string_view track_name) {
-  const auto slash = track_name.find('/');
-  return std::string(slash == std::string_view::npos
-                         ? track_name
-                         : track_name.substr(0, slash));
+std::string_view track_stage(std::string_view track_name) {
+  return track_name.substr(0, track_name.find('/'));
 }
 
 void LogHistogram::add(double value) {
@@ -105,12 +102,14 @@ void WindowedSeries::add(double t, double value) {
   total_hist_.add(value);
 
   const auto index = window_index(t, config_.window_s);
-  WindowStats fresh;
-  fresh.index = index;
+  // A window carries a 1.6 KB sketch: build one only when a new window
+  // opens, never per sample.
   WindowStats* window = nullptr;
-  if (windows_.empty() || index > windows_.back().index) {
-    windows_.push_back(fresh);
+  if (!windows_.empty() && index == windows_.back().index) {
     window = &windows_.back();
+  } else if (windows_.empty() || index > windows_.back().index) {
+    window = &windows_.emplace_back();
+    window->index = index;
   } else {
     const auto pos = std::lower_bound(
         windows_.begin(), windows_.end(), index,
@@ -124,7 +123,8 @@ void WindowedSeries::add(double t, double value) {
       // window below — folding it here would miscount the front window.
       window = &windows_.front();
     } else {
-      window = &*windows_.insert(pos, fresh);
+      window = &*windows_.emplace(pos);
+      window->index = index;
     }
   }
   if (window->count == 0) {
@@ -144,20 +144,35 @@ void WindowedSeries::add(double t, double value) {
 
 SpanRollup::SpanRollup(RollupConfig config) : config_(config) {}
 
+const std::string& SpanRollup::key_locked(std::string_view track_name,
+                                          std::string_view name) {
+  key_.assign(track_stage(track_name));
+  key_ += '/';
+  key_ += name;
+  return key_;
+}
+
+WindowedSeries& SpanRollup::series_locked(std::string_view name) {
+  const auto it = series_.find(name);
+  if (it != series_.end()) return it->second;
+  return series_.emplace(std::string(name), WindowedSeries(config_))
+      .first->second;
+}
+
 void SpanRollup::on_span(const TraceTrack& track, const TraceSpan& span) {
   std::lock_guard lock(mu_);
   ++spans_seen_;
-  const std::string base = track_stage(track.name) + "/" + span.category;
-  auto series_at = [this](const std::string& name) -> WindowedSeries& {
-    return series_.try_emplace(name, config_).first->second;
-  };
-  series_at(base + ".duration_s").add(span.end, span.duration());
+  key_locked(track.name, span.category);
+  const std::size_t base = key_.size();
+  key_ += ".duration_s";
+  series_locked(key_).add(span.end, span.duration());
   for (const auto& [key, value] : span.args) {
-    if (key != "queue_wait_s") continue;
-    char* end = nullptr;
-    const double wait = std::strtod(value.c_str(), &end);
-    if (end != value.c_str())
-      series_at(base + ".queue_wait_s").add(span.end, wait);
+    double wait = 0.0;
+    if (key != "queue_wait_s" || !util::parse_double_prefix(value, wait))
+      continue;
+    key_.resize(base);
+    key_ += ".queue_wait_s";
+    series_locked(key_).add(span.end, wait);
   }
 }
 
@@ -165,7 +180,13 @@ void SpanRollup::on_instant(const TraceTrack& track,
                             const TraceInstant& instant) {
   std::lock_guard lock(mu_);
   ++instants_seen_;
-  ++instant_counts_[track_stage(track.name) + "/" + instant.name];
+  const std::string& key = key_locked(track.name, instant.name);
+  const auto it = instant_counts_.find(key);
+  if (it != instant_counts_.end()) {
+    ++it->second;
+  } else {
+    instant_counts_.emplace(key, 1);
+  }
 }
 
 std::uint64_t SpanRollup::spans_seen() const {

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -33,8 +34,8 @@ namespace mfw::obs {
 
 /// Stage prefix of a track name: "preprocess/node3/w1" -> "preprocess",
 /// "download/w0" -> "download", "flow/granules" -> "flow". Track names with
-/// no '/' map to themselves.
-std::string track_stage(std::string_view track_name);
+/// no '/' map to themselves. The view points into `track_name`.
+std::string_view track_stage(std::string_view track_name);
 
 /// Window index of timestamp `t` for width `window_s`, with half-open
 /// [index * window_s, (index + 1) * window_s) semantics guaranteed even when
@@ -144,10 +145,17 @@ class SpanRollup : public SpanSink {
   std::string summary() const;
 
  private:
+  /// key_ = "<stage>/<name>" with the capacity of earlier keys.
+  const std::string& key_locked(std::string_view track_name,
+                                std::string_view name);
+  WindowedSeries& series_locked(std::string_view name);
+
   mutable std::mutex mu_;
   RollupConfig config_;
-  std::map<std::string, WindowedSeries> series_;
-  std::map<std::string, std::uint64_t> instant_counts_;
+  // Transparent comparators: lookups by view build no key string.
+  std::map<std::string, WindowedSeries, std::less<>> series_;
+  std::map<std::string, std::uint64_t, std::less<>> instant_counts_;
+  std::string key_;  // scratch for series and instant keys
   std::uint64_t spans_seen_ = 0;
   std::uint64_t instants_seen_ = 0;
 };

@@ -26,9 +26,13 @@ const sim::Clock* TraceRecorder::clock() const {
   return clock_;
 }
 
+double TraceRecorder::now_locked() const {
+  return (clock_ ? *clock_ : wall_fallback()).now();
+}
+
 double TraceRecorder::now() const {
   std::lock_guard lock(mu_);
-  return (clock_ ? *clock_ : wall_fallback()).now();
+  return now_locked();
 }
 
 void TraceRecorder::ensure_default_process_locked() {
@@ -48,17 +52,23 @@ std::uint32_t TraceRecorder::begin_process(std::string name) {
 
 std::uint32_t TraceRecorder::intern_track_locked(std::string_view name) {
   ensure_default_process_locked();
-  const auto key = std::make_pair(current_pid_, std::string(name));
-  const auto it = track_index_.find(key);
+  const auto it = track_index_.find(TrackView{current_pid_, name});
   if (it != track_index_.end()) return it->second;
   const auto index = static_cast<std::uint32_t>(tracks_.size());
   TraceTrack track;
   track.process = current_pid_;
   track.tid = index + 1;
-  track.name = key.second;
+  track.name = std::string(name);
+  track_index_.emplace(TrackKey{current_pid_, track.name}, index);
   tracks_.push_back(std::move(track));
-  track_index_.emplace(key, index);
   return index;
+}
+
+SpanId TraceRecorder::make_id(bool bounded, std::uint32_t epoch,
+                              std::size_t index) {
+  return SpanId{(bounded ? kBoundedBit : 0) |
+                (static_cast<std::uint64_t>(epoch & kEpochMask) << 32) |
+                static_cast<std::uint64_t>(index + 1)};
 }
 
 void TraceRecorder::note_closed_locked(const TraceSpan& span) {
@@ -77,42 +87,69 @@ SpanId TraceRecorder::begin_span(std::string_view track,
                                  std::string_view name, Args args) {
   if (!enabled()) return {};
   std::lock_guard lock(mu_);
-  TraceSpan span;
-  span.track = intern_track_locked(track);
+  const std::uint32_t track_index = intern_track_locked(track);
+  const double start = now_locked();
+  if (retention_.mode == RetentionMode::kStatsOnly) {
+    std::uint32_t index = 0;
+    if (free_slots_.empty()) {
+      index = static_cast<std::uint32_t>(open_slots_.size());
+      open_slots_.emplace_back();
+    } else {
+      index = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    OpenSlot& slot = open_slots_[index];
+    slot.epoch = (slot.epoch + 1) & kEpochMask;
+    slot.open = true;
+    ++open_bounded_;
+    // Assign in place: the slot's strings and arg vector keep the capacity
+    // an earlier span gave them.
+    TraceSpan& span = slot.span;
+    span.track = track_index;
+    span.category.assign(category);
+    span.name.assign(name);
+    span.start = start;
+    span.end = -1.0;
+    span.args.clear();
+    for (auto& arg : args) span.args.push_back(std::move(arg));
+    return make_id(true, slot.epoch, index);
+  }
+  TraceSpan& span = spans_.emplace_back();
+  span.track = track_index;
   span.category = std::string(category);
   span.name = std::string(name);
-  span.start = (clock_ ? *clock_ : wall_fallback()).now();
+  span.start = start;
   span.args = std::move(args);
-  if (retention_.mode == RetentionMode::kStatsOnly) {
-    const auto id = (++next_open_id_) | kBoundedBit;
-    open_spans_.emplace(id, std::move(span));
-    return SpanId{id};
-  }
-  spans_.push_back(std::move(span));
-  return SpanId{spans_.size()};
+  return make_id(false, epoch_, spans_.size() - 1);
 }
 
 void TraceRecorder::end_span(SpanId span, Args args) {
   if (!span.valid()) return;
+  const auto index = static_cast<std::size_t>(span.id & 0xffffffffu) - 1;
+  const auto epoch = static_cast<std::uint32_t>(span.id >> 32) & kEpochMask;
   std::lock_guard lock(mu_);
-  const double at = (clock_ ? *clock_ : wall_fallback()).now();
+  const double at = now_locked();
   if (span.id & kBoundedBit) {
-    const auto it = open_spans_.find(span.id);
-    if (it == open_spans_.end()) return;  // stale handle after clear()
-    TraceSpan record = std::move(it->second);
-    open_spans_.erase(it);
+    if (index >= open_slots_.size()) return;
+    OpenSlot& slot = open_slots_[index];
+    if (!slot.open || slot.epoch != epoch) return;  // stale handle
+    slot.open = false;
+    --open_bounded_;
+    free_slots_.push_back(static_cast<std::uint32_t>(index));
+    TraceSpan& record = slot.span;
     record.end = at;
     for (auto& arg : args) record.args.push_back(std::move(arg));
     note_closed_locked(record);
     if (retain_sample_locked()) {
-      spans_.push_back(std::move(record));
+      spans_.push_back(record);
     } else {
       ++dropped_spans_;
     }
     return;
   }
-  if (span.id > spans_.size()) return;  // stale handle after clear()
-  TraceSpan& record = spans_[span.id - 1];
+  if (epoch != epoch_ || index >= spans_.size()) return;  // stale handle
+  TraceSpan& record = spans_[index];
+  if (record.closed()) return;  // closed twice
   record.end = at;
   for (auto& arg : args) record.args.push_back(std::move(arg));
   note_closed_locked(record);
@@ -141,7 +178,8 @@ void TraceRecorder::add_span(std::string_view track, std::string_view category,
 void TraceRecorder::instant(std::string_view track, std::string_view category,
                             std::string_view name, Args args) {
   if (!enabled()) return;
-  add_instant(track, category, name, now(), std::move(args));
+  std::lock_guard lock(mu_);
+  add_instant_locked(track, category, name, now_locked(), std::move(args));
 }
 
 void TraceRecorder::add_instant(std::string_view track,
@@ -149,18 +187,34 @@ void TraceRecorder::add_instant(std::string_view track,
                                 std::string_view name, double at, Args args) {
   if (!enabled()) return;
   std::lock_guard lock(mu_);
-  TraceInstant event;
-  event.track = intern_track_locked(track);
-  event.category = std::string(category);
-  event.name = std::string(name);
-  event.at = at;
-  event.args = std::move(args);
-  if (sink_) sink_->on_instant(tracks_[event.track], event);
+  add_instant_locked(track, category, name, at, std::move(args));
+}
+
+void TraceRecorder::add_instant_locked(std::string_view track,
+                                       std::string_view category,
+                                       std::string_view name, double at,
+                                       Args&& args) {
+  const std::uint32_t track_index = intern_track_locked(track);
   if (retention_.mode == RetentionMode::kFull) {
-    instants_.push_back(std::move(event));
-  } else {
-    ++dropped_instants_;
+    TraceInstant& event = instants_.emplace_back();
+    event.track = track_index;
+    event.category = std::string(category);
+    event.name = std::string(name);
+    event.at = at;
+    event.args = std::move(args);
+    if (sink_) sink_->on_instant(tracks_[track_index], event);
+    return;
   }
+  // Counted, shown to the sink, not stored: build it in the reused scratch.
+  TraceInstant& event = instant_scratch_;
+  event.track = track_index;
+  event.category.assign(category);
+  event.name.assign(name);
+  event.at = at;
+  event.args.clear();
+  for (auto& arg : args) event.args.push_back(std::move(arg));
+  if (sink_) sink_->on_instant(tracks_[track_index], event);
+  ++dropped_instants_;
 }
 
 void TraceRecorder::set_retention(RetentionPolicy policy) {
@@ -201,8 +255,15 @@ void TraceRecorder::clear() {
   track_index_.clear();
   spans_.clear();
   instants_.clear();
-  open_spans_.clear();
-  next_open_id_ = 0;
+  // Open slots are freed but keep their epochs, and kFull ids move to a new
+  // epoch, so no handle from before the clear matches a later span.
+  free_slots_.clear();
+  for (std::size_t i = open_slots_.size(); i-- > 0;) {
+    open_slots_[i].open = false;
+    free_slots_.push_back(static_cast<std::uint32_t>(i));
+  }
+  open_bounded_ = 0;
+  epoch_ = (epoch_ + 1) & kEpochMask;
   observed_spans_ = 0;
   dropped_spans_ = 0;
   dropped_instants_ = 0;
@@ -240,7 +301,7 @@ std::size_t TraceRecorder::instant_count() const {
 
 std::size_t TraceRecorder::open_span_count() const {
   std::lock_guard lock(mu_);
-  std::size_t open = open_spans_.size();
+  std::size_t open = open_bounded_;
   for (const auto& span : spans_)
     if (!span.closed()) ++open;
   return open;

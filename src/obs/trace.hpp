@@ -24,10 +24,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,9 +40,12 @@ namespace mfw::obs {
 /// trace-event "args").
 using Args = std::vector<std::pair<std::string, std::string>>;
 
-/// Handle for an open span; zero-initialised means "not recording".
+/// Handle for an open span; zero-initialised means "not recording". The id
+/// packs the slot the span occupies with an epoch, so a handle that outlives
+/// its span (closed twice, or kept across TraceRecorder::clear()) is ignored
+/// instead of closing whatever span took the slot next.
 struct SpanId {
-  std::uint64_t id = 0;  // 1-based index into the recorder's span buffer
+  std::uint64_t id = 0;
   bool valid() const { return id != 0; }
 };
 
@@ -146,7 +150,8 @@ class TraceRecorder {
 
   /// Closes a span at now(), appending `args`. Invalid ids are ignored, so
   /// call sites need no enabled() re-check; spans opened before a disable
-  /// still close correctly.
+  /// still close correctly. So are stale ids: a span already closed, or one
+  /// opened before the last clear().
   void end_span(SpanId span, Args args = {});
 
   /// Records a fully-formed span with explicit timestamps (used by post-hoc
@@ -197,13 +202,50 @@ class TraceRecorder {
   std::size_t open_span_count() const;
 
  private:
-  /// Span ids with this bit set index open_spans_ (kStatsOnly mode) rather
-  /// than spans_; keeps bounded-mode handles stable while exemplar spans are
-  /// being dropped.
+  /// SpanId layout: bit 63 set for a kStatsOnly open-span slot (clear for a
+  /// kFull spans_ index), bits 32-62 the epoch, bits 0-31 the index + 1.
+  /// A kFull id carries the recorder epoch, which clear() advances; a slot id
+  /// carries the slot's own epoch, advanced each time the slot is taken.
   static constexpr std::uint64_t kBoundedBit = 1ull << 63;
+  static constexpr std::uint32_t kEpochMask = 0x7fffffffu;
 
+  /// One kStatsOnly open span. Slots are recycled through free_slots_, so a
+  /// slot's strings and arg vector keep their capacity from span to span.
+  struct OpenSlot {
+    TraceSpan span;
+    std::uint32_t epoch = 0;
+    bool open = false;
+  };
+
+  /// Track index key: (pid, name). Lookups pass a string_view name, so
+  /// interning an existing track builds no string.
+  using TrackKey = std::pair<std::uint32_t, std::string>;
+  using TrackView = std::pair<std::uint32_t, std::string_view>;
+  struct TrackHash {
+    using is_transparent = void;
+    std::size_t operator()(const TrackView& key) const noexcept {
+      return std::hash<std::string_view>{}(key.second) ^
+             (static_cast<std::size_t>(key.first) * 0x9e3779b97f4a7c15ull);
+    }
+    std::size_t operator()(const TrackKey& key) const noexcept {
+      return (*this)(TrackView{key.first, key.second});
+    }
+  };
+  struct TrackEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return a.first == b.first &&
+             std::string_view(a.second) == std::string_view(b.second);
+    }
+  };
+
+  static SpanId make_id(bool bounded, std::uint32_t epoch, std::size_t index);
+  double now_locked() const;
   std::uint32_t intern_track_locked(std::string_view name);
   void ensure_default_process_locked();
+  void add_instant_locked(std::string_view track, std::string_view category,
+                          std::string_view name, double at, Args&& args);
   /// Sink notification + observed-span accounting for a just-closed span.
   void note_closed_locked(const TraceSpan& span);
   /// kStatsOnly sampling decision: should the span just counted by
@@ -216,13 +258,17 @@ class TraceRecorder {
   std::vector<TraceProcess> processes_;
   std::uint32_t current_pid_ = 0;
   std::vector<TraceTrack> tracks_;
-  std::map<std::pair<std::uint32_t, std::string>, std::uint32_t> track_index_;
+  std::unordered_map<TrackKey, std::uint32_t, TrackHash, TrackEq>
+      track_index_;
   std::vector<TraceSpan> spans_;
   std::vector<TraceInstant> instants_;
   RetentionPolicy retention_;
   SpanSink* sink_ = nullptr;
-  std::map<std::uint64_t, TraceSpan> open_spans_;  // kStatsOnly open spans
-  std::uint64_t next_open_id_ = 0;
+  std::vector<OpenSlot> open_slots_;        // kStatsOnly open spans
+  std::vector<std::uint32_t> free_slots_;   // closed slots, reused LIFO
+  std::size_t open_bounded_ = 0;            // open slots
+  TraceInstant instant_scratch_;            // kStatsOnly instants, reused
+  std::uint32_t epoch_ = 0;                 // kFull id epoch; clear() bumps
   std::size_t observed_spans_ = 0;
   std::size_t dropped_spans_ = 0;
   std::size_t dropped_instants_ = 0;

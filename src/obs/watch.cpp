@@ -5,10 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/export.hpp"
+#include "util/strings.hpp"
 
 namespace mfw::obs {
 
@@ -34,9 +34,9 @@ std::string num(double value) {
 }
 
 double parse_double(const std::string& text, double fallback) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  return end != text.c_str() ? value : fallback;
+  double value = fallback;
+  util::parse_double_prefix(text, value);
+  return value;
 }
 
 /// Merged {count, p99, p50-of-stream} view of the series windows overlapping
@@ -129,12 +129,12 @@ void TelemetryBus::on_instant(const TraceTrack& track,
   fan_out(std::move(event));
 }
 
-void TelemetryBus::fan_out(TelemetryEvent event) {
+void TelemetryBus::fan_out(TelemetryEvent&& event) {
   std::lock_guard lock(mu_);
   ++published_;
   for (std::size_t i = 0; i < subscribers_.size(); ++i) {
     Subscriber& sub = subscribers_[i];
-    if (sub.queue.size() >= capacity_) {
+    if (sub.size() >= capacity_) {
       ++sub.dropped;
       continue;
     }
@@ -151,12 +151,22 @@ std::size_t TelemetryBus::poll(std::size_t subscriber,
                                std::size_t max_events) {
   std::lock_guard lock(mu_);
   if (subscriber >= subscribers_.size()) return 0;
-  auto& queue = subscribers_[subscriber].queue;
-  std::size_t take = queue.size();
+  Subscriber& sub = subscribers_[subscriber];
+  std::size_t take = sub.size();
   if (max_events != 0) take = std::min(take, max_events);
-  for (std::size_t i = 0; i < take; ++i) {
-    out.push_back(std::move(queue.front()));
-    queue.pop_front();
+  const auto first = sub.queue.begin() + static_cast<std::ptrdiff_t>(sub.head);
+  const auto last = first + static_cast<std::ptrdiff_t>(take);
+  out.insert(out.end(), std::make_move_iterator(first),
+             std::make_move_iterator(last));
+  sub.head += take;
+  if (sub.head == sub.queue.size()) {
+    sub.queue.clear();
+    sub.head = 0;
+  } else if (2 * sub.head >= sub.queue.size()) {
+    // Mostly consumed: shift the rest down so the buffer cannot creep.
+    sub.queue.erase(sub.queue.begin(),
+                    sub.queue.begin() + static_cast<std::ptrdiff_t>(sub.head));
+    sub.head = 0;
   }
   return take;
 }

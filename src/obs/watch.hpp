@@ -101,12 +101,17 @@ class TelemetryBus : public SpanSink {
   std::size_t queue_capacity() const { return capacity_; }
 
  private:
+  /// FIFO of queue[head..]: a vector rather than a deque, so a queue the
+  /// poller keeps short reuses one buffer instead of allocating a block
+  /// every few events.
   struct Subscriber {
-    std::deque<TelemetryEvent> queue;
+    std::vector<TelemetryEvent> queue;
+    std::size_t head = 0;
     std::uint64_t dropped = 0;
+    std::size_t size() const { return queue.size() - head; }
   };
 
-  void fan_out(TelemetryEvent event);
+  void fan_out(TelemetryEvent&& event);
 
   mutable std::mutex mu_;
   std::size_t capacity_;

@@ -133,12 +133,23 @@ void DownloadService::begin_file_span(int worker,
   if (!rec.enabled()) return;
   if (worker_spans_.size() <= static_cast<std::size_t>(worker))
     worker_spans_.resize(worker + 1);
-  worker_spans_[worker] = rec.begin_span(
-      "download/w" + std::to_string(worker), "download", entry.id.filename(),
-      {{"bytes", std::to_string(entry.size_bytes)},
-       {"product",
-        modis::product_short_name(entry.id.product, entry.id.satellite)},
-       {"granule", flow::GranuleKey::of(entry.id).to_string()}});
+  obs::Args args;
+  args.reserve(5);  // three here, status and attempts at the end
+  args.emplace_back("bytes", std::to_string(entry.size_bytes));
+  args.emplace_back("product", modis::product_short_name(entry.id.product,
+                                                         entry.id.satellite));
+  args.emplace_back("granule", flow::GranuleKey::of(entry.id).to_string());
+  worker_spans_[worker] = rec.begin_span(track_name(worker), "download",
+                                         entry.id.filename(), std::move(args));
+}
+
+const std::string& DownloadService::track_name(int worker) {
+  auto& tracks = telemetry_.tracks;
+  const auto lane = static_cast<std::size_t>(worker);
+  if (tracks.size() <= lane) tracks.resize(lane + 1);
+  if (tracks[lane].empty())
+    tracks[lane] = "download/w" + std::to_string(worker);
+  return tracks[lane];
 }
 
 void DownloadService::end_file_span(int worker, const char* status,
@@ -146,8 +157,11 @@ void DownloadService::end_file_span(int worker, const char* status,
   if (worker_spans_.size() <= static_cast<std::size_t>(worker)) return;
   obs::SpanId& span = worker_spans_[worker];
   if (!span.valid()) return;
-  obs::TraceRecorder::instance().end_span(
-      span, {{"status", status}, {"attempts", std::to_string(attempt)}});
+  obs::Args args;
+  args.reserve(2);
+  args.emplace_back("status", status);
+  args.emplace_back("attempts", std::to_string(attempt));
+  obs::TraceRecorder::instance().end_span(span, std::move(args));
   span = {};
 }
 
@@ -176,11 +190,13 @@ void DownloadService::attempt_download(int worker,
         end_file_span(worker, "failed", attempt);
         if (auto& metrics = obs::MetricsRegistry::instance();
             metrics.enabled()) {
-          metrics.counter_add("mfw.download.failed_total", 1.0,
-                              {{"stage", "download"}});
+          if (!telemetry_.failed)
+            telemetry_.failed = metrics.counter_series(
+                "mfw.download.failed_total", {{"stage", "download"}});
+          metrics.counter_add(telemetry_.failed, 1.0);
           obs::TraceRecorder::instance().instant(
-              "download/w" + std::to_string(worker), "download",
-              "download.failed", {{"file", entry.id.filename()}});
+              track_name(worker), "download", "download.failed",
+              {{"file", entry.id.filename()}});
         }
         if (bus_) {
           flow::FileEvent event;
@@ -196,8 +212,12 @@ void DownloadService::attempt_download(int worker,
       return;
     }
     ++report_.retries;
-    obs::MetricsRegistry::instance().counter_add("mfw.download.retries_total",
-                                                 1.0);
+    if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled()) {
+      if (!telemetry_.retries)
+        telemetry_.retries =
+            metrics.counter_series("mfw.download.retries_total");
+      metrics.counter_add(telemetry_.retries, 1.0);
+    }
     const double backoff = config_.retry_backoff * attempt;
     MFW_DEBUG(kComponent, "transient failure on ", entry.id.filename(),
               " (attempt ", attempt, "); retrying in ", backoff, "s");
@@ -245,15 +265,25 @@ void DownloadService::store_file(const modis::CatalogEntry& entry,
   report_.total_bytes += entry.size_bytes;
 
   if (auto& metrics = obs::MetricsRegistry::instance(); metrics.enabled()) {
-    const obs::Labels product_label = {
-        {"product",
-         modis::product_short_name(entry.id.product, entry.id.satellite)}};
-    metrics.counter_add("mfw.download.bytes_total",
-                        static_cast<double>(entry.size_bytes), product_label);
-    metrics.counter_add("mfw.download.files_total", 1.0, product_label);
-    metrics.observe("mfw.download.file_seconds",
-                    stored.finished_at - stored.started_at, {},
-                    kFileSecondsSpec);
+    ProductSeries& product =
+        telemetry_.products[static_cast<std::size_t>(entry.id.satellite)]
+                           [static_cast<std::size_t>(entry.id.product)];
+    if (!product.bytes) {
+      const obs::Labels product_label = {
+          {"product",
+           modis::product_short_name(entry.id.product, entry.id.satellite)}};
+      product.bytes =
+          metrics.counter_series("mfw.download.bytes_total", product_label);
+      product.files =
+          metrics.counter_series("mfw.download.files_total", product_label);
+    }
+    if (!telemetry_.file_seconds)
+      telemetry_.file_seconds =
+          metrics.distribution_series("mfw.download.file_seconds");
+    metrics.counter_add(product.bytes, static_cast<double>(entry.size_bytes));
+    metrics.counter_add(product.files, 1.0);
+    metrics.observe(telemetry_.file_seconds,
+                    stored.finished_at - stored.started_at, kFileSecondsSpec);
   }
   if (bus_) bus_->publish(flow::Topic::kDownloadFile, stored);
 }

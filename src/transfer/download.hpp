@@ -15,14 +15,17 @@
 // worker loop below.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "flow/event_bus.hpp"
 #include "flow/events.hpp"
 #include "modis/catalog.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/link.hpp"
 #include "storage/filesystem.hpp"
@@ -162,6 +165,22 @@ class DownloadService {
   flow::EventBus* bus_ = nullptr;
   /// Open per-file obs span per worker (all invalid while tracing is off).
   std::vector<obs::SpanId> worker_spans_;
+
+  /// Metric handles and worker track names, resolved on the first update
+  /// made while telemetry is on.
+  struct ProductSeries {
+    obs::CounterHandle bytes;
+    obs::CounterHandle files;
+  };
+  struct Telemetry {
+    std::array<std::array<ProductSeries, 3>, 2> products;  // [sat][kind]
+    obs::DistributionHandle file_seconds;
+    obs::CounterHandle retries;
+    obs::CounterHandle failed;
+    std::vector<std::string> tracks;  // "download/w<i>" by worker
+  };
+  Telemetry telemetry_;
+  const std::string& track_name(int worker);
 };
 
 }  // namespace mfw::transfer

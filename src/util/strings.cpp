@@ -1,11 +1,13 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 namespace mfw::util {
 
@@ -113,6 +115,36 @@ bool parse_real(const char* text, double min, double& out) {
     return false;
   out = value;
   return true;
+}
+
+std::string fixed6(double value) {
+  // to_chars with a precision writes what printf writes, inf and nan
+  // included; -DBL_MAX, the longest, takes 317 characters.
+  char buf[320];
+  char* end = std::to_chars(buf, buf + sizeof buf, value,
+                            std::chars_format::fixed, 6)
+                  .ptr;
+  return std::string(buf, end);
+}
+
+bool parse_double_prefix(const std::string& text, double& out) {
+  double value = 0.0;
+  if (std::from_chars(text.data(), text.data() + text.size(), value).ec !=
+      std::errc())
+    return false;
+  out = value;
+  return true;
+}
+
+void append_padded(std::string& out, int value, int width) {
+  char buf[16];
+  const char* digits = buf;
+  const char* end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+  // As printf pads: the sign first, zeros up to `width` characters in all.
+  if (*digits == '-') out += *digits++;
+  const auto length = static_cast<int>(end - buf);
+  if (length < width) out.append(static_cast<std::size_t>(width - length), '0');
+  out.append(digits, end);
 }
 
 std::string strformat(const char* fmt, ...) {

@@ -43,7 +43,21 @@ bool parse_count(const char* text, std::size_t min, std::size_t& out);
 /// characters, hex, inf, nan, overflow.
 bool parse_real(const char* text, double min, double& out);
 
+/// std::from_chars's reading of the longest numeric prefix of `text` into
+/// `out`; false, leaving `out` alone, when there is none or it is out of
+/// range. What fixed6 and std::to_string write reads back to the double
+/// strtod gives; unlike strtod it takes no leading blanks, '+' or hex.
+bool parse_double_prefix(const std::string& text, double& out);
+
 /// printf-style formatting into std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// The text of std::to_string(double) (printf "%f": fixed, six decimals),
+/// through std::to_chars at a fraction of the printf cost.
+std::string fixed6(double value);
+
+/// Appends printf's "%0<width>d" of `value`: the fixed-width fields of
+/// granule names and keys, without the printf parser.
+void append_padded(std::string& out, int value, int width);
 
 }  // namespace mfw::util

@@ -4,6 +4,8 @@
 // GranuleTracker triplet assembly).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "flow/definition.hpp"
 #include "flow/event_bus.hpp"
 #include "flow/events.hpp"
@@ -706,6 +708,24 @@ TEST(DataflowEvents, TopicNamesAndGranuleKeyText) {
   EXPECT_STREQ(topic_name(Topic::kStage), "workflow");
   EXPECT_EQ((GranuleKey{modis::Satellite::kAqua, 2022, 123, 40}).to_string(),
             "aqua.A2022123.s0040");
+}
+
+TEST(DataflowEvents, GranuleKeyTextIsThePrintfFormat) {
+  // printf's "%s.A%04d%03d.s%04d", fields beyond their width and negative
+  // ones included.
+  for (const auto sat : {modis::Satellite::kTerra, modis::Satellite::kAqua}) {
+    for (const int year : {-5, 0, 7, 2022, 12345}) {
+      for (const int day : {-3, 1, 42, 366, 1000}) {
+        for (const int slot : {-13, 0, 40, 287, 12345}) {
+          char expect[64];
+          std::snprintf(expect, sizeof expect, "%s.A%04d%03d.s%04d",
+                        sat == modis::Satellite::kTerra ? "terra" : "aqua",
+                        year, day, slot);
+          EXPECT_EQ((GranuleKey{sat, year, day, slot}).to_string(), expect);
+        }
+      }
+    }
+  }
 }
 
 TEST(GranuleTracker, EmitsReadyOnceTripletIsWhole) {

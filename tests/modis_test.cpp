@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -1067,6 +1068,30 @@ TEST(Catalog, FilenameRoundTrip) {
           const auto back = parse_granule_filename(one.filename());
           ASSERT_TRUE(back.has_value()) << one.filename();
           ASSERT_EQ(*back, one) << one.filename();
+        }
+      }
+    }
+  }
+}
+
+TEST(Catalog, FilenameIsThePrintfFormat) {
+  // The name is printf's "%s.A%04d%03d.%02d%02d.061.hdf", fields beyond
+  // their width and negative ones included.
+  for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+    for (const ProductKind kind :
+         {ProductKind::kMod02, ProductKind::kMod03, ProductKind::kMod06}) {
+      for (const int year : {-5, 0, 7, 999, 2022, 12345}) {
+        for (const int day : {-3, 1, 42, 366, 1000}) {
+          for (const int slot : {-13, 0, 1, 95, 287, 300, 2400}) {
+            const GranuleId id{kind, sat, year, day, slot};
+            const int minutes = slot * 5;
+            char expect[96];
+            std::snprintf(expect, sizeof expect,
+                          "%s.A%04d%03d.%02d%02d.061.hdf",
+                          product_short_name(kind, sat).c_str(), year, day,
+                          minutes / 60, minutes % 60);
+            EXPECT_EQ(id.filename(), expect);
+          }
         }
       }
     }

@@ -216,6 +216,65 @@ TEST(TraceRecorder, OpenSpanCountAndClear) {
   EXPECT_EQ(rec.span_count(), 0u);
 }
 
+TEST(TraceRecorder, HandleFromBeforeClearIsIgnored) {
+  for (const auto mode : {RetentionMode::kFull, RetentionMode::kStatsOnly}) {
+    SCOPED_TRACE(mode == RetentionMode::kFull ? "kFull" : "kStatsOnly");
+    TraceRecorder rec;
+    rec.set_enabled(true);
+    rec.set_retention({mode, 1, 4096});
+    const auto stale = rec.begin_span("t", "c", "before-clear");
+    rec.clear();
+    const auto fresh = rec.begin_span("t", "c", "after-clear");
+    // The stale handle names the slot the fresh span now holds; it must not
+    // close it or hand it the stale call's args.
+    rec.end_span(stale, {{"who", "stale"}});
+    EXPECT_EQ(rec.open_span_count(), 1u);
+    EXPECT_EQ(rec.observed_span_count(), 0u);
+    if (mode == RetentionMode::kFull) {
+      const auto spans = rec.spans();
+      ASSERT_EQ(spans.size(), 1u);
+      EXPECT_EQ(spans[0].name, "after-clear");
+      EXPECT_FALSE(spans[0].closed());
+      EXPECT_TRUE(spans[0].args.empty());
+    }
+    rec.end_span(fresh, {{"who", "fresh"}});
+    EXPECT_EQ(rec.open_span_count(), 0u);
+    EXPECT_EQ(rec.observed_span_count(), 1u);
+    const auto spans = rec.spans();  // kStatsOnly keeps every span (1 in 1)
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].name, "after-clear");
+    ASSERT_EQ(spans[0].args.size(), 1u);
+    EXPECT_EQ(spans[0].args[0].second, "fresh");
+  }
+}
+
+TEST(TraceRecorder, ClosedHandleIsIgnoredAfterItsSlotIsReused) {
+  for (const auto mode : {RetentionMode::kFull, RetentionMode::kStatsOnly}) {
+    SCOPED_TRACE(mode == RetentionMode::kFull ? "kFull" : "kStatsOnly");
+    TraceRecorder rec;
+    rec.set_enabled(true);
+    rec.set_retention({mode, 1, 4096});
+    const auto first = rec.begin_span("t", "c", "first");
+    rec.end_span(first);
+    const double first_end = rec.spans().at(0).end;
+    // kStatsOnly hands "second" the slot "first" held; kFull keeps "first"
+    // where it was. Either way closing "first" again must change nothing.
+    const auto second = rec.begin_span("t", "c", "second");
+    rec.end_span(first, {{"who", "stale"}});
+    EXPECT_EQ(rec.open_span_count(), 1u);
+    EXPECT_EQ(rec.observed_span_count(), 1u);
+    rec.end_span(second);
+    const auto spans = rec.spans();
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(spans[0].name, "first");
+    EXPECT_EQ(spans[0].end, first_end);
+    EXPECT_TRUE(spans[0].args.empty());
+    EXPECT_EQ(spans[1].name, "second");
+    EXPECT_TRUE(spans[1].args.empty());
+    EXPECT_EQ(rec.observed_span_count(), 2u);
+  }
+}
+
 TEST(TraceRecorder, ConcurrentRecordingFromPoolThreads) {
   TraceRecorder rec;
   rec.set_enabled(true);
@@ -311,6 +370,94 @@ TEST(MetricsRegistry, DisabledRegistryRecordsNothing) {
   EXPECT_TRUE(reg.counters().empty());
   EXPECT_TRUE(reg.gauges().empty());
   EXPECT_TRUE(reg.distributions().empty());
+}
+
+TEST(MetricsRegistry, HandleUpdatesEqualNamedUpdatesInAnyLabelOrder) {
+  MetricsRegistry by_name;
+  MetricsRegistry by_handle;
+  by_name.set_enabled(true);
+  by_handle.set_enabled(true);
+  const HistogramSpec spec{0.0, 10.0, 5};
+  const CounterHandle c =
+      by_handle.counter_series("c", {{"b", "2"}, {"a", "1"}});
+  const GaugeHandle g = by_handle.gauge_series("g", {{"node", "3"}});
+  const DistributionHandle d =
+      by_handle.distribution_series("d", {{"stage", "x"}});
+  for (int i = 0; i < 4; ++i) {
+    by_name.counter_add("c", 1.5, {{"a", "1"}, {"b", "2"}});
+    by_handle.counter_add(c, 1.5);
+    by_name.gauge_set("g", i, {{"node", "3"}});
+    by_handle.gauge_set(g, i);
+    by_name.observe("d", 2.0 * i, {{"stage", "x"}}, spec);
+    by_handle.observe(d, 2.0 * i, spec);
+  }
+  // Named updates reach the handle's cell: one store, not two.
+  by_handle.counter_add("c", 1.0, {{"a", "1"}, {"b", "2"}});
+  by_name.counter_add("c", 1.0, {{"b", "2"}, {"a", "1"}});
+  EXPECT_EQ(to_metrics_text(by_name), to_metrics_text(by_handle));
+  EXPECT_DOUBLE_EQ(by_handle.counter("c", {{"a", "1"}, {"b", "2"}}), 7.0);
+  EXPECT_EQ(by_handle.counters().size(), 1u);
+  EXPECT_DOUBLE_EQ(by_handle.gauge("g", {{"node", "3"}}).value(), 3.0);
+  const auto dist = by_handle.distribution("d", {{"stage", "x"}});
+  ASSERT_TRUE(dist.has_value());
+  EXPECT_EQ(dist->stats.count(), 4u);
+  ASSERT_TRUE(dist->histogram.has_value());
+  EXPECT_EQ(dist->histogram->bin_count(), 5u);
+}
+
+TEST(MetricsRegistry, HandleSurvivesClearAndSeriesIsAbsentUntilTouched) {
+  MetricsRegistry reg;
+  reg.set_enabled(true);
+  const CounterHandle c = reg.counter_series("c");
+  const GaugeHandle g = reg.gauge_series("g");
+  const DistributionHandle d = reg.distribution_series("d");
+  // Resolving alone creates nothing visible.
+  EXPECT_TRUE(reg.counters().empty());
+  EXPECT_FALSE(reg.gauge("g").has_value());
+  reg.counter_add(c, 4.0);
+  reg.gauge_set(g, 2.0);
+  reg.observe(d, 1.0, HistogramSpec{0.0, 10.0, 10});
+  reg.clear();
+  EXPECT_TRUE(reg.counters().empty());
+  EXPECT_TRUE(reg.gauges().empty());
+  EXPECT_TRUE(reg.distributions().empty());
+  EXPECT_DOUBLE_EQ(reg.counter("c"), 0.0);
+  EXPECT_FALSE(reg.gauge("g").has_value());
+  EXPECT_FALSE(reg.distribution("d").has_value());
+  EXPECT_EQ(to_metrics_text(reg),
+            "# mfw metrics dump (counters, gauges, distributions)\n");
+  // Touched again, each series starts from nothing; the next spec-carrying
+  // observe fixes the bucket layout anew.
+  reg.counter_add(c, 1.0);
+  reg.observe(d, 3.0);
+  reg.observe(d, 5.0, HistogramSpec{0.0, 8.0, 4});
+  EXPECT_DOUBLE_EQ(reg.counter("c"), 1.0);
+  EXPECT_FALSE(reg.gauge("g").has_value());
+  const auto dist = reg.distribution("d");
+  ASSERT_TRUE(dist.has_value());
+  EXPECT_EQ(dist->stats.count(), 2u);
+  ASSERT_TRUE(dist->histogram.has_value());
+  EXPECT_EQ(dist->histogram->bin_count(), 4u);
+  EXPECT_EQ(dist->histogram->total(), 1u);
+}
+
+TEST(MetricsRegistry, DisabledRegistryIgnoresHandleUpdates) {
+  MetricsRegistry reg;
+  reg.set_enabled(true);
+  const CounterHandle c = reg.counter_series("c");
+  const GaugeHandle g = reg.gauge_series("g");
+  const DistributionHandle d = reg.distribution_series("d");
+  reg.set_enabled(false);
+  reg.counter_add(c, 1.0);
+  reg.gauge_set(g, 1.0);
+  reg.observe(d, 1.0);
+  reg.counter_add(CounterHandle{}, 1.0);  // unresolved: ignored too
+  EXPECT_TRUE(reg.counters().empty());
+  EXPECT_TRUE(reg.gauges().empty());
+  EXPECT_TRUE(reg.distributions().empty());
+  reg.set_enabled(true);
+  reg.counter_add(c, 2.0);
+  EXPECT_DOUBLE_EQ(reg.counter("c"), 2.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,15 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numbers>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/ascii_plot.hpp"
 #include "util/blocking_queue.hpp"
@@ -250,6 +256,89 @@ TEST(Strings, ParseRealIsStrict) {
   }
   EXPECT_FALSE(parse_real("-0.5", 0.0, out));
   EXPECT_TRUE(parse_real("0", 0.0, out));
+}
+
+/// Values whose six-decimal text is easy to get wrong: signed zeros, exact
+/// binary ties at the sixth decimal (0.0078125 = 2^-7 rounds half to even
+/// down, 0.0234375 = 3/128 up), tiny, huge and non-finite values, then a
+/// sweep of dyadic fractions and of mantissas at every decimal magnitude.
+std::vector<double> fixed6_cases() {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> cases = {
+      0.0,          -0.0,       1.0,         -1.5,        0.1,
+      123.456789,   1e-7,       -1e-7,       5e-7,        0.0078125,
+      -0.0078125,   0.0234375,  0.5,         2.5,         1234567.8912345,
+      1e20,         -1e20,      1e300,       -1e300,      limits::max(),
+      -limits::max(),           limits::denorm_min(),     limits::infinity(),
+      -limits::infinity(),      limits::quiet_NaN(),      -limits::quiet_NaN()};
+  for (int shift = 1; shift <= 24; ++shift)
+    for (int k = 1; k <= 64; ++k) cases.push_back(std::ldexp(k, -shift));
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (int exponent = -9; exponent <= 22; ++exponent) {
+    for (int i = 0; i < 64; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const double mantissa = static_cast<double>(state >> 11) * 0x1p-53;
+      cases.push_back((i % 2 ? -1.0 : 1.0) * mantissa *
+                      std::pow(10.0, exponent));
+    }
+  }
+  return cases;
+}
+
+TEST(Strings, Fixed6IsTheTextOfToString) {
+  for (const double value : fixed6_cases())
+    EXPECT_EQ(fixed6(value), std::to_string(value)) << value;
+  EXPECT_EQ(fixed6(0.0078125), "0.007812");
+  EXPECT_EQ(fixed6(0.0234375), "0.023438");
+  EXPECT_EQ(fixed6(-0.0), "-0.000000");
+}
+
+TEST(Strings, AppendPaddedIsPrintfZeroPadding) {
+  for (const int value : {0, 1, -1, 7, -7, 42, 999, 2022, 12345, -12345,
+                          std::numeric_limits<int>::max(),
+                          std::numeric_limits<int>::min()}) {
+    for (int width = 0; width <= 12; ++width) {
+      char expect[32];
+      std::snprintf(expect, sizeof expect, "%0*d", width, value);
+      std::string out = "x";
+      append_padded(out, value, width);
+      EXPECT_EQ(out, std::string("x") + expect)
+          << value << " at width " << width;
+    }
+  }
+}
+
+TEST(Strings, ParseDoublePrefixReadsWhatFixed6Writes) {
+  // Every text fixed6 writes reads back to strtod's double.
+  for (const double value : fixed6_cases()) {
+    if (!std::isfinite(value)) continue;
+    const std::string text = fixed6(value);
+    double out = 7.0;
+    ASSERT_TRUE(parse_double_prefix(text, out)) << text;
+    EXPECT_EQ(out, std::strtod(text.c_str(), nullptr)) << text;
+  }
+  // The longest numeric prefix, as strtod reads it.
+  for (const char* text : {"0", "3", "-12", "2.5", ".5", "-0.25", "1e300",
+                           "-1e-300", "12abc", "1.5e", "0.1.2", "4 5", "inf",
+                           "-inf", "infinity"}) {
+    double out = 7.0;
+    ASSERT_TRUE(parse_double_prefix(text, out)) << text;
+    EXPECT_EQ(out, std::strtod(text, nullptr)) << text;
+  }
+  double out = 7.0;
+  ASSERT_TRUE(parse_double_prefix("nan", out));
+  EXPECT_TRUE(std::isnan(out));
+  // Hex is not read: "0x10" is 0 followed by other text.
+  ASSERT_TRUE(parse_double_prefix("0x10", out));
+  EXPECT_EQ(out, 0.0);
+  // No numeric prefix, a blank or '+' before it, or out of range: `out` is
+  // left alone.
+  for (const char* text : {"", "abc", "-", ".", "e5", " 1", "+1", "1e999",
+                           "-1e999"}) {
+    out = 7.0;
+    EXPECT_FALSE(parse_double_prefix(text, out)) << text;
+    EXPECT_EQ(out, 7.0) << text;
+  }
 }
 
 TEST(Strings, SplitKeepsEmptyFields) {

@@ -8,7 +8,13 @@
 #
 # The build is forced to Release and the snapshot is refused unless the
 # document's own context stamp says "Release" — same guard as
-# tools/bench_kernels.sh. The stamp also records the compiler and nproc.
+# tools/bench_kernels.sh. The stamp also records the compiler, nproc and
+# cpus_allowed.
+#
+# The campaign is single-threaded, and unpinned its wall time follows the
+# scheduler as much as the code, so archive_campaign runs under taskset on
+# the first CPU of this script's own affinity (cpus_allowed then reads 1).
+# Without taskset it runs unpinned, with a warning.
 #
 # Usage: tools/bench_sim.sh [build-dir] [out-json] [extra archive_campaign args]
 #        (defaults: build-perf, BENCH_sim.json; pass --quick for a CI-sized
@@ -23,7 +29,14 @@ shift $(( $# > 2 ? 2 : $# ))
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "$(nproc)" --target archive_campaign
 
-"${build_dir}/bench/archive_campaign" --out "${out_json}" "$@"
+pin=()
+if command -v taskset > /dev/null; then
+  first_cpu="$(taskset -pc $$ | sed 's/.*: *//; s/[-,].*//')"
+  pin=(taskset -c "${first_cpu}")
+else
+  echo "WARNING: taskset not found; running archive_campaign unpinned" >&2
+fi
+"${pin[@]}" "${build_dir}/bench/archive_campaign" --out "${out_json}" "$@"
 
 build_type="$(grep -o '"build_type": "[^"]*"' "${out_json}" |
               head -1 | cut -d'"' -f4)"

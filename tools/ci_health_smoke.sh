@@ -17,6 +17,11 @@
 #      and the alert must surface in the JSON stream as well as on stdout.
 #   5. Flag validation: `mfwctl watch` rejects unknown flags with usage on
 #      stderr and exit code 2.
+#   6. Byte-for-byte telemetry: the streaming watch's --health-out and
+#      --flight-out, the quick archive campaign's --report-out and
+#      --health-out, and the chaos run's --health-out must match
+#      tools/baselines/telemetry.sha256. An intended format change re-records
+#      those lines (`sha256sum` of the files each run writes, named as here).
 #
 # Usage: tools/ci_health_smoke.sh [build-dir]   (default: build-perf, shared
 #        with the perf/spec smokes so CI reuses one Release tree)
@@ -28,7 +33,7 @@ build_dir="${1:-"${repo_root}/build-perf"}"
 pins="${repo_root}/tools/baselines/fig6_csv.sha256"
 
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
-cmake --build "${build_dir}" -j "$(nproc)" --target mfwctl
+cmake --build "${build_dir}" -j "$(nproc)" --target mfwctl archive_campaign
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "${workdir}"' EXIT
@@ -39,7 +44,8 @@ fig6="${repo_root}/tools/baselines/fig6.yaml"
 clean_out="$("${mfwctl}" watch "${fig6}" --quiet \
     --csv "${workdir}/fig6.csv" --health-out "${workdir}/clean.json")"
 "${mfwctl}" watch "${repo_root}/tools/baselines/fig6_streaming.yaml" --quiet \
-    --csv "${workdir}/fig6_streaming.csv" > /dev/null
+    --csv "${workdir}/fig6_streaming.csv" --health-out "${workdir}/health.json" \
+    --flight-out "${workdir}/flight.json" > /dev/null
 if ! (cd "${workdir}" && sha256sum --check --quiet "${pins}"); then
   echo "FAIL: watch-enabled fig6 CSVs drifted from the unwatched pins in ${pins}" >&2
   (cd "${workdir}" && sha256sum fig6.csv fig6_streaming.csv) >&2
@@ -116,5 +122,21 @@ if ! grep -q "unknown flag '--bogus' for command 'watch'" <<< "${reject_out}"; t
   exit 1
 fi
 echo "OK: watch rejects unknown flags with usage + exit 2"
+
+# -- 6. byte-for-byte telemetry ---------------------------------------------
+telemetry_pins="${repo_root}/tools/baselines/telemetry.sha256"
+"${build_dir}/bench/archive_campaign" --quick \
+    --report-out "${workdir}/report.json" \
+    --health-out "${workdir}/campaign_health.json" > /dev/null 2>&1
+if ! grep -E '  (health|flight|report|campaign_health|chaos)\.json$' \
+    "${telemetry_pins}" |
+    (cd "${workdir}" && sha256sum --check --quiet --strict); then
+  echo "FAIL: telemetry output drifted from ${telemetry_pins}" >&2
+  (cd "${workdir}" && sha256sum health.json flight.json report.json \
+      campaign_health.json chaos.json) >&2
+  exit 1
+fi
+echo "OK: health, flight, campaign report and chaos health files match" \
+     "${telemetry_pins##*/}"
 
 echo "health smoke: all gates passed"

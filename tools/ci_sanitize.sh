@@ -11,7 +11,9 @@
 # statistics and one-pass MOD02/MOD03/MOD06 synthesis run from one const
 # generator on several threads, and whose Catalog.MaterializeAcrossThreads
 # shares one const ArchiveService, with the mutex-guarded holder of
-# synthesised but unrequested products, among four threads.
+# synthesised but unrequested products, among four threads. It also runs
+# obs_test (TraceRecorder span slots and MetricsRegistry series cells under
+# pool threads, ConcurrentRecordingFromPoolThreads) and obs_watch_test.
 #
 # After the sanitizer suites pass, the perf smoke gate
 # (tools/ci_perf_smoke.sh) runs on a Release build to catch determinism
@@ -63,8 +65,9 @@ cmake -B "${tsan_dir}" -S "${repo_root}" -DMFW_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${tsan_dir}" -j "$(nproc)" --target \
       ml_test ml_tensor_test ml_train_test ml_cluster_test ml_continual_test \
-      ml_quant_test util_test modis_test
-ctest --test-dir "${tsan_dir}" -R '^(ml_|util_|modis_)' --output-on-failure
+      ml_quant_test util_test modis_test obs_test obs_watch_test
+ctest --test-dir "${tsan_dir}" \
+      -R '^(ml_|util_|modis_|obs_test$|obs_watch_test$)' --output-on-failure
 
 if [[ "${MFW_SKIP_PERF:-0}" != "1" ]]; then
   "${repo_root}/tools/ci_perf_smoke.sh"

@@ -6,6 +6,13 @@
 # (download/preprocess/inference). Guards the obs layer end-to-end: recorder,
 # workflow instrumentation, and exporter.
 #
+# Then pins `mfwctl trace tools/baselines/fig6.yaml`'s trace and metrics
+# files byte for byte against tools/baselines/telemetry.sha256 (trace.json,
+# metrics.txt): recording and export must not change one byte they write.
+# An intended format change re-records the two lines with
+#   mfwctl trace tools/baselines/fig6.yaml --out trace.json \
+#       --metrics metrics.txt && sha256sum trace.json metrics.txt
+#
 # Usage: tools/ci_trace_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -13,7 +20,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-"${repo_root}/build"}"
 
 cmake -B "${build_dir}" -S "${repo_root}"
-cmake --build "${build_dir}" -j "$(nproc)" --target fig6_timeline
+cmake --build "${build_dir}" -j "$(nproc)" --target fig6_timeline mfwctl
 
 out_dir="$(mktemp -d)"
 trap 'rm -rf "${out_dir}"' EXIT
@@ -60,5 +67,18 @@ instants = sum(1 for e in events if e["ph"] == "i")
 print(f"trace OK: {len(events)} events, {spans} spans, {instants} instants, "
       f"processes {sorted(seen_processes)}")
 EOF
+
+# -- byte-for-byte trace and metrics export ----------------------------------
+pins="${repo_root}/tools/baselines/telemetry.sha256"
+"${build_dir}/tools/mfwctl" trace "${repo_root}/tools/baselines/fig6.yaml" \
+    --out "${out_dir}/trace.json" --metrics "${out_dir}/metrics.txt" \
+    > /dev/null
+if ! grep -E '  (trace\.json|metrics\.txt)$' "${pins}" |
+    (cd "${out_dir}" && sha256sum --check --quiet --strict); then
+  echo "FAIL: mfwctl trace output drifted from ${pins}" >&2
+  (cd "${out_dir}" && sha256sum trace.json metrics.txt) >&2
+  exit 1
+fi
+echo "OK: fig6 trace and metrics files match ${pins##*/}"
 
 echo "ci_trace_smoke: PASS"
