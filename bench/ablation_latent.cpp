@@ -12,7 +12,7 @@
 // --int8-check appends an accuracy audit of the int8 inference path on the
 // trained arm: the 42-class assignments of the fp32 reference vs the fused
 // fp32 plan (must be bitwise identical) and vs the int8 quantized plan
-// (agreement fraction; ci_int8_smoke.sh gates it at >= 0.99).
+// (agreement fraction; the int8_check smoke check gates it at >= 0.99).
 #include <cstdio>
 #include <cstring>
 #include <optional>

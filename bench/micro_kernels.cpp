@@ -62,7 +62,8 @@ std::vector<std::int8_t> random_s8(std::size_t n, std::uint64_t seed) {
 }
 
 // Same shapes as BM_Sgemm so items_per_second (MAC/s) compares directly;
-// ci_int8_smoke.sh gates the int8-over-fp32 ratio on the [8][72][1024] shape.
+// The int8_speedup_floor check gates the int8-over-fp32 ratio on the
+// [8][72][1024] shape.
 void BM_GemmS8(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
@@ -179,7 +180,7 @@ BENCHMARK(BM_RiccEncodeBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
 
 // End-to-end encode across the three inference paths on the paper's
 // 6ch 32x32 tile shape; items_per_second is tiles/sec/core (sequential).
-// ci_int8_smoke.sh gates int8 >= 2x the layers path.
+// The int8_speedup_floor check gates int8 >= 2x the layers path.
 void ricc_encode_path(benchmark::State& state,
                       ml::RiccModel::EncodePath path) {
   ml::RiccConfig config;

@@ -6,8 +6,8 @@
 // ParameterSweep idiom. Each point reports makespan, facility utilization,
 // p99 queue wait, deadline misses, and the spec's declared deadline SLO
 // (which policies keep the miss-rate budget?); the grid lands in
-// BENCH_policies.json (schema mfw.policies/v1) for tools/ci_spec_smoke.sh
-// and EXPERIMENTS.md.
+// BENCH_policies.json (schema mfw.policies/v1) for the sweep_quick_grid
+// smoke check and EXPERIMENTS.md.
 //
 // Usage: policy_sweep [--quick] [--out <path>]
 //   --quick  2 policies x 1 facility-count x 1 load (the CI smoke grid)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <set>
@@ -19,29 +18,6 @@ namespace mfw::obs {
 namespace {
 
 constexpr double kEps = 1e-9;
-
-const std::string* arg(const TraceSpan& span, std::string_view key) {
-  for (const auto& [k, v] : span.args)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-double arg_double(const TraceSpan& span, std::string_view key,
-                  double fallback = 0.0) {
-  const std::string* value = arg(span, key);
-  if (!value) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  return end == value->c_str() ? fallback : parsed;
-}
-
-/// Granule identity threaded through the stages ("granule" on task spans and
-/// flow runs, "key" on granule.ready instants).
-std::string granule_of(const TraceSpan& span) {
-  if (const std::string* g = arg(span, "granule")) return *g;
-  if (const std::string* k = arg(span, "key")) return *k;
-  return {};
-}
 
 /// Second path component of a worker lane: "preprocess/node3/w1" -> "node3".
 /// Lanes without a node level ("download/w0") keep the worker component.
@@ -124,7 +100,7 @@ std::vector<ProcessData> collect(const Snapshot& snapshot) {
       const std::string stage(track_stage(track.name));
       data.task_groups[stage].push_back(task);
       if (span.category == "compute" && stage == "preprocess") {
-        const std::string granule = granule_of(span);
+        const std::string granule = granule_arg(span.args);
         if (!granule.empty()) data.granule_preprocess[granule] = task;
       }
     } else if (span.category == "flow") {
@@ -183,7 +159,7 @@ void compute_stage_stats(const ProcessData& data, const AnalyzeOptions& options,
       lanes.insert(task.track->name);
       stat.busy_s += task.duration();
       durations.push_back(task.duration());
-      waits.push_back(arg_double(*task.span, "queue_wait_s"));
+      waits.push_back(arg_number(task.span->args, "queue_wait_s"));
     }
     stat.workers = lanes.size();
     const double capacity = stat.duration() * static_cast<double>(stat.workers);
@@ -284,7 +260,7 @@ void detect_stragglers(const ProcessData& data, const AnalyzeOptions& options,
     durations.reserve(tasks.size());
     for (const Task& task : tasks) {
       durations.push_back(task.duration());
-      payloads.push_back(arg_double(*task.span, "payload"));
+      payloads.push_back(arg_number(task.span->args, "payload"));
     }
     StragglerGroup group;
     group.group = stage;
@@ -312,18 +288,18 @@ void detect_stragglers(const ProcessData& data, const AnalyzeOptions& options,
       straggler.group = stage;
       straggler.name = task.span->name;
       straggler.track = task.track->name;
-      straggler.granule = granule_of(*task.span);
+      straggler.granule = granule_arg(task.span->args);
       straggler.duration = duration;
       straggler.ratio = duration / group.median;
-      straggler.queue_wait = arg_double(*task.span, "queue_wait_s");
+      straggler.queue_wait = arg_number(task.span->args, "queue_wait_s");
       if (is_download) {
         straggler.attribution =
-            arg_double(*task.span, "attempts", 1.0) > 1.0 ? "wan-retry"
-                                                          : "wan-slow";
+            arg_number(task.span->args, "attempts", 1.0) > 1.0 ? "wan-retry"
+                                                               : "wan-slow";
       } else if (straggler.queue_wait >= options.queue_share * duration) {
         straggler.attribution = "queue-wait";
       } else if (median_payload > 0.0 &&
-                 arg_double(*task.span, "payload") >
+                 arg_number(task.span->args, "payload") >
                      options.payload_factor * median_payload) {
         straggler.attribution = "input-size";
       } else {
@@ -368,11 +344,11 @@ void detect_stragglers(const ProcessData& data, const AnalyzeOptions& options,
       straggler.group = group.group;
       straggler.name = task.span->name;
       straggler.track = task.track->name;
-      straggler.granule = granule_of(*task.span);
+      straggler.granule = granule_arg(task.span->args);
       straggler.duration = duration;
       straggler.ratio = duration / group.median;
       const double overhead =
-          arg_double(*task.span, "orchestration_overhead_s");
+          arg_number(task.span->args, "orchestration_overhead_s");
       straggler.attribution = overhead >= 0.5 * duration ? "orchestration"
                                                          : "action-service";
       group.flagged.push_back(std::move(straggler));
@@ -440,7 +416,7 @@ CriticalPath compute_critical_path(const ProcessData& data) {
         last = &run;
     if (last) {
       wait_to(last->span->end, "drain-wait", "flow drain");
-      granule = granule_of(*last->span);
+      granule = granule_arg(last->span->args);
       const auto states = data.flow_states.find(last->span->track);
       if (states != data.flow_states.end()) {
         for (auto it = states->second.rbegin(); it != states->second.rend();
@@ -464,10 +440,10 @@ CriticalPath compute_critical_path(const ProcessData& data) {
         last = &task;
     if (last) {
       wait_to(last->span->end, "drain-wait", "inference drain");
-      granule = granule_of(*last->span);
+      granule = granule_arg(last->span->args);
       emit("inference", last->span->name, granule, last->span->start,
            last->span->end);
-      const double wait = arg_double(*last->span, "queue_wait_s");
+      const double wait = arg_number(last->span->args, "queue_wait_s");
       if (wait > kEps)
         emit("queue-wait", "inference queue", granule,
              last->span->start - wait, last->span->start);
@@ -494,10 +470,10 @@ CriticalPath compute_critical_path(const ProcessData& data) {
   }
   if (preprocess) {
     wait_to(preprocess->span->end, "monitor-wait", "tile -> flow trigger");
-    granule = granule_of(*preprocess->span);
+    granule = granule_arg(preprocess->span->args);
     emit("preprocess", preprocess->span->name, granule,
          preprocess->span->start, preprocess->span->end);
-    const double wait = arg_double(*preprocess->span, "queue_wait_s");
+    const double wait = arg_number(preprocess->span->args, "queue_wait_s");
     if (wait > kEps)
       emit("queue-wait", "preprocess queue", granule,
            preprocess->span->start - wait, preprocess->span->start);
@@ -521,7 +497,7 @@ CriticalPath compute_critical_path(const ProcessData& data) {
           stage && std::abs(last->span->end - stage->end) <= 1e-6;
       wait_to(last->span->end, "submit-wait",
               barrier ? "download barrier release" : "dispatch wait");
-      emit("download", last->span->name, granule_of(*last->span),
+      emit("download", last->span->name, granule_arg(last->span->args),
            last->span->start, last->span->end);
     }
     // Everything earlier is the pipelined download phase: the granule's own

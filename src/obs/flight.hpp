@@ -12,9 +12,9 @@
 // amortised growth.
 //
 // Zero-perturbation contract (same argument as the watch layer, sha256-
-// gated in tools/ci_diff_smoke.sh): the ring only *reads* the event stream
-// under the recorder lock, touches no simulation state, takes no clock of
-// its own, and its dump path runs strictly outside recording. A run with
+// gated by the run_fig6_flight smoke check): the ring only *reads* the event
+// stream under the recorder lock, touches no simulation state, takes no clock
+// of its own, and its dump path runs strictly outside recording. A run with
 // the flight recorder attached is bit-for-bit identical to one without.
 //
 // Dump triggers, most automatic first:

@@ -1,5 +1,7 @@
 #include "obs/trace.hpp"
 
+#include "util/strings.hpp"
+
 namespace mfw::obs {
 
 namespace {
@@ -10,6 +12,24 @@ const sim::Clock& wall_fallback() {
   return wall;
 }
 }  // namespace
+
+const std::string* find_arg(const Args& args, std::string_view key) {
+  for (const auto& [k, v] : args)
+    if (k == key) return &v;
+  return nullptr;
+}
+
+double arg_number(const Args& args, std::string_view key, double fallback) {
+  const std::string* value = find_arg(args, key);
+  if (value) util::parse_double_prefix(*value, fallback);
+  return fallback;
+}
+
+std::string granule_arg(const Args& args) {
+  if (const std::string* g = find_arg(args, "granule")) return *g;
+  if (const std::string* k = find_arg(args, "key")) return *k;
+  return {};
+}
 
 TraceRecorder& TraceRecorder::instance() {
   static TraceRecorder recorder;

@@ -40,6 +40,18 @@ namespace mfw::obs {
 /// trace-event "args").
 using Args = std::vector<std::pair<std::string, std::string>>;
 
+/// The value of `key` in `args`, or nullptr when absent.
+const std::string* find_arg(const Args& args, std::string_view key);
+
+/// `key`'s value read as a number (util::parse_double_prefix), or `fallback`
+/// when it is absent or does not start with one.
+double arg_number(const Args& args, std::string_view key,
+                  double fallback = 0.0);
+
+/// The granule a span or instant belongs to: its "granule" arg (task spans,
+/// flow runs), else its "key" arg (granule.ready instants), else empty.
+std::string granule_arg(const Args& args);
+
 /// Handle for an open span; zero-initialised means "not recording". The id
 /// packs the slot the span occupies with an epoch, so a handle that outlives
 /// its span (closed twice, or kept across TraceRecorder::clear()) is ignored

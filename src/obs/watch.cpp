@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "obs/export.hpp"
-#include "util/strings.hpp"
 
 namespace mfw::obs {
 
@@ -31,12 +30,6 @@ std::string num(double value) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.6g", value);
   return buf;
-}
-
-double parse_double(const std::string& text, double fallback) {
-  double value = fallback;
-  util::parse_double_prefix(text, value);
-  return value;
 }
 
 /// Merged {count, p99, p50-of-stream} view of the series windows overlapping
@@ -102,18 +95,10 @@ void TelemetryBus::on_span(const TraceTrack& track, const TraceSpan& span) {
   TelemetryEvent event;
   event.stage = track_stage(track.name);
   event.category = span.category;
-  event.name = span.name;
   event.start = span.start;
   event.end = span.end;
-  for (const auto& [key, value] : span.args) {
-    if (key == "queue_wait_s") {
-      event.queue_wait_s = parse_double(value, event.queue_wait_s);
-    } else if (key == "attempts") {
-      event.attempts = static_cast<int>(parse_double(value, 0.0));
-    } else if (key == "status") {
-      event.status = value;
-    }
-  }
+  event.queue_wait_s = arg_number(span.args, "queue_wait_s", -1.0);
+  event.attempts = static_cast<int>(arg_number(span.args, "attempts"));
   fan_out(std::move(event));
 }
 
@@ -124,7 +109,6 @@ void TelemetryBus::on_instant(const TraceTrack& track,
   event.is_instant = true;
   event.stage = track_stage(track.name);
   event.category = instant.category;
-  event.name = instant.name;
   event.start = event.end = instant.at;
   fan_out(std::move(event));
 }

@@ -26,9 +26,9 @@
 // (never scheduled into the workflow's engine by this layer), and no
 // simulation state — RNG, queues, links — is touched. A paper run with the
 // bus attached is therefore bit-for-bit identical to an unwatched run
-// (sha256-gated in tools/ci_health_smoke.sh), and with the recorder disabled
-// the cost at every call site stays the single relaxed atomic load gated in
-// bench/micro_obs.cpp.
+// (sha256-gated by the watch_fig6* smoke checks), and with the recorder
+// disabled the cost at every call site stays the single relaxed atomic load
+// gated in bench/micro_obs.cpp.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +52,10 @@ struct TelemetryEvent {
   bool is_instant = false;
   std::string stage;     // track_stage(track.name): "download", "preprocess"
   std::string category;  // span category: "compute", "download", "stage", ...
-  std::string name;
   double start = 0.0;
   double end = 0.0;            // == start for instants
   double queue_wait_s = -1.0;  // parsed "queue_wait_s" arg; < 0 when absent
   int attempts = 0;            // parsed "attempts" arg; 0 when absent
-  std::string status;          // "status" arg when present
 
   double duration() const { return end - start; }
 };

@@ -338,11 +338,9 @@ void EomlConfig::validate() const {
     throw std::invalid_argument("config: contention law parameters must be > 0");
   if (inference_workers <= 0)
     throw std::invalid_argument("config: inference_workers must be >= 1");
-  if (encode_path != "layers" && encode_path != "fused" &&
-      encode_path != "int8")
-    throw std::invalid_argument(
-        "config: encode_path must be layers|fused|int8, got '" + encode_path +
-        "'");
+  if (encode_path != "fused" && encode_path != "int8")
+    throw std::invalid_argument("config: encode_path must be fused|int8, got '" +
+                                encode_path + "'");
   if (inference_batch == 0)
     throw std::invalid_argument("config: inference batch must be >= 1");
   if (inference_tile_budget != 0 && inference_tile_budget < inference_batch)

@@ -71,7 +71,7 @@ struct LabResult {
 LabResult run_lab(const LabConfig& config);
 
 /// Serializes sweep results as the "mfw.policies/v1" JSON document consumed
-/// by tools/ci_spec_smoke.sh and EXPERIMENTS.md (one record per
+/// by the sweep_quick_grid smoke check and EXPERIMENTS.md (one record per
 /// policy x facility-count x load point).
 std::string results_to_json(const std::vector<LabResult>& results);
 

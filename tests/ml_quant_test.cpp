@@ -248,9 +248,9 @@ TEST(QuantizedEncoder, LatentsCloseToFp32AndBatchDeterministic) {
 }
 
 TEST(QuantizedEncoder, ClusterAssignmentAgreesWithFp32) {
-  // The ISSUE-level gate (>= 99% on the trained ablation workload) runs in
-  // ci_int8_smoke.sh; here an untrained model + random centroids must still
-  // agree on the vast majority of tiles.
+  // The >= 99% gate on the trained ablation workload is the int8_check smoke
+  // check; here an untrained model + random centroids must still agree on
+  // the vast majority of tiles.
   RiccModel model(small_config());
   util::Rng rng(77);
   model.set_centroids(Tensor::he_normal({42, 8}, rng));

@@ -131,7 +131,6 @@ TEST(TelemetryBusTest, ParsesWellKnownArgs) {
   EXPECT_EQ(events[0].category, "download");
   EXPECT_DOUBLE_EQ(events[0].queue_wait_s, 1.5);
   EXPECT_EQ(events[0].attempts, 3);
-  EXPECT_EQ(events[0].status, "ok");
   EXPECT_DOUBLE_EQ(events[0].duration(), 4.0);
   EXPECT_TRUE(events[1].is_instant);
   EXPECT_EQ(events[1].stage, "flow");

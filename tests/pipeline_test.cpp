@@ -244,6 +244,19 @@ TEST(Config, RejectsInvalidValues) {
                util::YamlError);
 }
 
+TEST(Config, EncodePathIsFusedOrInt8) {
+  EXPECT_EQ(EomlConfig::from_yaml_text("inference:\n  encode_path: int8\n")
+                .encode_path,
+            "int8");
+  try {
+    EomlConfig::from_yaml_text("inference:\n  encode_path: layers\n");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "config: encode_path must be fused|int8, got 'layers'");
+  }
+}
+
 TEST(Config, SchedulingModeParsing) {
   // Barrier is the paper-faithful reproduction default.
   EXPECT_EQ(EomlConfig{}.scheduling, SchedulingMode::kBarrier);

@@ -34,7 +34,7 @@
 //       shifts ranked by magnitude, with queue-wait, straggler-cause, and
 //       path-membership evidence. Emits a text verdict (or mfw.trace_diff/v1
 //       JSON with --json). --gate exits 3 when B regressed beyond noise —
-//       the CI perf gate (tools/ci_perf_smoke.sh, tools/ci_diff_smoke.sh).
+//       the CI perf gate (the diff_fig6_* smoke checks).
 //       Exit 1 with a clear message on schema mismatch or truncated input.
 //   mfwctl watch <config.yaml> [--interval <sim-s>] [--window <s>]
 //                [--anomaly-k <k>] [--health-out <path>] [--csv <path>]
@@ -45,7 +45,7 @@
 //       --interval sim-seconds and writing the mfw.health/v1 alert stream
 //       to --health-out. Watching is read-only: the run is bit-for-bit
 //       identical to `mfwctl run` (--csv emits the same timeline CSV,
-//       sha256-gated in tools/ci_health_smoke.sh).
+//       sha256-gated by the watch_fig6* smoke checks).
 //
 //   `run` and `watch` additionally take [--flight-out <path>]
 //   [--flight-capacity <n>]: attach the always-on crash-safe flight recorder
@@ -53,7 +53,7 @@
 //   health episodes, dumped as Perfetto-loadable Chrome-trace JSON at end of
 //   run, on std::terminate, and (under watch) the moment an SLO alert fires.
 //   The ring is a read-only SpanSink, so the run stays bit-for-bit identical
-//   (sha256-gated in tools/ci_diff_smoke.sh).
+//   (sha256-gated by the run_fig6_flight smoke check).
 //   mfwctl plan <spec.yaml> | --builtin [--facility olcf|nersc|alcf]
 //       Validate a declarative workflow spec (stages, claims, dataflow
 //       edges, campaign) against a facility and print the compiled DAG.
