@@ -92,20 +92,6 @@ AiccaArchive AiccaArchive::load(storage::FileSystem& fs,
   return archive;
 }
 
-std::vector<std::size_t> AiccaArchive::class_histogram(int num_classes) const {
-  if (num_classes <= 0)
-    throw std::invalid_argument("class_histogram: num_classes must be > 0");
-  std::vector<std::size_t> histogram(static_cast<std::size_t>(num_classes), 0);
-  for (const auto& record : records_) {
-    if (record.label < 0 || record.label >= num_classes)
-      throw std::out_of_range("tile label " + std::to_string(record.label) +
-                              " outside [0, " + std::to_string(num_classes) +
-                              ")");
-    ++histogram[static_cast<std::size_t>(record.label)];
-  }
-  return histogram;
-}
-
 std::map<int, ClassStats> AiccaArchive::class_stats() const {
   std::map<int, ClassStats> stats;
   for (const auto& record : records_) {

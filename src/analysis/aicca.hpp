@@ -64,10 +64,6 @@ class AiccaArchive {
   std::size_t skipped_manifests() const { return skipped_; }
   const std::vector<TileRecord>& records() const { return records_; }
 
-  /// Occurrence count per class id (size = num_classes; out-of-range labels
-  /// throw).
-  std::vector<std::size_t> class_histogram(int num_classes) const;
-
   /// Aggregates per class (classes with zero tiles are absent).
   std::map<int, ClassStats> class_stats() const;
 

@@ -115,11 +115,6 @@ int ClusterExecutor::node_busy(int node_id) const {
   return it == nodes_.end() ? 0 : it->second->busy();
 }
 
-void ClusterExecutor::clear_history() {
-  activity_.clear();
-  results_.clear();
-}
-
 void ClusterExecutor::dispatch() {
   while (!queue_.empty()) {
     // Least-loaded placement: spread tasks across nodes, as the Parsl

@@ -137,8 +137,6 @@ class ClusterExecutor {
   }
   /// Completed task results (in completion order).
   const std::vector<SimTaskResult>& results() const { return results_; }
-  /// Drops recorded results/activity (between benchmark repetitions).
-  void clear_history();
 
  private:
   struct PendingTask {

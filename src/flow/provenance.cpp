@@ -8,15 +8,6 @@ namespace mfw::flow {
 
 void ProvenanceLog::record(RunRecord run) { runs_.push_back(std::move(run)); }
 
-std::vector<const RunRecord*> ProvenanceLog::runs_of(
-    std::string_view flow_name) const {
-  std::vector<const RunRecord*> out;
-  for (const auto& run : runs_) {
-    if (run.flow_name == flow_name) out.push_back(&run);
-  }
-  return out;
-}
-
 double ProvenanceLog::mean_action_overhead() const {
   double total = 0.0;
   std::size_t count = 0;

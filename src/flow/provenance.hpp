@@ -56,9 +56,6 @@ class ProvenanceLog {
   const RunRecord& run(std::size_t index) const { return runs_.at(index); }
   const std::vector<RunRecord>& runs() const { return runs_; }
 
-  /// All runs of one flow.
-  std::vector<const RunRecord*> runs_of(std::string_view flow_name) const;
-
   /// Mean orchestration overhead per action transition across all runs.
   double mean_action_overhead() const;
 

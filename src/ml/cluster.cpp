@@ -205,57 +205,6 @@ ClusterResult agglomerative_ward(std::span<const float> data, std::size_t n,
   return agglomerative_ward(data, n, d, k, nullptr);
 }
 
-ClusterResult kmeans(std::span<const float> data, std::size_t n, std::size_t d,
-                     int k, util::Rng& rng, int max_iters) {
-  check_inputs(data, n, d, k);
-  // k-means++ seeding.
-  Tensor centroids({k, static_cast<int>(d)});
-  std::vector<double> min_d2(n, std::numeric_limits<double>::infinity());
-  const std::size_t first = static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  for (std::size_t j = 0; j < d; ++j) centroids[j] = data[first * d + j];
-  for (int c = 1; c < k; ++c) {
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d2 = squared_distance(
-          data.subspan(i * d, d),
-          std::span<const float>(centroids.data() + (c - 1) * d, d));
-      min_d2[i] = std::min(min_d2[i], d2);
-      total += min_d2[i];
-    }
-    double pick = rng.uniform() * total;
-    std::size_t chosen = n - 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      pick -= min_d2[i];
-      if (pick <= 0) {
-        chosen = i;
-        break;
-      }
-    }
-    for (std::size_t j = 0; j < d; ++j)
-      centroids[static_cast<std::size_t>(c) * d + j] = data[chosen * d + j];
-  }
-
-  ClusterResult result;
-  result.k = k;
-  result.dim = d;
-  result.labels.assign(n, 0);
-  for (int iter = 0; iter < max_iters; ++iter) {
-    bool changed = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const int label = nearest_centroid(centroids, data.subspan(i * d, d));
-      if (label != result.labels[i]) {
-        result.labels[i] = label;
-        changed = true;
-      }
-    }
-    centroids = centroids_from_labels(data, n, d, result.labels, k);
-    if (!changed) break;
-  }
-  result.centroids = std::move(centroids);
-  return result;
-}
-
 double silhouette(std::span<const float> data, std::size_t n, std::size_t d,
                   std::span<const int> labels, int k) {
   if (labels.size() != n) throw std::invalid_argument("labels size != n");
@@ -287,18 +236,6 @@ double silhouette(std::span<const float> data, std::size_t n, std::size_t d,
     ++scored;
   }
   return scored ? total / static_cast<double>(scored) : 0.0;
-}
-
-double within_cluster_ss(std::span<const float> data, std::size_t n,
-                         std::size_t d, const ClusterResult& result) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto label = static_cast<std::size_t>(result.labels[i]);
-    total += squared_distance(
-        data.subspan(i * d, d),
-        std::span<const float>(result.centroids.data() + label * d, d));
-  }
-  return total;
 }
 
 int nearest_centroid(const Tensor& centroids, std::span<const float> point) {

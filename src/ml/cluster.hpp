@@ -4,9 +4,8 @@
 // *agglomerative hierarchical clustering* (Ward linkage) to derive its 42
 // cloud classes, then assigns unseen tiles to the nearest cluster centroid.
 // We implement Ward via the nearest-neighbour-chain algorithm (O(n^2) time,
-// O(n^2) memory) plus k-means as the baseline comparator the RICC paper
-// evaluates against, and silhouette / within-cluster metrics for the
-// "cluster evaluation" stage.
+// O(n^2) memory), and the silhouette score for the "cluster evaluation"
+// stage.
 #pragma once
 
 #include <cstddef>
@@ -46,18 +45,10 @@ ClusterResult agglomerative_ward(std::span<const float> data, std::size_t n,
 ClusterResult agglomerative_ward(std::span<const float> data, std::size_t n,
                                  std::size_t d, int k);
 
-/// Lloyd's k-means with k-means++ seeding.
-ClusterResult kmeans(std::span<const float> data, std::size_t n, std::size_t d,
-                     int k, util::Rng& rng, int max_iters = 50);
-
 /// Mean silhouette coefficient in [-1, 1]; higher is better separation.
 /// O(n^2) — intended for evaluation-sized samples.
 double silhouette(std::span<const float> data, std::size_t n, std::size_t d,
                   std::span<const int> labels, int k);
-
-/// Sum over clusters of within-cluster squared distance to the centroid.
-double within_cluster_ss(std::span<const float> data, std::size_t n,
-                         std::size_t d, const ClusterResult& result);
 
 /// Index of the nearest centroid ([k][dim]) to `point` (squared Euclidean).
 int nearest_centroid(const Tensor& centroids, std::span<const float> point);

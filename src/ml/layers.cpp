@@ -154,21 +154,6 @@ Tensor Dense::backward(const Tensor& grad_output) {
 
 // ----------------------------------------------------------- activations --
 
-Tensor ReLU::forward(const Tensor& input) {
-  input_ = input;
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    if (out[i] < 0.0f) out[i] = 0.0f;
-  return out;
-}
-
-Tensor ReLU::backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.size(); ++i)
-    if (input_[i] <= 0.0f) grad[i] = 0.0f;
-  return grad;
-}
-
 Tensor LeakyReLU::forward(const Tensor& input) {
   input_ = input;
   Tensor out = input;
@@ -181,23 +166,6 @@ Tensor LeakyReLU::backward(const Tensor& grad_output) {
   Tensor grad = grad_output;
   for (std::size_t i = 0; i < grad.size(); ++i)
     if (input_[i] <= 0.0f) grad[i] *= slope_;
-  return grad;
-}
-
-Tensor Sigmoid::forward(const Tensor& input) {
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = 1.0f / (1.0f + std::exp(-out[i]));
-  output_ = out;
-  return out;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    const float y = output_[i];
-    grad[i] *= y * (1.0f - y);
-  }
   return grad;
 }
 

@@ -97,19 +97,6 @@ class Dense final : public Layer {
   Tensor input_;
 };
 
-class ReLU final : public Layer {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "relu"; }
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<ReLU>(*this);
-  }
-
- private:
-  Tensor input_;
-};
-
 class LeakyReLU final : public Layer {
  public:
   explicit LeakyReLU(float slope = 0.1f) : slope_(slope) {}
@@ -125,19 +112,6 @@ class LeakyReLU final : public Layer {
  private:
   float slope_;
   Tensor input_;
-};
-
-class Sigmoid final : public Layer {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "sigmoid"; }
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<Sigmoid>(*this);
-  }
-
- private:
-  Tensor output_;
 };
 
 /// 2x2 max pooling with stride 2 (requires even H and W).

@@ -5,33 +5,9 @@
 
 namespace mfw::ml {
 
-void Optimizer::zero_grad() {
-  for (Param* p : params_) p->grad.zero();
-}
-
-Sgd::Sgd(std::vector<Param*> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (lr <= 0) throw std::invalid_argument("Sgd: lr must be > 0");
-  velocity_.reserve(params_.size());
-  for (Param* p : params_) velocity_.push_back(Tensor::zeros(p->value.shape()));
-}
-
-void Sgd::step(std::size_t batch_size) {
-  const float scale = 1.0f / static_cast<float>(batch_size == 0 ? 1 : batch_size);
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Param* p = params_[i];
-    Tensor& vel = velocity_[i];
-    for (std::size_t j = 0; j < p->value.size(); ++j) {
-      vel[j] = momentum_ * vel[j] - lr_ * p->grad[j] * scale;
-      p->value[j] += vel[j];
-    }
-    p->grad.zero();
-  }
-}
-
 Adam::Adam(std::vector<Param*> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
       eps_(eps) {
   if (lr <= 0) throw std::invalid_argument("Adam: lr must be > 0");
   m_.reserve(params_.size());

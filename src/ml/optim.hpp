@@ -1,4 +1,4 @@
-// Optimizers for RICC training: SGD with momentum and Adam.
+// Adam, the optimizer RICC training runs.
 #pragma once
 
 #include <vector>
@@ -7,39 +7,17 @@
 
 namespace mfw::ml {
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Param*> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies the accumulated gradients (scaled by 1/batch_size) and clears
-  /// them.
-  virtual void step(std::size_t batch_size) = 0;
-
-  void zero_grad();
-
- protected:
-  std::vector<Param*> params_;
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Param*> params, float lr, float momentum = 0.0f);
-  void step(std::size_t batch_size) override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-class Adam final : public Optimizer {
+class Adam {
  public:
   Adam(std::vector<Param*> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f);
-  void step(std::size_t batch_size) override;
+
+  /// Applies the accumulated gradients (scaled by 1/batch_size) and clears
+  /// them.
+  void step(std::size_t batch_size);
 
  private:
+  std::vector<Param*> params_;
   float lr_, beta1_, beta2_, eps_;
   std::size_t t_ = 0;
   std::vector<Tensor> m_;

@@ -42,10 +42,6 @@ void RiccConfig::validate() const {
         "RiccConfig: tile_size must be divisible by 2^conv_blocks");
 }
 
-int RiccConfig::top_channels() const {
-  return base_channels << (conv_blocks - 1);
-}
-
 int RiccConfig::top_size() const { return tile_size >> conv_blocks; }
 
 RiccModel::RiccModel(const RiccConfig& config) : config_(config) {

@@ -37,8 +37,6 @@ struct RiccConfig {
   std::uint64_t seed = 7;
 
   void validate() const;
-  /// Channels after the last conv block.
-  int top_channels() const;
   /// Spatial size after the last conv block.
   int top_size() const;
 };

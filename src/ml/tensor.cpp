@@ -28,12 +28,6 @@ Tensor::Tensor(std::vector<int> shape, std::vector<float> data)
     throw std::invalid_argument("tensor data size does not match shape");
 }
 
-Tensor Tensor::full(std::vector<int> shape, float value) {
-  Tensor t(std::move(shape));
-  t.fill(value);
-  return t;
-}
-
 Tensor Tensor::he_normal(std::vector<int> shape, util::Rng& rng) {
   Tensor t(shape);
   std::size_t fan_in = 1;
@@ -45,14 +39,6 @@ Tensor Tensor::he_normal(std::vector<int> shape, util::Rng& rng) {
   return t;
 }
 
-float& Tensor::at2(int i, int j) {
-  assert(rank() == 2);
-  return data_[static_cast<std::size_t>(i) * shape_[1] + j];
-}
-float Tensor::at2(int i, int j) const {
-  assert(rank() == 2);
-  return data_[static_cast<std::size_t>(i) * shape_[1] + j];
-}
 float& Tensor::at3(int c, int h, int w) {
   assert(rank() == 3);
   return data_[(static_cast<std::size_t>(c) * shape_[1] + h) * shape_[2] + w];
@@ -72,24 +58,6 @@ void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-void Tensor::check_same_shape(const Tensor& other) const {
-  if (shape_ != other.shape_)
-    throw std::invalid_argument("tensor shape mismatch: " + shape_str() +
-                                " vs " + other.shape_str());
-}
-
-Tensor& Tensor::operator+=(const Tensor& other) {
-  check_same_shape(other);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator-=(const Tensor& other) {
-  check_same_shape(other);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
 Tensor& Tensor::operator*=(float scalar) {
   for (auto& v : data_) v *= scalar;
   return *this;
@@ -99,13 +67,6 @@ float Tensor::norm() const {
   double s = 0.0;
   for (float v : data_) s += static_cast<double>(v) * v;
   return static_cast<float>(std::sqrt(s));
-}
-
-float Tensor::mean() const {
-  if (data_.empty()) return 0.0f;
-  double s = 0.0;
-  for (float v : data_) s += v;
-  return static_cast<float>(s / static_cast<double>(data_.size()));
 }
 
 std::string Tensor::shape_str() const {

@@ -21,7 +21,6 @@ class Tensor {
   Tensor(std::vector<int> shape, std::vector<float> data);
 
   static Tensor zeros(std::vector<int> shape) { return Tensor(std::move(shape)); }
-  static Tensor full(std::vector<int> shape, float value);
   /// He-normal initialisation for conv/dense weights (fan_in derived from
   /// all but the first dimension).
   static Tensor he_normal(std::vector<int> shape, util::Rng& rng);
@@ -41,8 +40,6 @@ class Tensor {
   float operator[](std::size_t i) const { return data_[i]; }
 
   // Indexed access (bounds unchecked in release; asserts in debug).
-  float& at2(int i, int j);
-  float at2(int i, int j) const;
   float& at3(int c, int h, int w);
   float at3(int c, int h, int w) const;
 
@@ -52,20 +49,15 @@ class Tensor {
   void fill(float value);
   void zero() { fill(0.0f); }
 
-  /// Elementwise in-place operations.
-  Tensor& operator+=(const Tensor& other);
-  Tensor& operator-=(const Tensor& other);
+  /// Scales every element in place.
   Tensor& operator*=(float scalar);
 
   /// L2 norm of all elements.
   float norm() const;
-  float mean() const;
 
   std::string shape_str() const;
 
  private:
-  void check_same_shape(const Tensor& other) const;
-
   std::vector<int> shape_;
   std::vector<float> data_;
 };

@@ -92,11 +92,6 @@ LatLon swath_pixel(const SwathRow& row, double col_frac) {
   return {lat, wrap_lon(lon)};
 }
 
-LatLon swath_pixel(Satellite satellite, int slot, double row_frac,
-                   double col_frac) {
-  return swath_pixel(swath_row(satellite, slot, row_frac), col_frac);
-}
-
 bool is_daytime(Satellite satellite, int slot, int day_of_year) {
   const LatLon centre = ground_track(satellite, slot, 0.5);
   const double t = (static_cast<double>(slot) + 0.5) / kSlotsPerDay;

@@ -68,12 +68,6 @@ SwathRow swath_row(Satellite satellite, int slot, double row_frac);
 /// ~2330 km swath (cross-track) of `row`.
 LatLon swath_pixel(const SwathRow& row, double col_frac);
 
-/// Swath pixel -> lat/lon. `row_frac` in [0,1) along track within the
-/// granule, `col_frac` in [0,1) across the swath; equal to
-/// swath_pixel(swath_row(satellite, slot, row_frac), col_frac).
-LatLon swath_pixel(Satellite satellite, int slot, double row_frac,
-                   double col_frac);
-
 /// True when the granule's centre is on the day side (solar zenith < 85°),
 /// matching the availability of MOD02 visible bands used for tiles.
 bool is_daytime(Satellite satellite, int slot, int day_of_year);

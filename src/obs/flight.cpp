@@ -141,8 +141,6 @@ std::size_t FlightRecorder::size() const {
   return full_ ? ring_.size() : head_;
 }
 
-std::size_t FlightRecorder::capacity() const { return config_.capacity; }
-
 std::vector<FlightRecorder::Entry> FlightRecorder::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Entry> out;

@@ -87,7 +87,6 @@ class FlightRecorder : public SpanSink {
   /// Entries overwritten by newer arrivals (seen - retained).
   std::uint64_t overwritten() const;
   std::size_t size() const;
-  std::size_t capacity() const;
   /// Ring contents oldest-first (copy; safe from any thread).
   std::vector<Entry> snapshot() const;
 

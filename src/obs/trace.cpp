@@ -50,11 +50,6 @@ double TraceRecorder::now_locked() const {
   return (clock_ ? *clock_ : wall_fallback()).now();
 }
 
-double TraceRecorder::now() const {
-  std::lock_guard lock(mu_);
-  return now_locked();
-}
-
 void TraceRecorder::ensure_default_process_locked() {
   if (!processes_.empty()) return;
   processes_.push_back(TraceProcess{1, "mfw"});

@@ -147,23 +147,21 @@ class TraceRecorder {
   void set_clock(const sim::Clock* clock);
   const sim::Clock* clock() const;
 
-  /// Current time from the attached clock (wall clock when none attached).
-  double now() const;
-
   /// Opens a new process scope (one per workflow run); subsequent tracks are
   /// created inside it. Returns its pid. A default "mfw" process exists
   /// implicitly.
   std::uint32_t begin_process(std::string name);
 
-  /// Opens a span on `track` (interned per process by name) stamped at
-  /// now(). Returns an invalid SpanId when disabled.
+  /// Opens a span on `track` (interned per process by name) stamped at the
+  /// attached clock's time (the wall clock when none is attached). Returns
+  /// an invalid SpanId when disabled.
   SpanId begin_span(std::string_view track, std::string_view category,
                     std::string_view name, Args args = {});
 
-  /// Closes a span at now(), appending `args`. Invalid ids are ignored, so
-  /// call sites need no enabled() re-check; spans opened before a disable
-  /// still close correctly. So are stale ids: a span already closed, or one
-  /// opened before the last clear().
+  /// Closes a span at the clock's time, appending `args`. Invalid ids are
+  /// ignored, so call sites need no enabled() re-check; spans opened before
+  /// a disable still close correctly. So are stale ids: a span already
+  /// closed, or one opened before the last clear().
   void end_span(SpanId span, Args args = {});
 
   /// Records a fully-formed span with explicit timestamps (used by post-hoc
@@ -172,7 +170,7 @@ class TraceRecorder {
                 std::string_view name, double start, double end,
                 Args args = {});
 
-  /// Records a point event stamped at now(). No-op when disabled.
+  /// Records a point event stamped at the clock's time. No-op when disabled.
   void instant(std::string_view track, std::string_view category,
                std::string_view name, Args args = {});
 

@@ -1,8 +1,10 @@
 #include "pipeline/config.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 namespace mfw::pipeline {
 
@@ -53,29 +55,30 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
-constexpr const char* kTopLevelKeys[] = {
-    "workflow", "download", "preprocess", "monitor",
-    "inference", "shipment", "facility", "content", "slo"};
-
 /// Typos used to silently fall back to defaults ("downlaod:" configured
-/// nothing); reject them, suggesting the closest section name.
-void reject_unknown_sections(const util::YamlNode& root) {
-  if (!root.is_map()) return;
-  for (const auto& key : root.keys()) {
-    bool known = false;
-    for (const char* valid : kTopLevelKeys) known = known || key == valid;
-    if (known) continue;
-    const char* nearest = kTopLevelKeys[0];
+/// nothing, "encode_pth:" ran fused); reject a key of `node` outside `valid`,
+/// the keys its parser reads, suggesting the closest one. `section` names
+/// the map, or is empty at the top level.
+void reject_unknown_keys(const util::YamlNode& node,
+                         std::initializer_list<std::string_view> valid,
+                         std::string_view section) {
+  if (!node.is_map()) return;
+  for (const auto& key : node.keys()) {
+    if (std::find(valid.begin(), valid.end(), key) != valid.end()) continue;
+    std::string_view nearest = *valid.begin();
     std::size_t best = std::numeric_limits<std::size_t>::max();
-    for (const char* valid : kTopLevelKeys) {
-      const auto d = edit_distance(key, valid);
+    for (const auto candidate : valid) {
+      const auto d = edit_distance(key, candidate);
       if (d < best) {
         best = d;
-        nearest = valid;
+        nearest = candidate;
       }
     }
-    throw util::YamlError("config: unknown top-level key '" + key +
-                          "' (did you mean '" + std::string(nearest) + "'?)");
+    const std::string where =
+        section.empty() ? "top-level key '" + key + "'"
+                        : "key '" + key + "' in '" + std::string(section) + "'";
+    throw util::YamlError("config: unknown " + where + " (did you mean '" +
+                          std::string(nearest) + "'?)");
   }
 }
 
@@ -86,15 +89,24 @@ const char* to_string(SchedulingMode mode) {
 }
 
 EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
-  reject_unknown_sections(root);
+  reject_unknown_keys(root,
+                      {"workflow", "download", "preprocess", "monitor",
+                       "inference", "shipment", "facility", "content", "slo"},
+                      "");
   EomlConfig config;
   const auto& wf = root["workflow"];
   if (wf.is_map()) {
+    reject_unknown_keys(wf,
+                        {"satellite", "products", "span", "max_files",
+                         "daytime_only", "seed", "scheduling"},
+                        "workflow");
     if (wf.has("satellite"))
       config.satellite = parse_satellite(wf["satellite"].as_string());
     if (wf.has("products")) config.products = parse_products(wf["products"]);
     if (wf.has("span")) {
       const auto& span = wf["span"];
+      reject_unknown_keys(span, {"year", "first_day", "last_day"},
+                          "workflow.span");
       config.span.year = static_cast<int>(span["year"].as_int_or(2022));
       config.span.first_day = static_cast<int>(span["first_day"].as_int_or(1));
       config.span.last_day = static_cast<int>(
@@ -111,6 +123,8 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
 
   const auto& dl = root["download"];
   if (dl.is_map()) {
+    reject_unknown_keys(dl, {"workers", "wan_capacity", "connection_speed"},
+                        "download");
     config.download_workers =
         static_cast<int>(dl["workers"].as_int_or(config.download_workers));
     if (dl.has("wan_capacity"))
@@ -123,6 +137,11 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
 
   const auto& pp = root["preprocess"];
   if (pp.is_map()) {
+    reject_unknown_keys(pp,
+                        {"nodes", "workers_per_node", "elastic", "block",
+                         "tile_size", "channels", "min_cloud_fraction",
+                         "slurm_latency", "walltime", "cost_scale"},
+                        "preprocess");
     config.preprocess_nodes =
         static_cast<int>(pp["nodes"].as_int_or(config.preprocess_nodes));
     config.workers_per_node = static_cast<int>(
@@ -130,6 +149,10 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
     config.elastic = pp["elastic"].as_bool_or(config.elastic);
     if (pp.has("block")) {
       const auto& block = pp["block"];
+      reject_unknown_keys(block,
+                          {"nodes_per_block", "workers_per_node", "init_blocks",
+                           "min_blocks", "max_blocks", "idle_timeout"},
+                          "preprocess.block");
       config.block.nodes_per_block = static_cast<int>(
           block["nodes_per_block"].as_int_or(config.block.nodes_per_block));
       config.block.workers_per_node = static_cast<int>(
@@ -165,6 +188,9 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
 
   const auto& mon = root["monitor"];
   if (mon.is_map()) {
+    reject_unknown_keys(
+        mon, {"poll_interval", "action_overhead", "retain_provenance"},
+        "monitor");
     config.poll_interval =
         mon["poll_interval"].as_double_or(config.poll_interval);
     config.flow_action_overhead =
@@ -175,14 +201,12 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
 
   const auto& inf = root["inference"];
   if (inf.is_map()) {
+    reject_unknown_keys(inf, {"workers", "model", "encode_path", "cost_scale"},
+                        "inference");
     config.inference_workers =
         static_cast<int>(inf["workers"].as_int_or(config.inference_workers));
     config.model_path = inf["model"].as_string_or(config.model_path);
     config.encode_path = inf["encode_path"].as_string_or(config.encode_path);
-    config.inference_tile_budget = static_cast<std::size_t>(inf["tile_budget"].as_int_or(
-        static_cast<std::int64_t>(config.inference_tile_budget)));
-    config.inference_batch = static_cast<std::size_t>(inf["batch"].as_int_or(
-        static_cast<std::int64_t>(config.inference_batch)));
     const double cost_scale = inf["cost_scale"].as_double_or(1.0);
     if (!(cost_scale > 0.0))
       throw util::YamlError("config: inference cost_scale must be > 0");
@@ -192,6 +216,7 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
 
   const auto& ship = root["shipment"];
   if (ship.is_map()) {
+    reject_unknown_keys(ship, {"streams", "link_capacity"}, "shipment");
     config.shipment_streams =
         static_cast<int>(ship["streams"].as_int_or(config.shipment_streams));
     if (ship.has("link_capacity"))
@@ -201,6 +226,8 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
 
   const auto& facility = root["facility"];
   if (facility.is_map()) {
+    reject_unknown_keys(facility, {"total_nodes", "node_r_max", "node_tau"},
+                        "facility");
     config.facility_total_nodes = static_cast<int>(
         facility["total_nodes"].as_int_or(config.facility_total_nodes));
     config.node_r_max = facility["node_r_max"].as_double_or(config.node_r_max);
@@ -209,6 +236,8 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
 
   const auto& content = root["content"];
   if (content.is_map()) {
+    reject_unknown_keys(content, {"materialize", "rows", "cols", "bands"},
+                        "content");
     config.materialize = content["materialize"].as_bool_or(config.materialize);
     config.geometry.rows =
         static_cast<int>(content["rows"].as_int_or(config.geometry.rows));
@@ -341,12 +370,6 @@ void EomlConfig::validate() const {
   if (encode_path != "fused" && encode_path != "int8")
     throw std::invalid_argument("config: encode_path must be fused|int8, got '" +
                                 encode_path + "'");
-  if (inference_batch == 0)
-    throw std::invalid_argument("config: inference batch must be >= 1");
-  if (inference_tile_budget != 0 && inference_tile_budget < inference_batch)
-    throw std::invalid_argument(
-        "config: inference tile_budget must be >= batch (or 0 to disable "
-        "streaming)");
   if (shipment_streams <= 0)
     throw std::invalid_argument("config: shipment_streams must be >= 1");
   if (!(wan_capacity_bps > 0) || !(facility_link_bps > 0))

@@ -98,13 +98,6 @@ struct EomlConfig {
   /// path that training runs, with fewer allocations) or "int8" (quantized
   /// fast path, accuracy-gated in CI).
   std::string encode_path = "fused";
-  /// Bounded-memory tile streaming for materialized inference: 0 keeps the
-  /// classic whole-granule materialization; > 0 streams encode batches with
-  /// at most this many decoded tiles resident at once (must be >=
-  /// inference_batch).
-  std::size_t inference_tile_budget = 0;
-  /// Tiles per streamed encode batch.
-  std::size_t inference_batch = 32;
 
   // -- shipment stage --------------------------------------------------------
   int shipment_streams = 4;

@@ -7,7 +7,6 @@
 
 #include "flow/events.hpp"
 #include "preprocess/tile_io.hpp"
-#include "preprocess/tile_stream.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
@@ -590,42 +589,13 @@ std::vector<std::int32_t> EomlWorkflow::label_tiles(const std::string& path,
       MFW_INFO(kComponent, "int8 encode path calibrated on ", sample_n,
                " tiles from ", path);
     }
-    if (pixel_tiles == count && config_.inference_tile_budget > 0) {
-      // Bounded-memory path: stream decode -> batched encode under the
-      // configured tile budget instead of materializing the whole granule.
-      if (!model_->has_centroids())
-        throw std::logic_error("label_tiles: model has no fitted centroids");
-      preprocess::TileStreamOptions opts;
-      opts.tile_budget = config_.inference_tile_budget;
-      opts.batch_size = config_.inference_batch;
-      const std::string paths[] = {path};
-      const auto stats = preprocess::stream_tiles(
-          defiant_fs_, paths, opts,
-          [&](std::size_t, std::size_t,
-              std::span<const preprocess::Tile> batch) {
-            std::vector<ml::Tensor> inputs;
-            inputs.reserve(batch.size());
-            for (const auto& tile : batch)
-              inputs.emplace_back(
-                  std::vector<int>{tile.channels, tile.tile_size,
-                                   tile.tile_size},
-                  tile.data);
-            const auto latents = model_->encode_batch(inputs);
-            for (const auto& z : latents)
-              labels.push_back(
-                  ml::nearest_centroid(model_->centroids(), z.span()));
-          });
-      report_.inference_peak_tiles_resident =
-          std::max(report_.inference_peak_tiles_resident,
-                   stats.peak_tiles_resident);
-      report_.inference_streamed_batches += stats.batches;
-    } else {
-      const auto tiles = preprocess::tiles_from_ncl(file);
-      for (const auto& tile : tiles) {
-        ml::Tensor input({tile.channels, tile.tile_size, tile.tile_size},
-                         tile.data);
-        labels.push_back(model_->predict(input));
-      }
+    // One decoded tile resident beside the file at a time: each tile's pixels
+    // move into the encoder's input and are released after its prediction.
+    for (std::size_t i = 0; i < pixel_tiles; ++i) {
+      preprocess::Tile tile = preprocess::tile_from_ncl(file, i);
+      const ml::Tensor input({tile.channels, tile.tile_size, tile.tile_size},
+                             std::move(tile.data));
+      labels.push_back(model_->predict(input));
     }
     // Manifest-only files (no pixels) fall through to pseudo-labels below.
     if (labels.size() == count) return labels;

@@ -77,13 +77,6 @@ struct EomlReport {
   std::size_t total_tiles = 0;    // tiles produced by preprocessing
   std::size_t labeled_files = 0;
   std::size_t labeled_tiles = 0;
-  // -- bounded-memory inference (config inference.tile_budget > 0) ----------
-  /// High-water mark of decoded tiles resident during streamed labeling;
-  /// stays <= the configured tile budget.
-  std::size_t inference_peak_tiles_resident = 0;
-  /// Encode batches delivered by the streaming reader (0 when the classic
-  /// whole-granule path ran).
-  std::size_t inference_streamed_batches = 0;
   std::size_t shipped_files = 0;
   std::uint64_t shipped_bytes = 0;
   /// Granules whose triplet never became whole (download failures);

@@ -119,24 +119,4 @@ ServeStats ServeService::stats() const {
   return s;
 }
 
-std::string ServeService::stats_json() const {
-  const ServeStats s = stats();
-  util::JsonWriter w;
-  w.begin_object();
-  w.field("schema", "mfw.serve/v1");
-  w.field("doc", "service_stats");
-  w.field("queries", s.queries, "\n ");
-  w.field("cache_hits", s.cache_hits);
-  w.field("cache_stale", s.cache_stale);
-  w.field("cache_misses", s.cache_misses);
-  w.field("cache_evictions", s.cache_evictions);
-  w.field("hit_rate", s.hit_rate(), "\n ");
-  w.field("matched_rows", s.matched_rows);
-  w.field("tiles", catalog_.tile_count());
-  w.field("shards", catalog_.shard_count());
-  w.field("sealed", catalog_.sealed());
-  w.end_object().raw("\n");
-  return w.take();
-}
-
 }  // namespace mfw::serve

@@ -54,8 +54,6 @@ class ServeService {
   const Catalog& catalog() const { return catalog_; }
   const ServeConfig& config() const { return config_; }
   ServeStats stats() const;
-  /// mfw.serve/v1 stats document (bench + smoke reporting).
-  std::string stats_json() const;
 
  private:
   const Catalog& catalog_;

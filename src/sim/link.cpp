@@ -89,15 +89,6 @@ void FlowLink::cancel(FlowId id) {
   reschedule();
 }
 
-double FlowLink::rate_of(FlowId id) const {
-  if (!virtual_mode_) {
-    const auto it = rates_.find(id.id);
-    return it == rates_.end() ? 0.0 : it->second;
-  }
-  const auto it = fast_flows_.find(id.id);
-  if (it == fast_flows_.end()) return 0.0;
-  return it->second.capped ? it->second.cap : level();
-}
 
 double FlowLink::remaining_of(const FastFlow& flow) const {
   // Valid only right after advance() (last_update_ == now).

@@ -66,9 +66,6 @@ class FlowLink {
   double capacity() const { return capacity_; }
   const std::string& name() const { return name_; }
 
-  /// Current max-min fair rate of one flow (0 when idle); for telemetry.
-  double rate_of(FlowId id) const;
-
  private:
   struct Flow {
     double remaining;

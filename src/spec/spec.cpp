@@ -378,12 +378,6 @@ const StageSpec& StageGraph::stage(std::string_view name) const {
   throw SpecError(0, "unknown stage '" + std::string(name) + "'");
 }
 
-bool StageGraph::has_stage(std::string_view name) const {
-  for (const auto& stage : spec_.stages)
-    if (stage.name == name) return true;
-  return false;
-}
-
 EdgeMode StageGraph::edge_mode(std::string_view from,
                                std::string_view to) const {
   const auto& inputs = stage(to).inputs;

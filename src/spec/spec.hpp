@@ -189,7 +189,6 @@ class StageGraph {
   const std::vector<std::string>& topo_order() const { return topo_; }
 
   const StageSpec& stage(std::string_view name) const;
-  bool has_stage(std::string_view name) const;
 
   /// Mode of the edge from -> to (declared input). Defaults to barrier when
   /// no dataflow override names the edge; throws SpecError if the edge does

@@ -77,7 +77,6 @@ class FileSystem {
   void write_text(std::string_view path, std::string_view text);
   std::string read_text(std::string_view path) const;
   std::uint64_t total_bytes() const;
-  std::size_t file_count() const;
 };
 
 }  // namespace mfw::storage

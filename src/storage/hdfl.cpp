@@ -108,15 +108,6 @@ Dataset make_dataset(std::string name, std::vector<std::uint64_t> shape,
 std::span<const float> Dataset::as_f32() const {
   return typed_view<float>(*this, DType::kF32);
 }
-std::span<const double> Dataset::as_f64() const {
-  return typed_view<double>(*this, DType::kF64);
-}
-std::span<const std::int32_t> Dataset::as_i32() const {
-  return typed_view<std::int32_t>(*this, DType::kI32);
-}
-std::span<const std::int16_t> Dataset::as_i16() const {
-  return typed_view<std::int16_t>(*this, DType::kI16);
-}
 std::span<const std::uint8_t> Dataset::as_u8() const {
   return typed_view<std::uint8_t>(*this, DType::kU8);
 }
@@ -129,11 +120,6 @@ Dataset Dataset::f32(std::string name, std::vector<std::uint64_t> shape,
 Dataset Dataset::u8(std::string name, std::vector<std::uint64_t> shape,
                     std::span<const std::uint8_t> values) {
   return make_dataset(std::move(name), std::move(shape), values, DType::kU8);
-}
-
-Dataset Dataset::i16(std::string name, std::vector<std::uint64_t> shape,
-                     std::span<const std::int16_t> values) {
-  return make_dataset(std::move(name), std::move(shape), values, DType::kI16);
 }
 
 void HdflFile::add(Dataset dataset) {

@@ -40,17 +40,12 @@ struct Dataset {
   void validate() const;
 
   std::span<const float> as_f32() const;
-  std::span<const double> as_f64() const;
-  std::span<const std::int32_t> as_i32() const;
-  std::span<const std::int16_t> as_i16() const;
   std::span<const std::uint8_t> as_u8() const;
 
   static Dataset f32(std::string name, std::vector<std::uint64_t> shape,
                      std::span<const float> values);
   static Dataset u8(std::string name, std::vector<std::uint64_t> shape,
                     std::span<const std::uint8_t> values);
-  static Dataset i16(std::string name, std::vector<std::uint64_t> shape,
-                     std::span<const std::int16_t> values);
 };
 
 class HdflFile {

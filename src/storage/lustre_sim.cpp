@@ -44,11 +44,4 @@ void LustreSimFs::rename(std::string_view from, std::string_view to) {
 
 std::string LustreSimFs::name() const { return inner_.name() + "+lustre"; }
 
-void LustreSimFs::reset_counters() {
-  bytes_written_ = 0;
-  bytes_read_ = 0;
-  write_ops_ = 0;
-  read_ops_ = 0;
-}
-
 }  // namespace mfw::storage

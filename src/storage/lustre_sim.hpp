@@ -50,7 +50,6 @@ class LustreSimFs final : public FileSystem {
   std::uint64_t bytes_read() const { return bytes_read_; }
   std::uint64_t write_ops() const { return write_ops_; }
   std::uint64_t read_ops() const { return read_ops_; }
-  void reset_counters();
 
  private:
   FileSystem& inner_;

@@ -21,8 +21,6 @@ std::uint64_t FileSystem::total_bytes() const {
   return total;
 }
 
-std::size_t FileSystem::file_count() const { return list("").size(); }
-
 MemFs::MemFs(std::string name, const sim::Clock* clock)
     : name_(std::move(name)), clock_(clock) {}
 
@@ -32,16 +30,11 @@ double MemFs::stamp() {
 }
 
 void MemFs::write_file(std::string_view path, std::span<const std::byte> data) {
-  FileInfo info;
-  {
-    std::lock_guard lock(mu_);
-    auto& entry = files_[std::string(path)];
-    entry.data.assign(data.begin(), data.end());
-    entry.mtime = stamp();
-    info = FileInfo{std::string(path), entry.data.size(), entry.mtime};
-    journal_.push_back(info);
-  }
-  for (const auto& cb : write_callbacks_) cb(info);
+  std::lock_guard lock(mu_);
+  auto& entry = files_[std::string(path)];
+  entry.data.assign(data.begin(), data.end());
+  entry.mtime = stamp();
+  journal_.push_back(FileInfo{std::string(path), entry.data.size(), entry.mtime});
 }
 
 std::vector<std::byte> MemFs::read_file(std::string_view path) const {
@@ -100,10 +93,6 @@ FileSystem::JournalCursor MemFs::journal_since(JournalCursor cursor,
   for (std::size_t i = cursor; i < journal_.size(); ++i)
     out.push_back(journal_[i]);
   return journal_.size();
-}
-
-void MemFs::on_write(std::function<void(const FileInfo&)> callback) {
-  write_callbacks_.push_back(std::move(callback));
 }
 
 }  // namespace mfw::storage

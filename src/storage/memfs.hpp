@@ -31,10 +31,6 @@ class MemFs final : public FileSystem {
   JournalCursor journal_since(JournalCursor cursor,
                               std::vector<FileInfo>& out) const override;
 
-  /// Registers a callback invoked (outside the internal lock) after each file
-  /// create/replace. Used by event-driven tests; the production monitor polls.
-  void on_write(std::function<void(const FileInfo&)> callback);
-
  private:
   struct Entry {
     std::vector<std::byte> data;
@@ -49,7 +45,6 @@ class MemFs final : public FileSystem {
   std::map<std::string, Entry, std::less<>> files_;
   double counter_ = 0.0;
   std::vector<FileInfo> journal_;  // every create/replace/rename-target
-  std::vector<std::function<void(const FileInfo&)>> write_callbacks_;
 };
 
 }  // namespace mfw::storage

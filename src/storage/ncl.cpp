@@ -44,9 +44,6 @@ std::span<const float> NclVar::as_f32() const {
 std::span<const std::int32_t> NclVar::as_i32() const {
   return typed_view<std::int32_t>(*this, DType::kI32);
 }
-std::span<const double> NclVar::as_f64() const {
-  return typed_view<double>(*this, DType::kF64);
-}
 
 void NclFile::add_dim(const std::string& name, std::uint64_t length) {
   const auto it = dim_index_.find(name);

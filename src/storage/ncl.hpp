@@ -32,7 +32,6 @@ struct NclVar {
 
   std::span<const float> as_f32() const;
   std::span<const std::int32_t> as_i32() const;
-  std::span<const double> as_f64() const;
 };
 
 class NclFile {

@@ -20,18 +20,6 @@ void BinaryWriter::u64(std::uint64_t v) {
   raw(b, 8);
 }
 
-void BinaryWriter::f32(float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, 4);
-  u32(bits);
-}
-
-void BinaryWriter::f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  u64(bits);
-}
-
 void BinaryWriter::str(std::string_view s) {
   if (s.size() > 0xffff) throw FormatError("string too long to serialize");
   u16(static_cast<std::uint16_t>(s.size()));
@@ -41,13 +29,6 @@ void BinaryWriter::str(std::string_view s) {
 void BinaryWriter::raw(const void* data, std::size_t size) {
   const auto* p = static_cast<const std::byte*>(data);
   buffer_.insert(buffer_.end(), p, p + size);
-}
-
-void BinaryWriter::patch_u32(std::size_t offset, std::uint32_t v) {
-  if (offset + 4 > buffer_.size()) throw FormatError("patch_u32 out of range");
-  for (int i = 0; i < 4; ++i)
-    buffer_[offset + static_cast<std::size_t>(i)] =
-        static_cast<std::byte>(v >> (8 * i));
 }
 
 void BinaryReader::need(std::size_t size) const {
@@ -92,20 +73,6 @@ std::uint64_t BinaryReader::u64() {
              data_[offset_ + static_cast<std::size_t>(i)]))
          << (8 * i);
   offset_ += 8;
-  return v;
-}
-
-float BinaryReader::f32() {
-  const std::uint32_t bits = u32();
-  float v;
-  std::memcpy(&v, &bits, 4);
-  return v;
-}
-
-double BinaryReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, 8);
   return v;
 }
 

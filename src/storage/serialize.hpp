@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -27,15 +26,10 @@ class BinaryWriter {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f32(float v);
-  void f64(double v);
   /// Length-prefixed (u16) UTF-8 string; throws on length > 65535.
   void str(std::string_view s);
   void raw(const void* data, std::size_t size);
   void bytes(std::span<const std::byte> data) { raw(data.data(), data.size()); }
-
-  /// Overwrites 4 bytes at `offset` (for patching sizes/CRCs).
-  void patch_u32(std::size_t offset, std::uint32_t v);
 
   std::size_t size() const { return buffer_.size(); }
   const std::vector<std::byte>& buffer() const { return buffer_; }
@@ -55,8 +49,6 @@ class BinaryReader {
   std::uint32_t u32();
   std::uint64_t u64();
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  float f32();
-  double f64();
   std::string str();
   /// Returns a view of the next `size` bytes and advances.
   std::span<const std::byte> raw(std::size_t size);

@@ -23,18 +23,6 @@ double DownloadReport::aggregate_bps() const {
   return static_cast<double>(total_bytes) / window;
 }
 
-double DownloadReport::mean_file_bps() const {
-  util::StreamingStats stats;
-  for (const auto& f : files) stats.add(f.mean_bps);
-  return stats.mean();
-}
-
-double DownloadReport::stddev_file_bps() const {
-  util::StreamingStats stats;
-  for (const auto& f : files) stats.add(f.mean_bps);
-  return stats.stddev();
-}
-
 DownloadService::DownloadService(sim::SimEngine& engine,
                                  const modis::ArchiveService& archive,
                                  sim::FlowLink& wan,

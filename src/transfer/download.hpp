@@ -100,9 +100,6 @@ struct DownloadReport {
   double elapsed() const { return finished_at - started_at; }
   /// Aggregate throughput over the transfer phase (bytes/s).
   double aggregate_bps() const;
-  /// Mean of per-file throughputs (the paper's Fig. 3 metric).
-  double mean_file_bps() const;
-  double stddev_file_bps() const;
 };
 
 class DownloadService {

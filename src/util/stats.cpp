@@ -28,21 +28,6 @@ double StreamingStats::variance() const {
 
 double StreamingStats::stddev() const { return std::sqrt(variance()); }
 
-double mean(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs.size() - 1));
-}
-
 double percentile(std::span<const double> xs, double p) {
   if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile p out of range");
   if (xs.empty()) return 0.0;

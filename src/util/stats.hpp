@@ -31,9 +31,6 @@ class StreamingStats {
   double sum_ = 0.0;
 };
 
-/// Batch helpers over a sample vector.
-double mean(std::span<const double> xs);
-double stddev(std::span<const double> xs);
 /// Linear-interpolated percentile, p in [0, 100]. Sorts a copy.
 double percentile(std::span<const double> xs, double p);
 

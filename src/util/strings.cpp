@@ -31,15 +31,6 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
@@ -86,11 +77,6 @@ std::string path_join(std::string_view a, std::string_view b) {
 std::string_view path_basename(std::string_view path) {
   const auto pos = path.find_last_of('/');
   return pos == std::string_view::npos ? path : path.substr(pos + 1);
-}
-
-std::string_view path_dirname(std::string_view path) {
-  const auto pos = path.find_last_of('/');
-  return pos == std::string_view::npos ? std::string_view{} : path.substr(0, pos);
 }
 
 bool parse_count(const char* text, std::size_t min, std::size_t& out) {

@@ -14,8 +14,6 @@ std::vector<std::string> split(std::string_view s, char delim);
 /// Removes leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view s);
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 
@@ -28,9 +26,6 @@ std::string path_join(std::string_view a, std::string_view b);
 
 /// Final path component ("a/b/c.nc" -> "c.nc").
 std::string_view path_basename(std::string_view path);
-
-/// Directory part ("a/b/c.nc" -> "a/b"; "c.nc" -> "").
-std::string_view path_dirname(std::string_view path);
 
 /// Parses a decimal count of at least `min` into `out`; false, leaving `out`
 /// alone, on anything else: a sign, blanks, trailing characters, overflow.

@@ -48,7 +48,7 @@ TileRecord make_record(int label, float lat, float cf, float cot) {
   return record;
 }
 
-TEST(AiccaArchive, LoadsRecordsAndHistogram) {
+TEST(AiccaArchive, LoadsRecordsAndClassCounts) {
   storage::MemFs fs("orion");
   write_labelled_file(fs, "aicca/a.ncl", 0,
                       {make_record(0, 10.0f, 0.5f, 5.0f),
@@ -58,12 +58,10 @@ TEST(AiccaArchive, LoadsRecordsAndHistogram) {
   const auto archive = AiccaArchive::load(fs, "aicca/*.ncl");
   EXPECT_EQ(archive.tile_count(), 3u);
   EXPECT_EQ(archive.file_count(), 2u);
-  const auto histogram = archive.class_histogram(3);
-  EXPECT_EQ(histogram[0], 1u);
-  EXPECT_EQ(histogram[1], 2u);
-  EXPECT_EQ(histogram[2], 0u);
-  EXPECT_THROW(archive.class_histogram(1), std::out_of_range);
-  EXPECT_THROW(archive.class_histogram(0), std::invalid_argument);
+  const auto stats = archive.class_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats.at(0).count, 1u);
+  EXPECT_EQ(stats.at(1).count, 2u);
 }
 
 TEST(AiccaArchive, ClassStatsAggregateCorrectly) {
@@ -140,14 +138,11 @@ TEST(AiccaArchive, EndToEndFromMaterializedPipeline) {
 
   const auto archive = AiccaArchive::load(workflow.orion_fs(), "aicca/*.ncl");
   EXPECT_EQ(archive.tile_count(), report.total_tiles);
-  // Pseudo-labels land in [0, 42).
-  const auto histogram = archive.class_histogram(42);
-  std::size_t total = 0;
-  for (auto count : histogram) total += count;
-  EXPECT_EQ(total, report.total_tiles);
-  // Physical aggregates are plausible: cloud fraction respects the tiler's
-  // selection threshold.
+  // Pseudo-labels land in [0, 42). Physical aggregates are plausible: cloud
+  // fraction respects the tiler's selection threshold.
   for (const auto& record : archive.records()) {
+    EXPECT_GE(record.label, 0);
+    EXPECT_LT(record.label, 42);
     EXPECT_GE(record.cloud_fraction, 0.3f);
     EXPECT_LE(record.cloud_fraction, 1.0f);
     EXPECT_GE(record.latitude, -90.0f);
@@ -190,26 +185,12 @@ TEST(AiccaArchive, ZonalCountsRejectBadBandWidthAndSkipForeignLabels) {
   EXPECT_EQ(total, 1u);
 }
 
-TEST(AiccaArchive, OutOfRangeLabelsThrowFromHistogram) {
-  storage::MemFs fs("orion");
-  write_labelled_file(fs, "aicca/a.ncl", 0,
-                      {make_record(5, 10.0f, 0.5f, 5.0f)});
-  const auto archive = AiccaArchive::load(fs, "aicca/*.ncl");
-  // num_classes too small for the stored label -> out_of_range; invalid
-  // num_classes -> invalid_argument.
-  EXPECT_THROW(archive.class_histogram(5), std::out_of_range);
-  EXPECT_THROW(archive.class_histogram(-3), std::invalid_argument);
-  EXPECT_NO_THROW(archive.class_histogram(6));
-}
-
 TEST(AiccaArchive, EmptyArchiveStatsAndReport) {
   storage::MemFs fs("orion");
   const auto archive = AiccaArchive::load(fs, "aicca/*.ncl");
   EXPECT_EQ(archive.tile_count(), 0u);
   EXPECT_EQ(archive.file_count(), 0u);
   EXPECT_TRUE(archive.class_stats().empty());
-  const auto histogram = archive.class_histogram(42);
-  for (auto count : histogram) EXPECT_EQ(count, 0u);
   const auto report = archive.report(42);
   EXPECT_NE(report.find("0 labelled tiles"), std::string::npos);
   const auto zonal = archive.zonal_class_counts(42);

@@ -197,64 +197,6 @@ TEST_F(EomlIntegration, MaterializedContentRunsRealTilerAndModel) {
   }
 }
 
-TEST_F(EomlIntegration, MaterializedFastPathStreamsUnderTileBudget) {
-  // Fused fp32 encode + bounded-memory tile streaming must reproduce the
-  // classic path's labels bit-for-bit while respecting the tile budget.
-  auto config = small_config();
-  config.max_files = 4;
-  config.materialize = true;
-  config.geometry = modis::GranuleGeometry{64, 48, 6};
-  config.tiler.tile_size = 16;
-  config.tiler.channels = 6;
-  config.model_path = "models/ricc.hdfl";
-  config.encode_path = "fused";
-  config.inference_tile_budget = 6;
-  config.inference_batch = 3;
-
-  EomlWorkflow workflow(config);
-  ml::RiccConfig mc;
-  mc.tile_size = 16;
-  mc.channels = 6;
-  mc.base_channels = 4;
-  mc.conv_blocks = 2;
-  mc.latent_dim = 8;
-  mc.num_classes = 42;
-  ml::RiccModel model(mc);
-  util::Rng rng(1);
-  model.set_centroids(ml::Tensor::he_normal({42, 8}, rng));
-  workflow.defiant_fs().write_file("models/ricc.hdfl",
-                                   model.save().serialize());
-
-  const auto report = workflow.run();
-  EXPECT_EQ(report.granules, 4u);
-  EXPECT_GT(report.inference_streamed_batches, 0u);
-  EXPECT_LE(report.inference_peak_tiles_resident,
-            config.inference_tile_budget);
-  EXPECT_GT(report.inference_peak_tiles_resident, 0u);
-
-  // Labels on Orion must equal the layer-path reference predictions.
-  ml::RiccModel reference(mc);
-  util::Rng rng2(1);
-  reference.set_centroids(ml::Tensor::he_normal({42, 8}, rng2));
-  std::size_t checked = 0;
-  for (const auto& info : workflow.orion_fs().list("aicca/*.ncl")) {
-    const auto file =
-        preprocess::read_tile_file(workflow.orion_fs(), info.path);
-    if (!file.has_var("tiles")) continue;
-    const auto tiles = preprocess::tiles_from_ncl(file);
-    const auto labels = file.var("label").as_i32();
-    ASSERT_EQ(labels.size(), tiles.size());
-    for (std::size_t i = 0; i < tiles.size(); ++i) {
-      ml::Tensor input({tiles[i].channels, tiles[i].tile_size,
-                        tiles[i].tile_size},
-                       tiles[i].data);
-      ASSERT_EQ(labels[i], reference.predict(input)) << info.path << " #" << i;
-      ++checked;
-    }
-  }
-  EXPECT_GT(checked, 0u);
-}
-
 TEST_F(EomlIntegration, StagedGranuleFilesEqualFreshSynthesis) {
   // The archive hands out each granule's products from one synthesis, in
   // the order the downloads finish; every file staged on Defiant must still

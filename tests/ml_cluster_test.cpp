@@ -1,5 +1,5 @@
-// Unit tests for Ward agglomerative clustering, k-means, and the cluster
-// evaluation metrics — the machinery that builds the 42 AICCA classes.
+// Unit tests for Ward agglomerative clustering and the cluster evaluation
+// metric — the machinery that builds the 42 AICCA classes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -99,32 +99,6 @@ TEST(Ward, DeterministicAndLabelsCompact) {
     ASSERT_GE(label, 0);
     ASSERT_LT(label, 5);
   }
-}
-
-TEST(Kmeans, RecoversSeparatedBlobs) {
-  util::Rng rng(5);
-  std::vector<int> truth;
-  const auto data = blobs(40, rng, &truth);
-  util::Rng krng(6);
-  const auto result = kmeans(data, 120, 2, 3, krng);
-  expect_recovers_blobs(result, truth);
-}
-
-TEST(Kmeans, WithinClusterSsNotWorseThanRandomAssignment) {
-  util::Rng rng(7);
-  const auto data = blobs(30, rng);
-  util::Rng krng(8);
-  const auto km = kmeans(data, 90, 2, 3, krng);
-  const double wcss = within_cluster_ss(data, 90, 2, km);
-  // Random labels for comparison.
-  ClusterResult random;
-  random.k = 3;
-  random.dim = 2;
-  util::Rng lrng(9);
-  for (std::size_t i = 0; i < 90; ++i)
-    random.labels.push_back(static_cast<int>(lrng.uniform_int(0, 2)));
-  random.centroids = km.centroids;
-  EXPECT_LT(wcss, within_cluster_ss(data, 90, 2, random));
 }
 
 TEST(Silhouette, HighForSeparatedLowForRandom) {

@@ -1,4 +1,4 @@
-// Tests for RICC training: optimizers, autoencoder convergence, rotation
+// Tests for RICC training: the optimizer, autoencoder convergence, rotation
 // invariance, centroid fitting, prediction, and model serialization.
 #include <gtest/gtest.h>
 
@@ -47,17 +47,6 @@ std::vector<Tensor> make_tiles(const RiccConfig& config, std::size_t count,
   return tiles;
 }
 
-TEST(Optim, SgdDescendsQuadratic) {
-  // Minimise f(w) = (w-3)^2 by hand-feeding gradients.
-  Param p{"w", Tensor({1}, {0.0f}), Tensor({1}, {0.0f})};
-  Sgd sgd({&p}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    p.grad[0] = 2.0f * (p.value[0] - 3.0f);
-    sgd.step(1);
-  }
-  EXPECT_NEAR(p.value[0], 3.0f, 1e-3);
-}
-
 TEST(Optim, AdamDescendsQuadratic) {
   Param p{"w", Tensor({1}, {0.0f}), Tensor({1}, {0.0f})};
   Adam adam({&p}, 0.1f);
@@ -69,10 +58,12 @@ TEST(Optim, AdamDescendsQuadratic) {
 }
 
 TEST(Optim, StepScalesByBatchAndClearsGrad) {
+  // With eps = 1 Adam's first step is lr * g / (|g| + 1), so the batch
+  // scaling shows: g = 4 / 4 = 1 steps 0.5 where an unscaled 4 would step 0.8.
   Param p{"w", Tensor({1}, {0.0f}), Tensor({1}, {4.0f})};
-  Sgd sgd({&p}, 1.0f);
-  sgd.step(4);  // effective gradient 1.0
-  EXPECT_FLOAT_EQ(p.value[0], -1.0f);
+  Adam adam({&p}, 1.0f, 0.9f, 0.999f, 1.0f);
+  adam.step(4);
+  EXPECT_FLOAT_EQ(p.value[0], -0.5f);
   EXPECT_FLOAT_EQ(p.grad[0], 0.0f);
 }
 
@@ -86,7 +77,6 @@ TEST(RiccConfig, Validation) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = tiny_config();
   EXPECT_EQ(config.top_size(), 2);
-  EXPECT_EQ(config.top_channels(), 8);
 }
 
 TEST(RiccModel, EncodeShapesAndDeterminism) {

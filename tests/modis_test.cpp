@@ -954,33 +954,47 @@ void expect_direct_bytes(const GranuleGenerator& gen, std::uint64_t seed,
   EXPECT_TRUE(same_bytes(m06.cloud_water_path, want06.cloud_water_path));
 }
 
-TEST(Products, BytesMatchDirectSynthesis) {
-  // Both satellites, four days, every 7th slot (day and night granules), at
-  // odd geometries, one with fewer bands than the three reflective ones.
+// Both satellites, four days, every 7th slot (day and night granules), at
+// one odd geometry per instance, one with fewer bands than the three
+// reflective ones. Each geometry is its own ctest entry, so a parallel ctest
+// spreads the oracle's cost.
+class BytesMatchDirectSynthesis
+    : public ::testing::TestWithParam<GranuleGeometry> {};
+
+TEST_P(BytesMatchDirectSynthesis, EverySeventhSlot) {
   const std::uint64_t seed = 5;
   const GranuleGenerator gen(seed);
-  const GranuleGeometry geometries[] = {
-      {61, 47, 7}, {1, 1, 1}, {17, 233, 3}, {9, 7, 2}};
   int day_granules = 0;
   int granules = 0;
-  for (const auto& geometry : geometries) {
-    for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
-      for (const int day : {1, 100, 200, 300}) {
-        for (int slot = 0; slot < kSlotsPerDay; slot += 7) {
-          GranuleSpec spec;
-          spec.satellite = sat;
-          spec.day_of_year = day;
-          spec.slot = slot;
-          spec.geometry = geometry;
-          expect_direct_bytes(gen, seed, spec);
-          if (is_daytime(sat, slot, day)) ++day_granules;
-          ++granules;
-        }
+  for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+    for (const int day : {1, 100, 200, 300}) {
+      for (int slot = 0; slot < kSlotsPerDay; slot += 7) {
+        GranuleSpec spec;
+        spec.satellite = sat;
+        spec.day_of_year = day;
+        spec.slot = slot;
+        spec.geometry = GetParam();
+        expect_direct_bytes(gen, seed, spec);
+        if (is_daytime(sat, slot, day)) ++day_granules;
+        ++granules;
       }
     }
   }
   EXPECT_GT(day_granules, granules / 4);
   EXPECT_LT(day_granules, 3 * granules / 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Products, BytesMatchDirectSynthesis,
+    ::testing::Values(GranuleGeometry{61, 47, 7}, GranuleGeometry{1, 1, 1},
+                      GranuleGeometry{17, 233, 3}, GranuleGeometry{9, 7, 2}),
+    [](const ::testing::TestParamInfo<GranuleGeometry>& info) {
+      const GranuleGeometry& g = info.param;
+      return std::to_string(g.rows) + "x" + std::to_string(g.cols) + "x" +
+             std::to_string(g.bands);
+    });
+
+TEST(Products, BenchmarkGranulesMatchDirectSynthesis) {
   // The materialized benchmark's granules: the default world's first four
   // daytime Terra slots of day 1 at 512 x 340 x 6, and its first night one.
   const GranuleGenerator world(2022);

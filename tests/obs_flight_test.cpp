@@ -44,7 +44,6 @@ TEST(Flight, RingKeepsNewestAndCountsOverwrites) {
 
   EXPECT_EQ(flight.seen(), 11u);
   EXPECT_EQ(flight.size(), 4u);
-  EXPECT_EQ(flight.capacity(), 4u);
   EXPECT_EQ(flight.overwritten(), 7u);
 
   // Snapshot is oldest-first and holds exactly the newest four events.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string_view>
+#include <utility>
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -35,6 +36,36 @@ TEST(Config, UnknownTopLevelKeyNamesKeyAndNearest) {
     EXPECT_STREQ(e.what(),
                  "config: unknown top-level key 'inferrence' "
                  "(did you mean 'inference'?)");
+  }
+}
+
+TEST(Config, UnknownSectionKeyNamesKeyAndNearest) {
+  // Keys inside a section are checked against the keys its parser reads: a
+  // typo, or an option that no longer exists, is an error rather than a
+  // silent default.
+  const std::pair<const char*, const char*> cases[] = {
+      {"inference:\n  encode_pth: int8\n",
+       "config: unknown key 'encode_pth' in 'inference' "
+       "(did you mean 'encode_path'?)"},
+      {"inference:\n  tile_budget: 256\n",
+       "config: unknown key 'tile_budget' in 'inference' "
+       "(did you mean 'model'?)"},
+      {"inference:\n  batch: 32\n",
+       "config: unknown key 'batch' in 'inference' (did you mean 'model'?)"},
+      {"workflow:\n  span: {year: 2022, frist_day: 3}\n",
+       "config: unknown key 'frist_day' in 'workflow.span' "
+       "(did you mean 'first_day'?)"},
+      {"preprocess:\n  elastic: true\n  block: {max_block: 4}\n",
+       "config: unknown key 'max_block' in 'preprocess.block' "
+       "(did you mean 'max_blocks'?)"},
+  };
+  for (const auto& [yaml, message] : cases) {
+    try {
+      EomlConfig::from_yaml_text(yaml);
+      ADD_FAILURE() << "expected YamlError for " << yaml;
+    } catch (const util::YamlError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
   }
 }
 

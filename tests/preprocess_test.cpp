@@ -121,11 +121,20 @@ TEST(TileIo, FullFileRoundTrip) {
   EXPECT_FALSE(summary.has_labels);
   EXPECT_EQ(summary.granule.slot, id.slot);
 
-  const auto tiles = tiles_from_ncl(read_tile_file(fs, "tiles/out.ncl"));
+  const auto file = read_tile_file(fs, "tiles/out.ncl");
+  const auto tiles = tiles_from_ncl(file);
   ASSERT_EQ(tiles.size(), result.tiles.size());
   EXPECT_EQ(tiles[0].data, result.tiles[0].data);
   EXPECT_FLOAT_EQ(tiles[0].center_lat, result.tiles[0].center_lat);
   EXPECT_EQ(tiles[0].origin_row, result.tiles[0].origin_row);
+  // Inference reads a file one tile at a time; each equals the bulk read.
+  ASSERT_EQ(pixel_tile_count(file), tiles.size());
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    const Tile one = tile_from_ncl(file, i);
+    EXPECT_EQ(one.data, tiles[i].data);
+    EXPECT_EQ(one.origin_row, tiles[i].origin_row);
+    EXPECT_FLOAT_EQ(one.center_lat, tiles[i].center_lat);
+  }
 }
 
 // A tile file with `count` tiles of `channels` x y x x pixels, written
@@ -191,6 +200,10 @@ TEST(TileIo, ManifestRoundTrip) {
   EXPECT_EQ(summary.tile_count, 77u);
   EXPECT_FALSE(summary.has_pixel_data);
   EXPECT_EQ(summary.granule, id);
+  // A manifest carries no pixel tiles.
+  const auto file = read_tile_file(fs, "tiles/m.ncl");
+  EXPECT_EQ(pixel_tile_count(file), 0u);
+  EXPECT_THROW(tile_from_ncl(file, 0), std::out_of_range);
 }
 
 TEST(TileIo, MalformedGranuleAttributeRejected) {

@@ -272,7 +272,7 @@ TEST_P(NclSweep, RandomContainersRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, NclSweep, ::testing::Range(1, 9));
 
 // ---------------------------------------------------------------------------
-// k-means vs Ward: for well-separated data both recover structure.
+// Ward at any k: every label in range and every cluster non-empty.
 
 class ClusterKSweep : public ::testing::TestWithParam<int> {};
 

@@ -38,7 +38,7 @@ TEST(MemFs, OverwriteReplacesAndBumpsMtime) {
   const auto m2 = fs.list("f").front().mtime;
   EXPECT_EQ(fs.read_text("f"), "two!");
   EXPECT_GT(m2, m1);
-  EXPECT_EQ(fs.file_count(), 1u);
+  EXPECT_EQ(fs.list("").size(), 1u);
 }
 
 TEST(MemFs, ListGlobAndSorted) {
@@ -63,15 +63,6 @@ TEST(MemFs, RemoveAndRename) {
   EXPECT_FALSE(fs.remove("b"));
 }
 
-TEST(MemFs, WriteCallbackFires) {
-  MemFs fs("test");
-  std::vector<std::string> events;
-  fs.on_write([&](const FileInfo& info) { events.push_back(info.path); });
-  fs.write_text("x", "1");
-  fs.write_text("y", "2");
-  EXPECT_EQ(events, (std::vector<std::string>{"x", "y"}));
-}
-
 TEST(MemFs, TotalBytes) {
   MemFs fs("test");
   fs.write_text("a", "12345");
@@ -89,8 +80,6 @@ TEST(LustreSim, CountsBytesAndOps) {
   EXPECT_EQ(lustre.bytes_read(), 16u);
   EXPECT_EQ(lustre.write_ops(), 1u);
   EXPECT_EQ(lustre.read_ops(), 2u);
-  lustre.reset_counters();
-  EXPECT_EQ(lustre.bytes_written(), 0u);
 }
 
 TEST(LustreSim, DelegatesSemantics) {
@@ -173,8 +162,6 @@ TEST(Binary, PrimitivesRoundTrip) {
   w.u32(0xdeadbeef);
   w.u64(0x0123456789abcdefULL);
   w.i64(-42);
-  w.f32(3.5f);
-  w.f64(-2.25);
   w.str("hello");
   const auto buffer = w.take();
   BinaryReader r(buffer);
@@ -183,8 +170,6 @@ TEST(Binary, PrimitivesRoundTrip) {
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
   EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
   EXPECT_EQ(r.i64(), -42);
-  EXPECT_FLOAT_EQ(r.f32(), 3.5f);
-  EXPECT_DOUBLE_EQ(r.f64(), -2.25);
   EXPECT_EQ(r.str(), "hello");
   EXPECT_TRUE(r.done());
 }
@@ -196,16 +181,6 @@ TEST(Binary, TruncationDetected) {
   BinaryReader r(buffer);
   (void)r.u16();
   EXPECT_THROW(r.u32(), FormatError);
-}
-
-TEST(Binary, PatchU32) {
-  BinaryWriter w;
-  w.u32(0);
-  w.str("x");
-  w.patch_u32(0, 99);
-  BinaryReader r(w.buffer());
-  EXPECT_EQ(r.u32(), 99u);
-  EXPECT_THROW(w.patch_u32(1000, 1), FormatError);
 }
 
 TEST(Binary, SkipAndRaw) {

@@ -349,10 +349,9 @@ TEST(Strings, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[3], "");
 }
 
-TEST(Strings, TrimAndJoin) {
+TEST(Strings, Trim) {
   EXPECT_EQ(trim("  x \t"), "x");
   EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(join({"a", "b", "c"}, "/"), "a/b/c");
 }
 
 TEST(Strings, GlobMatch) {
@@ -370,8 +369,6 @@ TEST(Strings, PathHelpers) {
   EXPECT_EQ(path_join("a/", "/b"), "a/b");
   EXPECT_EQ(path_join("", "b"), "b");
   EXPECT_EQ(path_basename("a/b/c.nc"), "c.nc");
-  EXPECT_EQ(path_dirname("a/b/c.nc"), "a/b");
-  EXPECT_EQ(path_dirname("c.nc"), "");
 }
 
 TEST(Rng, DeterministicPerSeed) {
