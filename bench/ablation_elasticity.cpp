@@ -86,7 +86,7 @@ Outcome run_elastic(int max_blocks,
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchx::require_no_args(argc, argv);
+  util::cli::Command("ablation_elasticity").parse(argc, argv);
   benchx::print_header(
       "Ablation — static allocation vs elastic blocks (node-seconds)",
       "Kurihana et al., SC24, §IV-D dynamic resource allocation / Fig. 6");

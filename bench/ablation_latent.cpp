@@ -58,15 +58,10 @@ double rotation_sensitivity_raw(const std::vector<ml::Tensor>& tiles) {
 
 int main(int argc, char** argv) {
   util::Logger::instance().set_level(util::LogLevel::kWarn);
-  bool int8_check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--int8-check")) {
-      int8_check = true;
-    } else {
-      std::fprintf(stderr, "usage: ablation_latent [--int8-check]\n");
-      return 2;
-    }
-  }
+  const bool int8_check =
+      util::cli::Command("ablation_latent", {util::cli::flag("--int8-check")})
+          .parse(argc, argv)
+          .has("--int8-check");
   benchx::print_header(
       "Ablation — clustering representation: raw pixels vs RICC latents",
       "RICC design choice (Kurihana et al. TGRS'21, used by the SC24 "

@@ -24,15 +24,10 @@
 // read-only snapshot tick; the mfw.health/v1 stream lands at <path>. Both
 // watch modes are zero-perturbation: campaign numbers are identical with or
 // without them.
-//
-// Usage: archive_campaign [--days N] [--quick] [--out <path>]
-//                         [--report-out <path>] [--health-out <path>]
 #include <sched.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,7 +45,6 @@
 #include "sim_oracle.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 #ifndef MFW_BUILD_TYPE
 #define MFW_BUILD_TYPE "Unknown"
@@ -236,35 +230,19 @@ std::string comparison_json(const Comparison& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t days = 365;
-  bool quick = false;
-  std::string out;
-  std::string report_out;
-  std::string health_out;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--days") && i + 1 < argc &&
-        util::parse_count(argv[i + 1], 1, days)) {
-      ++i;
-    } else if (!std::strcmp(argv[i], "--quick")) {
-      quick = true;
-    } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-      out = argv[++i];
-    } else if (!std::strcmp(argv[i], "--report-out") && i + 1 < argc) {
-      report_out = argv[++i];
-    } else if (!std::strcmp(argv[i], "--health-out") && i + 1 < argc) {
-      health_out = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: archive_campaign [--days N] [--quick] [--out <path>] "
-                   "[--report-out <path>] [--health-out <path>]\n");
-      return 2;
-    }
-  }
-  if (quick) days = std::min<std::size_t>(days, 5);
-  if (days > 365) {
-    std::fprintf(stderr, "archive_campaign: --days must be in [1, 365]\n");
-    return 2;
-  }
+  namespace cli = util::cli;
+  const auto args =
+      cli::Command("archive_campaign",
+                   {cli::count("--days", "n", 1, 365), cli::flag("--quick"),
+                    cli::text("--out", "path"), cli::text("--report-out", "path"),
+                    cli::text("--health-out", "path")})
+          .parse(argc, argv);
+  const bool quick = args.has("--quick");
+  const std::size_t days =
+      std::min<std::size_t>(args.count("--days", 365), quick ? 5 : 365);
+  const std::string out = args.text("--out");
+  const std::string report_out = args.text("--report-out");
+  const std::string health_out = args.text("--health-out");
   util::Logger::instance().set_level(util::LogLevel::kWarn);
 
   // Bounded telemetry: stats-only retention (a 1-in-64 span sample, capped)
@@ -328,9 +306,10 @@ int main(int argc, char** argv) {
                   observed, retained, dropped, dropped_instants);
     obs_json = buf;
     if (rollup) {
-      obs::write_file(report_out, "{\n  \"recorder\": " + obs_json +
-                                      ",\n  \"rollup\": " + rollup->to_json() +
-                                      "\n}\n");
+      obs::write_file_or_exit(report_out,
+                              "{\n  \"recorder\": " + obs_json +
+                                  ",\n  \"rollup\": " + rollup->to_json() +
+                                  "\n}\n");
       std::printf(
           "\nBounded telemetry: %zu spans observed, %zu retained "
           "(sample), %zu dropped; rollup holds %zu series\n%s",
@@ -339,7 +318,7 @@ int main(int argc, char** argv) {
       std::printf("Rollup report written to %s\n", report_out.c_str());
     }
     if (monitor) {
-      obs::write_file(health_out, monitor->to_json(campaign.makespan));
+      obs::write_file_or_exit(health_out, monitor->to_json(campaign.makespan));
       std::printf(
           "\nLive health: %llu events watched (%llu dropped at the bus), "
           "%zu alert transitions, %zu firing at end\n"
@@ -425,8 +404,7 @@ int main(int argc, char** argv) {
   json += "    \"link\": " + comparison_json(link_cmp) + "\n  }\n}\n";
 
   if (!out.empty()) {
-    std::ofstream file(out);
-    file << json;
+    obs::write_file_or_exit(out, json);
     std::printf("\nJSON written to %s\n", out.c_str());
   } else {
     std::printf("\n%s", json.c_str());

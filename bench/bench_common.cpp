@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
+#include "obs/analyze.hpp"
+#include "obs/export.hpp"
+#include "obs/trace.hpp"
 #include "preprocess/tasks.hpp"
 #include "util/stats.hpp"
 
@@ -93,11 +95,25 @@ void print_header(const std::string& experiment, const std::string& paper_ref) {
   std::printf("================================================================\n\n");
 }
 
-void require_no_args(int argc, char** argv) {
-  if (argc <= 1) return;
-  std::fprintf(stderr, "%s: unexpected argument '%s'\nusage: %s\n", argv[0],
-               argv[1], argv[0]);
-  std::exit(2);
+void write_trace_outputs(const util::cli::Args& args) {
+  auto& rec = obs::TraceRecorder::instance();
+  if (const auto path = args.text("--trace-out"); !path.empty()) {
+    obs::write_file_or_exit(path, obs::to_chrome_trace_json(rec));
+    std::printf("\nTrace written to %s (%zu spans, %zu instants) — load in "
+                "https://ui.perfetto.dev or chrome://tracing\n",
+                path.c_str(), rec.span_count(), rec.instant_count());
+  }
+  if (const auto path = args.text("--report-out"); !path.empty()) {
+    const auto analysis = obs::analyze_trace(rec);
+    obs::write_file_or_exit(path, analysis.to_json());
+    std::printf("\nTrace-analysis report written to %s\n", path.c_str());
+    for (const auto& process : analysis.processes)
+      std::printf("  %s: dominant stage %s, critical path %.1f s "
+                  "(%.1f%% coverage)\n",
+                  process.process.c_str(), process.dominant_stage.c_str(),
+                  process.critical_path.length,
+                  100.0 * process.critical_path.coverage);
+  }
 }
 
 }  // namespace mfw::benchx

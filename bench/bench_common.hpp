@@ -9,6 +9,7 @@
 
 #include "compute/cluster.hpp"
 #include "modis/catalog.hpp"
+#include "util/cli.hpp"
 
 namespace mfw::benchx {
 
@@ -75,8 +76,9 @@ MeanStd mean_std(const std::vector<double>& values);
 /// Prints the standard bench header (paper reference + reproduction note).
 void print_header(const std::string& experiment, const std::string& paper_ref);
 
-/// For benches that take no arguments: given any, prints the offending
-/// argument and a usage line to stderr and exits with status 2.
-void require_no_args(int argc, char** argv);
+/// The --trace-out <path> and --report-out <path> outputs of fig6_timeline
+/// and headline_12k: writes the Chrome trace of the runs recorded so far and
+/// their trace-analysis report, each when its flag is given.
+void write_trace_outputs(const util::cli::Args& args);
 
 }  // namespace mfw::benchx

@@ -14,7 +14,6 @@
 // int8 --tile-budget 32` and checks the reported peak stays within the budget.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <stdexcept>
 
@@ -22,35 +21,24 @@
 #include "ml/ricc.hpp"
 #include "preprocess/tiler.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 
 using namespace mfw;
 
 int main(int argc, char** argv) {
   util::Logger::instance().set_level(util::LogLevel::kWarn);
+  const auto args =
+      util::cli::Command("fig1_swath",
+                         {util::cli::text("--encode-path", "layers|fused|int8"),
+                          util::cli::count("--tile-budget", "n", 0)})
+          .parse(argc, argv);
   ml::RiccModel::EncodePath encode_path = ml::RiccModel::EncodePath::kLayers;
-  std::size_t tile_budget = 0;
-  auto usage = [] {
-    std::fprintf(stderr,
-                 "usage: fig1_swath [--encode-path layers|fused|int8] "
-                 "[--tile-budget N]\n");
-    return 2;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--encode-path") && i + 1 < argc) {
-      try {
-        encode_path = ml::RiccModel::parse_encode_path(argv[++i]);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "fig1_swath: %s\n", e.what());
-        return usage();
-      }
-    } else if (!std::strcmp(argv[i], "--tile-budget") && i + 1 < argc &&
-               util::parse_count(argv[i + 1], 0, tile_budget)) {
-      ++i;
-    } else {
-      return usage();
-    }
+  try {
+    encode_path = ml::RiccModel::parse_encode_path(
+        args.text("--encode-path", "layers"));
+  } catch (const std::invalid_argument& e) {
+    args.fail(e.what());
   }
+  const std::size_t tile_budget = args.count("--tile-budget", 0);
   benchx::print_header(
       "Fig. 1 — AICCA class map over one MODIS swath (qualitative)",
       "Kurihana et al., SC24, Fig. 1(b)");

@@ -55,7 +55,7 @@ double run_download(int workers, std::size_t files_per_product,
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchx::require_no_args(argc, argv);
+  util::cli::Command("fig3_download").parse(argc, argv);
   util::Logger::instance().set_level(util::LogLevel::kWarn);
   benchx::print_header(
       "Fig. 3 — Download speed vs product size, 3 vs 6 workers",

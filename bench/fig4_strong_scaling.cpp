@@ -15,7 +15,7 @@
 using namespace mfw;
 
 int main(int argc, char** argv) {
-  benchx::require_no_args(argc, argv);
+  util::cli::Command("fig4_strong_scaling").parse(argc, argv);
   benchx::print_header(
       "Fig. 4 — Strong scaling: completion time vs workers and vs nodes",
       "Kurihana et al., SC24, Fig. 4(a)/(b)");

@@ -10,16 +10,11 @@
 // so the preprocess band slides left under the download plateau and the
 // makespan shrinks by roughly the barrier-mode compute tail.
 #include <cstdio>
-#include <string>
 
 #include "bench_common.hpp"
-#include "obs/analyze.hpp"
 #include "obs/export.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "pipeline/eoml_workflow.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 
 using namespace mfw;
 
@@ -43,32 +38,20 @@ pipeline::EomlConfig fig6_config(pipeline::SchedulingMode mode,
 int main(int argc, char** argv) {
   util::Logger::instance().set_level(util::LogLevel::kWarn);
 
-  // Optional flags: --trace-out <path> enables the obs layer and writes a
-  // Chrome trace-event JSON covering BOTH runs (each run is its own trace
-  // process, so barrier and streaming land side by side in Perfetto);
-  // --report-out <path> also enables tracing and writes the trace-analysis
-  // report (critical path, stragglers, utilization) as JSON;
-  // --max-files <n> shrinks the catalog slice for quick smoke runs.
-  std::string trace_out;
-  std::string report_out;
-  std::size_t max_files = 40;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (arg == "--report-out" && i + 1 < argc) {
-      report_out = argv[++i];
-    } else if (arg == "--max-files" && i + 1 < argc &&
-               util::parse_count(argv[i + 1], 1, max_files)) {
-      ++i;
-    } else {
-      std::fprintf(stderr,
-                   "usage: fig6_timeline [--trace-out <path>] "
-                   "[--report-out <path>] [--max-files <n>]\n");
-      return 2;
-    }
-  }
-  if (!trace_out.empty() || !report_out.empty())
+  // --trace-out <path> enables the obs layer and writes a Chrome trace-event
+  // JSON covering BOTH runs (each run is its own trace process, so barrier
+  // and streaming land side by side in Perfetto); --report-out <path> also
+  // enables tracing and writes the trace-analysis report (critical path,
+  // stragglers, utilization) as JSON; --max-files <n> shrinks the catalog
+  // slice for quick smoke runs.
+  namespace cli = util::cli;
+  const auto args = cli::Command("fig6_timeline",
+                                 {cli::text("--trace-out", "path"),
+                                  cli::text("--report-out", "path"),
+                                  cli::count("--max-files", "n", 1)})
+                        .parse(argc, argv);
+  const std::size_t max_files = args.count("--max-files", 40);
+  if (args.has("--trace-out") || args.has("--report-out"))
     obs::set_globally_enabled(true);
   benchx::print_header(
       "Fig. 6 — Automation timeline: active workers per stage",
@@ -129,23 +112,6 @@ int main(int argc, char** argv) {
               report.total_tiles == streaming.total_tiles ? "yes" : "NO",
               report.total_tiles, streaming.total_tiles);
 
-  if (!trace_out.empty()) {
-    auto& rec = obs::TraceRecorder::instance();
-    obs::write_file(trace_out, obs::to_chrome_trace_json(rec));
-    std::printf("\nTrace written to %s (%zu spans, %zu instants) — load in "
-                "https://ui.perfetto.dev or chrome://tracing\n",
-                trace_out.c_str(), rec.span_count(), rec.instant_count());
-  }
-  if (!report_out.empty()) {
-    const auto analysis = obs::analyze_trace(obs::TraceRecorder::instance());
-    obs::write_file(report_out, analysis.to_json());
-    std::printf("\nTrace-analysis report written to %s\n", report_out.c_str());
-    for (const auto& process : analysis.processes)
-      std::printf("  %s: dominant stage %s, critical path %.1f s "
-                  "(%.1f%% coverage)\n",
-                  process.process.c_str(), process.dominant_stage.c_str(),
-                  process.critical_path.length,
-                  100.0 * process.critical_path.coverage);
-  }
+  benchx::write_trace_outputs(args);
   return 0;
 }

@@ -14,7 +14,7 @@
 using namespace mfw;
 
 int main(int argc, char** argv) {
-  benchx::require_no_args(argc, argv);
+  util::cli::Command("fig7_latency").parse(argc, argv);
   util::Logger::instance().set_level(util::LogLevel::kWarn);
   benchx::print_header(
       "Fig. 7 — EO-ML workflow latency breakdown",

@@ -7,9 +7,7 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "obs/analyze.hpp"
 #include "obs/export.hpp"
-#include "obs/trace.hpp"
 #include "pipeline/eoml_workflow.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -20,21 +18,11 @@ int main(int argc, char** argv) {
   // --trace-out <path>: record the end-to-end barrier/streaming comparison
   // runs (not the isolated-farm iterations) as a Chrome trace-event JSON.
   // --report-out <path>: write the trace-analysis report for those runs.
-  std::string trace_out;
-  std::string report_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (arg == "--report-out" && i + 1 < argc) {
-      report_out = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: headline_12k [--trace-out <path>] "
-                   "[--report-out <path>]\n");
-      return 2;
-    }
-  }
+  const auto args =
+      util::cli::Command("headline_12k",
+                         {util::cli::text("--trace-out", "path"),
+                          util::cli::text("--report-out", "path")})
+          .parse(argc, argv);
 
   benchx::print_header(
       "Headline — 12,000 tiles on 80 workers across 10 nodes",
@@ -84,7 +72,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\n=== Streaming variant (end-to-end, 10 nodes x 8 workers) ===\n");
   util::Logger::instance().set_level(util::LogLevel::kWarn);
-  if (!trace_out.empty() || !report_out.empty())
+  if (args.has("--trace-out") || args.has("--report-out"))
     obs::set_globally_enabled(true);
   util::Table cmp({"scheduling", "makespan (s)", "post-download (s)",
                    "dl/pp overlap (s)", "tiles"});
@@ -119,23 +107,6 @@ int main(int argc, char** argv) {
                         barrier_makespan
                   : 0.0);
 
-  if (!trace_out.empty()) {
-    auto& rec = obs::TraceRecorder::instance();
-    obs::write_file(trace_out, obs::to_chrome_trace_json(rec));
-    std::printf("Trace written to %s (%zu spans, %zu instants) — load in "
-                "https://ui.perfetto.dev or chrome://tracing\n",
-                trace_out.c_str(), rec.span_count(), rec.instant_count());
-  }
-  if (!report_out.empty()) {
-    const auto analysis = obs::analyze_trace(obs::TraceRecorder::instance());
-    obs::write_file(report_out, analysis.to_json());
-    std::printf("Trace-analysis report written to %s\n", report_out.c_str());
-    for (const auto& process : analysis.processes)
-      std::printf("  %s: dominant stage %s, critical path %.1f s "
-                  "(%.1f%% coverage)\n",
-                  process.process.c_str(), process.dominant_stage.c_str(),
-                  process.critical_path.length,
-                  100.0 * process.critical_path.coverage);
-  }
+  benchx::write_trace_outputs(args);
   return 0;
 }

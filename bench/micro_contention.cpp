@@ -38,7 +38,7 @@ double throughput_with(compute::LawFactory factory, int workers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchx::require_no_args(argc, argv);
+  util::cli::Command("micro_contention").parse(argc, argv);
   benchx::print_header(
       "Ablation — contention-law choice vs the Table I worker curve",
       "DESIGN.md calibration note (supports Table I / Fig. 4a)");

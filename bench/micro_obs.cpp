@@ -25,23 +25,19 @@
 //
 // The JSON's "context" block stamps the build type, compiler and CPU count;
 // tools/bench_obs.sh refuses to snapshot anything but a Release build.
-//
-// Usage: micro_obs [--spans N] [--out <path>]
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/rollup.hpp"
 #include "obs/trace.hpp"
 #include "obs/watch.hpp"
-#include "util/strings.hpp"
 
 #ifndef MFW_BUILD_TYPE
 #define MFW_BUILD_TYPE "Unknown"
@@ -161,19 +157,12 @@ std::string mode_json(const ModeResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t spans = 200'000;
-  std::string out;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--spans") && i + 1 < argc &&
-        util::parse_count(argv[i + 1], 1, spans)) {
-      ++i;
-    } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: micro_obs [--spans N] [--out <path>]\n");
-      return 2;
-    }
-  }
+  const auto args = util::cli::Command("micro_obs",
+                                       {util::cli::count("--spans", "n", 1),
+                                        util::cli::text("--out", "path")})
+                        .parse(argc, argv);
+  const std::size_t spans = args.count("--spans", 200'000);
+  const std::string out = args.text("--out");
 
   std::printf("=== obs recording overhead: %zu span pairs per mode ===\n",
               spans);
@@ -301,8 +290,7 @@ int main(int argc, char** argv) {
   json += "}\n";
 
   if (!out.empty()) {
-    std::ofstream file(out);
-    file << json;
+    obs::write_file_or_exit(out, json);
     std::printf("JSON written to %s\n", out.c_str());
   } else {
     std::printf("%s", json.c_str());

@@ -2,24 +2,21 @@
 // Pareto study the declarative-workflow refactor enables. A three-stage
 // campaign spec (WAN ingest -> contended tiling -> labeling, streaming
 // edges) is compiled through mfw::spec and run under every SchedulerPolicy
-// across facility-count x load, brace-initialized nested loops in the
-// ParameterSweep idiom. Each point reports makespan, facility utilization,
+// across facility-count x load (spec::run_sweep, the grid `mfwctl sweep`
+// runs too). Each point reports makespan, facility utilization,
 // p99 queue wait, deadline misses, and the spec's declared deadline SLO
 // (which policies keep the miss-rate budget?); the grid lands in
 // BENCH_policies.json (schema mfw.policies/v1) for the sweep_quick_grid
 // smoke check and EXPERIMENTS.md.
 //
-// Usage: policy_sweep [--quick] [--out <path>]
-//   --quick  2 policies x 1 facility-count x 1 load (the CI smoke grid)
-//   --out    JSON output path (default BENCH_policies.json)
+// --quick runs 2 policies x 1 facility-count x 1 load (the CI smoke grid);
+// --out <path> names the JSON output (default BENCH_policies.json).
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
-#include <vector>
 
+#include "obs/export.hpp"
 #include "spec/lab.hpp"
 #include "spec/spec.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -71,18 +68,11 @@ slo:
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_policies.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: policy_sweep [--quick] [--out <path>]\n");
-      return 2;
-    }
-  }
+  const auto args = util::cli::Command("policy_sweep",
+                                       {util::cli::flag("--quick"),
+                                        util::cli::text("--out", "path")})
+                        .parse(argc, argv);
+  const bool quick = args.has("--quick");
 
   spec::Facility facility;
   facility.name = "lab_facility";
@@ -92,42 +82,23 @@ int main(int argc, char** argv) {
   const auto graph = spec::StageGraph::compile(
       spec::WorkflowSpec::from_yaml_text(kCampaignSpec), facility);
 
-  const std::vector<std::string> policies =
-      quick ? std::vector<std::string>{"fifo", "fair_share"}
-            : std::vector<std::string>{"fifo", "fair_share", "deadline",
-                                       "wan_aware"};
-  const std::vector<int> facility_counts = quick ? std::vector<int>{1}
-                                                 : std::vector<int>{1, 2};
-  const std::vector<double> loads = quick ? std::vector<double>{1.0}
-                                          : std::vector<double>{0.5, 1.0, 2.0};
+  const spec::SweepGrid grid =
+      quick ? spec::SweepGrid{{"fifo", "fair_share"}, {1}, {1.0}}
+            : spec::SweepGrid{{"fifo", "fair_share", "deadline", "wan_aware"},
+                              {1, 2},
+                              {0.5, 1.0, 2.0}};
 
   std::printf("%-10s %10s %6s %10s %6s %10s %8s %9s\n", "policy", "facilities",
               "load", "makespan", "util", "p99_wait", "misses", "slo_fire");
-  std::vector<spec::LabResult> results;
-  for (const auto& policy : policies) {
-    for (const int facilities : facility_counts) {
-      for (const double load : loads) {
-        spec::LabConfig config;
-        config.graph = graph;
-        config.policy = policy;
-        config.facilities = facilities;
-        config.load = load;
-        auto result = spec::run_lab(config);
-        std::printf("%-10s %10d %6.2f %9.2fs %6.3f %9.2fs %8d %9d\n",
-                    result.policy.c_str(), result.facilities, result.load,
-                    result.makespan, result.utilization, result.p99_queue_wait,
-                    result.deadline_misses, result.slo_firing);
-        results.push_back(std::move(result));
-      }
-    }
-  }
+  const auto results = spec::run_sweep(graph, grid);
+  for (const auto& result : results)
+    std::printf("%-10s %10d %6.2f %9.2fs %6.3f %9.2fs %8d %9d\n",
+                result.policy.c_str(), result.facilities, result.load,
+                result.makespan, result.utilization, result.p99_queue_wait,
+                result.deadline_misses, result.slo_firing);
 
-  std::ofstream out(out_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << spec::results_to_json(results);
+  const auto out_path = args.text("--out", "BENCH_policies.json");
+  obs::write_file_or_exit(out_path, spec::results_to_json(results));
   std::printf("\n%zu sweep points written to %s\n", results.size(),
               out_path.c_str());
   return 0;

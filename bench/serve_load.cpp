@@ -18,23 +18,19 @@
 // Emits the mfw.serve_bench/v1 JSON consumed by tools/bench_serve.sh ->
 // BENCH_serve.json. The build type is stamped into the document so the
 // script can refuse to snapshot non-Release numbers.
-//
-// Usage: serve_load [--quick] [--out <path>] [--tiles N] [--users N]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/export.hpp"
 #include "serve/catalog.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/service.hpp"
 #include "util/json_writer.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 #ifndef MFW_BUILD_TYPE
@@ -70,34 +66,22 @@ double time_ingest(serve::Catalog& catalog,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_serve.json";
+  namespace cli = util::cli;
+  const auto args = cli::Command("serve_load",
+                                 {cli::flag("--quick"),
+                                  cli::text("--out", "path"),
+                                  cli::count("--tiles", "n", 1),
+                                  cli::count("--users", "n", 1)})
+                        .parse(argc, argv);
+  const bool quick = args.has("--quick");
+  const std::string out_path = args.text("--out", "BENCH_serve.json");
   // Non-point queries scan O(tiles) rows per request (bbox/class pruning is
   // per-shard metadata, and hash sharding mixes every cell into every
   // shard), so the corpus size is the per-request cost knob: 500k labelled
   // tiles keeps the full matrix minutes-scale on a small host while the
   // *user population* stays at the 1M the flash-crowd story needs.
-  std::size_t tiles = 500'000;
-  std::size_t users = 1'000'000;
-  for (int i = 1; i < argc; ++i) {
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && has_value) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--tiles") == 0 && has_value &&
-               util::parse_count(argv[i + 1], 1, tiles)) {
-      ++i;
-    } else if (std::strcmp(argv[i], "--users") == 0 && has_value &&
-               util::parse_count(argv[i + 1], 1, users)) {
-      ++i;
-    } else {
-      std::fprintf(stderr,
-                   "usage: serve_load [--quick] [--out <path>] [--tiles N] "
-                   "[--users N]\n");
-      return 2;
-    }
-  }
+  std::size_t tiles = args.count("--tiles", 500'000);
+  std::size_t users = args.count("--users", 1'000'000);
   if (quick) {
     tiles = std::min<std::size_t>(tiles, 100'000);
     users = std::min<std::size_t>(users, 50'000);
@@ -244,12 +228,7 @@ int main(int argc, char** argv) {
   w.raw(flash_result.to_json());
   w.end_object().raw("\n");
 
-  std::ofstream out(out_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << w.take();
+  obs::write_file_or_exit(out_path, w.take());
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -61,7 +61,7 @@ double weak_nodes(Days& days, int nodes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchx::require_no_args(argc, argv);
+  util::cli::Command("table1_throughput").parse(argc, argv);
   benchx::print_header(
       "Table I — Throughput of MODIS 128x128 tiles under four scaling "
       "experiments",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <tuple>
@@ -196,7 +197,14 @@ bool write_file(const std::string& path, const std::string& content) {
     return false;
   }
   out << content;
-  return out.good();
+  out.close();  // a write the buffer still holds fails here
+  return !out.fail();
+}
+
+void write_file_or_exit(const std::string& path, const std::string& content) {
+  if (write_file(path, content)) return;
+  std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  std::exit(1);
 }
 
 void set_globally_enabled(bool on) {

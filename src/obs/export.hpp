@@ -44,9 +44,13 @@ std::string instant_event(std::uint32_t pid, std::uint32_t tid,
 /// Renders the registry as flat text (counters, gauges, distributions).
 std::string to_metrics_text(const MetricsRegistry& registry);
 
-/// Writes content to a host-filesystem path. Returns false (and logs an
-/// error) when the file cannot be opened.
+/// Writes content to a host-filesystem path. Returns false when the file
+/// cannot be opened (and logs an error) or written.
 bool write_file(const std::string& path, const std::string& content);
+
+/// write_file for the output files of mfwctl and the benches: when it fails,
+/// prints "error: cannot write <path>" to stderr and exits 1.
+void write_file_or_exit(const std::string& path, const std::string& content);
 
 /// Convenience: enables/disables the global TraceRecorder + MetricsRegistry
 /// together (the common switch behind `--trace-out` and `mfwctl trace`).

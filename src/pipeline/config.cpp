@@ -56,13 +56,19 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
 }
 
 /// Typos used to silently fall back to defaults ("downlaod:" configured
-/// nothing, "encode_pth:" ran fused); reject a key of `node` outside `valid`,
-/// the keys its parser reads, suggesting the closest one. `section` names
-/// the map, or is empty at the top level.
-void reject_unknown_keys(const util::YamlNode& node,
+/// nothing, "encode_pth:" ran fused, "download: 3" configured nothing);
+/// reject a `node` that is present but not a map, and a key of it outside
+/// `valid`, the keys its parser reads, suggesting the closest one. `section`
+/// names the map, or is empty at the top level. True when `node` is a map.
+bool reject_unknown_keys(const util::YamlNode& node,
                          std::initializer_list<std::string_view> valid,
                          std::string_view section) {
-  if (!node.is_map()) return;
+  if (node.is_null()) return false;
+  if (!node.is_map())
+    throw util::YamlError(section.empty()
+                              ? std::string("config: the document is not a map")
+                              : "config: '" + std::string(section) +
+                                    "' is not a map");
   for (const auto& key : node.keys()) {
     if (std::find(valid.begin(), valid.end(), key) != valid.end()) continue;
     std::string_view nearest = *valid.begin();
@@ -80,6 +86,7 @@ void reject_unknown_keys(const util::YamlNode& node,
     throw util::YamlError("config: unknown " + where + " (did you mean '" +
                           std::string(nearest) + "'?)");
   }
+  return true;
 }
 
 }  // namespace
@@ -95,11 +102,10 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
                       "");
   EomlConfig config;
   const auto& wf = root["workflow"];
-  if (wf.is_map()) {
-    reject_unknown_keys(wf,
-                        {"satellite", "products", "span", "max_files",
-                         "daytime_only", "seed", "scheduling"},
-                        "workflow");
+  if (reject_unknown_keys(wf,
+                          {"satellite", "products", "span", "max_files",
+                           "daytime_only", "seed", "scheduling"},
+                          "workflow")) {
     if (wf.has("satellite"))
       config.satellite = parse_satellite(wf["satellite"].as_string());
     if (wf.has("products")) config.products = parse_products(wf["products"]);
@@ -122,9 +128,8 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
   }
 
   const auto& dl = root["download"];
-  if (dl.is_map()) {
-    reject_unknown_keys(dl, {"workers", "wan_capacity", "connection_speed"},
-                        "download");
+  if (reject_unknown_keys(dl, {"workers", "wan_capacity", "connection_speed"},
+                          "download")) {
     config.download_workers =
         static_cast<int>(dl["workers"].as_int_or(config.download_workers));
     if (dl.has("wan_capacity"))
@@ -136,12 +141,11 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
   }
 
   const auto& pp = root["preprocess"];
-  if (pp.is_map()) {
-    reject_unknown_keys(pp,
-                        {"nodes", "workers_per_node", "elastic", "block",
-                         "tile_size", "channels", "min_cloud_fraction",
-                         "slurm_latency", "walltime", "cost_scale"},
-                        "preprocess");
+  if (reject_unknown_keys(pp,
+                          {"nodes", "workers_per_node", "elastic", "block",
+                           "tile_size", "channels", "min_cloud_fraction",
+                           "slurm_latency", "walltime", "cost_scale"},
+                          "preprocess")) {
     config.preprocess_nodes =
         static_cast<int>(pp["nodes"].as_int_or(config.preprocess_nodes));
     config.workers_per_node = static_cast<int>(
@@ -187,10 +191,9 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
   }
 
   const auto& mon = root["monitor"];
-  if (mon.is_map()) {
-    reject_unknown_keys(
-        mon, {"poll_interval", "action_overhead", "retain_provenance"},
-        "monitor");
+  if (reject_unknown_keys(
+          mon, {"poll_interval", "action_overhead", "retain_provenance"},
+          "monitor")) {
     config.poll_interval =
         mon["poll_interval"].as_double_or(config.poll_interval);
     config.flow_action_overhead =
@@ -200,9 +203,9 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
   }
 
   const auto& inf = root["inference"];
-  if (inf.is_map()) {
-    reject_unknown_keys(inf, {"workers", "model", "encode_path", "cost_scale"},
-                        "inference");
+  if (reject_unknown_keys(inf,
+                          {"workers", "model", "encode_path", "cost_scale"},
+                          "inference")) {
     config.inference_workers =
         static_cast<int>(inf["workers"].as_int_or(config.inference_workers));
     config.model_path = inf["model"].as_string_or(config.model_path);
@@ -215,8 +218,7 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
   }
 
   const auto& ship = root["shipment"];
-  if (ship.is_map()) {
-    reject_unknown_keys(ship, {"streams", "link_capacity"}, "shipment");
+  if (reject_unknown_keys(ship, {"streams", "link_capacity"}, "shipment")) {
     config.shipment_streams =
         static_cast<int>(ship["streams"].as_int_or(config.shipment_streams));
     if (ship.has("link_capacity"))
@@ -225,9 +227,8 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
   }
 
   const auto& facility = root["facility"];
-  if (facility.is_map()) {
-    reject_unknown_keys(facility, {"total_nodes", "node_r_max", "node_tau"},
-                        "facility");
+  if (reject_unknown_keys(facility, {"total_nodes", "node_r_max", "node_tau"},
+                          "facility")) {
     config.facility_total_nodes = static_cast<int>(
         facility["total_nodes"].as_int_or(config.facility_total_nodes));
     config.node_r_max = facility["node_r_max"].as_double_or(config.node_r_max);
@@ -235,9 +236,8 @@ EomlConfig EomlConfig::from_yaml(const util::YamlNode& root) {
   }
 
   const auto& content = root["content"];
-  if (content.is_map()) {
-    reject_unknown_keys(content, {"materialize", "rows", "cols", "bands"},
-                        "content");
+  if (reject_unknown_keys(content, {"materialize", "rows", "cols", "bands"},
+                          "content")) {
     config.materialize = content["materialize"].as_bool_or(config.materialize);
     config.geometry.rows =
         static_cast<int>(content["rows"].as_int_or(config.geometry.rows));

@@ -263,6 +263,16 @@ class Lab {
 
 LabResult run_lab(const LabConfig& config) { return Lab(config).run(); }
 
+std::vector<LabResult> run_sweep(const StageGraph& graph,
+                                 const SweepGrid& grid) {
+  std::vector<LabResult> results;
+  for (const auto& policy : grid.policies)
+    for (const int facilities : grid.facilities)
+      for (const double load : grid.loads)
+        results.push_back(run_lab({graph, policy, facilities, load}));
+  return results;
+}
+
 std::string results_to_json(const std::vector<LabResult>& results) {
   util::JsonWriter w;
   w.begin_object();

@@ -3,7 +3,7 @@
 // one ClusterExecutor + archive WAN FlowLink per facility, a SchedulerPolicy
 // arbitrating task admission across campaigns — and reports the Pareto
 // metrics (makespan, utilization, p99 queue wait, deadline misses) that
-// bench/policy_sweep.cpp sweeps over policy x facility-count x load.
+// run_sweep sweeps over policy x facility-count x load.
 //
 // Semantics of a run: campaign instance c arrives at c * arrival_spacing and
 // is pinned to facility c % facilities. Each instance pushes `items` work
@@ -69,6 +69,19 @@ struct LabResult {
 /// Runs one laboratory configuration to completion. Deterministic: same
 /// config -> same result.
 LabResult run_lab(const LabConfig& config);
+
+/// The policy x facility-count x load grid of `mfwctl sweep` and
+/// bench/policy_sweep.
+struct SweepGrid {
+  std::vector<std::string> policies;
+  std::vector<int> facilities;
+  std::vector<double> loads;
+};
+
+/// run_lab of `graph` at every grid point, policies outermost and loads
+/// innermost.
+std::vector<LabResult> run_sweep(const StageGraph& graph,
+                                 const SweepGrid& grid);
 
 /// Serializes sweep results as the "mfw.policies/v1" JSON document consumed
 /// by the sweep_quick_grid smoke check and EXPERIMENTS.md (one record per

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <fstream>
 #include <string>
 
 #include "obs/export.hpp"
@@ -551,6 +552,14 @@ TEST(MetricsExport, TextDumpListsEverySeries) {
             std::string::npos);
   EXPECT_NE(text.find("mfw.x.seconds"), std::string::npos);
   EXPECT_NE(text.find("count=1"), std::string::npos);
+}
+
+TEST(WriteFile, FailsWhenTheFileCannotBeOpenedOrWritten) {
+  EXPECT_FALSE(write_file("/nonexistent-dir/out.json", "{}"));
+  // /dev/full opens but refuses every byte; a write this short stays in the
+  // stream's buffer until the file is closed.
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(write_file("/dev/full", "{}"));
 }
 
 TEST(GlobalObs, SetGloballyEnabledTogglesBothSingletons) {

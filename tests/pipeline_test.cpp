@@ -58,6 +58,15 @@ TEST(Config, UnknownSectionKeyNamesKeyAndNearest) {
       {"preprocess:\n  elastic: true\n  block: {max_block: 4}\n",
        "config: unknown key 'max_block' in 'preprocess.block' "
        "(did you mean 'max_blocks'?)"},
+      // A section given as a scalar configures nothing, so it is an error
+      // too, not a silent run on defaults.
+      {"workflow: {max_files: 4, span: 2022}\n",
+       "config: 'workflow.span' is not a map"},
+      {"workflow: {max_files: 4}\ndownload: 3\n",
+       "config: 'download' is not a map"},
+      {"preprocess: {block: 4, elastic: true}\n",
+       "config: 'preprocess.block' is not a map"},
+      {"inference: [workers, 2]\n", "config: 'inference' is not a map"},
   };
   for (const auto& [yaml, message] : cases) {
     try {

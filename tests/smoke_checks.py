@@ -9,6 +9,8 @@ the property in its message.
 """
 import collections
 import json
+import os
+import subprocess
 import sys
 
 
@@ -172,8 +174,43 @@ def stages(trace_json):
     assert not missing, f"missing traced workflow runs: {missing}"
 
 
+def bogus(*programs):
+    """Each program, and each command that mfwctl's own usage listing names,
+    exits 2 on --bogus before running anything: stdout stays empty and
+    stderr names the flag, then gives that command line's usage, which for
+    an mfwctl command is its line of the listing."""
+    runs = []
+    for program in programs:
+        name = os.path.basename(program)
+        if name != "mfwctl":
+            runs.append(([program], name, None))
+            continue
+        listing = subprocess.run([program], capture_output=True, text=True)
+        assert listing.returncode == 2, f"mfwctl alone exited {listing.returncode}"
+        entries = []
+        for line in listing.stderr.splitlines()[1:]:
+            if line.startswith("  mfwctl "):
+                entries.append(line)
+            else:
+                entries[-1] += line
+        for entry in entries:
+            command = entry.split()[1]
+            runs.append(([program, command], f"mfwctl {command}", entry.split()))
+    for argv, name, listed in runs:
+        run = subprocess.run(argv + ["--bogus"], capture_output=True, text=True)
+        assert run.returncode == 2, f"{name} --bogus exited {run.returncode}"
+        assert run.stdout == "", f"{name} --bogus wrote to stdout: {run.stdout!r}"
+        head, _, usage = run.stderr.partition("\nusage: ")
+        assert head == "error: unknown flag '--bogus'", f"{name}: {run.stderr!r}"
+        assert usage.split()[:len(name.split())] == name.split(), f"{name}: {usage!r}"
+        assert listed is None or usage.split() == listed, (
+            f"{name}: usage {usage!r} is not its listing {' '.join(listed)!r}")
+    print(f"{len(runs)} command lines reject --bogus with their usage line")
+
+
 CHECKS = {f.__name__: f for f in (report, telemetry, campaign, churn, kernels,
-                                  sweep, health, serve, diff, flight, stages)}
+                                  sweep, health, serve, diff, flight, stages,
+                                  bogus)}
 
 if __name__ == "__main__":
     CHECKS[sys.argv[1]](*sys.argv[2:])

@@ -1,5 +1,6 @@
 // Unit tests for mfw::util: statistics, byte formatting, CRC32, strings,
-// globbing, RNG determinism, blocking queue, and thread pool.
+// globbing, RNG determinism, blocking queue, thread pool, and the
+// command-line parser.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include "util/ascii_plot.hpp"
 #include "util/blocking_queue.hpp"
 #include "util/bytes.hpp"
+#include "util/cli.hpp"
 #include "util/crc32.hpp"
 #include "util/json_writer.hpp"
 #include "util/log.hpp"
@@ -750,6 +752,116 @@ TEST(ZipfGenerator, SkewsTowardLowRanksAndIsDeterministic) {
 
   ZipfGenerator uniform(4, 0.0);
   EXPECT_NEAR(uniform.cdf(0), 0.25, 1e-12);
+}
+
+
+// The declaration every parser case reads: a switch, a text, a count in
+// [1, 365], a real of at least 0.5, a required and an optional positional.
+cli::Command test_command() {
+  return cli::Command("tool", {cli::positional("config.yaml"),
+                               cli::optional("extra.yaml"), cli::flag("--quick"),
+                               cli::text("--out", "path"),
+                               cli::count("--days", "n", 1, 365),
+                               cli::real("--window", "s", 0.5)});
+}
+
+/// The UsageError message `tokens` give, or "" when they parse.
+std::string usage_error(const std::vector<std::string>& tokens) {
+  try {
+    test_command().parse(tokens);
+  } catch (const cli::UsageError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, ReadsEachDeclaredKind) {
+  const auto args =
+      test_command().parse({"a.yaml", "--days", "365", "--quick", "b.yaml",
+                            "--window", "0.5", "--out", "-"});
+  EXPECT_EQ(args.text("config.yaml"), "a.yaml");
+  EXPECT_EQ(args.text("extra.yaml"), "b.yaml");
+  EXPECT_TRUE(args.has("--quick"));
+  EXPECT_EQ(args.count("--days", 7), 365u);
+  EXPECT_EQ(args.real("--window", 2.0), 0.5);
+  EXPECT_EQ(args.text("--out"), "-");  // a lone dash is a value, not a flag
+
+  const auto defaults = test_command().parse({"a.yaml"});
+  EXPECT_FALSE(defaults.has("--quick"));
+  EXPECT_FALSE(defaults.has("extra.yaml"));
+  EXPECT_FALSE(defaults.has("--undeclared"));
+  EXPECT_EQ(defaults.text("--out", "fallback"), "fallback");
+  EXPECT_EQ(defaults.count("--days", 7), 7u);
+  EXPECT_EQ(defaults.real("--window", 2.0), 2.0);
+  EXPECT_THROW(defaults.count("--out", 0), std::logic_error);
+  EXPECT_THROW(defaults.text("--undeclared"), std::logic_error);
+}
+
+TEST(Cli, RejectsUnknownFlag) {
+  EXPECT_EQ(usage_error({"a.yaml", "--bogus"}), "unknown flag '--bogus'");
+  EXPECT_EQ(usage_error({"--quick=1", "a.yaml"}), "unknown flag '--quick=1'");
+}
+
+TEST(Cli, RejectsMissingValue) {
+  EXPECT_EQ(usage_error({"a.yaml", "--out"}), "flag '--out' requires a value");
+  // A value token starting with "--" is the next flag, never a value.
+  EXPECT_EQ(usage_error({"a.yaml", "--out", "--quick"}),
+            "flag '--out' requires a value");
+  EXPECT_EQ(usage_error({"a.yaml", "--days", "--days", "3"}),
+            "flag '--days' requires a value");
+}
+
+TEST(Cli, RejectsRepeatedFlag) {
+  EXPECT_EQ(usage_error({"a.yaml", "--quick", "--quick"}),
+            "repeated flag '--quick'");
+  EXPECT_EQ(usage_error({"a.yaml", "--days", "2", "--days", "abc"}),
+            "repeated flag '--days'");
+}
+
+TEST(Cli, RejectsCountOutsideItsRange) {
+  EXPECT_EQ(usage_error({"a.yaml", "--days", "0"}),
+            "invalid value '0' for flag '--days'");
+  EXPECT_EQ(usage_error({"a.yaml", "--days", "366"}),
+            "invalid value '366' for flag '--days'");
+  EXPECT_EQ(usage_error({"a.yaml", "--days", "-5"}),
+            "invalid value '-5' for flag '--days'");
+  EXPECT_EQ(usage_error({"a.yaml", "--days", "3x"}),
+            "invalid value '3x' for flag '--days'");
+  EXPECT_EQ(usage_error({"a.yaml", "--days", "1"}), "");
+}
+
+TEST(Cli, RejectsRealBelowItsMinimum) {
+  EXPECT_EQ(usage_error({"a.yaml", "--window", "0.4"}),
+            "invalid value '0.4' for flag '--window'");
+  EXPECT_EQ(usage_error({"a.yaml", "--window", "nan"}),
+            "invalid value 'nan' for flag '--window'");
+  EXPECT_EQ(usage_error({"a.yaml", "--window", "1e9"}), "");
+}
+
+TEST(Cli, RejectsExtraAndMissingPositionals) {
+  EXPECT_EQ(usage_error({"a.yaml", "b.yaml", "c.yaml"}),
+            "unexpected argument 'c.yaml'");
+  EXPECT_EQ(usage_error({"--quick"}), "missing <config.yaml>");
+  EXPECT_EQ(usage_error({}), "missing <config.yaml>");
+  // The first rejected token wins over a missing positional.
+  EXPECT_EQ(usage_error({"--bogus"}), "unknown flag '--bogus'");
+}
+
+TEST(Cli, UsageListsEveryDeclaredArg) {
+  EXPECT_EQ(test_command().usage(),
+            "usage: tool <config.yaml> [<extra.yaml>] [--quick] "
+            "[--out <path>] [--days <n>]\n"
+            "            [--window <s>]");
+  EXPECT_EQ(cli::Command("bare").usage("  "), "  bare");
+  // Every line stays within 80 columns, continuations under the first arg.
+  const auto wide = cli::Command(
+      "mfwctl wide", {cli::text("--aaaaaaaaaaaaaaaaaaaa", "path"),
+                      cli::text("--bbbbbbbbbbbbbbbbbbbb", "path"),
+                      cli::text("--cccccccccccccccccccc", "path")});
+  EXPECT_EQ(wide.usage(),
+            "usage: mfwctl wide [--aaaaaaaaaaaaaaaaaaaa <path>]\n"
+            "                   [--bbbbbbbbbbbbbbbbbbbb <path>]\n"
+            "                   [--cccccccccccccccccccc <path>]");
 }
 
 }  // namespace
