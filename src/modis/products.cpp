@@ -5,6 +5,8 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <numbers>
 #include <stdexcept>
 #include <string>
@@ -447,8 +449,77 @@ double EarthModel::surface_temperature(const LatLon& p, Memo& memo) const {
          3.0 * continents_.fbm(p.lon / 15.0, p.lat / 15.0, 2, memo.surface);
 }
 
+// The candidate tiles of each (satellite, slot) for one tiling key; entry
+// e = satellite * kSlotsPerDay + slot. The block holds every entry's filled
+// flag, then its claimed flag, one bit each, then each entry's `words` words
+// of candidate bits (bit t for tile t = tile_row * tile_cols + tile_col).
+// Only the call that claims an empty entry writes its bits, outside the
+// lock, and it marks the entry filled under the lock when it is done; calls
+// read the bits of filled entries only, and those never change while the
+// block lives. A key change replaces the block: calls still holding the old
+// one finish on it, and their fills are dropped with it.
+struct GranuleGenerator::SlotTable {
+  struct Key {
+    GranuleGeometry geometry;
+    int tile_size = 0;
+    int samples_per_axis = 0;
+
+    bool operator==(const Key&) const = default;
+  };
+
+  /// One call's view of its entry.
+  struct Slot {
+    std::shared_ptr<std::uint64_t[]> block;  // kept alive for the call
+    std::uint64_t* bits = nullptr;           // the entry's candidate bits
+    std::size_t entry = 0;
+    bool filled = false;   // the bits hold the slot's candidates
+    bool claimed = false;  // this call records them
+  };
+
+  static constexpr std::size_t kEntries = 2 * kSlotsPerDay;
+  static constexpr std::size_t kFlagWords = (kEntries + 63) / 64;
+
+  Slot find(const Key& want, std::size_t tiles, std::size_t entry) {
+    const std::lock_guard lock(mutex);
+    if (!block || !(key == want)) {
+      // Allocate first: a failed allocation leaves the old key and block.
+      const std::size_t entry_words = (tiles + 63) / 64;
+      block = std::make_shared<std::uint64_t[]>(2 * kFlagWords +
+                                                kEntries * entry_words);
+      key = want;
+      words = entry_words;
+    }
+    Slot slot{block, block.get() + 2 * kFlagWords + entry * words, entry};
+    const std::uint64_t bit = std::uint64_t{1} << (entry % 64);
+    std::uint64_t& filled = block[entry / 64];
+    std::uint64_t& claimed = block[kFlagWords + entry / 64];
+    slot.filled = (filled & bit) != 0;
+    slot.claimed = (claimed & bit) == 0;
+    claimed |= bit;
+    return slot;
+  }
+
+  void fill(const Slot& slot) {
+    const std::lock_guard lock(mutex);
+    if (block == slot.block)
+      block[slot.entry / 64] |= std::uint64_t{1} << (slot.entry % 64);
+  }
+
+  std::mutex mutex;
+  Key key;
+  std::size_t words = 0;
+  std::shared_ptr<std::uint64_t[]> block;
+};
+
 GranuleGenerator::GranuleGenerator(std::uint64_t world_seed)
-    : seed_(world_seed), earth_(world_seed) {}
+    : seed_(world_seed),
+      earth_(world_seed),
+      slots_(std::make_unique<SlotTable>()) {}
+
+GranuleGenerator::GranuleGenerator(GranuleGenerator&&) noexcept = default;
+GranuleGenerator& GranuleGenerator::operator=(GranuleGenerator&&) noexcept =
+    default;
+GranuleGenerator::~GranuleGenerator() = default;
 
 GranuleProducts GranuleGenerator::generate(const GranuleSpec& spec) const {
   check_spec(spec);
@@ -674,16 +745,31 @@ GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
   int need = 0;
   while (static_cast<double>(need) / static_cast<double>(samples) < 0.3)
     ++need;
+  // A filled entry names the slot's candidates, and only they are sampled.
+  // Otherwise every tile is tested for land, and the call that claimed the
+  // entry records the candidates it finds.
+  const auto slot = generator.slots_->find(
+      {g, tile_size, n},
+      static_cast<std::size_t>(tile_rows) * static_cast<std::size_t>(tile_cols),
+      static_cast<std::size_t>(spec.satellite) * kSlotsPerDay +
+          static_cast<std::size_t>(spec.slot));
   EarthModel::Memo memo;
   std::array<SwathRow, kMaxSamplesPerAxis> rows;
   std::array<LatLon, kMaxSamplesPerAxis * kMaxSamplesPerAxis> points;
+  std::size_t index = 0;  // tile_row * tile_cols + tile_col
   for (int tr = 0; tr < tile_rows; ++tr) {
-    for (int sr = 0; sr < n; ++sr) {
-      const double row_frac =
-          (tr * tile_size + (sr + 0.5) * tile_size / n) / g.rows;
-      rows[sr] = swath_row(spec.satellite, spec.slot, row_frac);
-    }
-    for (int tc = 0; tc < tile_cols; ++tc) {
+    bool have_rows = false;
+    for (int tc = 0; tc < tile_cols; ++tc, ++index) {
+      const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+      if (slot.filled && (slot.bits[index / 64] & bit) == 0) continue;
+      if (!have_rows) {
+        for (int sr = 0; sr < n; ++sr) {
+          const double row_frac =
+              (tr * tile_size + (sr + 0.5) * tile_size / n) / g.rows;
+          rows[sr] = swath_row(spec.satellite, spec.slot, row_frac);
+        }
+        have_rows = true;
+      }
       // Samples go column by column, down one column and up the next:
       // along-track neighbours are the closest, so the memo's cells carry
       // over. The counts below do not depend on the order.
@@ -697,16 +783,20 @@ GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
         }
       }
       const std::span<const LatLon> tile(points.data(), sampled);
-      // Land first: one land sample rules the tile out, and its cloud field
-      // is never needed. A bound over the tile's box finds most tiles all
-      // land (kAbove) or all ocean (kBelow) without a per-sample test.
-      const Side land = earth.land_over(tile);
-      if (land == Side::kAbove) continue;
-      if (land == Side::kUndecided &&
-          std::any_of(tile.begin(), tile.end(), [&](const LatLon& p) {
-            return earth.is_land(p, memo);
-          }))
-        continue;
+      if (!slot.filled) {
+        // Land first: one land sample rules the tile out, and its cloud
+        // field is never needed. A bound over the tile's box finds most
+        // tiles all land (kAbove) or all ocean (kBelow) without a
+        // per-sample test.
+        const Side land = earth.land_over(tile);
+        if (land == Side::kAbove) continue;
+        if (land == Side::kUndecided &&
+            std::any_of(tile.begin(), tile.end(), [&](const LatLon& p) {
+              return earth.is_land(p, memo);
+            }))
+          continue;
+        if (slot.claimed) slot.bits[index / 64] |= bit;
+      }
       // Test for cloud only until the selection is decided: `need` cloudy
       // samples select the tile, and it is ruled out once the samples left
       // cannot reach `need`.
@@ -718,6 +808,7 @@ GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
       if (cloudy == need) ++stats.selected_tiles;
     }
   }
+  if (slot.claimed) generator.slots_->fill(slot);
   return stats;
 }
 

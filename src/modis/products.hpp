@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -227,10 +228,16 @@ struct GranuleProducts {
   Mod06Granule mod06;
 };
 
+struct GranuleStats;
+
 /// Generates the three products for a spec. Deterministic in (spec, seed).
 class GranuleGenerator {
  public:
   explicit GranuleGenerator(std::uint64_t world_seed = 2022);
+  /// A moved-from generator may only be assigned to or destroyed.
+  GranuleGenerator(GranuleGenerator&&) noexcept;
+  GranuleGenerator& operator=(GranuleGenerator&&) noexcept;
+  ~GranuleGenerator();
 
   /// The granule's MOD02, MOD03 and MOD06 from one pass over its swath: each
   /// pixel's location, land test and cloud intensity are computed once and
@@ -245,8 +252,16 @@ class GranuleGenerator {
   const EarthModel& earth() const { return earth_; }
 
  private:
+  // estimate_granule_stats' slot table (see there). A mutex guards it, so
+  // the generator stays safe to share across threads; it lives behind a
+  // pointer, so the generator stays movable.
+  struct SlotTable;
+  friend GranuleStats estimate_granule_stats(const GranuleGenerator&,
+                                             const GranuleSpec&, int, int);
+
   std::uint64_t seed_;
   EarthModel earth_;
+  std::unique_ptr<SlotTable> slots_;
 };
 
 /// Coarse per-granule workload statistics used by the discrete-event
@@ -270,6 +285,18 @@ inline constexpr int kMaxSamplesPerAxis = 32;
 /// or once the samples left cannot reach it. Throws std::invalid_argument
 /// for a bad spec, tile_size <= 0, or samples_per_axis outside
 /// [1, kMaxSamplesPerAxis].
+///
+/// Land depends only on location, and a slot's swath is the same every day,
+/// so which tiles are candidates depends on (satellite, slot, geometry,
+/// tile_size, samples_per_axis) and the world seed, never on the day. The
+/// generator holds them in a slot table: a slot's first daytime call tests
+/// every tile for land and records its candidates, one bit per tile; every
+/// later call for the slot samples only those tiles and runs only their
+/// cloud tests. The table holds one (geometry, tile_size, samples_per_axis)
+/// key at a time, in one block of 2 x 288 x ceil(tiles / 64) words plus 18
+/// words of flags, allocated by the key's first daytime call (about 14 KB at
+/// full geometry with 128-px tiles); a call with another key replaces it.
+/// The answers never depend on what the table holds.
 GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
                                     const GranuleSpec& spec,
                                     int tile_size = 128,

@@ -8,13 +8,10 @@
 #include <tuple>
 
 #include "util/json_writer.hpp"
-#include "util/log.hpp"
 
 namespace mfw::obs {
 
 namespace {
-
-constexpr const char* kComponent = "obs";
 
 using util::append_json_escaped;
 
@@ -192,10 +189,7 @@ std::string to_metrics_text(const MetricsRegistry& registry) {
 
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    MFW_ERROR(kComponent, "cannot write ", path);
-    return false;
-  }
+  if (!out) return false;
   out << content;
   out.close();  // a write the buffer still holds fails here
   return !out.fail();

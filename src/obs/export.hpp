@@ -44,8 +44,9 @@ std::string instant_event(std::uint32_t pid, std::uint32_t tid,
 /// Renders the registry as flat text (counters, gauges, distributions).
 std::string to_metrics_text(const MetricsRegistry& registry);
 
-/// Writes content to a host-filesystem path. Returns false when the file
-/// cannot be opened (and logs an error) or written.
+/// Writes content to a host-filesystem path. Returns false, and prints
+/// nothing, when the file cannot be opened or written: the caller reports
+/// it.
 bool write_file(const std::string& path, const std::string& content);
 
 /// write_file for the output files of mfwctl and the benches: when it fails,

@@ -8,6 +8,7 @@
 
 #include "obs/export.hpp"
 #include "obs/watch.hpp"
+#include "util/log.hpp"
 
 namespace mfw::obs {
 namespace {
@@ -37,7 +38,8 @@ std::terminate_handler g_previous = nullptr;
 void crash_dump_handler() {
   {
     std::lock_guard<std::mutex> lock(g_crash_mu);
-    if (g_armed) g_armed->dump(g_crash_path, "terminate");
+    if (g_armed && !g_armed->dump(g_crash_path, "terminate"))
+      MFW_ERROR("obs", "cannot write ", g_crash_path);
   }
   if (g_previous) g_previous();
   std::abort();

@@ -1457,32 +1457,116 @@ TEST(Stats, RejectsBadSampling) {
   }
 }
 
+// estimate_granule_stats on a generator that has never been asked anything:
+// its slot table is empty, so every tile is tested for land.
+GranuleStats fresh_stats(const GranuleSpec& spec, int tile_size = 128,
+                         int samples_per_axis = 6) {
+  return estimate_granule_stats(GranuleGenerator(2022), spec, tile_size,
+                                samples_per_axis);
+}
+
+void expect_same_stats(const GranuleStats& got, const GranuleStats& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.daytime, want.daytime) << where;
+  EXPECT_EQ(got.candidate_tiles, want.candidate_tiles) << where;
+  EXPECT_EQ(got.selected_tiles, want.selected_tiles) << where;
+}
+
 TEST(Stats, SharedGeneratorAcrossThreads) {
-  // Sampling memos live on each call's stack, so threads sharing one const
-  // generator get exactly the serial answers.
+  // Four threads walk every third slot of two days on one generator, each
+  // from its own offset, so they race on cold slot-table entries before
+  // they reach the ones other threads filled. Every answer must be the
+  // fresh generator's.
   const GranuleGenerator gen(2022);
-  auto stats_of = [&gen](int slot) {
-    GranuleSpec spec;
-    spec.geometry = kFullGeometry;
-    spec.slot = slot;
-    return estimate_granule_stats(gen, spec);
-  };
-  constexpr int kThreads = 4;
-  std::vector<GranuleStats> parallel(kSlotsPerDay);
+  std::vector<GranuleSpec> walk;
+  for (const int day : {1, 182})
+    for (int slot = 0; slot < kSlotsPerDay; slot += 3) {
+      GranuleSpec spec;
+      spec.geometry = kFullGeometry;
+      spec.day_of_year = day;
+      spec.slot = slot;
+      walk.push_back(spec);
+    }
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<GranuleStats>> got(
+      kThreads, std::vector<GranuleStats>(walk.size()));
   std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
+  for (std::size_t t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
-      for (int slot = t; slot < kSlotsPerDay; slot += kThreads)
-        parallel[static_cast<std::size_t>(slot)] = stats_of(slot);
+      for (std::size_t i = 0; i < walk.size(); ++i) {
+        const std::size_t k = (i + 2 * t) % walk.size();
+        got[t][k] = estimate_granule_stats(gen, walk[k]);
+      }
     });
   for (auto& thread : threads) thread.join();
-  for (int slot = 0; slot < kSlotsPerDay; ++slot) {
-    const auto serial = stats_of(slot);
-    const auto& got = parallel[static_cast<std::size_t>(slot)];
-    ASSERT_EQ(got.daytime, serial.daytime) << slot;
-    ASSERT_EQ(got.candidate_tiles, serial.candidate_tiles) << slot;
-    ASSERT_EQ(got.selected_tiles, serial.selected_tiles) << slot;
+  for (std::size_t k = 0; k < walk.size(); ++k) {
+    const auto want = fresh_stats(walk[k]);
+    for (std::size_t t = 0; t < kThreads; ++t)
+      expect_same_stats(got[t][k], want,
+                        "thread " + std::to_string(t) + ", day " +
+                            std::to_string(walk[k].day_of_year) + " slot " +
+                            std::to_string(walk[k].slot));
   }
+}
+
+TEST(Stats, SlotTableAgreesWithAFreshGenerator) {
+  // One generator walks both satellites over every fifth slot of days 300,
+  // 1, 150 and 1 again. The table holds one (geometry, tiling) key at a
+  // time; each pass keeps the previous pass's key, so the pass hits what
+  // that one filled, and then changes it: the default tiling, (96, 5) and a
+  // second geometry in turn. Every answer must equal a fresh generator's,
+  // which tests every tile for land.
+  struct Key {
+    GranuleGeometry geometry;
+    int tile_size;
+    int samples_per_axis;
+
+    bool operator==(const Key&) const = default;
+  };
+  const Key tiling{kFullGeometry, 128, 6};
+  const Key finer{kFullGeometry, 96, 5};
+  const Key smaller{GranuleGeometry{1500, 1000, 36}, 128, 6};
+  const std::pair<int, Key> passes[] = {
+      {300, tiling}, {1, tiling},  {1, finer},  {150, finer},
+      {150, smaller}, {1, smaller}, {1, tiling},
+  };
+  const GranuleGenerator gen(2022);
+  // Slots first seen at night under a key and later by day under it: the
+  // night call must not fill their entries.
+  std::map<std::pair<int, int>, bool> night_first;  // (satellite, slot)
+  int night_then_day = 0;
+  int selected = 0;
+  for (std::size_t p = 0; p < std::size(passes); ++p) {
+    const auto& [day, key] = passes[p];
+    if (p > 0 && !(passes[p - 1].second == key)) night_first.clear();
+    for (const Satellite sat : {Satellite::kTerra, Satellite::kAqua}) {
+      for (int slot = 0; slot < kSlotsPerDay; slot += 5) {
+        GranuleSpec spec;
+        spec.satellite = sat;
+        spec.day_of_year = day;
+        spec.slot = slot;
+        spec.geometry = key.geometry;
+        const auto got = estimate_granule_stats(gen, spec, key.tile_size,
+                                                key.samples_per_axis);
+        const auto want =
+            fresh_stats(spec, key.tile_size, key.samples_per_axis);
+        expect_same_stats(got, want,
+                          "pass " + std::to_string(p) + ", " +
+                              satellite_name(sat) + " day " +
+                              std::to_string(day) + " slot " +
+                              std::to_string(slot));
+        selected += want.selected_tiles;
+        const auto seen = night_first.try_emplace(
+            {static_cast<int>(sat), slot}, !want.daytime);
+        if (!seen.second && seen.first->second && want.daytime) {
+          ++night_then_day;
+          seen.first->second = false;
+        }
+      }
+    }
+  }
+  EXPECT_GT(night_then_day, 0);
+  EXPECT_GT(selected, 0);
 }
 
 // Reference for estimate_granule_stats: the full count, which tests every

@@ -2,8 +2,8 @@
 # Runs the archive-scale simulation benchmark (bench/archive_campaign) and
 # snapshots the numbers into BENCH_sim.json at the repo root, so substrate
 # regressions show up as a diff: a year-long streaming campaign (~105k
-# granules), substrate scaling to 10^6 jobs/flows, and the churn speedups of
-# SharedResource and FlowLink over the O(n)-per-event oracles in
+# granules), substrate scaling to 10^6 jobs/flows, and (--churn) the churn
+# speedups of SharedResource and FlowLink over the O(n)-per-event oracles in
 # tests/sim_oracle.hpp (DESIGN.md §9).
 #
 # The build is forced to Release and the snapshot is refused unless the
@@ -36,7 +36,8 @@ if command -v taskset > /dev/null; then
 else
   echo "WARNING: taskset not found; running archive_campaign unpinned" >&2
 fi
-"${pin[@]}" "${build_dir}/bench/archive_campaign" --out "${out_json}" "$@"
+"${pin[@]}" "${build_dir}/bench/archive_campaign" --churn --out "${out_json}" \
+  "$@"
 
 build_type="$(grep -o '"build_type": "[^"]*"' "${out_json}" |
               head -1 | cut -d'"' -f4)"

@@ -150,12 +150,13 @@ int run_config(pipeline::EomlConfig config, bool timeline,
   return 0;
 }
 
-const spec::Facility& facility_by_name(const std::string& name) {
+/// The facility `--facility` names; an unknown name is a usage error.
+const spec::Facility& facility_by_name(const cli::Args& args,
+                                       const std::string& name) {
   if (name == "olcf") return spec::olcf_defiant();
   if (name == "nersc") return spec::nersc_perlmutter_like();
   if (name == "alcf") return spec::alcf_polaris_like();
-  throw std::runtime_error("unknown facility '" + name +
-                           "' (expected olcf|nersc|alcf)");
+  args.fail("unknown facility '" + name + "' (expected olcf|nersc|alcf)");
 }
 
 /// Compiles the spec a plan/sweep command operates on (a spec YAML file or
@@ -163,7 +164,7 @@ const spec::Facility& facility_by_name(const std::string& name) {
 spec::StageGraph load_graph(const cli::Args& args) {
   const auto facility = args.text("--facility");
   const spec::Facility site =
-      facility.empty() ? spec::Facility{} : facility_by_name(facility);
+      facility.empty() ? spec::Facility{} : facility_by_name(args, facility);
   if (args.has("--builtin"))
     return spec::StageGraph::compile(
         pipeline::spec_for_config(pipeline::EomlConfig{}), site);
@@ -203,7 +204,7 @@ int cmd_run_template(const cli::Args& args) {
     overrides = slurp(path);
   auto config = pipeline::instantiate(args.text("name"), overrides);
   if (const auto facility = args.text("--facility"); !facility.empty())
-    pipeline::apply(facility_by_name(facility), config);
+    pipeline::apply(facility_by_name(args, facility), config);
   return run_config(std::move(config), args.has("--timeline"),
                     args.text("--csv"));
 }
@@ -356,8 +357,9 @@ int cmd_watch(const cli::Args& args) {
     bus.set_next(flight.get());
     monitor.set_alert_hook([&](const obs::Alert& alert) {
       flight->note_alert(alert);
-      if (alert.state == "firing")
-        flight->dump(flight_out, "slo-firing:" + alert.rule);
+      if (alert.state == "firing" &&
+          !flight->dump(flight_out, "slo-firing:" + alert.rule))
+        MFW_ERROR("mfwctl", "cannot write ", flight_out);
     });
     flight->arm_crash_dump(flight_out);
   }
