@@ -111,10 +111,8 @@ void BM_NclSerializeRoundTrip(benchmark::State& state) {
   file.add_dim("x", 32);
   std::vector<float> data(tiles * 6 * 32 * 32, 0.5f);
   file.add_f32("tiles", {"tile", "ch", "y", "x"}, data);
-  for (auto _ : state) {
-    const auto bytes = file.serialize();
-    benchmark::DoNotOptimize(storage::NclFile::deserialize(bytes));
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(storage::NclFile::deserialize(file.serialize()));
   state.SetBytesProcessed(
       static_cast<std::int64_t>(data.size() * sizeof(float)) *
       state.iterations());

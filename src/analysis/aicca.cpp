@@ -19,7 +19,7 @@ struct ParsedFile {
   bool skipped = false;
 };
 
-ParsedFile parse_tile_file(const std::vector<std::byte>& bytes) {
+ParsedFile parse_tile_file(const storage::Bytes& bytes) {
   const auto file = storage::NclFile::deserialize(bytes);
   ParsedFile parsed;
   if (!file.has_var("tiles") || !file.has_var("label")) {
@@ -67,8 +67,8 @@ AiccaArchive AiccaArchive::load(storage::FileSystem& fs,
   const auto infos = fs.list(pattern);
   // Byte reads stay sequential — FileSystem implementations need not be
   // thread-safe — but deserialization and record extraction are pure CPU
-  // work on private buffers, so those fan out per file.
-  std::vector<std::vector<std::byte>> bytes;
+  // work on immutable buffers, so those fan out per file.
+  std::vector<storage::Bytes> bytes;
   bytes.reserve(infos.size());
   for (const auto& info : infos) bytes.push_back(fs.read_file(info.path));
   std::vector<ParsedFile> parsed(bytes.size());

@@ -18,18 +18,19 @@ namespace {
 constexpr const char* kComponent = "ricc";
 
 Tensor tensor_from_dataset(const storage::Dataset& ds) {
-  const auto values = ds.as_f32();
   std::vector<int> shape;
   shape.reserve(ds.shape.size());
   for (auto dim : ds.shape) shape.push_back(static_cast<int>(dim));
-  return Tensor(std::move(shape), std::vector<float>(values.begin(), values.end()));
+  return Tensor(std::move(shape), ds.as_f32().to_vector());
 }
 
 storage::Dataset dataset_from_tensor(std::string name, const Tensor& t) {
   std::vector<std::uint64_t> shape;
   shape.reserve(t.rank());
   for (auto dim : t.shape()) shape.push_back(static_cast<std::uint64_t>(dim));
-  return storage::Dataset::f32(std::move(name), std::move(shape), t.span());
+  const auto values = t.span();
+  return storage::Dataset::f32(std::move(name), std::move(shape),
+                               std::vector<float>(values.begin(), values.end()));
 }
 }  // namespace
 

@@ -194,10 +194,10 @@ std::vector<std::byte> ArchiveService::materialize(
     held_.push_back(std::move(entry));
     if (held_.size() > kHeldGranules) held_.pop_front();
   }
-  // Serialization reads the hdfl copy alone, so the struct is freed first:
-  // one copy of the product fewer is live while the bytes are written.
+  // The product's arrays move into the file, and serialization writes each
+  // once into a buffer of the file's exact size.
   const auto file = std::visit(
-      [](const auto& granule) { return granule.to_hdfl(); }, *product);
+      [](auto& granule) { return std::move(granule).to_hdfl(); }, *product);
   product.reset();
   return file.serialize();
 }

@@ -73,7 +73,8 @@ class ArchiveService {
   std::uint64_t size_of(const GranuleId& id) const;
 
   /// The product content at the requested geometry, serialized to hdfl
-  /// bytes: exactly GranuleGenerator::generate's product for the granule.
+  /// bytes in a buffer of exactly their size: exactly
+  /// GranuleGenerator::generate's product for the granule.
   /// (Real downloads move `size_of` bytes; the pipeline materializes content
   /// at working geometry — see DESIGN.md.)
   ///

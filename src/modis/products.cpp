@@ -645,14 +645,14 @@ float Mod02Granule::at(int band, int row, int col) const {
                   static_cast<std::size_t>(col)];
 }
 
-storage::HdflFile Mod03Granule::to_hdfl() const {
+storage::HdflFile Mod03Granule::to_hdfl() && {
   storage::HdflFile file;
   put_spec_attrs(file, spec, "MOD03");
   const auto shape = grid_shape(spec);
-  file.add(storage::Dataset::f32("Latitude", shape, latitude));
-  file.add(storage::Dataset::f32("Longitude", shape, longitude));
-  file.add(storage::Dataset::u8("LandSeaMask", shape, land_mask));
-  file.add(storage::Dataset::f32("SolarZenith", shape, solar_zenith));
+  file.add(storage::Dataset::f32("Latitude", shape, std::move(latitude)));
+  file.add(storage::Dataset::f32("Longitude", shape, std::move(longitude)));
+  file.add(storage::Dataset::u8("LandSeaMask", shape, std::move(land_mask)));
+  file.add(storage::Dataset::f32("SolarZenith", shape, std::move(solar_zenith)));
   return file;
 }
 
@@ -660,26 +660,24 @@ Mod03Granule Mod03Granule::from_hdfl(const storage::HdflFile& file) {
   Mod03Granule out;
   out.spec = spec_from_attrs(file);
   const auto& g = out.spec.geometry;
-  const auto lat = grid_dataset(file, g, "Latitude").as_f32();
-  const auto lon = grid_dataset(file, g, "Longitude").as_f32();
-  const auto mask = grid_dataset(file, g, "LandSeaMask").as_u8();
-  const auto zen = grid_dataset(file, g, "SolarZenith").as_f32();
-  out.latitude.assign(lat.begin(), lat.end());
-  out.longitude.assign(lon.begin(), lon.end());
-  out.land_mask.assign(mask.begin(), mask.end());
-  out.solar_zenith.assign(zen.begin(), zen.end());
+  out.latitude = grid_dataset(file, g, "Latitude").as_f32().to_vector();
+  out.longitude = grid_dataset(file, g, "Longitude").as_f32().to_vector();
+  out.land_mask = grid_dataset(file, g, "LandSeaMask").as_u8().to_vector();
+  out.solar_zenith = grid_dataset(file, g, "SolarZenith").as_f32().to_vector();
   return out;
 }
 
-storage::HdflFile Mod06Granule::to_hdfl() const {
+storage::HdflFile Mod06Granule::to_hdfl() && {
   storage::HdflFile file;
   put_spec_attrs(file, spec, "MOD06");
   const auto shape = grid_shape(spec);
-  file.add(storage::Dataset::u8("CloudMask", shape, cloud_mask));
+  file.add(storage::Dataset::u8("CloudMask", shape, std::move(cloud_mask)));
   file.add(storage::Dataset::f32("CloudOpticalThickness", shape,
-                                 cloud_optical_thickness));
-  file.add(storage::Dataset::f32("CloudTopPressure", shape, cloud_top_pressure));
-  file.add(storage::Dataset::f32("CloudWaterPath", shape, cloud_water_path));
+                                 std::move(cloud_optical_thickness)));
+  file.add(storage::Dataset::f32("CloudTopPressure", shape,
+                                 std::move(cloud_top_pressure)));
+  file.add(storage::Dataset::f32("CloudWaterPath", shape,
+                                 std::move(cloud_water_path)));
   return file;
 }
 
@@ -687,18 +685,17 @@ Mod06Granule Mod06Granule::from_hdfl(const storage::HdflFile& file) {
   Mod06Granule out;
   out.spec = spec_from_attrs(file);
   const auto& g = out.spec.geometry;
-  const auto mask = grid_dataset(file, g, "CloudMask").as_u8();
-  const auto cot = grid_dataset(file, g, "CloudOpticalThickness").as_f32();
-  const auto ctp = grid_dataset(file, g, "CloudTopPressure").as_f32();
-  const auto cwp = grid_dataset(file, g, "CloudWaterPath").as_f32();
-  out.cloud_mask.assign(mask.begin(), mask.end());
-  out.cloud_optical_thickness.assign(cot.begin(), cot.end());
-  out.cloud_top_pressure.assign(ctp.begin(), ctp.end());
-  out.cloud_water_path.assign(cwp.begin(), cwp.end());
+  out.cloud_mask = grid_dataset(file, g, "CloudMask").as_u8().to_vector();
+  out.cloud_optical_thickness =
+      grid_dataset(file, g, "CloudOpticalThickness").as_f32().to_vector();
+  out.cloud_top_pressure =
+      grid_dataset(file, g, "CloudTopPressure").as_f32().to_vector();
+  out.cloud_water_path =
+      grid_dataset(file, g, "CloudWaterPath").as_f32().to_vector();
   return out;
 }
 
-storage::HdflFile Mod02Granule::to_hdfl() const {
+storage::HdflFile Mod02Granule::to_hdfl() && {
   storage::HdflFile file;
   put_spec_attrs(file, spec, "MOD02");
   file.attrs()["daytime"] = daytime ? "1" : "0";
@@ -707,7 +704,7 @@ storage::HdflFile Mod02Granule::to_hdfl() const {
       {static_cast<std::uint64_t>(spec.geometry.bands),
        static_cast<std::uint64_t>(spec.geometry.rows),
        static_cast<std::uint64_t>(spec.geometry.cols)},
-      radiance));
+      std::move(radiance)));
   return file;
 }
 
@@ -717,8 +714,7 @@ Mod02Granule Mod02Granule::from_hdfl(const storage::HdflFile& file) {
   const auto it = file.attrs().find("daytime");
   out.daytime = it != file.attrs().end() && it->second == "1";
   const auto& g = out.spec.geometry;
-  const auto rad = grid_dataset(file, g, "Radiance", g.bands).as_f32();
-  out.radiance.assign(rad.begin(), rad.end());
+  out.radiance = grid_dataset(file, g, "Radiance", g.bands).as_f32().to_vector();
   return out;
 }
 

@@ -154,10 +154,11 @@ class EarthModel {
   NoiseField pressure_;
 };
 
-// Each product's from_hdfl throws storage::FormatError when a spec attribute
-// is missing or not an int, the geometry is not positive, or a dataset's
-// element count disagrees with it (bands x rows x cols for Radiance, rows x
-// cols for every other dataset).
+// Each product's to_hdfl is called on an rvalue: its arrays move into the
+// file as the datasets' payloads, uncopied. Each product's from_hdfl throws
+// storage::FormatError when a spec attribute is missing or not an int, the
+// geometry is not positive, or a dataset's element count disagrees with it
+// (bands x rows x cols for Radiance, rows x cols for every other dataset).
 
 /// MOD03: geolocation + land/sea mask + solar zenith, row-major [rows][cols].
 struct Mod03Granule {
@@ -167,7 +168,7 @@ struct Mod03Granule {
   std::vector<std::uint8_t> land_mask;  // 1 = land
   std::vector<float> solar_zenith;      // degrees
 
-  storage::HdflFile to_hdfl() const;
+  storage::HdflFile to_hdfl() &&;
   static Mod03Granule from_hdfl(const storage::HdflFile& file);
 };
 
@@ -179,7 +180,7 @@ struct Mod06Granule {
   std::vector<float> cloud_top_pressure;  // hPa
   std::vector<float> cloud_water_path;    // g/m^2
 
-  storage::HdflFile to_hdfl() const;
+  storage::HdflFile to_hdfl() &&;
   static Mod06Granule from_hdfl(const storage::HdflFile& file);
 };
 
@@ -191,7 +192,7 @@ struct Mod02Granule {
   std::vector<float> radiance;  // bands * rows * cols
 
   float at(int band, int row, int col) const;
-  storage::HdflFile to_hdfl() const;
+  storage::HdflFile to_hdfl() &&;
   static Mod02Granule from_hdfl(const storage::HdflFile& file);
 };
 

@@ -81,15 +81,15 @@ void write_tile_file(storage::FileSystem& fs, const std::string& path,
       orow.push_back(tile.origin_row);
       ocol.push_back(tile.origin_col);
     }
-    file.add_f32("tiles", {"tile", "channel", "y", "x"}, pixels);
-    file.add_f32("latitude", {"tile"}, lat);
-    file.add_f32("longitude", {"tile"}, lon);
-    file.add_f32("cloud_fraction", {"tile"}, cf);
-    file.add_f32("cloud_optical_thickness", {"tile"}, cot);
-    file.add_f32("cloud_top_pressure", {"tile"}, ctp);
-    file.add_f32("cloud_water_path", {"tile"}, cwp);
-    file.add_i32("origin_row", {"tile"}, orow);
-    file.add_i32("origin_col", {"tile"}, ocol);
+    file.add_f32("tiles", {"tile", "channel", "y", "x"}, std::move(pixels));
+    file.add_f32("latitude", {"tile"}, std::move(lat));
+    file.add_f32("longitude", {"tile"}, std::move(lon));
+    file.add_f32("cloud_fraction", {"tile"}, std::move(cf));
+    file.add_f32("cloud_optical_thickness", {"tile"}, std::move(cot));
+    file.add_f32("cloud_top_pressure", {"tile"}, std::move(ctp));
+    file.add_f32("cloud_water_path", {"tile"}, std::move(cwp));
+    file.add_i32("origin_row", {"tile"}, std::move(orow));
+    file.add_i32("origin_col", {"tile"}, std::move(ocol));
   }
   fs.write_file(path, file.serialize());
 }
@@ -183,9 +183,8 @@ Tile tile_from_ncl(const storage::NclFile& file, std::size_t index) {
   tile.mean_cloud_top_pressure =
       file.var("cloud_top_pressure").as_f32()[index];
   tile.mean_water_path = file.var("cloud_water_path").as_f32()[index];
-  tile.data.assign(
-      pixels.begin() + static_cast<std::ptrdiff_t>(index * per_tile),
-      pixels.begin() + static_cast<std::ptrdiff_t>((index + 1) * per_tile));
+  tile.data.resize(per_tile);
+  pixels.copy_to(tile.data, index * per_tile);
   return tile;
 }
 

@@ -52,7 +52,7 @@ storage::NclFile read_tile_file(storage::FileSystem& fs,
 std::size_t pixel_tile_count(const storage::NclFile& file);
 
 /// Extracts tile `index` (with pixel data) from a full tile file. The ncl
-/// variable accessors are zero-copy spans, so this materializes exactly one
+/// variables are views of the file's bytes, so this copies out exactly one
 /// Tile — how inference walks a file, one decoded tile resident at a time.
 /// Throws std::out_of_range past the last tile, and storage::FormatError
 /// unless `tiles` is f32 over (tile, channel, y, x) with x == y and every

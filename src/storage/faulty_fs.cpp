@@ -7,25 +7,26 @@ namespace mfw::storage {
 FaultyFs::FaultyFs(FileSystem& inner, FaultConfig config)
     : inner_(inner), config_(config), rng_(config.seed) {}
 
-void FaultyFs::write_file(std::string_view path,
-                          std::span<const std::byte> data) {
+void FaultyFs::write_file(std::string_view path, Bytes data) {
   if (rng_.bernoulli(config_.write_failure_probability)) {
     ++failed_writes_;
     throw std::runtime_error(name() + ": transient write failure on " +
                              std::string(path));
   }
-  inner_.write_file(path, data);
+  inner_.write_file(path, std::move(data));
 }
 
-std::vector<std::byte> FaultyFs::read_file(std::string_view path) const {
-  auto data = inner_.read_file(path);
-  if (!data.empty() && rng_.bernoulli(config_.corrupt_read_probability)) {
-    ++corrupted_reads_;
-    const auto index = static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(data.size()) - 1));
-    data[index] ^= std::byte{0x10};
-  }
-  return data;
+Bytes FaultyFs::read_file(std::string_view path) const {
+  Bytes data = inner_.read_file(path);
+  if (data.empty() || !rng_.bernoulli(config_.corrupt_read_probability))
+    return data;
+  ++corrupted_reads_;
+  const auto index = static_cast<std::size_t>(
+      rng_.uniform_int(0, static_cast<std::int64_t>(data.size()) - 1));
+  // The stored buffer is shared and never written: corrupt a copy of it.
+  std::vector<std::byte> corrupted(data.begin(), data.end());
+  corrupted[index] ^= std::byte{0x10};
+  return corrupted;
 }
 
 bool FaultyFs::exists(std::string_view path) const {

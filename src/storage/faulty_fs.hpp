@@ -24,9 +24,8 @@ class FaultyFs final : public FileSystem {
   /// `inner` is not owned and must outlive the decorator.
   FaultyFs(FileSystem& inner, FaultConfig config);
 
-  void write_file(std::string_view path,
-                  std::span<const std::byte> data) override;
-  std::vector<std::byte> read_file(std::string_view path) const override;
+  void write_file(std::string_view path, Bytes data) override;
+  Bytes read_file(std::string_view path) const override;
   bool exists(std::string_view path) const override;
   std::uint64_t file_size(std::string_view path) const override;
   std::vector<FileInfo> list(std::string_view pattern) const override;

@@ -5,14 +5,19 @@
 // is no directory object — directories exist implicitly, as on object
 // stores. The flow monitor, preprocessing, inference, and shipment stages all
 // operate through this interface, so tests can run everything against MemFs.
+//
+// A file's contents are one immutable Bytes buffer (storage/bytes.hpp):
+// write_file takes the producer's buffer and read_file returns it, shared,
+// so no hand-off copies a file. Implementations never write to a buffer
+// they were given or have returned.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "storage/bytes.hpp"
 
 namespace mfw::storage {
 
@@ -28,11 +33,10 @@ class FileSystem {
   virtual ~FileSystem() = default;
 
   /// Creates or replaces the file at `path` with `data`.
-  virtual void write_file(std::string_view path,
-                          std::span<const std::byte> data) = 0;
+  virtual void write_file(std::string_view path, Bytes data) = 0;
 
   /// Reads the whole file; throws std::runtime_error when missing.
-  virtual std::vector<std::byte> read_file(std::string_view path) const = 0;
+  virtual Bytes read_file(std::string_view path) const = 0;
 
   virtual bool exists(std::string_view path) const = 0;
 

@@ -1,9 +1,6 @@
 #include "storage/hdfl.hpp"
 
-#include <algorithm>
 #include <cstring>
-
-#include "util/crc32.hpp"
 
 namespace mfw::storage {
 
@@ -11,25 +8,6 @@ namespace {
 
 constexpr std::uint32_t kVersion = 1;
 constexpr char kMagic[4] = {'H', 'D', 'F', 'L'};
-
-void write_attrs(BinaryWriter& w, const std::map<std::string, std::string>& attrs) {
-  if (attrs.size() > 0xffff) throw FormatError("too many attributes");
-  w.u16(static_cast<std::uint16_t>(attrs.size()));
-  for (const auto& [key, value] : attrs) {
-    w.str(key);
-    w.str(value);
-  }
-}
-
-std::map<std::string, std::string> read_attrs(BinaryReader& r) {
-  std::map<std::string, std::string> attrs;
-  const std::uint16_t n = r.u16();
-  for (std::uint16_t i = 0; i < n; ++i) {
-    auto key = r.str();
-    attrs.emplace(std::move(key), r.str());
-  }
-  return attrs;
-}
 
 DType read_dtype(BinaryReader& r) {
   const std::uint8_t raw = r.u8();
@@ -49,6 +27,13 @@ Dataset read_dataset_header(BinaryReader& r) {
   for (std::uint8_t d = 0; d < ndims; ++d) ds.shape.push_back(r.u64());
   ds.attrs = read_attrs(r);
   return ds;
+}
+
+// Reads the payload after a dataset header into `ds.data` as a slice of
+// `bytes`, and checks its CRC and its size against the shape.
+void read_dataset_payload(BinaryReader& r, const Bytes& bytes, Dataset& ds) {
+  ds.data = read_payload(r, bytes, "dataset", ds.name);
+  ds.validate();
 }
 
 void check_magic(BinaryReader& r) {
@@ -83,43 +68,44 @@ void Dataset::validate() const {
 
 namespace {
 template <typename T>
-std::span<const T> typed_view(const Dataset& ds, DType expected) {
+ElementView<T> typed_view(const Dataset& ds, DType expected) {
   if (ds.dtype != expected)
     throw FormatError("dataset '" + ds.name + "' is " +
                       std::string(dtype_name(ds.dtype)) + ", expected " +
                       std::string(dtype_name(expected)));
-  return {reinterpret_cast<const T*>(ds.data.data()), ds.data.size() / sizeof(T)};
+  return ElementView<T>(ds.data);
 }
 
 template <typename T>
 Dataset make_dataset(std::string name, std::vector<std::uint64_t> shape,
-                     std::span<const T> values, DType dtype) {
+                     std::vector<T> values, DType dtype) {
   Dataset ds;
   ds.name = std::move(name);
   ds.dtype = dtype;
   ds.shape = std::move(shape);
-  const auto bytes = std::as_bytes(values);
-  ds.data.assign(bytes.begin(), bytes.end());
+  ds.data = Bytes::adopt(std::move(values));
   ds.validate();
   return ds;
 }
 }  // namespace
 
-std::span<const float> Dataset::as_f32() const {
+ElementView<float> Dataset::as_f32() const {
   return typed_view<float>(*this, DType::kF32);
 }
-std::span<const std::uint8_t> Dataset::as_u8() const {
+ElementView<std::uint8_t> Dataset::as_u8() const {
   return typed_view<std::uint8_t>(*this, DType::kU8);
 }
 
 Dataset Dataset::f32(std::string name, std::vector<std::uint64_t> shape,
-                     std::span<const float> values) {
-  return make_dataset(std::move(name), std::move(shape), values, DType::kF32);
+                     std::vector<float> values) {
+  return make_dataset(std::move(name), std::move(shape), std::move(values),
+                      DType::kF32);
 }
 
 Dataset Dataset::u8(std::string name, std::vector<std::uint64_t> shape,
-                    std::span<const std::uint8_t> values) {
-  return make_dataset(std::move(name), std::move(shape), values, DType::kU8);
+                    std::vector<std::uint8_t> values) {
+  return make_dataset(std::move(name), std::move(shape), std::move(values),
+                      DType::kU8);
 }
 
 void HdflFile::add(Dataset dataset) {
@@ -152,7 +138,11 @@ std::vector<std::string> HdflFile::names() const {
 }
 
 std::vector<std::byte> HdflFile::serialize() const {
-  BinaryWriter w;
+  std::size_t size = 4 + 4 + attrs_size(attrs_) + 4;
+  for (const auto& ds : datasets_)
+    size += str_size(ds.name) + 2 + 8 * ds.shape.size() + attrs_size(ds.attrs) +
+            payload_record_size(ds.data.size());
+  BinaryWriter w(size);
   w.raw(kMagic, 4);
   w.u32(kVersion);
   write_attrs(w, attrs_);
@@ -165,14 +155,12 @@ std::vector<std::byte> HdflFile::serialize() const {
     w.u8(static_cast<std::uint8_t>(ds.shape.size()));
     for (auto d : ds.shape) w.u64(d);
     write_attrs(w, ds.attrs);
-    w.u64(ds.data.size());
-    w.bytes(ds.data);
-    w.u32(util::crc32(ds.data));
+    write_payload(w, ds.data);
   }
   return w.take();
 }
 
-HdflFile HdflFile::deserialize(std::span<const std::byte> bytes) {
+HdflFile HdflFile::deserialize(Bytes bytes) {
   BinaryReader r(bytes);
   check_magic(r);
   HdflFile file;
@@ -180,19 +168,15 @@ HdflFile HdflFile::deserialize(std::span<const std::byte> bytes) {
   const std::uint32_t count = r.u32();
   for (std::uint32_t i = 0; i < count; ++i) {
     Dataset ds = read_dataset_header(r);
-    const std::uint64_t size = r.u64();
-    const auto payload = r.raw(static_cast<std::size_t>(size));
-    ds.data.assign(payload.begin(), payload.end());
-    const std::uint32_t crc = r.u32();
-    if (crc != util::crc32(ds.data))
-      throw FormatError("CRC mismatch in dataset '" + ds.name + "'");
-    ds.validate();
+    if (file.has(ds.name))
+      throw FormatError("dataset '" + ds.name + "' appears twice");
+    read_dataset_payload(r, bytes, ds);
     file.add(std::move(ds));
   }
   return file;
 }
 
-std::optional<Dataset> HdflFile::read_dataset(std::span<const std::byte> bytes,
+std::optional<Dataset> HdflFile::read_dataset(Bytes bytes,
                                               std::string_view name) {
   BinaryReader r(bytes);
   check_magic(r);
@@ -200,17 +184,12 @@ std::optional<Dataset> HdflFile::read_dataset(std::span<const std::byte> bytes,
   const std::uint32_t count = r.u32();
   for (std::uint32_t i = 0; i < count; ++i) {
     Dataset ds = read_dataset_header(r);
-    const std::uint64_t size = r.u64();
     if (ds.name == name) {
-      const auto payload = r.raw(static_cast<std::size_t>(size));
-      ds.data.assign(payload.begin(), payload.end());
-      const std::uint32_t crc = r.u32();
-      if (crc != util::crc32(ds.data))
-        throw FormatError("CRC mismatch in dataset '" + ds.name + "'");
-      ds.validate();
+      read_dataset_payload(r, bytes, ds);
       return ds;
     }
-    r.skip(static_cast<std::size_t>(size) + 4);  // payload + crc
+    r.skip(static_cast<std::size_t>(r.u64()));  // payload
+    r.skip(4);                                   // crc
   }
   return std::nullopt;
 }

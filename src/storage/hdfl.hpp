@@ -13,14 +13,16 @@
 // The reader validates bounds and CRCs; read_dataset() can extract one
 // dataset without materializing the others (the "partial read" the paper's
 // preprocessing step depends on — it reads only 6 of MOD02's 36 bands).
+// A decoded payload is a CRC-checked slice of the file's Bytes, not a copy;
+// serialize() sizes the file exactly and writes each payload once.
 #pragma once
 
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
+#include "storage/bytes.hpp"
 #include "storage/dtype.hpp"
 #include "storage/serialize.hpp"
 
@@ -31,7 +33,7 @@ struct Dataset {
   DType dtype = DType::kF32;
   std::vector<std::uint64_t> shape;
   std::map<std::string, std::string> attrs;
-  std::vector<std::byte> data;
+  Bytes data;
 
   /// Product of the shape (0 for an empty shape); throws FormatError when
   /// it overflows size_t.
@@ -39,13 +41,15 @@ struct Dataset {
   /// Checks data size == element_count * dtype_size; throws FormatError.
   void validate() const;
 
-  std::span<const float> as_f32() const;
-  std::span<const std::uint8_t> as_u8() const;
+  /// Typed views; throw FormatError for another dtype.
+  ElementView<float> as_f32() const;
+  ElementView<std::uint8_t> as_u8() const;
 
+  /// A dataset over `values`, which move in as its payload.
   static Dataset f32(std::string name, std::vector<std::uint64_t> shape,
-                     std::span<const float> values);
+                     std::vector<float> values);
   static Dataset u8(std::string name, std::vector<std::uint64_t> shape,
-                    std::span<const std::uint8_t> values);
+                    std::vector<std::uint8_t> values);
 };
 
 class HdflFile {
@@ -61,12 +65,16 @@ class HdflFile {
   std::map<std::string, std::string>& attrs() { return attrs_; }
   const std::map<std::string, std::string>& attrs() const { return attrs_; }
 
+  /// The file's bytes, in a buffer of exactly their size.
   std::vector<std::byte> serialize() const;
-  static HdflFile deserialize(std::span<const std::byte> bytes);
+  /// Throws FormatError on malformed input: truncation, bad magic or
+  /// version, a CRC mismatch, a size disagreeing with the shape, or a
+  /// dataset name that appears twice.
+  static HdflFile deserialize(Bytes bytes);
 
   /// Extracts a single dataset without parsing the payloads of the others.
   /// Returns nullopt when absent. Still CRC-checks the extracted dataset.
-  static std::optional<Dataset> read_dataset(std::span<const std::byte> bytes,
+  static std::optional<Dataset> read_dataset(Bytes bytes,
                                              std::string_view name);
 
  private:

@@ -10,14 +10,14 @@ LustreSimFs::LustreSimFs(FileSystem& inner, double aggregate_bandwidth_bps)
     throw std::invalid_argument("LustreSimFs bandwidth must be > 0");
 }
 
-void LustreSimFs::write_file(std::string_view path,
-                             std::span<const std::byte> data) {
-  inner_.write_file(path, data);
-  bytes_written_ += data.size();
+void LustreSimFs::write_file(std::string_view path, Bytes data) {
+  const std::uint64_t size = data.size();
+  inner_.write_file(path, std::move(data));
+  bytes_written_ += size;
   ++write_ops_;
 }
 
-std::vector<std::byte> LustreSimFs::read_file(std::string_view path) const {
+Bytes LustreSimFs::read_file(std::string_view path) const {
   auto data = inner_.read_file(path);
   bytes_read_ += data.size();
   ++read_ops_;

@@ -28,9 +28,8 @@ class LustreSimFs final : public FileSystem {
   /// compute layer (e.g. ~40 GB/s-class for the Defiant 1.6 PB scratch).
   LustreSimFs(FileSystem& inner, double aggregate_bandwidth_bps);
 
-  void write_file(std::string_view path,
-                  std::span<const std::byte> data) override;
-  std::vector<std::byte> read_file(std::string_view path) const override;
+  void write_file(std::string_view path, Bytes data) override;
+  Bytes read_file(std::string_view path) const override;
   bool exists(std::string_view path) const override;
   std::uint64_t file_size(std::string_view path) const override;
   std::vector<FileInfo> list(std::string_view pattern) const override;

@@ -7,7 +7,8 @@
 namespace mfw::storage {
 
 void FileSystem::write_text(std::string_view path, std::string_view text) {
-  write_file(path, std::as_bytes(std::span(text.data(), text.size())));
+  const auto bytes = std::as_bytes(std::span(text.data(), text.size()));
+  write_file(path, std::vector<std::byte>(bytes.begin(), bytes.end()));
 }
 
 std::string FileSystem::read_text(std::string_view path) const {
@@ -29,15 +30,15 @@ double MemFs::stamp() {
   return ++counter_;
 }
 
-void MemFs::write_file(std::string_view path, std::span<const std::byte> data) {
+void MemFs::write_file(std::string_view path, Bytes data) {
   std::lock_guard lock(mu_);
   auto& entry = files_[std::string(path)];
-  entry.data.assign(data.begin(), data.end());
+  entry.data = std::move(data);
   entry.mtime = stamp();
   journal_.push_back(FileInfo{std::string(path), entry.data.size(), entry.mtime});
 }
 
-std::vector<std::byte> MemFs::read_file(std::string_view path) const {
+Bytes MemFs::read_file(std::string_view path) const {
   std::lock_guard lock(mu_);
   const auto it = files_.find(path);
   if (it == files_.end())

@@ -17,9 +17,8 @@ class MemFs final : public FileSystem {
   /// otherwise a per-fs monotone counter is used.
   explicit MemFs(std::string name, const sim::Clock* clock = nullptr);
 
-  void write_file(std::string_view path,
-                  std::span<const std::byte> data) override;
-  std::vector<std::byte> read_file(std::string_view path) const override;
+  void write_file(std::string_view path, Bytes data) override;
+  Bytes read_file(std::string_view path) const override;
   bool exists(std::string_view path) const override;
   std::uint64_t file_size(std::string_view path) const override;
   std::vector<FileInfo> list(std::string_view pattern) const override;
@@ -33,7 +32,7 @@ class MemFs final : public FileSystem {
 
  private:
   struct Entry {
-    std::vector<std::byte> data;
+    Bytes data;
     double mtime = 0.0;
   };
 

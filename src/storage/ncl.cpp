@@ -2,46 +2,38 @@
 
 #include <cstring>
 
-#include "util/crc32.hpp"
-
 namespace mfw::storage {
 
 namespace {
 constexpr char kMagic[4] = {'N', 'C', 'L', '1'};
 
-void write_attrs(BinaryWriter& w, const std::map<std::string, std::string>& attrs) {
-  if (attrs.size() > 0xffff) throw FormatError("too many attributes");
-  w.u16(static_cast<std::uint16_t>(attrs.size()));
-  for (const auto& [key, value] : attrs) {
-    w.str(key);
-    w.str(value);
-  }
-}
-
-std::map<std::string, std::string> read_attrs(BinaryReader& r) {
-  std::map<std::string, std::string> attrs;
-  const std::uint16_t n = r.u16();
-  for (std::uint16_t i = 0; i < n; ++i) {
-    auto key = r.str();
-    attrs.emplace(std::move(key), r.str());
-  }
-  return attrs;
-}
-
 template <typename T>
-std::span<const T> typed_view(const NclVar& var, DType expected) {
+ElementView<T> typed_view(const NclVar& var, DType expected) {
   if (var.dtype != expected)
     throw FormatError("variable '" + var.name + "' is " +
                       std::string(dtype_name(var.dtype)) + ", expected " +
                       std::string(dtype_name(expected)));
-  return {reinterpret_cast<const T*>(var.data.data()), var.data.size() / sizeof(T)};
+  return ElementView<T>(var.data);
+}
+
+template <typename T>
+NclVar make_var(const std::string& name, DType dtype,
+                std::vector<std::string> dims, std::vector<T> values,
+                std::map<std::string, std::string> attrs) {
+  NclVar var;
+  var.name = name;
+  var.dtype = dtype;
+  var.dims = std::move(dims);
+  var.attrs = std::move(attrs);
+  var.data = Bytes::adopt(std::move(values));
+  return var;
 }
 }  // namespace
 
-std::span<const float> NclVar::as_f32() const {
+ElementView<float> NclVar::as_f32() const {
   return typed_view<float>(*this, DType::kF32);
 }
-std::span<const std::int32_t> NclVar::as_i32() const {
+ElementView<std::int32_t> NclVar::as_i32() const {
   return typed_view<std::int32_t>(*this, DType::kI32);
 }
 
@@ -99,29 +91,17 @@ void NclFile::add_var(NclVar var) {
 }
 
 void NclFile::add_f32(const std::string& name, std::vector<std::string> dims,
-                      std::span<const float> values,
+                      std::vector<float> values,
                       std::map<std::string, std::string> attrs) {
-  NclVar var;
-  var.name = name;
-  var.dtype = DType::kF32;
-  var.dims = std::move(dims);
-  var.attrs = std::move(attrs);
-  const auto bytes = std::as_bytes(values);
-  var.data.assign(bytes.begin(), bytes.end());
-  add_var(std::move(var));
+  add_var(make_var(name, DType::kF32, std::move(dims), std::move(values),
+                   std::move(attrs)));
 }
 
 void NclFile::add_i32(const std::string& name, std::vector<std::string> dims,
-                      std::span<const std::int32_t> values,
+                      std::vector<std::int32_t> values,
                       std::map<std::string, std::string> attrs) {
-  NclVar var;
-  var.name = name;
-  var.dtype = DType::kI32;
-  var.dims = std::move(dims);
-  var.attrs = std::move(attrs);
-  const auto bytes = std::as_bytes(values);
-  var.data.assign(bytes.begin(), bytes.end());
-  add_var(std::move(var));
+  add_var(make_var(name, DType::kI32, std::move(dims), std::move(values),
+                   std::move(attrs)));
 }
 
 bool NclFile::has_var(std::string_view name) const {
@@ -143,7 +123,14 @@ std::vector<std::string> NclFile::var_names() const {
 }
 
 std::vector<std::byte> NclFile::serialize() const {
-  BinaryWriter w;
+  std::size_t size = 4 + 2 + attrs_size(attrs_) + 2;
+  for (const auto& [name, length] : dims_) size += str_size(name) + 8;
+  for (const auto& var : vars_) {
+    size += str_size(var.name) + 2 + attrs_size(var.attrs) +
+            payload_record_size(var.data.size());
+    for (const auto& d : var.dims) size += str_size(d);
+  }
+  BinaryWriter w(size);
   w.raw(kMagic, 4);
   if (dims_.size() > 0xffff) throw FormatError("too many dimensions");
   w.u16(static_cast<std::uint16_t>(dims_.size()));
@@ -161,14 +148,12 @@ std::vector<std::byte> NclFile::serialize() const {
     w.u8(static_cast<std::uint8_t>(var.dims.size()));
     for (const auto& d : var.dims) w.str(d);
     write_attrs(w, var.attrs);
-    w.u64(var.data.size());
-    w.bytes(var.data);
-    w.u32(util::crc32(var.data));
+    write_payload(w, var.data);
   }
   return w.take();
 }
 
-NclFile NclFile::deserialize(std::span<const std::byte> bytes) {
+NclFile NclFile::deserialize(Bytes bytes) {
   BinaryReader r(bytes);
   const auto magic = r.raw(4);
   if (std::memcmp(magic.data(), kMagic, 4) != 0)
@@ -177,6 +162,8 @@ NclFile NclFile::deserialize(std::span<const std::byte> bytes) {
   const std::uint16_t ndims = r.u16();
   for (std::uint16_t i = 0; i < ndims; ++i) {
     auto name = r.str();
+    if (file.has_dim(name))
+      throw FormatError("dimension '" + name + "' appears twice");
     file.add_dim(name, r.u64());
   }
   file.attrs_ = read_attrs(r);
@@ -184,6 +171,8 @@ NclFile NclFile::deserialize(std::span<const std::byte> bytes) {
   for (std::uint16_t i = 0; i < nvars; ++i) {
     NclVar var;
     var.name = r.str();
+    if (file.has_var(var.name))
+      throw FormatError("variable '" + var.name + "' appears twice");
     const std::uint8_t tag = r.u8();
     if (tag > static_cast<std::uint8_t>(DType::kI16))
       throw FormatError("unknown dtype tag " + std::to_string(tag));
@@ -192,12 +181,7 @@ NclFile NclFile::deserialize(std::span<const std::byte> bytes) {
     var.dims.reserve(vdims);
     for (std::uint8_t d = 0; d < vdims; ++d) var.dims.push_back(r.str());
     var.attrs = read_attrs(r);
-    const std::uint64_t size = r.u64();
-    const auto payload = r.raw(static_cast<std::size_t>(size));
-    var.data.assign(payload.begin(), payload.end());
-    const std::uint32_t crc = r.u32();
-    if (crc != util::crc32(var.data))
-      throw FormatError("CRC mismatch in variable '" + var.name + "'");
+    var.data = read_payload(r, bytes, "variable", var.name);
     file.add_var(std::move(var));
   }
   return file;

@@ -11,13 +11,17 @@
 // Layout: "NCL1" u16_dim_count {name,u64 len} u16_global_attr_count {attr}
 //         u16_var_count per var: name, dtype u8, dim_count u8,
 //         {dim name-ref str}, attr_count u16 {attr}, size u64, data, crc u32
+//
+// As with hdfl, a decoded variable's payload is a CRC-checked slice of the
+// file's Bytes, and serialize() writes each payload once into a buffer of
+// exactly the file's size.
 #pragma once
 
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
+#include "storage/bytes.hpp"
 #include "storage/dtype.hpp"
 #include "storage/serialize.hpp"
 
@@ -28,10 +32,11 @@ struct NclVar {
   DType dtype = DType::kF32;
   std::vector<std::string> dims;  // names of dimensions, outermost first
   std::map<std::string, std::string> attrs;
-  std::vector<std::byte> data;
+  Bytes data;
 
-  std::span<const float> as_f32() const;
-  std::span<const std::int32_t> as_i32() const;
+  /// Typed views; throw FormatError for another dtype.
+  ElementView<float> as_f32() const;
+  ElementView<std::int32_t> as_i32() const;
 };
 
 class NclFile {
@@ -47,12 +52,12 @@ class NclFile {
   /// Adds a variable; every dim must exist and the payload size must equal
   /// product(dims) * dtype_size. Replaces an existing variable of that name.
   void add_var(NclVar var);
-  /// Typed convenience for float data.
+  /// Typed convenience: `values` move in as the variable's payload.
   void add_f32(const std::string& name, std::vector<std::string> dims,
-               std::span<const float> values,
+               std::vector<float> values,
                std::map<std::string, std::string> attrs = {});
   void add_i32(const std::string& name, std::vector<std::string> dims,
-               std::span<const std::int32_t> values,
+               std::vector<std::int32_t> values,
                std::map<std::string, std::string> attrs = {});
 
   bool has_var(std::string_view name) const;
@@ -67,8 +72,12 @@ class NclFile {
   /// FormatError for an unknown dim or a product that overflows size_t.
   std::size_t element_count(const std::vector<std::string>& dims) const;
 
+  /// The file's bytes, in a buffer of exactly their size.
   std::vector<std::byte> serialize() const;
-  static NclFile deserialize(std::span<const std::byte> bytes);
+  /// Throws FormatError on malformed input: truncation, bad magic, a CRC
+  /// mismatch, a size disagreeing with the dimensions, or a dimension or
+  /// variable name that appears twice.
+  static NclFile deserialize(Bytes bytes);
 
  private:
   std::vector<std::pair<std::string, std::uint64_t>> dims_;  // insertion order

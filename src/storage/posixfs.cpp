@@ -10,6 +10,13 @@ namespace mfw::storage {
 
 namespace fs = std::filesystem;
 
+namespace {
+// write_file stages a file beside its target under this prefix and then
+// renames it into place. resolve() rejects the prefix in any key segment,
+// so no key names a staging file, and list() skips them.
+constexpr std::string_view kStagingPrefix = ".mfw-staging.";
+}  // namespace
+
 PosixFs::PosixFs(fs::path root, std::string name)
     : root_(std::move(root)), name_(std::move(name)) {
   fs::create_directories(root_);
@@ -20,17 +27,20 @@ fs::path PosixFs::resolve(std::string_view path) const {
   for (const auto& segment : util::split(path, '/')) {
     if (segment == "..")
       throw std::invalid_argument(name_ + ": '..' not allowed in paths");
+    if (util::starts_with(segment, kStagingPrefix))
+      throw std::invalid_argument(name_ + ": '" + segment +
+                                  "' is reserved for staging");
   }
   return root_ / fs::path(path);
 }
 
-void PosixFs::write_file(std::string_view path,
-                         std::span<const std::byte> data) {
+void PosixFs::write_file(std::string_view path, Bytes data) {
   const fs::path full = resolve(path);
   fs::create_directories(full.parent_path());
   // Write-then-rename for atomicity (readers never see partial files — the
   // HDF-partial-read hazard the paper works around).
-  const fs::path tmp = full.string() + ".tmp";
+  const fs::path tmp =
+      full.parent_path() / (std::string(kStagingPrefix) + full.filename().string());
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out)
@@ -45,7 +55,7 @@ void PosixFs::write_file(std::string_view path,
   stamps_[std::string(path)] = ++counter_;
 }
 
-std::vector<std::byte> PosixFs::read_file(std::string_view path) const {
+Bytes PosixFs::read_file(std::string_view path) const {
   const fs::path full = resolve(path);
   std::ifstream in(full, std::ios::binary | std::ios::ate);
   if (!in)
@@ -77,7 +87,8 @@ std::vector<FileInfo> PosixFs::list(std::string_view pattern) const {
   for (const auto& entry : fs::recursive_directory_iterator(root_)) {
     if (!entry.is_regular_file()) continue;
     const std::string key = entry.path().lexically_relative(root_).generic_string();
-    if (util::ends_with(key, ".tmp")) continue;
+    if (util::starts_with(entry.path().filename().string(), kStagingPrefix))
+      continue;
     if (!pattern.empty() && !util::glob_match(pattern, key)) continue;
     FileInfo info;
     info.path = key;

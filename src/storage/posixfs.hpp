@@ -4,7 +4,8 @@
 // runs against PosixFs unchanged.
 //
 // Paths are the same '/'-separated keys as elsewhere; they are sandboxed
-// under the root (".." segments are rejected). mtimes are a monotone
+// under the root (".." segments are rejected, as are segments starting with
+// the prefix write_file stages files under). mtimes are a monotone
 // per-instance counter (like MemFs without a clock) so that FsMonitor
 // semantics — strictly increasing stamps on rewrite — hold regardless of
 // filesystem timestamp granularity.
@@ -23,9 +24,8 @@ class PosixFs final : public FileSystem {
   /// Creates `root` (and parents) if missing.
   explicit PosixFs(std::filesystem::path root, std::string name = "posix");
 
-  void write_file(std::string_view path,
-                  std::span<const std::byte> data) override;
-  std::vector<std::byte> read_file(std::string_view path) const override;
+  void write_file(std::string_view path, Bytes data) override;
+  Bytes read_file(std::string_view path) const override;
   bool exists(std::string_view path) const override;
   std::uint64_t file_size(std::string_view path) const override;
   std::vector<FileInfo> list(std::string_view pattern) const override;

@@ -1,5 +1,7 @@
 #include "storage/serialize.hpp"
 
+#include "util/crc32.hpp"
+
 namespace mfw::storage {
 
 void BinaryWriter::u16(std::uint16_t v) {
@@ -32,7 +34,8 @@ void BinaryWriter::raw(const void* data, std::size_t size) {
 }
 
 void BinaryReader::need(std::size_t size) const {
-  if (offset_ + size > data_.size())
+  // Against remaining(): offset_ + size wraps for a size near 2^64.
+  if (size > remaining())
     throw FormatError("truncated input: need " + std::to_string(size) +
                       " bytes at offset " + std::to_string(offset_));
 }
@@ -94,6 +97,50 @@ std::span<const std::byte> BinaryReader::raw(std::size_t size) {
 void BinaryReader::skip(std::size_t size) {
   need(size);
   offset_ += size;
+}
+
+void write_attrs(BinaryWriter& w,
+                 const std::map<std::string, std::string>& attrs) {
+  if (attrs.size() > 0xffff) throw FormatError("too many attributes");
+  w.u16(static_cast<std::uint16_t>(attrs.size()));
+  for (const auto& [key, value] : attrs) {
+    w.str(key);
+    w.str(value);
+  }
+}
+
+std::map<std::string, std::string> read_attrs(BinaryReader& r) {
+  std::map<std::string, std::string> attrs;
+  const std::uint16_t n = r.u16();
+  for (std::uint16_t i = 0; i < n; ++i) {
+    auto key = r.str();
+    attrs.emplace(std::move(key), r.str());
+  }
+  return attrs;
+}
+
+std::size_t attrs_size(const std::map<std::string, std::string>& attrs) {
+  std::size_t size = 2;
+  for (const auto& [key, value] : attrs) size += str_size(key) + str_size(value);
+  return size;
+}
+
+void write_payload(BinaryWriter& w, std::span<const std::byte> payload) {
+  w.u64(payload.size());
+  w.bytes(payload);
+  w.u32(util::crc32(payload));
+}
+
+Bytes read_payload(BinaryReader& r, const Bytes& file, std::string_view kind,
+                   std::string_view name) {
+  const std::uint64_t size = r.u64();
+  const std::size_t at = r.offset();
+  r.skip(static_cast<std::size_t>(size));
+  Bytes payload = file.slice(at, static_cast<std::size_t>(size));
+  if (r.u32() != util::crc32(payload))
+    throw FormatError("CRC mismatch in " + std::string(kind) + " '" +
+                      std::string(name) + "'");
+  return payload;
 }
 
 }  // namespace mfw::storage

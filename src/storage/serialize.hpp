@@ -4,11 +4,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "storage/bytes.hpp"
 
 namespace mfw::storage {
 
@@ -18,9 +21,14 @@ class FormatError : public std::runtime_error {
   explicit FormatError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Appends primitives to a growing byte buffer.
+/// Appends primitives to a byte buffer.
 class BinaryWriter {
  public:
+  BinaryWriter() = default;
+  /// Reserves `capacity` bytes up front: a writer sized to its output never
+  /// reallocates, and take() hands over a buffer with no spare capacity.
+  explicit BinaryWriter(std::size_t capacity) { buffer_.reserve(capacity); }
+
   void u8(std::uint8_t v) { raw(&v, 1); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -65,5 +73,27 @@ class BinaryReader {
   std::span<const std::byte> data_;
   std::size_t offset_ = 0;
 };
+
+/// Bytes that BinaryWriter::str writes for `s`.
+inline std::size_t str_size(std::string_view s) { return 2 + s.size(); }
+
+// String attributes, as the hdfl and ncl layouts store them: a u16 count,
+// then key and value strings in key order.
+void write_attrs(BinaryWriter& w,
+                 const std::map<std::string, std::string>& attrs);
+std::map<std::string, std::string> read_attrs(BinaryReader& r);
+/// Bytes that write_attrs writes for `attrs`.
+std::size_t attrs_size(const std::map<std::string, std::string>& attrs);
+
+// A payload record, as the hdfl and ncl layouts store each dataset's or
+// variable's data: a u64 size, the bytes, then their u32 CRC.
+void write_payload(BinaryWriter& w, std::span<const std::byte> payload);
+/// Bytes that write_payload writes for a payload of `size` bytes.
+inline std::size_t payload_record_size(std::size_t size) { return 8 + size + 4; }
+/// Reads the payload record at `r`'s position as a slice of `file`, the
+/// buffer `r` reads, and checks its CRC. Throws FormatError, naming
+/// `kind` `name`, on a mismatch, and when the payload runs past the end.
+Bytes read_payload(BinaryReader& r, const Bytes& file, std::string_view kind,
+                   std::string_view name);
 
 }  // namespace mfw::storage

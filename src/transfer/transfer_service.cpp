@@ -99,6 +99,7 @@ void TransferService::move_file(std::uint64_t task_id,
           const auto data = task.request.source->read_file(src_path);
           const std::string dst_path = util::path_join(
               task.request.dest_prefix, util::path_basename(src_path));
+          // The destination shares the source's buffer; nothing is copied.
           task.request.destination->write_file(dst_path, data);
           if (task.request.verify_checksum) {
             const auto landed = task.request.destination->read_file(dst_path);

@@ -2,8 +2,6 @@
 // reads, CRC integrity, and append-variable behaviour.
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "storage/hdfl.hpp"
 #include "storage/ncl.hpp"
 #include "util/crc32.hpp"
@@ -116,7 +114,7 @@ TEST(Hdfl, ShapeMismatchRejected) {
   ds.name = "bad";
   ds.dtype = DType::kF32;
   ds.shape = {4};
-  ds.data.resize(8);  // needs 16 bytes
+  ds.data = std::vector<std::byte>(8);  // needs 16 bytes
   HdflFile file;
   EXPECT_THROW(file.add(std::move(ds)), FormatError);
 
@@ -140,6 +138,84 @@ TEST(Hdfl, ShapeMismatchRejected) {
     EXPECT_THROW(HdflFile::deserialize(bytes), FormatError);
     EXPECT_THROW(HdflFile::read_dataset(bytes, "wrap"), FormatError);
   }
+}
+
+// An hdfl file whose one dataset, `name`, declares a payload that runs
+// exactly to 2^64 from its own offset: offset + size wraps to 0.
+std::vector<std::byte> hdfl_with_wrapping_size(const char* name) {
+  BinaryWriter w;
+  w.raw("HDFL", 4);
+  w.u32(1);  // version
+  w.u16(0);  // global attrs
+  w.u32(1);  // datasets
+  w.str(name);
+  w.u8(static_cast<std::uint8_t>(DType::kU8));
+  w.u8(1);
+  w.u64(16);
+  w.u16(0);  // dataset attrs
+  w.u64(0 - static_cast<std::uint64_t>(w.size() + 8));
+  w.bytes(std::vector<std::byte>(20));
+  return w.take();
+}
+
+TEST(Hdfl, PayloadSizeWrappingOffsetRejected) {
+  const auto bytes = hdfl_with_wrapping_size("X");
+  EXPECT_THROW(HdflFile::deserialize(bytes), FormatError);
+  EXPECT_THROW(HdflFile::read_dataset(bytes, "X"), FormatError);
+  EXPECT_THROW(HdflFile::read_dataset(bytes, "Y"), FormatError);
+}
+
+// Two datasets with one name: serializers never write this, and a decoder
+// that kept either one would hide the other.
+TEST(Hdfl, RepeatedDatasetNameRejected) {
+  BinaryWriter w;
+  w.raw("HDFL", 4);
+  w.u32(1);  // version
+  w.u16(0);  // global attrs
+  w.u32(2);  // datasets
+  for (const std::uint8_t value : {1, 2}) {
+    w.str("X");
+    w.u8(static_cast<std::uint8_t>(DType::kU8));
+    w.u8(1);
+    w.u64(1);
+    w.u16(0);  // dataset attrs
+    w.u64(1);
+    w.u8(value);
+    w.u32(util::crc32(&value, 1));
+  }
+  try {
+    HdflFile::deserialize(w.take());
+    ADD_FAILURE() << "decoded a file naming dataset X twice";
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("'X'"), std::string::npos) << e.what();
+  }
+}
+
+// A payload's offset is whatever its header makes it; typed reads of an
+// odd offset load each value whole (the sanitizer tree checks alignment).
+TEST(Hdfl, PayloadAtOddOffsetReadsByValue) {
+  HdflFile file;
+  file.add(Dataset::f32("odd", {3}, {1.25f, -2.5f, 1e30f}));
+  const auto loaded = HdflFile::deserialize(file.serialize());
+  const auto& ds = loaded.dataset("odd");
+  ASSERT_NE(reinterpret_cast<std::uintptr_t>(ds.data.data()) % alignof(float), 0u);
+  const auto values = ds.as_f32();
+  EXPECT_EQ(values[1], -2.5f);
+  EXPECT_EQ(std::vector<float>(values.begin(), values.end()),
+            (std::vector<float>{1.25f, -2.5f, 1e30f}));
+  std::vector<float> tail(2);
+  values.copy_to(tail, 1);
+  EXPECT_EQ(tail, (std::vector<float>{-2.5f, 1e30f}));
+  EXPECT_THROW(values.copy_to(tail, 2), std::out_of_range);
+}
+
+TEST(Hdfl, SerializeSizesTheBufferExactly) {
+  HdflFile file;
+  file.attrs()["product"] = "MOD02";
+  file.add(Dataset::f32("Radiance", {2, 3, 4}, ramp(24)));
+  file.add(Dataset::u8("Mask", {3}, {1, 0, 1}));
+  const auto bytes = file.serialize();
+  EXPECT_EQ(bytes.capacity(), bytes.size());
 }
 
 TEST(Hdfl, TypedViewChecksDtype) {
@@ -215,6 +291,78 @@ TEST(Ncl, SizeValidationAgainstDims) {
   }
 }
 
+TEST(Ncl, PayloadSizeWrappingOffsetRejected) {
+  BinaryWriter w;
+  w.raw("NCL1", 4);
+  w.u16(1);  // dimensions
+  w.str("n");
+  w.u64(16);
+  w.u16(0);  // global attrs
+  w.u16(1);  // variables
+  w.str("v");
+  w.u8(static_cast<std::uint8_t>(DType::kU8));
+  w.u8(1);
+  w.str("n");
+  w.u16(0);  // variable attrs
+  w.u64(0 - static_cast<std::uint64_t>(w.size() + 8));
+  w.bytes(std::vector<std::byte>(20));
+  EXPECT_THROW(NclFile::deserialize(w.take()), FormatError);
+}
+
+// Builds an ncl file with dimensions `dims` (each of length 1) and one u8
+// variable over the first dimension per name in `vars`.
+std::vector<std::byte> raw_ncl(const std::vector<std::string>& dims,
+                               const std::vector<std::string>& vars) {
+  BinaryWriter w;
+  w.raw("NCL1", 4);
+  w.u16(static_cast<std::uint16_t>(dims.size()));
+  for (const auto& d : dims) {
+    w.str(d);
+    w.u64(1);
+  }
+  w.u16(0);  // global attrs
+  w.u16(static_cast<std::uint16_t>(vars.size()));
+  std::uint8_t value = 0;
+  for (const auto& v : vars) {
+    ++value;
+    w.str(v);
+    w.u8(static_cast<std::uint8_t>(DType::kU8));
+    w.u8(1);
+    w.str(dims.front());
+    w.u16(0);  // variable attrs
+    w.u64(1);
+    w.u8(value);
+    w.u32(util::crc32(&value, 1));
+  }
+  return w.take();
+}
+
+TEST(Ncl, RepeatedNamesRejected) {
+  ASSERT_NO_THROW(NclFile::deserialize(raw_ncl({"n", "m"}, {"v", "w"})));
+  for (const auto& [dims, vars, name] :
+       {std::tuple{std::vector<std::string>{"n"},
+                   std::vector<std::string>{"v", "v"}, "'v'"},
+        std::tuple{std::vector<std::string>{"n", "n"},
+                   std::vector<std::string>{"v"}, "'n'"}}) {
+    try {
+      NclFile::deserialize(raw_ncl(dims, vars));
+      ADD_FAILURE() << "decoded a repeated " << name;
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Ncl, SerializeSizesTheBufferExactly) {
+  NclFile file;
+  file.add_dim("tile", 3);
+  file.attrs()["granule"] = "X";
+  file.add_f32("data", {"tile"}, ramp(3), {{"units", "W/m2"}});
+  const auto bytes = file.serialize();
+  EXPECT_EQ(bytes.capacity(), bytes.size());
+}
+
 TEST(Ncl, DimRedefinitionRejected) {
   NclFile file;
   file.add_dim("tile", 3);
@@ -243,8 +391,7 @@ TEST(Ncl, CorruptionDetected) {
   var.name = "v";
   var.dtype = DType::kU8;
   var.dims = {"n"};
-  var.data.resize(values.size());
-  std::memcpy(var.data.data(), values.data(), values.size());
+  var.data = Bytes::adopt(values);
   file.add_var(std::move(var));
   const auto clean = file.serialize();
   ASSERT_NO_THROW(NclFile::deserialize(clean));

@@ -402,18 +402,18 @@ TEST(Products, HdflRoundTripAllProducts) {
   spec.slot = 37;
   const auto [m02, m03, m06] = gen.generate(spec);
   const auto back02 = Mod02Granule::from_hdfl(
-      storage::HdflFile::deserialize(m02.to_hdfl().serialize()));
+      storage::HdflFile::deserialize(Mod02Granule(m02).to_hdfl().serialize()));
   EXPECT_EQ(back02.spec, spec);
   EXPECT_EQ(back02.daytime, m02.daytime);
   EXPECT_EQ(back02.radiance, m02.radiance);
 
   const auto back03 = Mod03Granule::from_hdfl(
-      storage::HdflFile::deserialize(m03.to_hdfl().serialize()));
+      storage::HdflFile::deserialize(Mod03Granule(m03).to_hdfl().serialize()));
   EXPECT_EQ(back03.spec, spec);
   EXPECT_EQ(back03.land_mask, m03.land_mask);
 
   const auto back06 = Mod06Granule::from_hdfl(
-      storage::HdflFile::deserialize(m06.to_hdfl().serialize()));
+      storage::HdflFile::deserialize(Mod06Granule(m06).to_hdfl().serialize()));
   EXPECT_EQ(back06.spec, spec);
   EXPECT_EQ(back06.cloud_mask, m06.cloud_mask);
 }
@@ -424,9 +424,9 @@ TEST(Products, FromHdflRejectsGeometryThatDisagreesWithDatasets) {
   spec.geometry = GranuleGeometry{64, 48, 4};
   while (!is_daytime(spec.satellite, spec.slot, spec.day_of_year)) ++spec.slot;
   const auto granule = gen.generate(spec);
-  const auto m02 = granule.mod02.to_hdfl();
-  const auto m03 = granule.mod03.to_hdfl();
-  const auto m06 = granule.mod06.to_hdfl();
+  const auto m02 = Mod02Granule(granule.mod02).to_hdfl();
+  const auto m03 = Mod03Granule(granule.mod03).to_hdfl();
+  const auto m06 = Mod06Granule(granule.mod06).to_hdfl();
   // No CRC covers the attributes, so each edited file still loads.
   const auto edited = [](storage::HdflFile file, const char* key,
                          const char* value) {
@@ -1017,8 +1017,9 @@ TEST(Products, BenchmarkGranulesMatchDirectSynthesis) {
 // The serialized MOD02, MOD03 and MOD06 of `granule`, one after another.
 std::vector<std::byte> serialized(const GranuleProducts& granule) {
   std::vector<std::byte> bytes;
-  for (const auto& file : {granule.mod02.to_hdfl(), granule.mod03.to_hdfl(),
-                           granule.mod06.to_hdfl()}) {
+  for (const auto& file : {Mod02Granule(granule.mod02).to_hdfl(),
+                           Mod03Granule(granule.mod03).to_hdfl(),
+                           Mod06Granule(granule.mod06).to_hdfl()}) {
     const auto one = file.serialize();
     bytes.insert(bytes.end(), one.begin(), one.end());
   }
@@ -1236,9 +1237,10 @@ class FreshProducts {
       spec.geometry = g;
       const auto granule = GranuleGenerator(seed_).generate(spec);
       it = made_
-               .emplace(key, std::array{granule.mod02.to_hdfl().serialize(),
-                                        granule.mod03.to_hdfl().serialize(),
-                                        granule.mod06.to_hdfl().serialize()})
+               .emplace(key, std::array{
+                                 Mod02Granule(granule.mod02).to_hdfl().serialize(),
+                                 Mod03Granule(granule.mod03).to_hdfl().serialize(),
+                                 Mod06Granule(granule.mod06).to_hdfl().serialize()})
                .first;
     }
     return it->second[static_cast<std::size_t>(r.id.product)];
@@ -1842,9 +1844,9 @@ TEST(Golden, ProductBytesBitIdentical) {
         spec.geometry = c.geometry;
         const auto granule = gen.generate(spec);
         if (granule.mod02.daytime) ++day_granules;
-        hash.bytes(granule.mod02.to_hdfl().serialize());
-        hash.bytes(granule.mod03.to_hdfl().serialize());
-        hash.bytes(granule.mod06.to_hdfl().serialize());
+        hash.bytes(Mod02Granule(granule.mod02).to_hdfl().serialize());
+        hash.bytes(Mod03Granule(granule.mod03).to_hdfl().serialize());
+        hash.bytes(Mod06Granule(granule.mod06).to_hdfl().serialize());
       }
     }
     EXPECT_EQ(hash.value(), c.pin)

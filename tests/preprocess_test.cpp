@@ -300,9 +300,12 @@ TEST(RunPreprocess, EndToEndFromHdflFiles) {
     ++spec.slot;
   storage::MemFs fs("defiant");
   const auto granule = gen.generate(spec);
-  fs.write_file("staging/m02.hdf", granule.mod02.to_hdfl().serialize());
-  fs.write_file("staging/m03.hdf", granule.mod03.to_hdfl().serialize());
-  fs.write_file("staging/m06.hdf", granule.mod06.to_hdfl().serialize());
+  fs.write_file("staging/m02.hdf",
+                modis::Mod02Granule(granule.mod02).to_hdfl().serialize());
+  fs.write_file("staging/m03.hdf",
+                modis::Mod03Granule(granule.mod03).to_hdfl().serialize());
+  fs.write_file("staging/m06.hdf",
+                modis::Mod06Granule(granule.mod06).to_hdfl().serialize());
 
   GranulePaths paths{"staging/m02.hdf", "staging/m03.hdf", "staging/m06.hdf"};
   TilerOptions options;

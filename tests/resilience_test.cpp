@@ -183,6 +183,8 @@ TEST_F(ResilienceTest, FaultyFsCorruptsAndCounts) {
   EXPECT_NE(std::string(reinterpret_cast<const char*>(data.data()), data.size()),
             "hello world");
   EXPECT_EQ(faulty.corrupted_reads(), 1u);
+  // The flip lands in a copy: the stored file is shared and never written.
+  EXPECT_EQ(inner.read_text("f"), "hello world");
 }
 
 TEST_F(ResilienceTest, FaultyFsWriteFailures) {

@@ -212,6 +212,9 @@ TEST(Transfer, MovesFilesWithChecksums) {
   EXPECT_FALSE(status.failed);
   EXPECT_EQ(fx.dst.list("aicca/*.ncl").size(), 5u);
   EXPECT_EQ(fx.dst.read_text("aicca/f0.ncl"), std::string(1000, 'x'));
+  // The destination shares the source's buffer rather than a copy of it.
+  EXPECT_EQ(fx.dst.read_file("aicca/f3.ncl").data(),
+            fx.src.read_file("outbox/f3.ncl").data());
   ASSERT_GE(events.size(), 7u);  // started + 5 files + succeeded
   EXPECT_EQ(events.front(), TransferEventKind::kStarted);
   EXPECT_EQ(events.back(), TransferEventKind::kSucceeded);
