@@ -27,8 +27,6 @@
 // read-only snapshot tick; the mfw.health/v1 stream lands at <path>. Both
 // watch modes are zero-perturbation: campaign numbers are identical with or
 // without them.
-#include <sched.h>
-
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -59,14 +57,6 @@
 using namespace mfw;
 
 namespace {
-
-/// CPUs in this process's affinity mask (0 when it cannot be read).
-int cpus_allowed() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof set, &set) != 0) return 0;
-  return CPU_COUNT(&set);
-}
 
 double wall_now() {
   return std::chrono::duration<double>(
@@ -397,7 +387,7 @@ int main(int argc, char** argv) {
                   "  \"context\": {\"build_type\": \"%s\", \"compiler\": "
                   "\"%s\", \"nproc\": %u, \"cpus_allowed\": %d},\n",
                   MFW_BUILD_TYPE, MFW_COMPILER,
-                  std::thread::hardware_concurrency(), cpus_allowed());
+                  std::thread::hardware_concurrency(), benchx::cpus_allowed());
     json += buf;
     std::snprintf(
         buf, sizeof buf,

@@ -1,5 +1,7 @@
 #include "bench_common.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -93,6 +95,13 @@ void print_header(const std::string& experiment, const std::string& paper_ref) {
   std::printf("(Simulated ACE Defiant substrate; see DESIGN.md for the\n");
   std::printf(" calibration of the node contention model and WAN parameters.)\n");
   std::printf("================================================================\n\n");
+}
+
+int cpus_allowed() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return 0;
+  return CPU_COUNT(&set);
 }
 
 void write_trace_outputs(const util::cli::Args& args) {

@@ -76,6 +76,10 @@ MeanStd mean_std(const std::vector<double>& values);
 /// Prints the standard bench header (paper reference + reproduction note).
 void print_header(const std::string& experiment, const std::string& paper_ref);
 
+/// CPUs in this process's affinity mask (0 when it cannot be read); the
+/// `cpus_allowed` of the BENCH_sim.json and BENCH_serve.json context blocks.
+int cpus_allowed();
+
 /// The --trace-out <path> and --report-out <path> outputs of fig6_timeline
 /// and headline_12k: writes the Chrome trace of the runs recorded so far and
 /// their trace-analysis report, each when its flag is given.

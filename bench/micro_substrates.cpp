@@ -139,9 +139,13 @@ BENCHMARK(BM_NoiseFbm)->Arg(256);
 
 // Granule statistics at full geometry over day 2's slots, one in seven in
 // turn, night ones included. A miss runs on a fresh generator, built outside
-// the timed region, so every tile is tested for land first. A hit runs on a
-// generator that saw every slot of day 1: its slot table names each slot's
-// candidate tiles, and only their cloud tests run.
+// the timed region, so every tile is tested for land first, and each tested
+// sample's mesoscale texture is evaluated. A hit runs on a generator that
+// saw every slot of day 1: its slot table names each slot's candidate tiles
+// and holds the mesoscale bucket of each sample that day 1 tested. A hit
+// skips the land tests, and for each sample with a bucket the texture too
+// unless the bucket straddles the threshold: most of its cloud tests
+// evaluate only the day's synoptic field.
 void BM_GranuleStats(benchmark::State& state, bool hit) {
   std::optional<modis::GranuleGenerator> gen(std::in_place, 2022);
   modis::GranuleSpec spec;

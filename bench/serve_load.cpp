@@ -16,8 +16,10 @@
 //                  base-vs-flash p50/p99/p999 and a latency timeline.
 //
 // Emits the mfw.serve_bench/v1 JSON consumed by tools/bench_serve.sh ->
-// BENCH_serve.json. The build type is stamped into the document so the
-// script can refuse to snapshot non-Release numbers.
+// BENCH_serve.json. Its "context" block stamps the build type, so that the
+// script can refuse to snapshot non-Release numbers, and the compiler, the
+// CPU count and the CPUs this process may run on, as BENCH_sim.json's
+// does.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -35,6 +37,9 @@
 
 #ifndef MFW_BUILD_TYPE
 #define MFW_BUILD_TYPE "Unknown"
+#endif
+#ifndef MFW_COMPILER
+#define MFW_COMPILER "Unknown"
 #endif
 
 using namespace mfw;
@@ -195,7 +200,12 @@ int main(int argc, char** argv) {
   util::JsonWriter w;
   w.begin_object();
   w.field("schema", "mfw.serve_bench/v1");
+  w.key("context").begin_object();
   w.field("build_type", MFW_BUILD_TYPE);
+  w.field("compiler", MFW_COMPILER);
+  w.field("nproc", std::thread::hardware_concurrency());
+  w.field("cpus_allowed", benchx::cpus_allowed());
+  w.end_object();
   w.field("quick", quick);
   w.field("tiles", tiles);
   w.field("days", kDays);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bitset>
 #include <charconv>
 #include <cmath>
 #include <limits>
@@ -11,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -66,7 +68,7 @@ GranuleSpec spec_from_attrs(const storage::HdflFile& file) {
       throw storage::FormatError(std::string("granule missing attr ") + key);
     return it->second;
   };
-  auto get_int = [&](const char* key) {
+  auto get_int = [&](const char* key, int min, int max) {
     const std::string& text = get(key);
     int value = 0;
     const auto [end, ec] =
@@ -74,8 +76,13 @@ GranuleSpec spec_from_attrs(const storage::HdflFile& file) {
     if (ec != std::errc{} || end != text.data() + text.size())
       throw storage::FormatError(std::string("granule attr ") + key +
                                  " is not an int: '" + text + "'");
+    if (value < min || value > max)
+      throw storage::FormatError(std::string("granule attr ") + key + " " +
+                                 text + " is outside [" + std::to_string(min) +
+                                 ", " + std::to_string(max) + "]");
     return value;
   };
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   GranuleSpec spec;
   const std::string& satellite = get("satellite");
   if (satellite == satellite_name(Satellite::kTerra))
@@ -85,15 +92,14 @@ GranuleSpec spec_from_attrs(const storage::HdflFile& file) {
   else
     throw storage::FormatError("granule attr satellite is neither Terra nor "
                                "Aqua: '" + satellite + "'");
-  spec.year = get_int("year");
-  spec.day_of_year = get_int("day_of_year");
-  spec.slot = get_int("slot");
-  spec.geometry.rows = get_int("rows");
-  spec.geometry.cols = get_int("cols");
-  spec.geometry.bands = get_int("bands");
-  if (spec.geometry.rows <= 0 || spec.geometry.cols <= 0 ||
-      spec.geometry.bands <= 0)
-    throw storage::FormatError("granule geometry must be positive");
+  // check_spec's ranges, and a year that GranuleId::filename prints in its
+  // four digits, so that a tile file names a granule that parses back.
+  spec.year = get_int("year", 0, 9999);
+  spec.day_of_year = get_int("day_of_year", 1, 366);
+  spec.slot = get_int("slot", 0, kSlotsPerDay - 1);
+  spec.geometry.rows = get_int("rows", 1, kIntMax);
+  spec.geometry.cols = get_int("cols", 1, kIntMax);
+  spec.geometry.bands = get_int("bands", 1, kIntMax);
   return spec;
 }
 
@@ -415,23 +421,60 @@ double EarthModel::cloud_intensity(const LatLon& p, int day_of_year,
   return std::fmin(1.0, std::fmax(0.0, v));
 }
 
-bool EarthModel::is_cloudy(const LatLon& p, int day_of_year,
+bool EarthModel::is_cloudy(const LatLon& p, int day_of_year, Interval meso,
                            Memo& memo) const {
   // The clamp in cloud_intensity keeps every value on its side of the
-  // threshold, so the unclamped sum is compared. The mesoscale term lies in
-  // [-0.35, 0.35]; the slack covers the roundings of both sides. Rounded
-  // addition is monotone, so each test against an end of the climatology's
-  // interval gives the exact climatology's answer whenever it decides.
+  // threshold, so the unclamped sum (synoptic + mesoscale) + climatology is
+  // compared. Rounded addition is monotone: the sum taken with the low ends
+  // of both intervals is at most the exact terms' sum, and with the high
+  // ends at least it, so an answer either end gives is the exact terms'.
   const double synoptic = synoptic_cloud(p, day_of_year, memo);
   const auto climo = LatitudeTable::instance().climatology(p.lat);
-  constexpr double kMesoBound = 0.35 * (1.0 + 1e-6) + 1e-12;
-  if (synoptic + climo.lo - kMesoBound > kCloudThreshold) return true;
-  if (synoptic + climo.hi + kMesoBound < kCloudThreshold) return false;
-  const double v = synoptic + mesoscale_cloud(p, memo);
+  if (synoptic + meso.lo + climo.lo > kCloudThreshold) return true;
+  if (!(synoptic + meso.hi + climo.hi > kCloudThreshold)) return false;
+  // Straddling: the exact mesoscale term (a point interval is that term),
+  // then the exact climatology if its interval still straddles.
+  const double v =
+      synoptic + (meso.lo == meso.hi ? meso.lo : mesoscale_cloud(p, memo));
   if (v + climo.lo > kCloudThreshold) return true;
   if (!(v + climo.hi > kCloudThreshold)) return false;
   return v + cloud_climatology(p.lat) > kCloudThreshold;
 }
+
+namespace {
+
+// Bucket b holds the mesoscale terms in [-0.35 + b w, -0.35 + (b + 1) w]
+// for w = 0.7 / kMesoBuckets. meso_bucket's index and the edges computed
+// here are each within a few ulps of 0.7 of their exact values, so a margin
+// of 1e-12 on either side covers every rounding.
+constexpr double kMesoBucketScale = kMesoBuckets / 0.7;
+constexpr double kMesoBucketMargin = 1e-12;
+
+constexpr std::array<Interval, 256> make_meso_intervals() {
+  std::array<Interval, 256> intervals;
+  for (int b = 0; b < 256; ++b)
+    intervals[static_cast<std::size_t>(b)] = {
+        b == 0 || b >= kMesoBuckets
+            ? -kMesoBound
+            : -0.35 + b / kMesoBucketScale - kMesoBucketMargin,
+        b >= kMesoBuckets - 1
+            ? kMesoBound
+            : -0.35 + (b + 1) / kMesoBucketScale + kMesoBucketMargin};
+  return intervals;
+}
+constexpr std::array<Interval, 256> kMesoIntervals = make_meso_intervals();
+
+}  // namespace
+
+std::uint8_t meso_bucket(double meso) {
+  // Terms a rounding puts outside [-0.35, 0.35] go to the outer buckets,
+  // whose intervals reach out to +-kMesoBound.
+  const double u = (meso + 0.35) * kMesoBucketScale;
+  return static_cast<std::uint8_t>(
+      std::fmin(std::fmax(u, 0.0), kMesoBuckets - 1.0));
+}
+
+Interval meso_interval(std::uint8_t bucket) { return kMesoIntervals[bucket]; }
 
 double EarthModel::cloud_top_pressure(const LatLon& p, int day_of_year,
                                       Memo& memo) const {
@@ -449,13 +492,12 @@ double EarthModel::surface_temperature(const LatLon& p, Memo& memo) const {
          3.0 * continents_.fbm(p.lon / 15.0, p.lat / 15.0, 2, memo.surface);
 }
 
-// The candidate tiles of each (satellite, slot) for one tiling key; entry
-// e = satellite * kSlotsPerDay + slot. The block holds every entry's filled
-// flag, then its claimed flag, one bit each, then each entry's `words` words
-// of candidate bits (bit t for tile t = tile_row * tile_cols + tile_col).
-// Only the call that claims an empty entry writes its bits, outside the
-// lock, and it marks the entry filled under the lock when it is done; calls
-// read the bits of filled entries only, and those never change while the
+// The candidate tiles of each (satellite, slot) for one tiling key, and the
+// mesoscale buckets of their samples; entry e = satellite * kSlotsPerDay +
+// slot. Only the call that claims an empty entry writes its candidate bits,
+// outside the lock; it records the buckets in an array of its own, which it
+// hands over when it marks the entry filled, under the lock. Calls read the
+// bits and buckets of filled entries only, and those never change while the
 // block lives. A key change replaces the block: calls still holding the old
 // one finish on it, and their fills are dropped with it.
 struct GranuleGenerator::SlotTable {
@@ -467,48 +509,58 @@ struct GranuleGenerator::SlotTable {
     bool operator==(const Key&) const = default;
   };
 
+  static constexpr std::size_t kEntries = 2 * kSlotsPerDay;
+
+  struct Block {
+    explicit Block(std::size_t tiles)
+        : words((tiles + 63) / 64), bits(kEntries * words) {}
+
+    std::size_t words;  // candidate bits per entry, in 64-bit words
+    std::bitset<kEntries> filled;
+    std::bitset<kEntries> claimed;
+    // Entry e's candidate bits from word e * words: bit t for tile
+    // t = tile_row * tile_cols + tile_col.
+    std::vector<std::uint64_t> bits;
+    // Entry e's buckets once filled, candidate by candidate in tile order
+    // (see estimate_granule_stats).
+    std::array<std::unique_ptr<std::uint8_t[]>, kEntries> buckets;
+  };
+
   /// One call's view of its entry.
   struct Slot {
-    std::shared_ptr<std::uint64_t[]> block;  // kept alive for the call
-    std::uint64_t* bits = nullptr;           // the entry's candidate bits
+    std::shared_ptr<Block> block;  // kept alive for the call
+    std::uint64_t* bits = nullptr;          // the entry's candidate bits
+    const std::uint8_t* buckets = nullptr;  // filled: the entry's buckets
     std::size_t entry = 0;
     bool filled = false;   // the bits hold the slot's candidates
     bool claimed = false;  // this call records them
   };
 
-  static constexpr std::size_t kEntries = 2 * kSlotsPerDay;
-  static constexpr std::size_t kFlagWords = (kEntries + 63) / 64;
-
   Slot find(const Key& want, std::size_t tiles, std::size_t entry) {
     const std::lock_guard lock(mutex);
     if (!block || !(key == want)) {
       // Allocate first: a failed allocation leaves the old key and block.
-      const std::size_t entry_words = (tiles + 63) / 64;
-      block = std::make_shared<std::uint64_t[]>(2 * kFlagWords +
-                                                kEntries * entry_words);
+      block = std::make_shared<Block>(tiles);
       key = want;
-      words = entry_words;
     }
-    Slot slot{block, block.get() + 2 * kFlagWords + entry * words, entry};
-    const std::uint64_t bit = std::uint64_t{1} << (entry % 64);
-    std::uint64_t& filled = block[entry / 64];
-    std::uint64_t& claimed = block[kFlagWords + entry / 64];
-    slot.filled = (filled & bit) != 0;
-    slot.claimed = (claimed & bit) == 0;
-    claimed |= bit;
+    Slot slot{block, block->bits.data() + entry * block->words,
+              block->buckets[entry].get(), entry};
+    slot.filled = block->filled.test(entry);
+    slot.claimed = !block->claimed.test(entry);
+    block->claimed.set(entry);
     return slot;
   }
 
-  void fill(const Slot& slot) {
+  void fill(const Slot& slot, std::unique_ptr<std::uint8_t[]> buckets) {
     const std::lock_guard lock(mutex);
-    if (block == slot.block)
-      block[slot.entry / 64] |= std::uint64_t{1} << (slot.entry % 64);
+    if (block != slot.block) return;
+    block->buckets[slot.entry] = std::move(buckets);
+    block->filled.set(slot.entry);
   }
 
   std::mutex mutex;
   Key key;
-  std::size_t words = 0;
-  std::shared_ptr<std::uint64_t[]> block;
+  std::shared_ptr<Block> block;
 };
 
 GranuleGenerator::GranuleGenerator(std::uint64_t world_seed)
@@ -741,14 +793,21 @@ GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
   int need = 0;
   while (static_cast<double>(need) / static_cast<double>(samples) < 0.3)
     ++need;
-  // A filled entry names the slot's candidates, and only they are sampled.
-  // Otherwise every tile is tested for land, and the call that claimed the
-  // entry records the candidates it finds.
+  // A filled entry names the slot's candidates, and only they are sampled,
+  // with the buckets of their samples' mesoscale terms. Otherwise every
+  // tile is tested for land, and the call that claimed the entry records
+  // the candidates it finds and the buckets of the samples it tests.
   const auto slot = generator.slots_->find(
       {g, tile_size, n},
       static_cast<std::size_t>(tile_rows) * static_cast<std::size_t>(tile_cols),
       static_cast<std::size_t>(spec.satellite) * kSlotsPerDay +
           static_cast<std::size_t>(spec.slot));
+  // A candidate's buckets are those of the samples its claiming call
+  // tested, a prefix of the sampling order, then one kUnrecordedBucket.
+  // The claiming call appends them to `recorded`; a call on a filled entry
+  // reads the next candidate's at `next`.
+  std::vector<std::uint8_t> recorded;
+  const std::uint8_t* next = slot.buckets;
   EarthModel::Memo memo;
   std::array<SwathRow, kMaxSamplesPerAxis> rows;
   std::array<LatLon, kMaxSamplesPerAxis * kMaxSamplesPerAxis> points;
@@ -795,16 +854,43 @@ GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
       }
       // Test for cloud only until the selection is decided: `need` cloudy
       // samples select the tile, and it is ruled out once the samples left
-      // cannot reach `need`.
+      // cannot reach `need`. The claiming call computes each tested
+      // sample's mesoscale term and records its bucket; a call on a filled
+      // entry bounds the term by its bucket's interval, or by the unrecorded
+      // interval past the tile's recorded prefix.
+      const std::uint8_t* buckets = next;
+      std::size_t known = 0;  // samples with a recorded bucket
+      if (slot.filled) {
+        known = static_cast<std::size_t>(
+            std::find(next, next + sampled, kUnrecordedBucket) - next);
+        next += known + 1;
+      }
       ++stats.candidate_tiles;
       int cloudy = 0;
-      for (int left = samples; cloudy < need && cloudy + left >= need; --left)
-        if (earth.is_cloudy(tile[samples - left], spec.day_of_year, memo))
-          ++cloudy;
+      for (int left = samples; cloudy < need && cloudy + left >= need;
+           --left) {
+        const std::size_t s = static_cast<std::size_t>(samples - left);
+        Interval meso =
+            meso_interval(s < known ? buckets[s] : kUnrecordedBucket);
+        if (slot.claimed) {
+          const double m = earth.mesoscale_cloud(tile[s], memo);
+          recorded.push_back(meso_bucket(m));
+          meso = {m, m};
+        }
+        if (earth.is_cloudy(tile[s], spec.day_of_year, meso, memo)) ++cloudy;
+      }
+      if (slot.claimed) recorded.push_back(kUnrecordedBucket);
       if (cloudy == need) ++stats.selected_tiles;
     }
   }
-  if (slot.claimed) generator.slots_->fill(slot);
+  if (slot.claimed) {
+    // The entry keeps an exact-size copy, none of the vector's spare
+    // capacity, for as long as the block lives.
+    auto buckets = std::make_unique_for_overwrite<std::uint8_t[]>(
+        recorded.size());
+    std::copy(recorded.begin(), recorded.end(), buckets.get());
+    generator.slots_->fill(slot, std::move(buckets));
+  }
   return stats;
 }
 

@@ -62,6 +62,21 @@ struct GranuleSpec {
 /// cloudy samples that select a tile in estimate_granule_stats.
 inline constexpr double kCloudThreshold = 0.45;
 
+/// Bounds cloud_intensity's mesoscale term, 0.35 times a fBm whose octaves
+/// each lie in [-1, 1], with a margin for the roundings.
+inline constexpr double kMesoBound = 0.35 * (1.0 + 1e-6) + 1e-12;
+
+/// A mesoscale term in one byte: [-0.35, 0.35] cut into kMesoBuckets equal
+/// buckets, numbered from the bottom. meso_bucket(m) is m's bucket, and
+/// meso_interval(b) holds every term whose bucket is b: the bucket's edges
+/// widened by a margin that covers the roundings of both functions, the
+/// outer edges pushed out to +-kMesoBound. kUnrecordedBucket is no bucket,
+/// and its interval is [-kMesoBound, kMesoBound].
+inline constexpr int kMesoBuckets = 255;
+inline constexpr std::uint8_t kUnrecordedBucket = 0xFF;
+std::uint8_t meso_bucket(double meso);
+Interval meso_interval(std::uint8_t bucket);
+
 /// The two latitude-only terms of the land and cloud tests, the polar offset
 /// 0.10 cos(lat pi / 90) and the cloud climatology, tabulated at 1/64 degree
 /// over [-90, 90] from their exact functions. A look-up interpolates
@@ -129,10 +144,21 @@ class EarthModel {
   /// Cloud presence probability in [0, 1] for a day's weather.
   double cloud_intensity(const LatLon& p, int day_of_year, Memo& memo) const;
 
-  /// cloud_intensity(p, day_of_year, memo) > kCloudThreshold, skipping the
-  /// mesoscale texture when the synoptic field and the tabulated climatology
-  /// settle it, and the exact climatology when its interval does.
-  bool is_cloudy(const LatLon& p, int day_of_year, Memo& memo) const;
+  /// cloud_intensity's mesoscale texture term, which depends on location
+  /// only; within [-kMesoBound, kMesoBound].
+  double mesoscale_cloud(const LatLon& p, Memo& memo) const;
+
+  /// cloud_intensity(p, day_of_year, memo) > kCloudThreshold, given an
+  /// interval `meso` that holds mesoscale_cloud(p): a bucket's
+  /// meso_interval, [m, m] for the term m itself, or
+  /// meso_interval(kUnrecordedBucket) when nothing narrower is known. It
+  /// evaluates the day's synoptic field and decides from the ends of `meso`
+  /// and of the tabulated climatology's interval when they settle it; only
+  /// otherwise does it evaluate the mesoscale texture (unless `meso` is a
+  /// point), and then the exact climatology only if its interval still
+  /// straddles the threshold.
+  bool is_cloudy(const LatLon& p, int day_of_year, Interval meso,
+                 Memo& memo) const;
 
   /// Cloud-top pressure proxy in hPa (lower = higher cloud); only meaningful
   /// where cloud_intensity is high.
@@ -146,7 +172,6 @@ class EarthModel {
   // cloud_intensity before its clamp is synoptic_cloud + mesoscale_cloud +
   // a latitude climatology, added in that order.
   double synoptic_cloud(const LatLon& p, int day_of_year, Memo& memo) const;
-  double mesoscale_cloud(const LatLon& p, Memo& memo) const;
 
   NoiseField continents_;
   NoiseField weather_;
@@ -289,15 +314,23 @@ inline constexpr int kMaxSamplesPerAxis = 32;
 ///
 /// Land depends only on location, and a slot's swath is the same every day,
 /// so which tiles are candidates depends on (satellite, slot, geometry,
-/// tile_size, samples_per_axis) and the world seed, never on the day. The
-/// generator holds them in a slot table: a slot's first daytime call tests
-/// every tile for land and records its candidates, one bit per tile; every
-/// later call for the slot samples only those tiles and runs only their
-/// cloud tests. The table holds one (geometry, tile_size, samples_per_axis)
-/// key at a time, in one block of 2 x 288 x ceil(tiles / 64) words plus 18
-/// words of flags, allocated by the key's first daytime call (about 14 KB at
-/// full geometry with 128-px tiles); a call with another key replaces it.
-/// The answers never depend on what the table holds.
+/// tile_size, samples_per_axis) and the world seed, never on the day, and
+/// so does each sample's mesoscale cloud term. The generator holds both in
+/// a slot table. A slot's first daytime call tests every tile for land and
+/// records its candidates, one bit per tile, and the meso_bucket of each
+/// sample its cloud tests visit: one byte per visited sample, a prefix of
+/// each candidate's samples, then one kUnrecordedBucket byte per candidate.
+/// Every later call for the slot samples only those tiles and hands
+/// is_cloudy each sample's meso_interval (the unrecorded interval past a
+/// tile's prefix), so it mostly evaluates the day's synoptic field alone.
+/// The table holds one (geometry, tile_size, samples_per_axis) key at a
+/// time: 2 x 288 x ceil(tiles / 64) words of candidate bits beside
+/// 2 x 576 flag bits and 576 pointers, allocated by the key's first daytime
+/// call (18,608 bytes at full geometry with 128-px tiles), and each filled
+/// entry's bytes, allocated by the call that fills it (at most
+/// candidates x (samples_per_axis^2 + 1), 5,550 bytes at full geometry with
+/// 128-px tiles and 6 x 6 samples). A call with another key replaces them
+/// all. The answers never depend on what the table holds.
 GranuleStats estimate_granule_stats(const GranuleGenerator& generator,
                                     const GranuleSpec& spec,
                                     int tile_size = 128,

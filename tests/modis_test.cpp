@@ -13,6 +13,7 @@
 #include <limits>
 #include <map>
 #include <numbers>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -454,6 +455,21 @@ TEST(Products, FromHdflRejectsGeometryThatDisagreesWithDatasets) {
   decode_all("cols", "");
   decode_all("slot", "abc");
   decode_all("year", "99999999999");  // out of int range
+  // Out of check_spec's ranges, or a year GranuleId::filename cannot print
+  // in four digits: the tiles would name a granule that does not parse.
+  for (const char* slot : {"288", "500", "-3"}) decode_all("slot", slot);
+  for (const char* day : {"0", "367", "400"}) decode_all("day_of_year", day);
+  for (const char* year : {"-1", "10000"}) decode_all("year", year);
+  for (const auto& [key, value] :
+       {std::pair{"slot", "0"}, {"slot", "287"}, {"day_of_year", "1"},
+        {"day_of_year", "366"}, {"year", "0"}, {"year", "9999"}}) {
+    EXPECT_NO_THROW(Mod02Granule::from_hdfl(edited(m02, key, value)))
+        << key << "=" << value;
+    EXPECT_NO_THROW(Mod03Granule::from_hdfl(edited(m03, key, value)))
+        << key << "=" << value;
+    EXPECT_NO_THROW(Mod06Granule::from_hdfl(edited(m06, key, value)))
+        << key << "=" << value;
+  }
   for (const char* satellite : {"Bogus", "", "aqua", "Terra "})
     decode_all("satellite", satellite);  // only "Terra" and "Aqua" decode
   // rows x cols x bands that overflows 64 bits.
@@ -484,10 +500,20 @@ TEST(Products, LandFractionPlausible) {
   EXPECT_LT(frac, 0.55);
 }
 
+// The mesoscale term at p as is_cloudy may be given it: not known, by the
+// bucket a slot table records, and exactly.
+std::array<Interval, 3> meso_inputs(const EarthModel& earth, const LatLon& p,
+                                    EarthModel::Memo& memo) {
+  const double m = earth.mesoscale_cloud(p, memo);
+  return {meso_interval(kUnrecordedBucket), meso_interval(meso_bucket(m)),
+          Interval{m, m}};
+}
+
 TEST(Products, LandAndCloudTestsMatchFullEvaluation) {
   // is_land and is_cloudy may answer before every octave is in; on a dense
   // grid their answers must equal the full evaluation's, including at the
   // points within 1e-4 of each threshold, which always take the full sum.
+  // is_cloudy answers alike for each way of giving it the mesoscale term.
   const std::uint64_t seed = 2022;
   const EarthModel earth(seed);
   const std::uint64_t continents = util::mix64(seed, 1);
@@ -503,10 +529,14 @@ TEST(Products, LandAndCloudTestsMatchFullEvaluation) {
       ASSERT_EQ(earth.is_land(p, memo), land > 0.18)
           << "(" << lat << ", " << lon << ")";
       if (std::abs(land - 0.18) < 1e-4) ++near_land;
+      const auto mesos = meso_inputs(earth, p, full);
       for (const int day : {1, 91, 182, 274}) {
         const double intensity = earth.cloud_intensity(p, day, full);
-        ASSERT_EQ(earth.is_cloudy(p, day, memo), intensity > kCloudThreshold)
-            << "(" << lat << ", " << lon << ") day " << day;
+        for (const Interval& meso : mesos)
+          ASSERT_EQ(earth.is_cloudy(p, day, meso, memo),
+                    intensity > kCloudThreshold)
+              << "(" << lat << ", " << lon << ") day " << day << ", meso ["
+              << meso.lo << ", " << meso.hi << "]";
         if (std::abs(intensity - kCloudThreshold) < 1e-4) ++near_cloud;
       }
     }
@@ -599,7 +629,9 @@ TEST(Products, LandAndCloudFallbacksAtThreshold) {
   // Points within 1e-12 of each threshold, where the tabulated term's
   // interval always straddles it, so is_land and is_cloudy finish with the
   // exact polar offset and climatology: their answers match the full
-  // evaluation on both sides of every crossing.
+  // evaluation on both sides of every crossing. A bucket's interval of the
+  // mesoscale term straddles there too, so is_cloudy given it evaluates the
+  // exact term first; given the term itself, it uses that.
   const std::uint64_t seed = 2022;
   const EarthModel earth(seed);
   const NoiseField continents(util::mix64(seed, 1));
@@ -634,10 +666,97 @@ TEST(Products, LandAndCloudFallbacksAtThreshold) {
       const double v = cloud(p);
       ASSERT_LT(std::abs(v - kCloudThreshold), 1e-12)
           << "(" << p.lat << ", " << p.lon << ") day " << day;
-      ASSERT_EQ(earth.is_cloudy(p, day, memo), v > kCloudThreshold)
-          << "(" << p.lat << ", " << p.lon << ") day " << day;
+      for (const Interval& meso : meso_inputs(earth, p, full))
+        ASSERT_EQ(earth.is_cloudy(p, day, meso, memo), v > kCloudThreshold)
+            << "(" << p.lat << ", " << p.lon << ") day " << day << ", meso ["
+            << meso.lo << ", " << meso.hi << "]";
     }
   }
+}
+
+// Whether the interval of the bucket `m` lands in holds it. The bucket must
+// be a real one, not kUnrecordedBucket, and its interval at most a bucket
+// wide but for the outer buckets' reach out to +-kMesoBound.
+::testing::AssertionResult bucket_holds(double m) {
+  const std::uint8_t bucket = meso_bucket(m);
+  if (bucket >= kMesoBuckets)
+    return ::testing::AssertionFailure()
+           << std::hexfloat << m << " lands in bucket " << int{bucket};
+  const Interval in = meso_interval(bucket);
+  if (!(in.lo <= m && m <= in.hi) ||
+      !(in.hi - in.lo <= 0.7 / kMesoBuckets + 1e-6))
+    return ::testing::AssertionFailure()
+           << std::hexfloat << m << " in bucket " << int{bucket} << ", ["
+           << in.lo << ", " << in.hi << "]";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Products, MesoBucketIntervalsHoldTheTerm) {
+  // A hit decides a sample from its bucket's interval, so that interval
+  // must hold the mesoscale term exactly as is_cloudy would compute it: at
+  // a million seeded points, at points bisected to each bucket edge the
+  // field reaches, at every edge's neighbouring doubles, and at the
+  // extremes, the field's and those of its bound.
+  const EarthModel earth(2022);
+  EarthModel::Memo memo;
+  const auto term = [&](const LatLon& p) {
+    return earth.mesoscale_cloud(p, memo);
+  };
+  std::array<std::optional<LatLon>, kMesoBuckets> reached;  // one point each
+  double lowest = std::numeric_limits<double>::infinity();
+  double highest = -lowest;
+  util::Rng rng(53);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const LatLon p{rng.uniform(-90, 90), rng.uniform(-180, 180)};
+    const double m = term(p);
+    ASSERT_TRUE(bucket_holds(m)) << "(" << p.lat << ", " << p.lon << ")";
+    auto& seen = reached[meso_bucket(m)];
+    if (!seen) seen = p;
+    lowest = std::min(lowest, m);
+    highest = std::max(highest, m);
+  }
+  // Edge e is the bottom of bucket e. Between a point below it and one above
+  // it, bisection finds two neighbouring points on either side.
+  const int first = meso_bucket(lowest) + 1;
+  const int last = meso_bucket(highest);
+  ASSERT_GE(last - first, 100);
+  int below = first - 1;
+  for (int e = first; e <= last; ++e) {
+    if (reached[static_cast<std::size_t>(e - 1)]) below = e - 1;
+    int above = e;
+    while (!reached[static_cast<std::size_t>(above)]) ++above;
+    const LatLon a = *reached[static_cast<std::size_t>(below)];
+    const LatLon b = *reached[static_cast<std::size_t>(above)];
+    const auto at = [&](double t) {
+      return t == 1.0 ? b
+                      : LatLon{a.lat + (b.lat - a.lat) * t,
+                               a.lon + (b.lon - a.lon) * t};
+    };
+    double lo = 0.0;
+    double hi = 1.0;
+    for (;;) {
+      const double mid = 0.5 * (lo + hi);
+      if (mid <= lo || mid >= hi) break;
+      (meso_bucket(term(at(mid))) >= e ? hi : lo) = mid;
+    }
+    for (const double t : {lo, hi}) {
+      const double m = term(at(t));
+      ASSERT_EQ(meso_bucket(m) >= e, t == hi) << "edge " << e;
+      ASSERT_TRUE(bucket_holds(m)) << "edge " << e;
+    }
+  }
+  for (int e = 1; e < kMesoBuckets; ++e) {
+    double m = -0.35 + e * (0.7 / kMesoBuckets);
+    for (int k = 0; k < 8; ++k) m = std::nextafter(m, -1.0);
+    for (int k = 0; k < 16; ++k, m = std::nextafter(m, 1.0))
+      ASSERT_TRUE(bucket_holds(m)) << "edge " << e;
+  }
+  for (const double m : {lowest, highest, -0.35, 0.35, -kMesoBound,
+                         kMesoBound, 0.0})
+    EXPECT_TRUE(bucket_holds(m));
+  // A term never recorded may be anything the bound allows.
+  EXPECT_EQ(meso_interval(kUnrecordedBucket).lo, -kMesoBound);
+  EXPECT_EQ(meso_interval(kUnrecordedBucket).hi, kMesoBound);
 }
 
 TEST(Products, EarthQueriesIgnoreMemoHistory) {
@@ -651,7 +770,9 @@ TEST(Products, EarthQueriesIgnoreMemoHistory) {
     const int day = 1 + i % 365;
     EarthModel::Memo a, b, c, d, e;
     ASSERT_EQ(earth.is_land(p, shared), earth.is_land(p, a));
-    ASSERT_EQ(earth.is_cloudy(p, day, shared), earth.is_cloudy(p, day, e));
+    const Interval unknown = meso_interval(kUnrecordedBucket);
+    ASSERT_EQ(earth.is_cloudy(p, day, unknown, shared),
+              earth.is_cloudy(p, day, unknown, e));
     ASSERT_EQ(bits(earth.cloud_intensity(p, day, shared)),
               bits(earth.cloud_intensity(p, day, b)));
     ASSERT_EQ(bits(earth.cloud_top_pressure(p, day, shared)),
@@ -1511,6 +1632,41 @@ TEST(Stats, SharedGeneratorAcrossThreads) {
   }
 }
 
+TEST(Stats, ConcurrentHitsOnlyReadTheirEntry) {
+  // Day 1 fills the entries of every fourth slot from one thread; then four
+  // threads walk the same slots of day 2 in the same order at once, so their
+  // hit calls read each entry together. A hit only reads the table (under
+  // TSan a write races the other readers), and every answer must be a fresh
+  // generator's.
+  const GranuleGenerator gen(2022);
+  std::vector<GranuleSpec> walk;
+  for (int slot = 0; slot < kSlotsPerDay; slot += 4) {
+    GranuleSpec spec;
+    spec.geometry = kFullGeometry;
+    spec.slot = slot;
+    estimate_granule_stats(gen, spec);
+    spec.day_of_year = 2;
+    walk.push_back(spec);
+  }
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<GranuleStats>> got(
+      kThreads, std::vector<GranuleStats>(walk.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < walk.size(); ++k)
+        got[t][k] = estimate_granule_stats(gen, walk[k]);
+    });
+  for (auto& thread : threads) thread.join();
+  for (std::size_t k = 0; k < walk.size(); ++k) {
+    const auto want = fresh_stats(walk[k]);
+    for (std::size_t t = 0; t < kThreads; ++t)
+      expect_same_stats(got[t][k], want,
+                        "thread " + std::to_string(t) + ", slot " +
+                            std::to_string(walk[k].slot));
+  }
+}
+
 TEST(Stats, SlotTableAgreesWithAFreshGenerator) {
   // One generator walks both satellites over every fifth slot of days 300,
   // 1, 150 and 1 again. The table holds one (geometry, tiling) key at a
@@ -1621,7 +1777,9 @@ FullCount full_count_stats(const GranuleGenerator& generator,
         continue;
       int cloudy = 0;
       for (const LatLon& p : tile)
-        if (earth.is_cloudy(p, spec.day_of_year, memo)) ++cloudy;
+        if (earth.is_cloudy(p, spec.day_of_year,
+                            meso_interval(kUnrecordedBucket), memo))
+          ++cloudy;
       ++stats.candidate_tiles;
       ++stats.cloudy_tiles[static_cast<std::size_t>(cloudy)];
       const double cloud_frac =

@@ -7,9 +7,10 @@
 # simulated users (DESIGN.md §14).
 #
 # The build is forced to Release and the snapshot is refused unless the
-# document's own build_type stamp says "Release" — same guard as
+# document's own context stamp says "Release" — same guard as
 # tools/bench_kernels.sh, for the same reason (a debug-built snapshot is not
-# comparable and poisons the perf trajectory).
+# comparable and poisons the perf trajectory). The stamp also records the
+# compiler, nproc and cpus_allowed, as BENCH_sim.json's does.
 #
 # Usage: tools/bench_serve.sh [build-dir] [out-json] [extra serve_load args]
 #        (defaults: build-perf, BENCH_serve.json; pass --quick for a
